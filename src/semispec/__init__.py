@@ -3,7 +3,6 @@ Zariski topologies, localization, structure sheaves, hardening, and the
 submodule-lattice valuation correspondence, all at desk scale with every
 derived fact re-verified by an independent route."""
 
-from ._backend import backend_name
 from .errors import (
     FormatError,
     InternalCheckError,
@@ -47,7 +46,6 @@ __all__ = [
     "UnknownNameError",
     "VerificationError",
     "assert_valid",
-    "backend_name",
     "corpus",
     "dimension",
     "enumerate_homs",

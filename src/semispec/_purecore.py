@@ -1,17 +1,12 @@
-"""Pure-Python hot kernels.
+"""Table kernels: the hot loops over operation tables.
 
-Every function here has a compiled twin in _fastcore.pyx with the same
-signature and semantics; _backend picks one at import time. Tables are
-sequences of sequences of element indices, subsets are int bitmasks.
-Element counts are capped at 64 so masks fit a machine word in the
-compiled twin.
+Tables are sequences of sequences of element indices, subsets are int
+bitmasks over the elements.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
-
-BACKEND_NAME = "pure"
 
 Table = Sequence[Sequence[int]]
 

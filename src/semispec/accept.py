@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import corpus, poly
-from ._backend import core
+from . import _purecore as core
 from .errors import ResourceError
 from .ideals import (
     all_ideals,

@@ -19,7 +19,6 @@ import sys
 from typing import List, Optional
 
 from . import accept, corpus
-from ._backend import BACKEND
 from .errors import (
     FormatError,
     PreconditionError,
@@ -238,11 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite commutative semirings: spectra, sheaves, "
         "hardening, and submodule-lattice valuations.",
         epilog="Environment: SEMISPEC_WORKSPACE (registry directory), "
-        "SEMISPEC_PURE=1 (force the pure backend), "
         "SEMISPEC_CONGRUENCE_BOUND / _COEFF / _NODES (word-problem bounds), "
-        "SEMISPEC_SPECTRUM_LIMIT (exhaustive enumeration cap), "
-        "SEMISPEC_BX_EXHAUSTIVE_CAP (fraction witness cross-check cap). "
-        f"Active backend: {BACKEND}.",
+        "SEMISPEC_SPECTRUM_LIMIT (exhaustive enumeration cap).",
     )
     sub = p.add_subparsers(dest="command", required=True)
 

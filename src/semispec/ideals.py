@@ -8,9 +8,9 @@ handled through generator lists with Apery-set certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from ._backend import core
+from . import _purecore as core
 from .errors import InternalCheckError, PreconditionError, ResourceError
 from .kernel import (
     FiniteSemiring,
@@ -334,3 +334,33 @@ def nat_prime_subtractive_check(p: int, bound: int) -> bool:
             if (a + b) % p == 0 and a % p != 0:
                 return False
     return True
+
+
+def nat_point_prime_check(point: Callable[[int], bool], bound: int) -> bool:
+    """The point P (a membership predicate on N) is a prime ideal on
+    [0,bound]^2: 1 is not in P, a+b and n*a are in P for all a, b in P,
+    and ab in P forces a or b in P."""
+    if point(1):
+        return False
+    window = range(bound + 1)
+    for a in window:
+        a_in = point(a)
+        for b in window:
+            b_in = point(b)
+            ab_in = point(a * b)
+            if a_in and not ab_in:
+                return False
+            if ab_in and not (a_in or b_in):
+                return False
+            if a_in and b_in and not point(a + b):
+                return False
+    return True
+
+
+def nat_point_not_subtractive(point: Callable[[int], bool], bound: int) -> bool:
+    """Some a outside P and b, c = a+b in P, all in [0,bound]."""
+    return any(
+        not point(a) and point(b) and point(a + b)
+        for a in range(bound + 1)
+        for b in range(bound + 1 - a)
+    )

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ._backend import core
+from . import _purecore as core
 from .errors import FormatError, InternalCheckError, PreconditionError
 
-MAX_SIZE = 64  # masks must fit a machine word in the compiled core
+MAX_SIZE = 64
 
 
 # ---------------------------------------------------------------------------

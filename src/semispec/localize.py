@@ -10,13 +10,12 @@ on every instance below a size cap.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from ._backend import core
+from . import _purecore as core
 from .errors import InternalCheckError, PreconditionError
 from .kernel import (
     INF,
@@ -402,12 +401,7 @@ def bx_hardening_iso(frac: BxFraction) -> Tuple:
     return (o, d - dg)
 
 
-def _exhaustive_cap() -> int:
-    default = 22 if core.BACKEND_NAME == "cython" else 14
-    try:
-        return int(os.environ.get("SEMISPEC_BX_EXHAUSTIVE_CAP", default))
-    except ValueError:
-        return default
+_EXHAUSTIVE_CAP = 14  # bx_witness_equal also scans exhaustively up to this bound
 
 
 def bx_witness_equal(u: BxFraction, v: BxFraction, bound: Optional[int] = None) -> bool:
@@ -416,7 +410,7 @@ def bx_witness_equal(u: BxFraction, v: BxFraction, bound: Optional[int] = None) 
     Scans the complete separating family x^i*(1+x+...+x^k) for i,k <= bound
     (complete: any witness with unit constant term forces equal (ord, deg),
     and then the canonical family member is itself a witness). Whenever the
-    bound is below the exhaustiveness cap, a fully exhaustive scan over all
+    bound is at most 14 (_EXHAUSTIVE_CAP), a fully exhaustive scan over all
     witnesses with unit constant term confirms the answer.
     """
     a = core.bx_mul(u.num, v.den)
@@ -441,7 +435,7 @@ def bx_witness_equal(u: BxFraction, v: BxFraction, bound: Optional[int] = None) 
                 break
         if found:
             break
-    if bound <= _exhaustive_cap():
+    if bound <= _EXHAUSTIVE_CAP:
         exh = core.bx_witness_exhaustive(a, b, bound) != -1
         if exh != found:
             raise InternalCheckError("bx witness family missed an exhaustive witness")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
-from ._backend import core
+from . import _purecore as core
 from .errors import FormatError, PreconditionError
 from .kernel import INF, NEG_INF, ValueSemiring
 

@@ -179,6 +179,15 @@ class Bound:
         )
 
 
+def monomials(nvars: int, degree: int) -> List[Mono]:
+    """Every monomial of total degree at most `degree`, in lexicographic order."""
+    if nvars == 0:
+        return [()]
+    return [
+        (k,) + rest for k in range(degree + 1) for rest in monomials(nvars - 1, degree - k)
+    ]
+
+
 def term_within(t: Term, bound: Bound) -> bool:
     return all(sum(m) <= bound.degree and c <= bound.coeff for m, c in t)
 
@@ -213,6 +222,11 @@ class CongruenceIndex:
         self._parent: Dict[Term, Term] = {}
         self._explored: Set[Term] = set()
         self._nodes = 0
+        # multipliers for the relations with a side 0; see _neighbors
+        self._all_monos = (
+            monomials(pres.nvars, self.bound.degree)
+            if any(not l or not r for l, r in self.rels) else []
+        )
         self.budget_exhausted = False
 
     # union-find ------------------------------------------------------------
@@ -244,6 +258,13 @@ class CongruenceIndex:
         nv = self.pres.nvars
         for ridx, (l, r) in enumerate(self.rels):
             for direction, (src, dst) in enumerate(((l, r), (r, l))):
+                if not src:
+                    # l ~ 0 gives m*l ~ 0, so t ~ t + m*l for every monomial m
+                    for mult in self._all_monos:
+                        result = term_add(t, term_scale(mult, 1, dst))
+                        if term_within(result, self.bound):
+                            yield result, (ridx, direction, mult)
+                    continue
                 m0, _ = src[0]
                 # candidate multipliers come from monomials of t over m0
                 cands = set()
@@ -377,16 +398,7 @@ def finite_quotient(
         )
     idx = CongruenceIndex(pres, bound)
     nv = pres.nvars
-    monos: List[Mono] = []
-
-    def gen_monos(prefix: List[int], rem: int, i: int) -> None:
-        if i == nv:
-            monos.append(tuple(prefix))
-            return
-        for k in range(rem + 1):
-            gen_monos(prefix + [k], rem - k, i + 1)
-
-    gen_monos([], degree, 0)
+    monos = monomials(nv, degree)
     terms: List[Term] = []
 
     def gen_terms(i: int, acc: List[Tuple[Mono, int]]) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._backend import core
+from . import _purecore as core
 from .errors import InternalCheckError, PreconditionError, ResourceError
 from .kernel import (
     FiniteSemiring,

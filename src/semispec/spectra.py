@@ -25,6 +25,8 @@ from .ideals import (
     is_prime,
     is_subtractive,
     nat_pair_tail_check,
+    nat_point_not_subtractive,
+    nat_point_prime_check,
     nat_prime_residue_check,
     nat_prime_subtractive_check,
     radical_mask,
@@ -462,9 +464,13 @@ def nat_model_verify(bound: int = 200) -> dict:
     )
     prime_ok = all(nat_prime_residue_check(p, bound) for p in primes)
     subtractive_ok = all(nat_prime_subtractive_check(p, bound) for p in primes)
-    # everything-but-one: multiplicative complement, yet 1+2=3 escapes
-    max_prime_ok = 1 * 1 == 1
-    max_not_subtractive = (1 + 2 == 3) and (2 != 1) and (3 != 1)
+
+    def max_point(n: int) -> bool:  # everything but one
+        return n != 1
+
+    # the maximal point is prime, yet 1+2=3 escapes subtractivity
+    max_prime_ok = nat_point_prime_check(max_point, bound)
+    max_not_subtractive = nat_point_not_subtractive(max_point, bound)
     report = {
         "bound": bound,
         "tail_property": tail_ok,

@@ -78,6 +78,20 @@ def test_presentation_load_and_spec(ws, capsys):
     assert "3 prime ideals" in out
 
 
+def test_presentation_with_relation_to_zero(ws, capsys):
+    pres = ws / "pres.json"
+    pres.write_text(json.dumps(
+        {"gens": ["x", "y"], "rels": [["x*y", "0"], ["x^2", "x"], ["y^2", "y"]],
+         "idempotent": True}
+    ))
+    assert cli.main(["load", str(pres), "--name", "q", "--degree", "1",
+                     "--coeff", "1"]) == 0
+    assert "8 elements" in capsys.readouterr().out
+    # without idempotent addition the quotient contains N: refused, exit 5
+    pres.write_text(json.dumps({"gens": ["x"], "rels": [["x^2", "0"]]}))
+    assert cli.main(["load", str(pres), "--name", "q"]) == 5
+
+
 def test_presentation_budget_exit_code(ws, monkeypatch, capsys):
     monkeypatch.setenv("SEMISPEC_CONGRUENCE_NODES", "3000")
     pres = ws / "pres.json"

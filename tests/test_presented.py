@@ -4,7 +4,7 @@ import pytest
 
 from semispec import corpus
 from semispec.errors import PreconditionError, ResourceError
-from semispec.kernel import find_iso
+from semispec.kernel import find_iso, verify_axioms
 from semispec.presented import (
     Bound,
     CongruenceIndex,
@@ -121,6 +121,41 @@ def test_finite_quotient_budget_refusal():
             pres, degree=4, coeff=4,
             bound=Bound(degree=8, coeff=8, nodes=2000),
         )
+
+
+ZERO_PRODUCT = {"gens": ["x", "y"], "rels": [["x*y", "0"], ["x^2", "x"], ["y^2", "y"]]}
+SQUARE_ZERO = {"gens": ["x"], "rels": [["x^2", "0"]]}
+
+
+def test_finite_quotient_with_relation_to_zero():
+    # both quotients contain N unless addition is idempotent, so only the
+    # idempotent ones are finite
+    pres = presentation_from_json({**ZERO_PRODUCT, "idempotent": True})
+    table, cls = finite_quotient(pres, degree=1, coeff=1)
+    assert verify_axioms(table) == []
+    assert table.size == 8
+    g = pres.gens
+    assert table.mul[cls[parse_term("x", g)]][cls[parse_term("y", g)]] == table.zero
+
+    pres = presentation_from_json({**SQUARE_ZERO, "idempotent": True})
+    table, cls = finite_quotient(pres, degree=2, coeff=2)
+    assert verify_axioms(table) == []
+    assert cls[parse_term("x^2", pres.gens)] == table.zero
+    assert find_iso(table, corpus.get("boolnil")) is not None
+
+
+def test_relation_to_zero_rewrites_both_ways():
+    pres = presentation_from_json(ZERO_PRODUCT)
+    idx = build_index(pres, Bound(degree=3, coeff=2))
+    g = pres.gens
+    # reaching x + x^2*y from x needs the rewrite that adds a multiple of x*y
+    a = congruent(idx, parse_term("x", g), parse_term("x+x^2*y", g))
+    assert a.is_yes and a.chain[0] == parse_term("x", g)
+    assert congruent(idx, parse_term("x*y^2", g), parse_term("0", g)).is_yes
+    assert not congruent(idx, parse_term("x", g), parse_term("y", g)).is_yes
+    # N[x]/(x^2) is infinite: 2+2 has no enumerated class
+    with pytest.raises(PreconditionError):
+        finite_quotient(presentation_from_json(SQUARE_ZERO), degree=2, coeff=2)
 
 
 def test_relation_exceeding_bound_refused():

@@ -1,21 +1,12 @@
-"""Law-level properties, randomized, plus pure/compiled backend agreement."""
+"""Law-level properties of the corpus semirings, randomized."""
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-import semispec._purecore as pure
 from semispec import corpus
 from semispec.ideals import all_ideals, ideal_closure, radical_mask
 from semispec.kernel import leq
 from semispec.localize import is_saturated, localize, saturate
-
-try:
-    import semispec._fastcore as fast
-except ImportError:
-    fast = None
-
-needs_fast = pytest.mark.skipif(fast is None, reason="compiled core not built")
 
 SMALL = ["bool2", "boolnil", "boolpair", "boolx", "chain3", "chain4",
          "satnat4", "trop5", "f2", "z4"]
@@ -124,96 +115,3 @@ def test_localization_respects_unit_fractions(name, seed):
                 assert L.class_of_pair(a, A.one) == L.class_of_pair(
                     A.mul[a][s], s
                 )
-
-
-# ---------------------------------------------------------------------------
-# backend agreement: the compiled core must match the pure tables bit for bit
-
-mask64 = st.integers(min_value=0, max_value=(1 << 8) - 1)
-
-
-@needs_fast
-@given(table_name, mask64, mask64)
-def test_backends_agree_on_closures(name, seed, scalars):
-    A = corpus.get(name)
-    seed &= A.full_mask
-    scalars &= A.full_mask
-    scalars |= 1 << A.zero
-    args = (A.size, A.add, A.mul, seed | (1 << A.zero), scalars)
-    assert pure.closure_mask(*args) == fast.closure_mask(*args)
-    assert pure.ideal_closure_mask(A.size, A.add, A.mul, seed, A.zero) == \
-        fast.ideal_closure_mask(A.size, A.add, A.mul, seed, A.zero)
-    assert pure.subsemiring_closure_mask(
-        A.size, A.add, A.mul, seed | (1 << A.zero) | (1 << A.one)
-    ) == fast.subsemiring_closure_mask(
-        A.size, A.add, A.mul, seed | (1 << A.zero) | (1 << A.one)
-    )
-
-
-@needs_fast
-@given(table_name, mask64)
-def test_backends_agree_on_predicates(name, mask):
-    A = corpus.get(name)
-    mask &= A.full_mask
-    args = (A.size, A.add, A.mul, A.zero, A.one)
-    assert pure.verify_axioms_scan(*args) == fast.verify_axioms_scan(*args)
-    assert pure.prime_violation(A.size, A.mul, mask) == \
-        fast.prime_violation(A.size, A.mul, mask)
-    assert pure.subtractive_violation(A.size, A.add, mask) == \
-        fast.subtractive_violation(A.size, A.add, mask)
-    assert pure.subtractive_close_mask(A.size, A.add, mask) == \
-        fast.subtractive_close_mask(A.size, A.add, mask)
-    assert pure.units_mask(A.size, A.mul, A.one) == \
-        fast.units_mask(A.size, A.mul, A.one)
-    for a in range(A.size):
-        assert pure.semi_invertible_witness(A.size, A.add, A.mul, A.one, a) == \
-            fast.semi_invertible_witness(A.size, A.add, A.mul, A.one, a)
-
-
-@needs_fast
-@given(st.sampled_from(SMALL), st.sampled_from(SMALL))
-def test_backends_agree_on_homs(src, dst):
-    A, B = corpus.get(src), corpus.get(dst)
-    argsa = (A.size, A.add, A.mul, A.zero, A.one)
-    argsb = (B.size, B.add, B.mul, B.zero, B.one)
-    assert sorted(pure.homs_to_bool(*argsa)) == sorted(fast.homs_to_bool(*argsa))
-    assert sorted(pure.homs_to_bool(*argsb)) == sorted(fast.homs_to_bool(*argsb))
-
-
-@needs_fast
-@settings(max_examples=40)
-@given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
-       st.randoms(use_true_random=False))
-def test_backends_agree_on_equalizer_scan(sizes, rnd):
-    compat = {}
-    k = len(sizes)
-    for i in range(k):
-        for j in range(i + 1, k):
-            rows = []
-            for _ in range(sizes[i]):
-                rows.append(rnd.randrange(0, 1 << sizes[j]))
-            compat[(i, j)] = rows
-    assert pure.equalizer_scan(sizes, compat) == fast.equalizer_scan(sizes, compat)
-
-
-@needs_fast
-@given(st.integers(min_value=0, max_value=1023),
-       st.integers(min_value=0, max_value=1023))
-def test_backends_agree_on_bx_mul(a, b):
-    assert pure.bx_mul(a, b) == fast.bx_mul(a, b)
-
-
-@needs_fast
-@given(st.integers(min_value=0, max_value=1023),
-       st.integers(min_value=0, max_value=1023),
-       st.integers(min_value=1, max_value=10))
-def test_backends_agree_on_bx_witness(a, b, kmax):
-    assert pure.bx_witness_exhaustive(a, b, kmax) == \
-        fast.bx_witness_exhaustive(a, b, kmax)
-
-
-def test_backend_names():
-    assert pure.BACKEND_NAME == "pure"
-    if fast is not None:
-        assert fast.BACKEND_NAME == "fast"
-    assert pure.AXIOM_CODES == (fast.AXIOM_CODES if fast else pure.AXIOM_CODES)

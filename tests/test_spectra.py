@@ -11,6 +11,7 @@ from conftest import (
 )
 from semispec import corpus
 from semispec.errors import PreconditionError
+from semispec.ideals import nat_point_not_subtractive, nat_point_prime_check
 from semispec.kernel import Homomorphism, identity_hom
 from semispec.spectra import (
     NatSpectrumModel,
@@ -261,6 +262,24 @@ def test_nat_model():
     assert spec.d_open(0) == 0
     report = nat_model_verify(bound=200)
     assert report["pass"]
+
+
+def test_nat_point_checks_can_fail():
+    def max_point(n):
+        return n != 1
+
+    assert nat_point_prime_check(max_point, 60)
+    assert nat_point_not_subtractive(max_point, 60)
+    # N minus {1, 2} is an ideal but not prime: 2*2 = 4 lies in it
+    assert not nat_point_prime_check(lambda n: n not in (1, 2), 60)
+    # N minus the powers of 3 absorbs products and is prime, but 2+7 = 9
+    threes = {3 ** k for k in range(8)}  # every power of 3 up to 60*60
+    assert not nat_point_prime_check(lambda n: n not in threes, 60)
+    # N itself is not proper
+    assert not nat_point_prime_check(lambda n: True, 60)
+    # the zero ideal is subtractive
+    assert nat_point_prime_check(lambda n: n == 0, 60)
+    assert not nat_point_not_subtractive(lambda n: n == 0, 60)
 
 
 def test_nat_model_rejects_small_bound():
