@@ -198,64 +198,6 @@ def units_mask(n: int, mul: Table, one: int) -> int:
     return out
 
 
-def homs_to_bool(n: int, add: Table, mul: Table, zero: int, one: int) -> List[int]:
-    """All maps A -> {0,1} with f(0)=0, f(1)=1, f(a+b)=f(a)|f(b), f(ab)=f(a)&f(b).
-
-    Exhaustive DFS with constraint propagation; returns sorted bitmasks of
-    the preimage of 1.
-    """
-    if zero == one:
-        return []
-    val = [-1] * n
-    val[zero] = 0
-    val[one] = 1
-    results: List[int] = []
-
-    def propagate(assigned: List[int], trail: List[int]) -> bool:
-        queue = list(assigned)
-        while queue:
-            x = queue.pop()
-            vx = val[x]
-            for y in range(n):
-                vy = val[y]
-                if vy < 0:
-                    continue
-                for t, v in (
-                    (add[x][y], vx | vy),
-                    (mul[x][y], vx & vy),
-                ):
-                    vt = val[t]
-                    if vt < 0:
-                        val[t] = v
-                        trail.append(t)
-                        queue.append(t)
-                    elif vt != v:
-                        return False
-        return True
-
-    trail0: List[int] = []
-    if not propagate([zero, one], trail0):
-        return []
-
-    def dfs() -> None:
-        try:
-            i = val.index(-1)
-        except ValueError:
-            results.append(sum(1 << j for j in range(n) if val[j] == 1))
-            return
-        for v in (0, 1):
-            val[i] = v
-            trail: List[int] = [i]
-            if propagate([i], trail):
-                dfs()
-            for t in trail:
-                val[t] = -1
-
-    dfs()
-    results.sort()
-    return results
-
-
 def equalizer_scan(
     sizes: Sequence[int],
     compat: Dict[Tuple[int, int], Sequence[int]],

@@ -13,6 +13,7 @@ tripped; 8 resource limit exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -102,15 +103,7 @@ def cmd_load(args: argparse.Namespace) -> int:
     else:
         A = semiring_from_dict(d)
     name = args.name or A.label or os.path.splitext(os.path.basename(args.path))[0]
-    A = FiniteSemiring(
-        size=A.size,
-        zero=A.zero,
-        one=A.one,
-        add=A.add,
-        mul=A.mul,
-        label=name,
-        names=A.names,
-    )
+    A = dataclasses.replace(A, label=name)
     _store(name, A)
     print(f"loaded {name}: {A.size} elements")
     return 0

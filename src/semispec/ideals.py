@@ -15,12 +15,12 @@ from .errors import InternalCheckError, PreconditionError, ResourceError
 from .kernel import (
     FiniteSemiring,
     Homomorphism,
-    assert_valid,
     bits,
     is_idempotent,
     leq,
     mask_of,
     popcount,
+    tabulate,
 )
 
 
@@ -217,24 +217,14 @@ def quotient_by_ideal(
         else:
             cls[a] = len(reps)
             reps.append(a)
-    k = len(reps)
-    add = tuple(
-        tuple(cls[A.add[reps[i]][reps[j]]] for j in range(k)) for i in range(k)
-    )
-    mul = tuple(
-        tuple(cls[A.mul[reps[i]][reps[j]]] for j in range(k)) for i in range(k)
-    )
-    names = tuple("[" + A.name_of(r) + "]" for r in reps)
-    Q = assert_valid(
-        FiniteSemiring(
-            size=k,
-            zero=cls[A.zero],
-            one=cls[A.one],
-            add=add,
-            mul=mul,
-            label=f"{A.label}/~",
-            names=names,
-        )
+    Q = tabulate(
+        reps,
+        lambda x, y: reps[cls[A.add[x][y]]],
+        lambda x, y: reps[cls[A.mul[x][y]]],
+        reps[cls[A.zero]],
+        reps[cls[A.one]],
+        f"{A.label}/~",
+        ["[" + A.name_of(r) + "]" for r in reps],
     )
     pi = Homomorphism(A, Q, tuple(cls))
     if pi.violation() is not None:

@@ -94,6 +94,39 @@ class FiniteSemiring:
         return f"FiniteSemiring({self.label or self.size})"
 
 
+def _index_tables(
+    carrier: Sequence,
+    plus: Callable,
+    times: Callable,
+    zero,
+    one,
+    label: str,
+    names: Optional[Sequence[str]],
+    error: type,
+) -> FiniteSemiring:
+    """Tables of plus and times on a finite carrier, elements numbered in
+    carrier order; raises `error` naming any value outside the carrier."""
+    idx = {v: i for i, v in enumerate(carrier)}
+    if len(idx) != len(carrier):
+        raise error(f"{label}: duplicate values")
+
+    def index(v) -> int:
+        i = idx.get(v)
+        if i is None:
+            raise error(f"{label}: value {v!r} is not in the carrier")
+        return i
+
+    return FiniteSemiring(
+        size=len(carrier),
+        zero=index(zero),
+        one=index(one),
+        add=tuple(tuple(index(plus(a, b)) for b in carrier) for a in carrier),
+        mul=tuple(tuple(index(times(a, b)) for b in carrier) for a in carrier),
+        label=label,
+        names=tuple(names) if names is not None else None,
+    )
+
+
 def make_semiring(
     values: Sequence,
     plus: Callable,
@@ -103,23 +136,30 @@ def make_semiring(
     label: str = "",
     names: Optional[Sequence[str]] = None,
 ) -> FiniteSemiring:
-    """Tabulate a semiring from concrete values and binary operations."""
-    idx = {v: i for i, v in enumerate(values)}
-    if len(idx) != len(values):
-        raise FormatError(f"{label}: duplicate values")
-    n = len(values)
-    if n > MAX_SIZE:
-        raise PreconditionError(f"{label}: size {n} exceeds cap {MAX_SIZE}")
-    add = tuple(tuple(idx[plus(a, b)] for b in values) for a in values)
-    mul = tuple(tuple(idx[times(a, b)] for b in values) for a in values)
-    return FiniteSemiring(
-        size=n,
-        zero=idx[zero],
-        one=idx[one],
-        add=add,
-        mul=mul,
-        label=label,
-        names=tuple(names) if names is not None else None,
+    """Tabulate a semiring from concrete values and binary operations.
+
+    No axiom scan; at most MAX_SIZE values."""
+    if len(values) > MAX_SIZE:
+        raise PreconditionError(f"{label}: size {len(values)} exceeds cap {MAX_SIZE}")
+    return _index_tables(values, plus, times, zero, one, label, names, FormatError)
+
+
+def tabulate(
+    carrier: Sequence,
+    plus: Callable,
+    times: Callable,
+    zero,
+    one,
+    label: str = "",
+    names: Optional[Sequence[str]] = None,
+) -> FiniteSemiring:
+    """Table of a derived semiring (a quotient, localization, section or
+    module semiring) on a finite carrier, checked against every axiom.
+
+    A result outside the carrier is a broken construction and raises
+    InternalCheckError; there is no size cap."""
+    return assert_valid(
+        _index_tables(carrier, plus, times, zero, one, label, names, InternalCheckError)
     )
 
 
@@ -341,28 +381,10 @@ def enumerate_homs(
 ) -> List[Homomorphism]:
     """All homomorphisms A -> B, lexicographically ordered by image tuple.
 
-    DFS over a generating sequence with closure propagation. With
+    DFS over a generating sequence with closure propagation; every hom
+    found is re-checked pointwise before it is returned. With
     injective=True only injective homs are returned (pruned during search).
     """
-    is_bool_cod = (
-        B.size == 2
-        and B.add[B.one][B.one] == B.one
-        and B.mul[B.one][B.one] == B.one
-        and B.zero != B.one
-        and not injective
-        and limit is None
-    )
-    if is_bool_cod:
-        masks = core.homs_to_bool(A.size, A.add, A.mul, A.zero, A.one)
-        homs = []
-        for m in masks:
-            images = tuple(B.one if (m >> a) & 1 else B.zero for a in A.elements)
-            homs.append(Homomorphism(A, B, images))
-        homs.sort(key=lambda h: h.images)
-        if homs and homs[0].violation() is not None:
-            raise InternalCheckError("hom DFS produced a non-hom")
-        return homs
-
     gens = generating_sequence(A)
     val = [-1] * A.size
     val[A.zero] = B.zero

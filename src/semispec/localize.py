@@ -22,11 +22,11 @@ from .kernel import (
     NEG_INF,
     FiniteSemiring,
     Homomorphism,
-    assert_valid,
     bits,
     is_idempotent,
     leq,
     mask_of,
+    tabulate,
     units,
 )
 from . import poly
@@ -93,6 +93,49 @@ def _psi_values(A: FiniteSemiring, s_list: Sequence[int]) -> Tuple[List[List[int
     return grid, P
 
 
+def _localization(A: FiniteSemiring, s_mask: int, label: str = "") -> LocalizedSemiring:
+    """S^-1 A as a finite table with the canonical map, unchecked beyond the
+    table's axioms; classes are numbered by their psi value."""
+    if not is_mult_submonoid(A, s_mask):
+        raise PreconditionError(f"{A.label}: not a multiplicative submonoid")
+    s_list = tuple(bits(s_mask))
+    grid, _P = _psi_values(A, s_list)
+    values = sorted({v for row in grid for v in row})
+    v_index = {v: i for i, v in enumerate(values)}
+    cls_grid = tuple(tuple(v_index[v] for v in row) for row in grid)
+    reps: List[Optional[Tuple[int, int]]] = [None] * len(values)
+    for si, s in enumerate(s_list):
+        for a in A.elements:
+            c = cls_grid[a][si]
+            if reps[c] is None:
+                reps[c] = (a, s)
+    s_pos = {s: i for i, s in enumerate(s_list)}
+
+    def frac(a: int, s: int) -> Tuple[int, int]:
+        return reps[cls_grid[a][s_pos[s]]]
+
+    def plus(x: Tuple[int, int], y: Tuple[int, int]) -> Tuple[int, int]:
+        (a, s), (b, t) = x, y
+        return frac(A.add[A.mul[a][t]][A.mul[b][s]], A.mul[s][t])
+
+    def times(x: Tuple[int, int], y: Tuple[int, int]) -> Tuple[int, int]:
+        (a, s), (b, t) = x, y
+        return frac(A.mul[a][b], A.mul[s][t])
+
+    names = [
+        A.name_of(a) if s == A.one else f"{A.name_of(a)}/{A.name_of(s)}" for a, s in reps
+    ]
+    if len(set(names)) != len(names):  # name clashes possible after collapsing
+        names = [f"{nm}#{i}" if names.count(nm) > 1 else nm for i, nm in enumerate(names)]
+    table = tabulate(
+        reps, plus, times, frac(A.zero, A.one), frac(A.one, A.one),
+        label or f"{A.label}[S^-1]", names,
+    )
+    pos_one = s_pos[A.one]
+    phi = Homomorphism(A, table, tuple(cls_grid[a][pos_one] for a in A.elements))
+    return LocalizedSemiring(A, s_mask, table, phi, cls_grid, s_list, tuple(reps))
+
+
 def localize(A: FiniteSemiring, s_mask: int, label: str = "") -> LocalizedSemiring:
     """S^-1 A as a finite table with the canonical map.
 
@@ -100,61 +143,9 @@ def localize(A: FiniteSemiring, s_mask: int, label: str = "") -> LocalizedSemiri
     satisfies the axioms; (S^sat)^-1 A is isomorphic over A; and (below the
     size cap) canonical equality agrees with the direct witness scan.
     """
-    if not is_mult_submonoid(A, s_mask):
-        raise PreconditionError(f"{A.label}: not a multiplicative submonoid")
-    s_list = tuple(bits(s_mask))
-    grid, _P = _psi_values(A, s_list)
-    values = sorted({v for row in grid for v in row})
-    v_index = {v: i for i, v in enumerate(values)}
-    n = len(values)
-    cls_grid = tuple(tuple(v_index[v] for v in row) for row in grid)
-    reps: List[Tuple[int, int]] = [(-1, -1)] * n
-    for si in range(len(s_list)):
-        for a in A.elements:
-            c = cls_grid[a][si]
-            if reps[c][0] < 0:
-                reps[c] = (a, s_list[si])
-    pos_one = s_list.index(A.one)
-
-    def cls(a: int, s_pos: int) -> int:
-        return cls_grid[a][s_pos]
-
-    s_pos = {s: i for i, s in enumerate(s_list)}
-    add_t = []
-    mul_t = []
-    for i in range(n):
-        a, s = reps[i]
-        row_a, row_m = [], []
-        for j in range(n):
-            b, t = reps[j]
-            num = A.add[A.mul[a][t]][A.mul[b][s]]
-            den = A.mul[s][t]
-            row_a.append(cls(num, s_pos[den]))
-            row_m.append(cls(A.mul[a][b], s_pos[den]))
-        add_t.append(tuple(row_a))
-        mul_t.append(tuple(row_m))
-    names = []
-    for i in range(n):
-        a, s = reps[i]
-        nm = A.name_of(a) if s == A.one else f"{A.name_of(a)}/{A.name_of(s)}"
-        names.append(nm)
-    if len(set(names)) != n:  # name clashes possible after collapsing
-        names = [f"{nm}#{i}" if names.count(nm) > 1 else nm for i, nm in enumerate(names)]
-    table = assert_valid(
-        FiniteSemiring(
-            size=n,
-            zero=cls(A.zero, pos_one),
-            one=cls(A.one, pos_one),
-            add=tuple(add_t),
-            mul=tuple(mul_t),
-            label=label or f"{A.label}[S^-1]",
-            names=tuple(names),
-        )
-    )
-    phi = Homomorphism(A, table, tuple(cls(a, pos_one) for a in A.elements))
-    if phi.violation() is not None:
+    loc = _localization(A, s_mask, label)
+    if loc.phi.violation() is not None:
         raise InternalCheckError("localization map is not a hom")
-    loc = LocalizedSemiring(A, s_mask, table, phi, cls_grid, s_list, tuple(reps))
     _assert_scan_agreement(A, loc)
     _assert_saturation_iso(A, loc)
     return loc
@@ -181,16 +172,29 @@ def _assert_scan_agreement(A: FiniteSemiring, loc: LocalizedSemiring) -> None:
                 )
 
 
+def _powers_mask(A: FiniteSemiring, a: int) -> int:
+    """{1, a, a^2, ...}: the smallest multiplicative submonoid holding a."""
+    m = 1 << A.one
+    cur = A.one
+    while True:
+        cur = A.mul[cur][a]
+        if (m >> cur) & 1:
+            return m
+        m |= 1 << cur
+
+
+def _saturation(A: FiniteSemiring, s_mask: int) -> int:
+    """{b : bc in S for some c}."""
+    return mask_of(
+        b for b in A.elements if any((s_mask >> A.mul[b][c]) & 1 for c in A.elements)
+    )
+
+
 def saturate(A: FiniteSemiring, s_mask: int) -> int:
     """S^sat = {b : bc in S for some c}; asserted equal to the set of
     elements mapping to units of S^-1 A."""
-    if not is_mult_submonoid(A, s_mask):
-        raise PreconditionError(f"{A.label}: not a multiplicative submonoid")
-    out = 0
-    for b in A.elements:
-        if any((s_mask >> A.mul[b][c]) & 1 for c in A.elements):
-            out |= 1 << b
-    loc = _localize_raw(A, s_mask)
+    loc = _localization(A, s_mask)
+    out = _saturation(A, s_mask)
     um = units(loc.table)
     via_units = mask_of(b for b in A.elements if (um >> loc.phi(b)) & 1)
     if via_units != out:
@@ -200,59 +204,11 @@ def saturate(A: FiniteSemiring, s_mask: int) -> int:
     return out
 
 
-def _localize_raw(A: FiniteSemiring, s_mask: int) -> LocalizedSemiring:
-    """localize() without the saturation-iso assertion (used to break the
-    recursion between localize and saturate)."""
-    if not is_mult_submonoid(A, s_mask):
-        raise PreconditionError(f"{A.label}: not a multiplicative submonoid")
-    s_list = tuple(bits(s_mask))
-    grid, _P = _psi_values(A, s_list)
-    values = sorted({v for row in grid for v in row})
-    v_index = {v: i for i, v in enumerate(values)}
-    n = len(values)
-    cls_grid = tuple(tuple(v_index[v] for v in row) for row in grid)
-    reps: List[Tuple[int, int]] = [(-1, -1)] * n
-    for si in range(len(s_list)):
-        for a in A.elements:
-            c = cls_grid[a][si]
-            if reps[c][0] < 0:
-                reps[c] = (a, s_list[si])
-    pos_one = s_list.index(A.one)
-    s_pos = {s: i for i, s in enumerate(s_list)}
-    add_t, mul_t = [], []
-    for i in range(n):
-        a, s = reps[i]
-        row_a, row_m = [], []
-        for j in range(n):
-            b, t = reps[j]
-            num = A.add[A.mul[a][t]][A.mul[b][s]]
-            den = A.mul[s][t]
-            row_a.append(cls_grid[num][s_pos[den]])
-            row_m.append(cls_grid[A.mul[a][b]][s_pos[den]])
-        add_t.append(tuple(row_a))
-        mul_t.append(tuple(row_m))
-    table = assert_valid(
-        FiniteSemiring(
-            size=n,
-            zero=cls_grid[A.zero][pos_one],
-            one=cls_grid[A.one][pos_one],
-            add=tuple(add_t),
-            mul=tuple(mul_t),
-            label=f"{A.label}[S^-1]",
-        )
-    )
-    phi = Homomorphism(A, table, tuple(cls_grid[a][pos_one] for a in A.elements))
-    return LocalizedSemiring(A, s_mask, table, phi, cls_grid, s_list, tuple(reps))
-
-
 def _assert_saturation_iso(A: FiniteSemiring, loc: LocalizedSemiring) -> None:
-    sat = 0
-    for b in A.elements:
-        if any((loc.s_mask >> A.mul[b][c]) & 1 for c in A.elements):
-            sat |= 1 << b
+    sat = _saturation(A, loc.s_mask)
     if sat == loc.s_mask:
         return
-    satloc = _localize_raw(A, sat)
+    satloc = _localization(A, sat)
     # natural map: class of (a,s) in S^-1A -> class of (a,s) in (S^sat)^-1A
     fwd = [-1] * loc.table.size
     for a in A.elements:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import FormatError, InternalCheckError, PreconditionError, ResourceError
-from .kernel import FiniteSemiring, assert_valid
+from .kernel import FiniteSemiring, tabulate
 
 Mono = Tuple[int, ...]
 Term = Tuple[Tuple[Mono, int], ...]  # sorted by monomial, coefficients >= 1
@@ -431,31 +431,25 @@ def finite_quotient(
             reps.append(t)
         check_budget()
 
-    def classify(t: Term) -> int:
+    def classify(t: Term) -> Term:
+        """Representative of t's class; refuses once the budget ran out,
+        before any axiom check of the tables can run."""
         if t in cls:
-            return cls[t]
-        for i, r in enumerate(reps):
+            return reps[cls[t]]
+        for r in reps:
             if term_within(t, idx.bound) and idx.congruent(t, r).is_yes:
-                return i
+                check_budget()
+                return r
+        check_budget()
         raise PreconditionError("operation leaves the enumerated classes")
 
-    n = len(reps)
-    add = tuple(
-        tuple(classify(term_add(reps[i], reps[j])) for j in range(n)) for i in range(n)
-    )
-    mul = tuple(
-        tuple(classify(term_mul(reps[i], reps[j])) for j in range(n)) for i in range(n)
-    )
-    check_budget()
-    table = assert_valid(
-        FiniteSemiring(
-            size=n,
-            zero=cls[ZERO],
-            one=cls[one_term(nv)],
-            add=add,
-            mul=mul,
-            label="presented-quotient",
-            names=tuple(fmt_term(r, pres.gens) for r in reps),
-        )
+    table = tabulate(
+        reps,
+        lambda s, t: classify(term_add(s, t)),
+        lambda s, t: classify(term_mul(s, t)),
+        reps[cls[ZERO]],
+        reps[cls[one_term(nv)]],
+        "presented-quotient",
+        [fmt_term(r, pres.gens) for r in reps],
     )
     return table, cls

@@ -23,13 +23,14 @@ from .errors import InternalCheckError, PreconditionError, ResourceError
 from .kernel import (
     FiniteSemiring,
     Homomorphism,
-    assert_valid,
     bits,
     mask_of,
+    tabulate,
     units,
 )
 from .localize import (
     LocalizedSemiring,
+    _powers_mask,
     NatLocalization,
     localize,
     saturate,
@@ -88,14 +89,7 @@ class SheafContext:
         saturation of the powers of a, and that identity is asserted."""
         m = self.monoid_of(self.space.basis[a])
         if self.kind == "spec":
-            powers = 1 << self.A.one
-            x = self.A.one
-            while True:
-                x = self.A.mul[x][a]
-                if (powers >> x) & 1:
-                    break
-                powers |= 1 << x
-            if m != saturate(self.A, powers):
+            if m != saturate(self.A, _powers_mask(self.A, a)):
                 raise InternalCheckError(
                     f"{self.A.label}: S_D(a) is not the saturation of the powers"
                 )
@@ -169,6 +163,49 @@ class SectionSemiring:
             raise PreconditionError("tuple is not a compatible family")
 
 
+def _section_table(
+    A: FiniteSemiring,
+    locs: Sequence[LocalizedSemiring],
+    compat: Dict[Tuple[int, int], List[int]],
+    label: str,
+) -> Tuple[List[Tuple[int, ...]], Dict[Tuple[int, ...], int], FiniteSemiring, Homomorphism]:
+    """The compatible families of local sections (one per entry of locs,
+    pairwise constrained by compat) as a semiring under the componentwise
+    operations, with their index and the checked map from the base."""
+    tables = [l.table for l in locs]
+    tuples = core.equalizer_scan([T.size for T in tables], compat)
+
+    def plus(t1: Tuple[int, ...], t2: Tuple[int, ...]) -> Tuple[int, ...]:
+        return tuple(T.add[x][y] for T, x, y in zip(tables, t1, t2))
+
+    def times(t1: Tuple[int, ...], t2: Tuple[int, ...]) -> Tuple[int, ...]:
+        return tuple(T.mul[x][y] for T, x, y in zip(tables, t1, t2))
+
+    names = [
+        "(" + ",".join(T.name_of(x) for T, x in zip(tables, t)) + ")" for t in tuples
+    ]
+    table = tabulate(
+        tuples,
+        plus,
+        times,
+        tuple(T.zero for T in tables),
+        tuple(T.one for T in tables),
+        label,
+        names,
+    )
+    index = {t: i for i, t in enumerate(tuples)}
+    base_images = []
+    for a in A.elements:
+        t = tuple(l.phi(a) for l in locs)
+        if t not in index:
+            raise InternalCheckError("image of the base is not a compatible family")
+        base_images.append(index[t])
+    from_base = Homomorphism(A, table, tuple(base_images))
+    if from_base.violation() is not None:
+        raise InternalCheckError("base-to-sections map is not a hom")
+    return tuples, index, table, from_base
+
+
 def equalizer_sections(
     ctx: SheafContext, cover: Sequence[int], target: Optional[int] = None
 ) -> SectionSemiring:
@@ -201,53 +238,9 @@ def equalizer_sections(
                         m |= 1 << v
                 rows.append(m)
             compat[(i, j)] = rows
-    tuples = core.equalizer_scan([l.table.size for l in locs], compat)
-    index = {t: i for i, t in enumerate(tuples)}
-
-    def op(table_of, t1, t2):
-        return tuple(
-            table_of(locs[i].table)[t1[i]][t2[i]] for i in range(k)
-        )
-
-    n = len(tuples)
-    add, mul = [], []
-    for t1 in tuples:
-        ra, rm = [], []
-        for t2 in tuples:
-            sa = op(lambda tb: tb.add, t1, t2)
-            sm = op(lambda tb: tb.mul, t1, t2)
-            if sa not in index or sm not in index:
-                raise InternalCheckError("equalizer not closed under operations")
-            ra.append(index[sa])
-            rm.append(index[sm])
-        add.append(tuple(ra))
-        mul.append(tuple(rm))
-    zero = index[tuple(l.table.zero for l in locs)]
-    one = index[tuple(l.table.one for l in locs)]
-    names = tuple(
-        "(" + ",".join(locs[i].table.name_of(t[i]) for i in range(k)) + ")"
-        for t in tuples
+    tuples, index, table, from_base = _section_table(
+        A, locs, compat, f"{A.label}-sections"
     )
-    table = assert_valid(
-        FiniteSemiring(
-            size=n,
-            zero=zero,
-            one=one,
-            add=tuple(add),
-            mul=tuple(mul),
-            label=f"{A.label}-sections",
-            names=names,
-        )
-    )
-    base_images = []
-    for a in A.elements:
-        t = tuple(l.phi(a) for l in locs)
-        if t not in index:
-            raise InternalCheckError("image of the base is not a compatible family")
-        base_images.append(index[t])
-    from_base = Homomorphism(A, table, tuple(base_images))
-    if from_base.violation() is not None:
-        raise InternalCheckError("base-to-sections map is not a hom")
 
     ltgt = ctx.presheaf_at(want)
     cmp_images = []
@@ -450,44 +443,9 @@ def alexandrov_sections(ctx: SheafContext, open_set: int) -> AlexandrovSections:
                     )
             if rows is not None:
                 compat[(fi, fj)] = rows
-    tuples = core.equalizer_scan([l.table.size for l in locs], compat)
-    index = {t: i for i, t in enumerate(tuples)}
-    n = len(tuples)
-    add, mul = [], []
-    for t1 in tuples:
-        ra, rm = [], []
-        for t2 in tuples:
-            sa = tuple(locs[i].table.add[t1[i]][t2[i]] for i in range(len(pts)))
-            sm = tuple(locs[i].table.mul[t1[i]][t2[i]] for i in range(len(pts)))
-            if sa not in index or sm not in index:
-                raise InternalCheckError("section families not closed under operations")
-            ra.append(index[sa])
-            rm.append(index[sm])
-        add.append(tuple(ra))
-        mul.append(tuple(rm))
-    table = assert_valid(
-        FiniteSemiring(
-            size=n,
-            zero=index[tuple(l.table.zero for l in locs)],
-            one=index[tuple(l.table.one for l in locs)],
-            add=tuple(add),
-            mul=tuple(mul),
-            label=f"{A.label}-limit-sections",
-            names=tuple(
-                "(" + ",".join(locs[i].table.name_of(t[i]) for i in range(len(pts))) + ")"
-                for t in tuples
-            ),
-        )
+    tuples, _index, table, from_base = _section_table(
+        A, locs, compat, f"{A.label}-limit-sections"
     )
-    base_images = []
-    for a in A.elements:
-        t = tuple(l.phi(a) for l in locs)
-        if t not in index:
-            raise InternalCheckError("base image is not a compatible family")
-        base_images.append(index[t])
-    from_base = Homomorphism(A, table, tuple(base_images))
-    if from_base.violation() is not None:
-        raise InternalCheckError("base-to-sections map is not a hom")
     return AlexandrovSections(ctx, open_set, pts, locs, tuples, table, from_base)
 
 

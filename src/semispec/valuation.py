@@ -20,13 +20,13 @@ from .errors import InternalCheckError, PreconditionError, ResourceError
 from .kernel import (
     FiniteSemiring,
     Homomorphism,
-    assert_valid,
     bits,
     enumerate_homs,
     is_idempotent,
     mask_of,
+    tabulate,
 )
-from .localize import localize
+from .localize import _powers_mask, localize
 from .spectra import sp_enumerate, spec_enumerate
 from . import corpus
 
@@ -208,8 +208,6 @@ def build_mra(
         raise ResourceError(
             f"{A.label}: {len(modules)} modules over the limit {limit}"
         )
-    index = {m: i for i, m in enumerate(modules)}
-    n = len(modules)
 
     def elementwise_sum(m1: int, m2: int) -> int:
         out = 0
@@ -227,34 +225,13 @@ def build_mra(
                 seed |= 1 << ra[b]
         return core.closure_mask(A.size, A.add, A.mul, seed, scal)
 
-    add, mul = [], []
-    for m1 in modules:
-        ra, rm = [], []
-        for m2 in modules:
-            s = elementwise_sum(m1, m2)
-            if s not in index:
-                raise InternalCheckError("module sum escaped the lattice")
-            ra.append(index[s])
-            p = product_module(m1, m2)
-            if p not in index:
-                raise InternalCheckError("module product escaped the lattice")
-            rm.append(index[p])
-        add.append(tuple(ra))
-        mul.append(tuple(rm))
     one_mask = core.closure_mask(A.size, A.add, A.mul, zero_bit | (1 << A.one), scal)
     names = tuple(
         "{" + ",".join(A.name_of(a) for a in bits(m)) + "}" for m in modules
     )
-    table = assert_valid(
-        FiniteSemiring(
-            size=n,
-            zero=index[zero_bit],
-            one=index[one_mask],
-            add=tuple(add),
-            mul=tuple(mul),
-            label=f"M[{A.label}]",
-            names=names,
-        )
+    table = tabulate(
+        modules, elementwise_sum, product_module, zero_bit, one_mask,
+        f"M[{A.label}]", names,
     )
     if not is_idempotent(table):
         raise InternalCheckError("module lattice is not idempotent")
@@ -263,6 +240,7 @@ def build_mra(
             below = table.add[i][j] == j
             if below != (m1 | m2 == m2):
                 raise InternalCheckError("lattice order differs from inclusion")
+    index = {m: i for i, m in enumerate(modules)}
     cyclic = tuple(
         index[
             core.closure_mask(A.size, A.add, A.mul, zero_bit | (1 << a), scal)
@@ -443,16 +421,6 @@ def vstar_homeo_check(
 
 # ---------------------------------------------------------------------------
 # localization of the lattice
-
-
-def _powers_mask(T: FiniteSemiring, x: int) -> int:
-    m = 1 << T.one
-    cur = T.one
-    while True:
-        cur = T.mul[cur][x]
-        if (m >> cur) & 1:
-            return m
-        m |= 1 << cur
 
 
 def _power_exponent(T: FiniteSemiring, x: int, s: int) -> int:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from semispec import corpus
-from semispec.errors import FormatError, PreconditionError
+from semispec.errors import FormatError, InternalCheckError, PreconditionError
 from semispec.kernel import (
     BOOL,
     MINMAX_PAIR,
@@ -25,6 +25,7 @@ from semispec.kernel import (
     popcount,
     semiring_from_dict,
     semiring_to_dict,
+    tabulate,
     units,
     verify_axioms,
 )
@@ -49,6 +50,37 @@ def test_make_semiring_tabulates_bool():
 def test_make_semiring_rejects_duplicates():
     with pytest.raises(FormatError):
         make_semiring([0, 0], lambda a, b: 0, lambda a, b: 0, 0, 0)
+
+
+def test_make_semiring_rejects_sum_outside_values():
+    with pytest.raises(FormatError, match="value 2 "):
+        make_semiring([0, 1], lambda a, b: a + b, lambda a, b: a * b, 0, 1)
+
+
+def test_make_semiring_rejects_one_outside_values():
+    with pytest.raises(FormatError, match="value 5 "):
+        make_semiring([0, 1], max, min, 0, 5)
+
+
+def test_tabulate_matches_make_semiring():
+    args = ([0, 1, 2], max, min, 0, 2, "chain", ["0", "1", "2"])
+    assert tabulate(*args) == make_semiring(*args)
+
+
+def test_tabulate_rejects_sum_outside_carrier():
+    with pytest.raises(InternalCheckError, match="value 2 "):
+        tabulate([0, 1], lambda a, b: a + b, lambda a, b: a * b, 0, 1, "n")
+
+
+def test_tabulate_rejects_one_outside_carrier():
+    with pytest.raises(InternalCheckError, match="value 5 "):
+        tabulate([0, 1], max, min, 0, 5, "b")
+
+
+def test_tabulate_checks_axioms():
+    # closed under both operations, but 1 + 0 = 0 breaks the additive identity
+    with pytest.raises(FormatError, match="add-zero"):
+        tabulate([0, 1], min, min, 0, 1, "minmin")
 
 
 def test_corpus_tables_satisfy_axioms(corpus_tables):

@@ -5,8 +5,8 @@ from itertools import product
 
 import pytest
 
-from semispec import corpus
-from semispec.errors import PreconditionError
+from semispec import _purecore, corpus
+from semispec.errors import InternalCheckError, PreconditionError
 from semispec.kernel import find_iso, units
 from semispec.localize import localize, saturate, semi_invertibles_mask
 from semispec.sheaf import (
@@ -116,6 +116,18 @@ def test_boolx_principal_cover_sections_frozen():
     assert secs.compare_is_iso
     assert not secs.base_injective
     assert find_iso(secs.table, corpus.get("chain3")) is not None
+
+
+@pytest.mark.parametrize("kind,cover,target", [("spec", (2, 3), 3), ("sp", (2, 3), None)])
+def test_equalizer_detects_a_dropped_family(monkeypatch, kind, cover, target):
+    # planted defect: the equalizer scan loses its last compatible family
+    ctx = SheafContext(corpus.get("boolx"), kind)
+    scan = _purecore.equalizer_scan
+    monkeypatch.setattr(
+        _purecore, "equalizer_scan", lambda sizes, compat: scan(sizes, compat)[:-1]
+    )
+    with pytest.raises(InternalCheckError):
+        equalizer_sections(ctx, cover, target)
 
 
 def test_spec_comparison_always_iso(corpus_tables):

@@ -79,6 +79,14 @@ def test_sp_points_are_hom_kernels_when_idempotent(idempotent_tables):
         assert got == brute_prime_kernel_masks(A), name
 
 
+def test_sp_kernel_route_matches_lattice_filter(monkeypatch):
+    A = corpus.get("boolxy")
+    by_lattice = sp_enumerate(A).point_masks
+    monkeypatch.setenv("SEMISPEC_SPECTRUM_LIMIT", "8")
+    assert A.size > 8  # over the limit: hom kernels alone
+    assert sp_enumerate(A).point_masks == by_lattice
+
+
 def test_sp_embeds_in_spec(corpus_tables):
     # prime kernels are prime ideals; the reverse can fail
     for name, A in corpus_tables.items():
