@@ -322,14 +322,13 @@ def criterion_7() -> CheckResult:
 
 
 def criterion_8() -> CheckResult:
-    lattice_gate = 64
     visited = []
     bad = []
     for A in corpus.members(max_size=16, min_size=1, include_trivial=True):
         if A.add[A.one][A.one] != A.one:
             continue  # no scalar map from the two-element semiring
         try:
-            lat = build_mra(A, limit=lattice_gate)
+            lat = build_mra(A)
         except ResourceError:
             continue
         visited.append(f"{A.label}({lat.table.size})")

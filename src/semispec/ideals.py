@@ -1,5 +1,6 @@
-"""Ideals of finite semirings and of N: closure, primality, subtractivity,
-radicals, Bourne quotients, and numerical-semigroup membership.
+"""Ideals of finite semirings and of N: closure, the lattice of sets fixed
+by a closure (ideals, submodules), primality, subtractivity, radicals,
+Bourne quotients, and numerical-semigroup membership.
 
 Finite-semiring ideals are bitmasks over element indices. N-ideals are
 handled through generator lists with Apery-set certificates.
@@ -8,18 +9,21 @@ handled through generator lists with Apery-set certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import _purecore as core
-from .errors import InternalCheckError, PreconditionError, ResourceError
+from .errors import InternalCheckError, PreconditionError
 from .kernel import (
     FiniteSemiring,
     Homomorphism,
     bits,
     is_idempotent,
+    joins,
     leq,
     mask_of,
     popcount,
+    powers,
     tabulate,
 )
 
@@ -51,32 +55,42 @@ def is_ideal(A: FiniteSemiring, mask: int) -> bool:
     return core.ideal_closure_mask(A.size, A.add, A.mul, mask, A.zero) == mask
 
 
-def all_ideals(A: FiniteSemiring, cap: int = 200000) -> List[IdealHandle]:
-    """Every ideal, by closing upward from {0} one generator at a time.
+_IDEAL_CAP = 200000
 
-    Each ideal is the closure of its own elements, so adding single elements
-    and re-closing reaches all of them.
-    """
-    zero_ideal = core.ideal_closure_mask(A.size, A.add, A.mul, 0, A.zero)
-    seen = {zero_ideal}
-    frontier = [zero_ideal]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for a in A.elements:
-                if (m >> a) & 1:
-                    continue
-                j = core.ideal_closure_mask(A.size, A.add, A.mul, m | (1 << a), A.zero)
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-                    if len(seen) > cap:
-                        raise ResourceError(
-                            f"{A.label}: ideal lattice exceeds cap {cap}"
-                        )
-        frontier = nxt
-    masks = sorted(seen, key=lambda m: (popcount(m), m))
-    return [IdealHandle(A, m) for m in masks]
+
+def _module_sum(A: FiniteSemiring, m1: int, m2: int) -> int:
+    """{a + b : a in m1, b in m2}: the join of two submodules (or ideals)."""
+    out = 0
+    for a in bits(m1):
+        ra = A.add[a]
+        for b in bits(m2):
+            out |= 1 << ra[b]
+    return out
+
+
+def closed_sets(
+    A: FiniteSemiring, close: Callable[[int], int], cap: Optional[int] = None
+) -> Tuple[List[int], Set[int]]:
+    """Every subset fixed by close, a closure under + and some scaling that
+    adds 0: the sums of the principal sets close({a}), found by
+    `kernel.joins`. Returns the principal set of each element and all the
+    fixed sets; each found set is re-closed and must be fixed."""
+    principal = [close(1 << a) for a in A.elements]
+    found = joins(sorted(set(principal)), partial(_module_sum, A), close(0), cap, A.label)
+    for m in found:
+        if close(m) != m:
+            raise InternalCheckError(f"{A.label}: a join {m:b} is not closed")
+    return principal, found
+
+
+def all_ideals(A: FiniteSemiring) -> List[IdealHandle]:
+    """Every ideal, ordered by size then mask: each is a sum of principal
+    ideals."""
+    def close(seed: int) -> int:
+        return core.ideal_closure_mask(A.size, A.add, A.mul, seed, A.zero)
+
+    _principal, found = closed_sets(A, close, _IDEAL_CAP)
+    return [IdealHandle(A, m) for m in sorted(found, key=lambda m: (popcount(m), m))]
 
 
 def is_prime(I: IdealHandle) -> bool:
@@ -90,8 +104,7 @@ def is_prime(I: IdealHandle) -> bool:
     direct = core.prime_violation(A.size, A.mul, I.mask) is None
     comp = [a for a in A.elements if a not in I]
     closed = all((I.mask >> A.mul[a][b]) & 1 == 0 for a in comp for b in comp)
-    nonempty = bool(comp)
-    if direct != (closed and nonempty):
+    if direct != closed:
         raise InternalCheckError(f"{A.label}: prime criteria disagree on {I.mask:b}")
     return direct
 
@@ -141,15 +154,7 @@ def subtractive_closure(I: IdealHandle) -> IdealHandle:
 
 def radical_member(I: IdealHandle, a: int) -> bool:
     """Some power a^n (n>=0) lies in I; the power sequence is cycle-finite."""
-    A = I.ambient
-    seen = set()
-    x = A.one
-    while x not in seen:
-        if (I.mask >> x) & 1:
-            return True
-        seen.add(x)
-        x = A.mul[x][a]
-    return False
+    return any((I.mask >> x) & 1 for x in powers(I.ambient, a))
 
 
 def radical_mask(I: IdealHandle) -> int:

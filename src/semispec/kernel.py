@@ -9,10 +9,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import _purecore as core
-from .errors import FormatError, InternalCheckError, PreconditionError
+from .errors import FormatError, InternalCheckError, PreconditionError, ResourceError
 
 MAX_SIZE = 64
 
@@ -37,6 +37,27 @@ def mask_of(idxs: Iterable[int]) -> int:
 
 def popcount(mask: int) -> int:
     return bin(mask).count("1")
+
+
+def joins(
+    gens: Iterable[int],
+    join: Callable[[int, int], int],
+    bottom: int,
+    cap: Optional[int] = None,
+    label: str = "",
+) -> Set[int]:
+    """Every join of a subset of gens (bottom for the empty one), in one
+    pass over the generators.
+
+    Relies on join(m, g) == m whenever g is a subset of m, which holds for
+    set union and for sums of submodules, so a generator already below m is
+    skipped. Raises ResourceError once more than cap sets are found."""
+    out = {bottom}
+    for g in gens:
+        out |= {join(m, g) for m in out if g & ~m}
+        if cap is not None and len(out) > cap:
+            raise ResourceError(f"{label}: over the cap of {cap} lattice elements")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +113,16 @@ class FiniteSemiring:
 
     def __repr__(self) -> str:  # keep pytest output readable
         return f"FiniteSemiring({self.label or self.size})"
+
+
+def powers(A: FiniteSemiring, a: int) -> List[int]:
+    """1, a, a^2, ... up to the first repeat; a^k sits at position k."""
+    out = [A.one]
+    x = A.mul[A.one][a]
+    while x not in out:
+        out.append(x)
+        x = A.mul[x][a]
+    return out
 
 
 def _index_tables(
@@ -304,9 +335,6 @@ class Homomorphism:
                 if f[A.mul[a][b]] != B.mul[f[a]][f[b]]:
                     return f"mul@({a},{b})"
         return None
-
-    def is_valid(self) -> bool:
-        return self.violation() is None
 
     def kernel_mask(self) -> int:
         """Preimage of zero; always a subtractive ideal of the domain."""

@@ -26,6 +26,7 @@ from .kernel import (
     is_idempotent,
     leq,
     mask_of,
+    powers,
     tabulate,
     units,
 )
@@ -63,13 +64,6 @@ class LocalizedSemiring:
 
     def class_of_pair(self, a: int, s: int) -> int:
         return self._psi_class[a][self.s_list.index(s)]
-
-    def frac_name(self, c: int) -> str:
-        a, s = self.reps[c]
-        A = self.base
-        if s == A.one:
-            return A.name_of(a)
-        return f"{A.name_of(a)}/{A.name_of(s)}"
 
 
 def _psi_values(A: FiniteSemiring, s_list: Sequence[int]) -> Tuple[List[List[int]], int]:
@@ -174,13 +168,7 @@ def _assert_scan_agreement(A: FiniteSemiring, loc: LocalizedSemiring) -> None:
 
 def _powers_mask(A: FiniteSemiring, a: int) -> int:
     """{1, a, a^2, ...}: the smallest multiplicative submonoid holding a."""
-    m = 1 << A.one
-    cur = A.one
-    while True:
-        cur = A.mul[cur][a]
-        if (m >> cur) & 1:
-            return m
-        m |= 1 << cur
+    return mask_of(powers(A, a))
 
 
 def _saturation(A: FiniteSemiring, s_mask: int) -> int:

@@ -363,29 +363,6 @@ def parse_bool_poly(text: str, names: Sequence[str]) -> BoolPoly:
     return bool_poly(len(names), support)
 
 
-def parse_idem_poly(
-    text: str, field: ValueSemiring, names: Sequence[str]
-) -> IdemPoly:
-    """Parse sums of "c⊙x^k" terms (also accepts "c*x^k"); a bare monomial
-    means coefficient one."""
-    items = []
-    for term in _split_terms(text):
-        term = term.strip()
-        if term == "0":
-            continue
-        if "⊙" in term:
-            ctext, _, mono = term.partition("⊙")
-            coeff = field.parse(ctext.strip())
-        else:
-            m = _TERM_RE.match(term)
-            if m is None:
-                raise FormatError(f"cannot parse term {term!r}")
-            ctext, mono = m.group("coeff"), m.group("mono") or ""
-            coeff = field.parse(ctext) if ctext is not None else field.one
-        items.append((_parse_monomial(mono or "", names), coeff))
-    return idem_poly(field, len(names), items)
-
-
 def parse_rat_poly(text: str, var: str = "t") -> RatPoly:
     """Parse sums of "c*t^k" terms with integer or a/b rational c."""
     items = []

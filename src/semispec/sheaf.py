@@ -25,6 +25,7 @@ from .kernel import (
     Homomorphism,
     bits,
     mask_of,
+    powers,
     tabulate,
     units,
 )
@@ -288,16 +289,10 @@ def common_denominator_form(
 
     def divide_power(s: int, a: int) -> Tuple[int, int]:
         # minimal n with s*v = a^n for some v
-        seen = set()
-        n = 0
-        x = A.one
-        while x not in seen:
-            seen.add(x)
+        for n, x in enumerate(powers(A, a)):
             for v in A.elements:
                 if A.mul[s][v] == x:
                     return v, n
-            x = A.mul[x][a]
-            n += 1
         raise InternalCheckError("cover denominator divides no power")
 
     xs = [locs[i].reps[tup[i]][0] for i in range(k)]
@@ -356,15 +351,9 @@ def glue_section(secs: SectionSemiring, tup: Tuple[int, ...]) -> int:
                         combos[r] = combos[e] + [(j, c)]
                         nxt.append(r)
         frontier = nxt
-    n = 0
-    x = A.one
-    seen = set()
-    while x not in combos:
-        seen.add(x)
-        x = A.mul[x][target]
-        n += 1
-        if x in seen:
-            raise InternalCheckError("no power of the target is a combination")
+    x = next((x for x in powers(A, target) if x in combos), None)
+    if x is None:
+        raise InternalCheckError("no power of the target is a combination")
     combo = combos[x]
     num = A.zero
     for j, c in combo:

@@ -12,9 +12,10 @@ two must agree on finite spaces.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError, PreconditionError, ResourceError
 from . import corpus
@@ -38,6 +39,7 @@ from .kernel import (
     bits,
     enumerate_homs,
     is_idempotent,
+    joins,
     mask_of,
     popcount,
 )
@@ -89,18 +91,7 @@ class SpectrumSpace:
 
     def opens(self) -> List[int]:
         """All open point sets: unions of basis opens."""
-        out: Set[int] = {0}
-        frontier = sorted(set(self.basis))
-        changed = True
-        while changed:
-            changed = False
-            for b in frontier:
-                for o in list(out):
-                    u = o | b
-                    if u not in out:
-                        out.add(u)
-                        changed = True
-        return sorted(out)
+        return sorted(joins(sorted(set(self.basis)), operator.or_, 0))
 
     def minimal_open(self, i: int) -> int:
         """Smallest open containing point i (finite spaces are Alexandrov)."""
@@ -417,21 +408,9 @@ class NatSpectrumModel:
         return out
 
     def opens(self) -> List[int]:
-        out = {0, (1 << self.npoints) - 1}
-        for n in range(2, self.prime_bound + 1):
-            out.add(self.d_open(n))
-        # unions of principal opens collapse along gcd, so one more sweep
-        # over pairwise unions reaches the fixpoint
-        changed = True
-        while changed:
-            changed = False
-            items = sorted(out)
-            for x in items:
-                for y in items:
-                    if (x | y) not in out:
-                        out.add(x | y)
-                        changed = True
-        return sorted(out)
+        """Unions of the principal opens and the whole space."""
+        gens = [self.d_open(n) for n in range(2, self.prime_bound + 1)]
+        return sorted(joins(gens + [(1 << self.npoints) - 1], operator.or_, 0))
 
     def dimension(self) -> int:
         return dimension_of_opens(self.npoints, self.opens())

@@ -3,9 +3,10 @@ their exhaustive correspondence with prime ideals over the two-element
 target, and the lattice of scalar-stable submodules with its universal
 valuation.
 
-The lattice construction enumerates every submodule outright (finite base,
-so finitely generated is no restriction), checks the semiring axioms on the
-resulting tables, and certifies that its natural order is set inclusion.
+The lattice construction enumerates every submodule as a sum of cyclic
+modules (finite base, so finitely generated is no restriction), checks the
+semiring axioms on the resulting tables, and certifies that its natural
+order is set inclusion.
 The universal map a -> cyclic module of a is verified to be initial among
 integral valuations by explicit factoring plus exhaustive uniqueness scans.
 """
@@ -24,8 +25,10 @@ from .kernel import (
     enumerate_homs,
     is_idempotent,
     mask_of,
+    powers,
     tabulate,
 )
+from .ideals import _module_sum, closed_sets
 from .localize import _powers_mask, localize
 from .spectra import sp_enumerate, spec_enumerate
 from . import corpus
@@ -156,15 +159,6 @@ class SubmoduleLattice:
         except ValueError:
             raise PreconditionError("subset is not a scalar-stable module")
 
-    def module_of(self, seed_mask: int) -> int:
-        """Lattice index of the module generated by a subset of the base."""
-        A = self.base
-        scal = mask_of(self.iota.images)
-        m = core.closure_mask(
-            A.size, A.add, A.mul, seed_mask | (1 << A.zero), scal
-        )
-        return self.index_of(m)
-
 
 def _default_scalars(
     A: FiniteSemiring,
@@ -189,49 +183,40 @@ def build_mra(
     A: FiniteSemiring,
     scalars: Optional[FiniteSemiring] = None,
     iota: Optional[Homomorphism] = None,
-    limit: int = 4096,
+    limit: int = 256,
 ) -> SubmoduleLattice:
     """The idempotent semiring of all scalar-stable submodules of A, with
-    elementwise sum as addition and generated-product as multiplication."""
+    elementwise sum as addition and generated-product as multiplication.
+
+    Raises ResourceError once more than limit modules are found."""
     scalars, iota = _default_scalars(A, scalars, iota)
     if A.size > 16:
-        raise ResourceError(f"{A.label}: subset scan over size limit")
+        raise ResourceError(
+            f"{A.label}: {A.size} elements, over the module lattice limit 16"
+        )
     scal = mask_of(iota.images)
     zero_bit = 1 << A.zero
-    modules: List[int] = []
-    for m in range(1 << A.size):
-        if not m & zero_bit:
-            continue
-        if core.closure_mask(A.size, A.add, A.mul, m, scal) == m:
-            modules.append(m)
-    if len(modules) > limit:
-        raise ResourceError(
-            f"{A.label}: {len(modules)} modules over the limit {limit}"
-        )
 
-    def elementwise_sum(m1: int, m2: int) -> int:
-        out = 0
-        for a in bits(m1):
-            ra = A.add[a]
-            for b in bits(m2):
-                out |= 1 << ra[b]
-        return out
+    def close(seed: int) -> int:
+        return core.closure_mask(A.size, A.add, A.mul, seed | zero_bit, scal)
+
+    cyclic_masks, found = closed_sets(A, close, limit)
+    modules = sorted(found)
 
     def product_module(m1: int, m2: int) -> int:
-        seed = zero_bit
+        seed = 0
         for a in bits(m1):
             ra = A.mul[a]
             for b in bits(m2):
                 seed |= 1 << ra[b]
-        return core.closure_mask(A.size, A.add, A.mul, seed, scal)
+        return close(seed)
 
-    one_mask = core.closure_mask(A.size, A.add, A.mul, zero_bit | (1 << A.one), scal)
     names = tuple(
         "{" + ",".join(A.name_of(a) for a in bits(m)) + "}" for m in modules
     )
     table = tabulate(
-        modules, elementwise_sum, product_module, zero_bit, one_mask,
-        f"M[{A.label}]", names,
+        modules, lambda m1, m2: _module_sum(A, m1, m2), product_module,
+        zero_bit, cyclic_masks[A.one], f"M[{A.label}]", names,
     )
     if not is_idempotent(table):
         raise InternalCheckError("module lattice is not idempotent")
@@ -241,12 +226,7 @@ def build_mra(
             if below != (m1 | m2 == m2):
                 raise InternalCheckError("lattice order differs from inclusion")
     index = {m: i for i, m in enumerate(modules)}
-    cyclic = tuple(
-        index[
-            core.closure_mask(A.size, A.add, A.mul, zero_bit | (1 << a), scal)
-        ]
-        for a in A.elements
-    )
+    cyclic = tuple(index[m] for m in cyclic_masks)
     return SubmoduleLattice(A, scalars, iota, table, tuple(modules), cyclic)
 
 
@@ -425,16 +405,10 @@ def vstar_homeo_check(
 
 def _power_exponent(T: FiniteSemiring, x: int, s: int) -> int:
     """Minimal k with x^k = s; s must be a power of x."""
-    cur = T.one
-    k = 0
-    seen = set()
-    while cur not in seen:
-        if cur == s:
-            return k
-        seen.add(cur)
-        cur = T.mul[cur][x]
-        k += 1
-    raise PreconditionError("element is not a power")
+    ps = powers(T, x)
+    if s not in ps:
+        raise PreconditionError("element is not a power")
+    return ps.index(s)
 
 
 def mra_localization_iso_check(

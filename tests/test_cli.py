@@ -171,3 +171,9 @@ def test_workspace_default_location(tmp_path, monkeypatch):
     monkeypatch.delenv("SEMISPEC_WORKSPACE", raising=False)
     monkeypatch.chdir(tmp_path)
     assert cli.workspace_dir() == os.path.join(str(tmp_path), ".semispec")
+
+
+def test_mra_refuses_a_large_lattice(ws, capsys):
+    # boolxy has 2,480 submodules, over the default limit of 256
+    assert cli.main(["mra", "boolxy"]) == 8
+    assert "256" in capsys.readouterr().err

@@ -3,10 +3,12 @@
 import pytest
 
 from conftest import brute_ideal_ok, brute_prime_ideal_masks
-from semispec import corpus
-from semispec.errors import PreconditionError
+from semispec import _purecore as core
+from semispec import corpus, ideals
+from semispec.errors import InternalCheckError, PreconditionError
 from semispec.ideals import (
     all_ideals,
+    closed_sets,
     ideal_closure,
     is_ideal,
     is_prime,
@@ -185,3 +187,38 @@ def test_nat_prime_checks():
     assert nat_prime_residue_check(7, 60)
     assert not nat_prime_residue_check(6, 60)
     assert nat_prime_subtractive_check(5, 80)
+
+
+def test_all_ideals_match_subset_oracle(small_tables):
+    for name, A in small_tables.items():
+        want = {m for m in range(1 << A.size) if brute_ideal_ok(A, m)}
+        assert [I.mask for I in all_ideals(A)] == sorted(
+            want, key=lambda m: (bin(m).count("1"), m)
+        ), name
+
+
+def test_closed_sets_finds_every_boolxy_module():
+    A = corpus.get("boolxy")
+    bool_scalars = (1 << A.zero) | (1 << A.one)
+
+    def close(seed):
+        return core.closure_mask(A.size, A.add, A.mul, seed | (1 << A.zero), bool_scalars)
+
+    principal, found = closed_sets(A, close)
+    assert len(found) == 2480
+    assert principal == [close(1 << a) for a in A.elements]
+
+
+def test_closed_sets_detects_a_wrong_join(monkeypatch):
+    # planted defect: the join of two ideals taken as their union
+    monkeypatch.setattr(ideals, "_module_sum", lambda A, m1, m2: m1 | m2)
+    with pytest.raises(InternalCheckError):
+        all_ideals(corpus.get("boolpair"))
+
+
+def test_is_prime_detects_a_blind_prime_test(monkeypatch):
+    # planted defect: the direct prime test accepts every ideal
+    monkeypatch.setattr(core, "prime_violation", lambda n, mul, mask: None)
+    with pytest.raises(InternalCheckError):
+        for I in all_ideals(corpus.get("z4")):
+            is_prime(I)

@@ -1,11 +1,12 @@
 """Table construction, axiom checking, and homomorphism machinery."""
 
 import json
+import operator
 
 import pytest
 
 from semispec import corpus
-from semispec.errors import FormatError, InternalCheckError, PreconditionError
+from semispec.errors import FormatError, InternalCheckError, PreconditionError, ResourceError
 from semispec.kernel import (
     BOOL,
     MINMAX_PAIR,
@@ -19,10 +20,12 @@ from semispec.kernel import (
     generating_sequence,
     identity_hom,
     is_idempotent,
+    joins,
     leq,
     make_semiring,
     mask_of,
     popcount,
+    powers,
     semiring_from_dict,
     semiring_to_dict,
     tabulate,
@@ -242,3 +245,27 @@ def test_value_semirings():
     assert MINMAX_PAIR.mul((1, 2), z) == z
     assert MINMAX_PAIR.add((1, 5), (2, 3)) == (1, 5)
     assert MINMAX_PAIR.mul((1, 5), (2, 3)) == (3, 8)
+
+
+def test_joins_are_all_unions():
+    gens = [0b0011, 0b0110, 0b1000, 0b0010]
+    want = set()
+    for code in range(1 << len(gens)):
+        u = 0
+        for i, g in enumerate(gens):
+            if (code >> i) & 1:
+                u |= g
+        want.add(u)
+    assert joins(gens, operator.or_, 0) == want
+    with pytest.raises(ResourceError):
+        joins(gens, operator.or_, 0, cap=len(want) - 1, label="t")
+
+
+def test_powers_stop_at_the_first_repeat():
+    for name in corpus.corpus_names():
+        A = corpus.get(name)
+        for a in A.elements:
+            ps = powers(A, a)
+            assert len(set(ps)) == len(ps), name
+            assert ps == [A.power(a, k) for k in range(len(ps))], name
+            assert A.mul[ps[-1]][a] in ps, name

@@ -303,3 +303,19 @@ def test_space_serialization():
     assert len(data["points"]) == space.npoints
     dot = space_to_dot(space)
     assert dot.startswith("digraph") and "->" in dot
+
+
+def test_opens_are_all_unions_of_basis_opens(corpus_tables):
+    for name, A in corpus_tables.items():
+        if A.size > 8:
+            continue
+        for kind in ("spec", "sp"):
+            space = enumerate_space(A, kind)
+            unions = set()
+            for code in range(1 << A.size):
+                u = 0
+                for a in A.elements:
+                    if (code >> a) & 1:
+                        u |= space.basis[a]
+                unions.add(u)
+            assert space.opens() == sorted(unions), (name, kind)

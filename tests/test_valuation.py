@@ -4,7 +4,7 @@ import pytest
 
 from semispec import corpus
 from semispec.errors import PreconditionError, ResourceError
-from semispec.kernel import is_idempotent, leq
+from semispec.kernel import bits, is_idempotent, leq
 from semispec.spectra import spec_enumerate
 from semispec.valuation import (
     GValuation,
@@ -195,3 +195,21 @@ def test_mra_presheaf_gap_probe():
     assert rep["power_localization_size"] == 2
     assert rep["sheaf_localization_size"] == 2
     assert rep["isomorphic"]
+
+
+def test_modules_match_subset_scan(idempotent_tables):
+    for name, A in idempotent_tables.items():
+        zero_bit = 1 << A.zero
+        scal = zero_bit | (1 << A.one)
+        want = [
+            m
+            for m in range(1 << A.size)
+            if m & zero_bit
+            and all(
+                (m >> A.add[a][b]) & 1 and (m >> A.mul[r][a]) & 1
+                for a in bits(m)
+                for b in bits(m)
+                for r in bits(scal)
+            )
+        ]
+        assert list(build_mra(A).modules) == want, name
