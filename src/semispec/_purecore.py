@@ -251,10 +251,19 @@ def bx_mul(a: int, b: int) -> int:
 
 def bx_witness_exhaustive(a: int, b: int, kmax: int) -> int:
     """Smallest witness u (encoded as a mask, constant bit set, deg<=kmax)
-    with a*u == b*u, or -1. Fully exhaustive scan."""
+    with a*u == b*u, or -1. Fully exhaustive scan.
+
+    Products are built block by block: the u in [2^k, 2^(k+1)) are the
+    earlier u with bit k added, so a*u is an earlier product OR a<<k.
+    """
     if a == b:
         return 1
-    for u in range(1, 1 << (kmax + 1), 2):
-        if bx_mul(a, u) == bx_mul(b, u):
-            return u
+    pa, pb = [0], [0]  # pa[u] = a*u for every u below the current block
+    for k in range(kmax + 1):
+        ak, bk = a << k, b << k
+        pa += [p | ak for p in pa]
+        pb += [p | bk for p in pb]
+        for u in range((1 << k) | 1, 2 << k, 2):
+            if pa[u] == pb[u]:
+                return u
     return -1

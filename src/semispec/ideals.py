@@ -8,8 +8,9 @@ handled through generator lists with Apery-set certificates.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import _purecore as core
@@ -249,29 +250,20 @@ class NatMembership:
     coeffs: Optional[Tuple[int, ...]]  # certificate: sum coeffs[i]*gens[i] = n
 
 
-def nat_ideal_member(gens: Sequence[int], n: int) -> NatMembership:
-    """Membership of n in the N-ideal generated by gens (all gens > 0 unless
-    the ideal is {0}), via the Apery set of the smallest generator.
+@lru_cache(maxsize=256)
+def _apery(gens: Tuple[int, ...]) -> Tuple[Optional[Tuple[int, Tuple[int, ...]]], ...]:
+    """Apery table of the N-ideal generated by gens (sorted, distinct, all
+    positive) with respect to m = gens[0]: entry r is (w, c) with w the
+    least element of the ideal congruent to r mod m and c the generator
+    multiplicities summing to w, or None if no element is congruent to r.
 
-    The certificate is replayed before returning.
+    Dijkstra-style relaxation over the residues mod m.
     """
-    if n < 0:
-        raise PreconditionError("negative input")
-    gens = sorted(set(g for g in gens if g > 0))
-    if n == 0:
-        return NatMembership(True, tuple(0 for _ in gens))
-    if not gens:
-        return NatMembership(False, None)
     m = gens[0]
-    # Dijkstra-style relaxation over residues mod m: apery[r] = least element
-    # of the ideal congruent to r, tracking generator multiplicities.
-    INFTY = None
-    apery: List[Optional[int]] = [INFTY] * m
+    apery: List[Optional[int]] = [None] * m
     combo: List[Optional[Tuple[int, ...]]] = [None] * m
     apery[0] = 0
     combo[0] = tuple(0 for _ in gens)
-    import heapq
-
     heap: List[Tuple[int, int]] = [(0, 0)]
     while heap:
         val, r = heapq.heappop(heap)
@@ -286,12 +278,31 @@ def nat_ideal_member(gens: Sequence[int], n: int) -> NatMembership:
                 base[gi] += 1
                 combo[nr] = tuple(base)
                 heapq.heappush(heap, (nv, nr))
-    r = n % m
-    if apery[r] is None or n < apery[r]:
+    return tuple(None if w is None else (w, c) for w, c in zip(apery, combo))
+
+
+def nat_ideal_member(gens: Sequence[int], n: int) -> NatMembership:
+    """Membership of n in the N-ideal generated by gens (all gens > 0 unless
+    the ideal is {0}), via the Apery set of the smallest generator, built
+    once per generator set.
+
+    The certificate is replayed before returning.
+    """
+    if n < 0:
+        raise PreconditionError("negative input")
+    gens = tuple(sorted(set(g for g in gens if g > 0)))
+    if n == 0:
+        return NatMembership(True, tuple(0 for _ in gens))
+    if not gens:
+        return NatMembership(False, None)
+    m = gens[0]
+    entry = _apery(gens)[n % m]
+    if entry is None or n < entry[0]:
         return NatMembership(False, None)
     # lift the Apery witness by multiples of m
-    coeffs = list(combo[r])
-    coeffs[0] += (n - apery[r]) // m
+    w, combo = entry
+    coeffs = list(combo)
+    coeffs[0] += (n - w) // m
     total = sum(c * g for c, g in zip(coeffs, gens))
     if total != n:
         raise InternalCheckError("nat membership certificate failed replay")

@@ -6,6 +6,9 @@ Three representations, one per job:
             with a bitmask fast path for one variable;
   RatPoly   exact rational univariate polynomials for the subring of
             polynomials whose degree-one coefficient vanishes.
+The squarefree-supported BoolPolys in n variables form a SquarefreeUniverse,
+indexed by bitmasks over the 2^n squarefree monomials; kernels on it are
+index sets computed from one mask of monomials per point.
 
 Supports are never functionally normalized: two supports that induce the
 same tropical function stay distinct elements.
@@ -14,12 +17,12 @@ same tropical function stay distinct elements.
 from __future__ import annotations
 
 import re
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
-from . import _purecore as core
 from .errors import FormatError, PreconditionError
 from .kernel import INF, NEG_INF, ValueSemiring
 
@@ -182,47 +185,80 @@ def bool_poly_deg(f: MaskOrPoly):
     return bool_poly_ord_deg(f)[1]
 
 
-def bx_mul(a: int, b: int) -> int:
-    return core.bx_mul(a, b)
+class SquarefreeUniverse(abc.Sequence):
+    """All boolean polynomials in nvars variables supported on squarefree
+    monomials, 2^(2^nvars) of them: member i has as support the monomials
+    at the set bits of i. Members are built only when read."""
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.monomials: Tuple[Expt, ...] = tuple(
+            sorted(
+                tuple(1 if i in s else 0 for i in range(nvars))
+                for r in range(nvars + 1)
+                for s in combinations(range(nvars), r)
+            )
+        )
+
+    def __len__(self) -> int:
+        return 1 << len(self.monomials)
+
+    def __getitem__(self, i: int) -> BoolPoly:
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("universe index out of range")
+        return BoolPoly(
+            self.nvars,
+            frozenset(m for k, m in enumerate(self.monomials) if (i >> k) & 1),
+        )
+
+    def avoiding(self, mask: int) -> FrozenSet[int]:
+        """Indices of the members whose support misses every monomial in
+        mask: the submasks of its complement."""
+        rest = (len(self) - 1) & ~mask
+        out = [rest]
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            out.append(sub)
+        return frozenset(out)
 
 
-def squarefree_universe(nvars: int) -> List[BoolPoly]:
+def squarefree_universe(nvars: int) -> SquarefreeUniverse:
     """All boolean polynomials supported on squarefree monomials, in a
     deterministic order. 2^(2^nvars) polynomials."""
     if nvars > 4:
         raise PreconditionError("universe too large")
-    monomials = sorted(
-        tuple(1 if i in s else 0 for i in range(nvars))
-        for r in range(nvars + 1)
-        for s in combinations(range(nvars), r)
-    )
-    out = []
-    for pick in range(1 << len(monomials)):
-        out.append(
-            BoolPoly(
-                nvars,
-                frozenset(m for i, m in enumerate(monomials) if (pick >> i) & 1),
-            )
-        )
+    return SquarefreeUniverse(nvars)
+
+
+def vanishing_set(universe: SquarefreeUniverse, point: Sequence[bool]) -> FrozenSet[int]:
+    """Indices of universe members evaluating to 0 at the point: the kernel
+    of the evaluation map, restricted to the universe. Each monomial is
+    evaluated once; a member vanishes when it has no monomial that does not."""
+    n = universe.nvars
+    alive = 0
+    for k, m in enumerate(universe.monomials):
+        if bool_eval(BoolPoly(n, frozenset((m,))), point):
+            alive |= 1 << k
+    return universe.avoiding(alive)
+
+
+def _free_monomials(universe: SquarefreeUniverse, zeros: Sequence[int]) -> int:
+    """Mask of the monomials that mention no variable from zeros."""
+    out = 0
+    for k, e in enumerate(universe.monomials):
+        if not any(e[j] > 0 for j in zeros):
+            out |= 1 << k
     return out
 
 
-def vanishing_set(universe: Sequence[BoolPoly], point: Sequence[bool]) -> FrozenSet[int]:
-    """Indices of universe members evaluating to 0 at the point: the kernel
-    of the evaluation map, restricted to the universe."""
-    return frozenset(i for i, f in enumerate(universe) if not bool_eval(f, point))
-
-
-def monomial_kernel_set(universe: Sequence[BoolPoly], zeros: Sequence[int]) -> FrozenSet[int]:
+def monomial_kernel_set(universe: SquarefreeUniverse, zeros: Sequence[int]) -> FrozenSet[int]:
     """Indices of universe members all of whose monomials mention some
     variable from `zeros`: the monomial ideal generated by those variables,
     restricted to the universe."""
-    zs = set(zeros)
-    out = set()
-    for i, f in enumerate(universe):
-        if all(any(e[j] > 0 for j in zs) for e in f.support):
-            out.add(i)
-    return frozenset(out)
+    return universe.avoiding(_free_monomials(universe, zeros))
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,22 @@ def test_nat_membership_vs_direct_scan():
         assert nat_ideal_member(gens, n).member == (n in direct), n
 
 
+def test_nat_membership_detects_a_corrupt_apery_table(monkeypatch):
+    # planted defect: one certificate in the cached table is off by a generator
+    real = ideals._apery
+
+    def corrupt(gens):
+        table = list(real(gens))
+        w, combo = table[2]
+        table[2] = (w, (combo[0] + 1,) + combo[1:])
+        return tuple(table)
+
+    monkeypatch.setattr(ideals, "_apery", corrupt)
+    assert not nat_ideal_member((3, 5), 7).member
+    with pytest.raises(InternalCheckError):
+        nat_ideal_member((3, 5), 8)
+
+
 def test_nat_pair_tail():
     assert nat_pair_tail_start(3, 5) == 10
     assert nat_pair_tail_check(3, 5)

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from semispec import _purecore as core
 from semispec import corpus
-from semispec.errors import PreconditionError
+from semispec._purecore import bx_mul, bx_witness_exhaustive
+from semispec.errors import InternalCheckError, PreconditionError
 from semispec.kernel import find_iso, units
 from semispec.localize import (
     BxFraction,
@@ -23,7 +25,6 @@ from semispec.localize import (
     semi_invertible,
     semi_invertibles_mask,
 )
-from semispec.poly import bx_mul
 
 
 def submonoids(A):
@@ -262,3 +263,20 @@ def test_bx_witness_equal_frozen():
     assert bx_witness_equal(BxFraction(0b110, ONEX), BxFraction(X, ONE))
     assert not bx_witness_equal(BxFraction(X, ONE), BxFraction(0b100, ONE))
     assert bx_witness_equal(BxFraction(ONE, ONE), BxFraction(ONE, ONE))
+
+
+def test_bx_witness_exhaustive_matches_naive_scan():
+    for a in range(64):
+        for b in range(64):
+            witnesses = [u for u in range(1, 128, 2) if bx_mul(a, u) == bx_mul(b, u)]
+            for kmax in range(7):
+                below = [u for u in witnesses if u < 2 << kmax]
+                want = below[0] if below else -1
+                assert bx_witness_exhaustive(a, b, kmax) == want, (a, b, kmax)
+
+
+def test_bx_witness_equal_detects_a_blind_exhaustive_scan(monkeypatch):
+    # planted defect: the exhaustive cross-check never finds a witness
+    monkeypatch.setattr(core, "bx_witness_exhaustive", lambda a, b, kmax: -1)
+    with pytest.raises(InternalCheckError):
+        bx_witness_equal(BxFraction(0b110, ONEX), BxFraction(X, ONE))

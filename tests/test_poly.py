@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from semispec import accept, poly
+from semispec._purecore import bx_mul
 from semispec.errors import FormatError, PreconditionError
 from semispec.kernel import BOOL, TROPICAL_RAT
 from semispec.poly import (
@@ -17,7 +19,6 @@ from semispec.poly import (
     bool_poly_ord,
     bool_poly_ord_deg,
     bool_poly_to_mask,
-    bx_mul,
     fmt_rat_poly,
     idem_poly,
     idem_poly_add,
@@ -94,9 +95,10 @@ def test_squarefree_universe_sizes():
     assert len(squarefree_universe(1)) == 4
     assert len(squarefree_universe(2)) == 16
     assert len(squarefree_universe(3)) == 256
+    assert len(squarefree_universe(4)) == 65536
 
 
-@pytest.mark.parametrize("n,count", [(1, 2), (2, 4), (3, 8)])
+@pytest.mark.parametrize("n,count", [(1, 2), (2, 4), (3, 8), (4, 16)])
 def test_distinct_vanishing_sets(n, count):
     U = squarefree_universe(n)
     vs = {vanishing_set(U, p) for p in all_points(n)}
@@ -110,6 +112,40 @@ def test_monomial_kernel_recovers_vanishing():
         for pt in all_points(n):
             zero_vars = [j for j in range(n) if not pt[j]]
             assert vanishing_set(U, pt) == monomial_kernel_set(U, zero_vars)
+
+
+def test_universe_members_follow_their_index_bits():
+    U = squarefree_universe(2)
+    assert U.monomials == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert U[0] == bool_poly(2, [])
+    assert U[0b1010] == bool_poly(2, [(0, 1), (1, 1)])
+    assert U[-1] == bool_poly(2, U.monomials)
+    assert list(U)[5] == U[5]
+    with pytest.raises(IndexError):
+        U[16]
+
+
+def test_mask_kernels_match_member_evaluation():
+    for n in (1, 2, 3):
+        U = squarefree_universe(n)
+        members = list(U)
+        for pt in all_points(n):
+            want = frozenset(i for i, f in enumerate(members) if not bool_eval(f, pt))
+            zero_vars = [j for j in range(n) if not pt[j]]
+            assert vanishing_set(U, pt) == want
+            assert monomial_kernel_set(U, zero_vars) == want
+
+
+def test_criterion_2_detects_a_dropped_monomial(monkeypatch):
+    # planted defect: the support route forgets the last monomial it keeps
+    real = poly._free_monomials
+
+    def drop_one(universe, zeros):
+        m = real(universe, zeros)
+        return m & ~(1 << (m.bit_length() - 1))
+
+    monkeypatch.setattr(poly, "_free_monomials", drop_one)
+    assert not accept.criterion_2().passed
 
 
 def test_idem_poly_tropical():
