@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import _purecore as core
 from .errors import InternalCheckError, PreconditionError
@@ -75,9 +75,25 @@ def closed_sets(
     """Every subset fixed by close, a closure under + and some scaling that
     adds 0: the sums of the principal sets close({a}), found by
     `kernel.joins`. Returns the principal set of each element and all the
-    fixed sets; each found set is re-closed and must be fixed."""
+    fixed sets; each found set is re-closed and must be fixed.
+
+    The join with a generator g reads the rows {a + b : b in g}, built by
+    `_module_sum` once per generator."""
     principal = [close(1 << a) for a in A.elements]
-    found = joins(sorted(set(principal)), partial(_module_sum, A), close(0), cap, A.label)
+    rows: Dict[int, List[int]] = {}
+
+    def join(m: int, g: int) -> int:
+        row = rows.get(g)
+        if row is None:
+            row = rows[g] = [_module_sum(A, 1 << a, g) for a in A.elements]
+        out = 0
+        while m:
+            low = m & -m
+            out |= row[low.bit_length() - 1]
+            m ^= low
+        return out
+
+    found = joins(sorted(set(principal)), join, close(0), cap, A.label)
     for m in found:
         if close(m) != m:
             raise InternalCheckError(f"{A.label}: a join {m:b} is not closed")

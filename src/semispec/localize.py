@@ -4,8 +4,8 @@ hardening of boolean polynomials in one variable.
 Fraction equality a/s = b/t means a*t*u = b*s*u for some u in S. For finite
 tables this is canonicalized with the cofactor trick: let P be the product
 of all of S and c_s * s = P; then a/s = b/t iff a*c_s*P^3 = b*c_t*P^3 in A.
-The witness-scan definition is kept and asserted against the canonical form
-on every instance below a size cap.
+The witness definition is kept and asserted against the canonical form on
+every instance, by bucketing the products b*x for x in S.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from .kernel import (
     units,
 )
 from . import poly
-
-_SCAN_CAP = 600  # |A| * |S| above which the witness-scan cross-check is skipped
 
 
 def is_mult_submonoid(A: FiniteSemiring, s_mask: int) -> bool:
@@ -134,8 +132,8 @@ def localize(A: FiniteSemiring, s_mask: int, label: str = "") -> LocalizedSemiri
     """S^-1 A as a finite table with the canonical map.
 
     Verifies on construction: S is a multiplicative submonoid; the table
-    satisfies the axioms; (S^sat)^-1 A is isomorphic over A; and (below the
-    size cap) canonical equality agrees with the direct witness scan.
+    satisfies the axioms; (S^sat)^-1 A is isomorphic over A; and canonical
+    equality agrees with the direct witness relation.
     """
     loc = _localization(A, s_mask, label)
     if loc.phi.violation() is not None:
@@ -145,24 +143,36 @@ def localize(A: FiniteSemiring, s_mask: int, label: str = "") -> LocalizedSemiri
     return loc
 
 
-def _witness_equal(A: FiniteSemiring, s_list, a, s, b, t) -> bool:
-    return any(
-        A.mul[A.mul[a][t]][u] == A.mul[A.mul[b][s]][u] for u in s_list
-    )
-
-
 def _assert_scan_agreement(A: FiniteSemiring, loc: LocalizedSemiring) -> None:
-    if A.size * len(loc.s_list) > _SCAN_CAP:
-        return
+    """The witness relation, (a, s) ~ (b, t) iff a*t*u = b*s*u for some u in
+    S, must be equality of canonical classes.
+
+    For each x in S, bucket[x][v] is the mask of the b with b*x = v, so the b
+    with (a, s) ~ (b, t) are the union over u of bucket[s*u][a*t*u]. Both
+    relations are symmetric, so only positions si <= ti are compared."""
+    mul = A.mul
     sl = loc.s_list
-    pairs = [(a, si) for a in A.elements for si in range(len(sl))]
-    for (a, si) in pairs:
-        for (b, ti) in pairs:
-            scan = _witness_equal(A, sl, a, sl[si], b, sl[ti])
-            canon = loc._psi_class[a][si] == loc._psi_class[b][ti]
-            if scan != canon:
+    bucket = {}
+    for x in sl:
+        row = [0] * A.size
+        for b in A.elements:
+            row[mul[b][x]] |= 1 << b
+        bucket[x] = row
+    classes = loc._psi_class
+    for ti, t in enumerate(sl):
+        same = [0] * len(loc.reps)
+        for b in A.elements:
+            same[classes[b][ti]] |= 1 << b
+        for si in range(ti + 1):
+            s = sl[si]
+            # A is commutative, so row y of mul lists a*y for every a.
+            witness = [0] * A.size
+            for x, y in {(mul[s][u], mul[t][u]) for u in sl}:
+                bx = bucket[x]
+                witness = [w | bx[v] for w, v in zip(witness, mul[y])]
+            if witness != [same[row[si]] for row in classes]:
                 raise InternalCheckError(
-                    f"{A.label}: canonical fraction equality disagrees with scan"
+                    f"{A.label}: canonical fraction equality disagrees with witnesses"
                 )
 
 

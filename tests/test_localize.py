@@ -1,11 +1,14 @@
 """Localization: fraction classes, saturation, semi-invertibility, hardening."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from semispec import _purecore as core
 from semispec import corpus
+from semispec import localize as loc_mod
 from semispec._purecore import bx_mul, bx_witness_exhaustive
 from semispec.errors import InternalCheckError, PreconditionError
 from semispec.kernel import find_iso, units
@@ -103,6 +106,68 @@ def test_fraction_equality_witness(small_tables):
                                 for u in ss
                             )
                             assert same == wit, name
+
+
+def _with_corrupt_cell(L, a, si):
+    """L with the class of (a, s_list[si]) moved to the next class."""
+    grid = [list(row) for row in L._psi_class]
+    grid[a][si] = (grid[a][si] + 1) % len(L.reps)
+    return replace(L, _psi_class=tuple(tuple(row) for row in grid))
+
+
+def _pairwise_disagreement(A, L) -> bool:
+    """Some two fractions whose witness relation and canonical classes
+    disagree, found by comparing every pair."""
+    sl = L.s_list
+    cells = [(a, si) for a in A.elements for si in range(len(sl))]
+    for a, si in cells:
+        for b, ti in cells:
+            wit = any(
+                A.mul[A.mul[a][sl[ti]]][u] == A.mul[A.mul[b][sl[si]]][u] for u in sl
+            )
+            if wit != (L._psi_class[a][si] == L._psi_class[b][ti]):
+                return True
+    return False
+
+
+def test_scan_agreement_raises_exactly_on_pairwise_disagreement(corpus_tables):
+    rng = random.Random(6)
+    planted = 0
+    for name, A in corpus_tables.items():
+        if A.size > 8:
+            continue
+        for s_mask in sorted({loc_mod._powers_mask(A, x) for x in A.elements}):
+            L = loc_mod._localization(A, s_mask)
+            if len(L.reps) < 2:
+                continue
+            bad = _with_corrupt_cell(L, rng.randrange(A.size), rng.randrange(len(L.s_list)))
+            for case in (L, bad):
+                try:
+                    loc_mod._assert_scan_agreement(A, case)
+                    raised = False
+                except InternalCheckError:
+                    raised = True
+                assert raised == _pairwise_disagreement(A, case), (name, s_mask)
+            planted += 1
+    assert planted > 20
+
+
+def test_localize_detects_a_corrupt_class_above_the_old_cap(monkeypatch):
+    # |A| * |S| = 48 * 15 = 720: past the size at which the cross-check was
+    # once skipped
+    A = corpus.product_semiring(corpus.get("boolxy"), corpus.get("chain3"), "boolxy*chain3")
+    s_mask = saturate(A, loc_mod._powers_mask(A, A.names.index("(xy,1)")))
+    assert bin(s_mask).count("1") == 15
+    assert localize(A, s_mask).table.size == 6
+    build = loc_mod._localization
+    # planted defect: one fraction away from the unit's position lands in
+    # the wrong class
+    monkeypatch.setattr(
+        loc_mod, "_localization",
+        lambda A, s_mask, label="": _with_corrupt_cell(build(A, s_mask, label), A.zero, 14),
+    )
+    with pytest.raises(InternalCheckError):
+        localize(A, s_mask)
 
 
 def test_localize_rejects_non_submonoid():
