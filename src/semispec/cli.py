@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite commutative semirings: spectra, sheaves, "
         "hardening, and submodule-lattice valuations.",
         epilog="Environment: SEMISPEC_WORKSPACE (registry directory), "
-        "SEMISPEC_CONGRUENCE_BOUND / _COEFF / _NODES (word-problem bounds), "
+        "SEMISPEC_CONGRUENCE_NODES (word-problem node budget), "
         "SEMISPEC_SPECTRUM_LIMIT (exhaustive enumeration cap).",
     )
     sub = p.add_subparsers(dest="command", required=True)

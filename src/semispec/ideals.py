@@ -1,6 +1,6 @@
 """Ideals of finite semirings and of N: closure, the lattice of sets fixed
 by a closure (ideals, submodules), primality, subtractivity, radicals,
-Bourne quotients, and numerical-semigroup membership.
+and numerical-semigroup membership.
 
 Finite-semiring ideals are bitmasks over element indices. N-ideals are
 handled through generator lists with Apery-set certificates.
@@ -17,7 +17,6 @@ from . import _purecore as core
 from .errors import InternalCheckError, PreconditionError
 from .kernel import (
     FiniteSemiring,
-    Homomorphism,
     bits,
     is_idempotent,
     joins,
@@ -25,7 +24,6 @@ from .kernel import (
     mask_of,
     popcount,
     powers,
-    tabulate,
 )
 
 
@@ -191,69 +189,6 @@ def radical_equals_prime_intersection(
     for p in primes_containing(A, I.mask, primes):
         inter &= p.mask
     return radical_mask(I) == inter
-
-
-# ---------------------------------------------------------------------------
-# Bourne quotient A / ~_I
-
-
-def quotient_by_ideal(
-    A: FiniteSemiring, I: IdealHandle
-) -> Tuple[FiniteSemiring, Homomorphism]:
-    """Quotient by a ~ b iff a+i = b+j for some i,j in I, with projection.
-
-    The relation is asserted to be transitive and a congruence; its kernel
-    equals the subtractive closure of I.
-    """
-    n = A.size
-    reach = []  # reach[a] = bitmask {a+i : i in I}
-    for a in A.elements:
-        reach.append(mask_of(A.add[a][i] for i in I.members()))
-    related = [[bool(reach[a] & reach[b]) for b in A.elements] for a in A.elements]
-    for a in A.elements:
-        if not related[a][a]:
-            raise InternalCheckError("Bourne relation not reflexive")
-        for b in A.elements:
-            if related[a][b] != related[b][a]:
-                raise InternalCheckError("Bourne relation not symmetric")
-            for c in A.elements:
-                if related[a][b] and related[b][c] and not related[a][c]:
-                    raise InternalCheckError("Bourne relation not transitive")
-    # congruence check
-    for a in A.elements:
-        for b in A.elements:
-            if not related[a][b]:
-                continue
-            for c in A.elements:
-                if not related[A.add[a][c]][A.add[b][c]]:
-                    raise InternalCheckError("Bourne relation not +-compatible")
-                if not related[A.mul[a][c]][A.mul[b][c]]:
-                    raise InternalCheckError("Bourne relation not *-compatible")
-    cls: List[int] = [-1] * n
-    reps: List[int] = []
-    for a in A.elements:
-        for r_i, r in enumerate(reps):
-            if related[a][r]:
-                cls[a] = r_i
-                break
-        else:
-            cls[a] = len(reps)
-            reps.append(a)
-    Q = tabulate(
-        reps,
-        lambda x, y: reps[cls[A.add[x][y]]],
-        lambda x, y: reps[cls[A.mul[x][y]]],
-        reps[cls[A.zero]],
-        reps[cls[A.one]],
-        f"{A.label}/~",
-        ["[" + A.name_of(r) + "]" for r in reps],
-    )
-    pi = Homomorphism(A, Q, tuple(cls))
-    if pi.violation() is not None:
-        raise InternalCheckError("quotient projection is not a hom")
-    if pi.kernel_mask() != subtractive_closure(I).mask:
-        raise InternalCheckError("quotient kernel differs from subtractive closure")
-    return Q, pi
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Finite semiring tables, built-in exact-value semirings, homomorphisms.
+"""Finite semiring tables, their JSON form, and homomorphisms.
 
 Elements of a finite semiring are indices 0..size-1 into its operation
 tables; subsets are int bitmasks. All enumeration orders are deterministic.
@@ -7,14 +7,25 @@ tables; subsets are int bitmasks. All enumeration orders are deterministic.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import _purecore as core
 from .errors import FormatError, InternalCheckError, PreconditionError, ResourceError
 
 MAX_SIZE = 64
+
+
+def env_int(name: str, default: int) -> int:
+    """An integer setting from the environment, default when unset."""
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(f"{name} must be an integer, not {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -73,12 +84,6 @@ class FiniteSemiring:
     mul: Tuple[Tuple[int, ...], ...]
     label: str = ""
     names: Optional[Tuple[str, ...]] = None
-
-    def plus(self, a: int, b: int) -> int:
-        return self.add[a][b]
-
-    def times(self, a: int, b: int) -> int:
-        return self.mul[a][b]
 
     def power(self, a: int, k: int) -> int:
         r = self.one
@@ -246,6 +251,10 @@ def units(A: FiniteSemiring) -> int:
 _SCHEMA_KEYS = {"size", "zero", "one", "add", "mul", "label"}
 
 
+def _is_list(x, n: int) -> bool:
+    return isinstance(x, (list, tuple)) and len(x) == n
+
+
 def semiring_from_dict(d: Dict) -> FiniteSemiring:
     missing = _SCHEMA_KEYS - set(d)
     if missing:
@@ -257,7 +266,7 @@ def semiring_from_dict(d: Dict) -> FiniteSemiring:
         raise PreconditionError(f"size {n} exceeds cap {MAX_SIZE}")
     for key in ("add", "mul"):
         t = d[key]
-        if len(t) != n or any(len(row) != n for row in t):
+        if not _is_list(t, n) or not all(_is_list(row, n) for row in t):
             raise FormatError(f"{key} table must be {n}x{n}")
         for row in t:
             for v in row:
@@ -269,9 +278,11 @@ def semiring_from_dict(d: Dict) -> FiniteSemiring:
             raise FormatError(f"{key} out of range")
     names = d.get("names")
     if names is not None:
-        if len(names) != n or len(set(names)) != n:
-            raise FormatError("names must be distinct and cover all elements")
+        if not _is_list(names, n) or not all(isinstance(x, (str, int)) for x in names):
+            raise FormatError("names must be a list of strings, one per element")
         names = tuple(str(x) for x in names)
+        if len(set(names)) != n:
+            raise FormatError("names must be distinct")
     A = FiniteSemiring(
         size=n,
         zero=d["zero"],
@@ -349,10 +360,6 @@ class Homomorphism:
         return Homomorphism(
             inner.dom, self.cod, tuple(self.images[x] for x in inner.images)
         )
-
-
-def identity_hom(A: FiniteSemiring) -> Homomorphism:
-    return Homomorphism(A, A, tuple(A.elements))
 
 
 def generating_sequence(A: FiniteSemiring) -> List[int]:
@@ -474,171 +481,3 @@ def find_iso(A: FiniteSemiring, B: FiniteSemiring) -> Optional[Homomorphism]:
                 raise InternalCheckError("inverse of a bijective hom is not a hom")
             return h
     return None
-
-
-# ---------------------------------------------------------------------------
-# built-in exact-value semirings
-
-INF = float("inf")
-NEG_INF = float("-inf")
-
-
-class ValueSemiring:
-    """Semiring structure on exact Python values (possibly infinite carrier)."""
-
-    tag: str = ""
-    idempotent: bool = False
-    zero = None
-    one = None
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
-    def leq(self, a, b) -> bool:
-        if not self.idempotent:
-            raise PreconditionError(f"{self.tag}: order requires idempotent addition")
-        return self.eq(self.add(a, b), b)
-
-    def check(self, a) -> bool:
-        raise NotImplementedError
-
-    def fmt(self, a) -> str:
-        return str(a)
-
-    def parse(self, text: str):
-        raise FormatError(f"{self.tag}: no coefficient syntax")
-
-
-class NatSemiring(ValueSemiring):
-    tag = "Nat"
-    zero = 0
-    one = 1
-
-    def parse(self, text: str) -> int:
-        v = int(text)
-        if v < 0:
-            raise FormatError("negative natural")
-        return v
-
-    def add(self, a: int, b: int) -> int:
-        return a + b
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b
-
-    def check(self, a) -> bool:
-        return isinstance(a, int) and a >= 0
-
-
-class NonNegRatSemiring(ValueSemiring):
-    tag = "NonNegRat"
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
-
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * b
-
-    def check(self, a) -> bool:
-        return isinstance(a, Fraction) and a >= 0
-
-    def parse(self, text: str) -> Fraction:
-        v = Fraction(text)
-        if v < 0:
-            raise FormatError("negative value")
-        return v
-
-
-class BoolSemiring(ValueSemiring):
-    tag = "Bool"
-    idempotent = True
-    zero = 0
-    one = 1
-
-    def add(self, a: int, b: int) -> int:
-        return a | b
-
-    def mul(self, a: int, b: int) -> int:
-        return a & b
-
-    def check(self, a) -> bool:
-        return a in (0, 1)
-
-    def parse(self, text: str) -> int:
-        if text not in ("0", "1"):
-            raise FormatError(f"bad boolean {text!r}")
-        return int(text)
-
-
-class TropicalRatSemiring(ValueSemiring):
-    """min-plus over Q with +inf; zero is +inf, one is 0."""
-
-    tag = "TropicalRat"
-    idempotent = True
-    zero = INF
-    one = Fraction(0)
-
-    def add(self, a, b):
-        return min(a, b)
-
-    def mul(self, a, b):
-        if a == INF or b == INF:
-            return INF
-        return a + b
-
-    def check(self, a) -> bool:
-        return a == INF or isinstance(a, Fraction)
-
-    def fmt(self, a) -> str:
-        return "inf" if a == INF else str(a)
-
-    def parse(self, text: str):
-        return INF if text.strip() == "inf" else Fraction(text)
-
-
-class MinMaxPairSemiring(ValueSemiring):
-    """Pairs (n,d) with n in N u {+inf}, d in Z u {-inf}; componentwise
-    (min,max) addition and (+,+) multiplication; (+inf,-inf) is the zero."""
-
-    tag = "MinMaxPair"
-    idempotent = True
-    zero = (INF, NEG_INF)
-    one = (0, 0)
-
-    def add(self, a, b):
-        return (min(a[0], b[0]), max(a[1], b[1]))
-
-    def mul(self, a, b):
-        if a == self.zero or b == self.zero:
-            return self.zero
-        return (a[0] + b[0], a[1] + b[1])
-
-    def check(self, a) -> bool:
-        if a == self.zero:
-            return True
-        n, d = a
-        return isinstance(n, int) and n >= 0 and isinstance(d, int)
-
-    def fmt(self, a) -> str:
-        if a == self.zero:
-            return "(inf,-inf)"
-        return f"({a[0]},{a[1]})"
-
-
-NAT = NatSemiring()
-NONNEG_RAT = NonNegRatSemiring()
-BOOL = BoolSemiring()
-TROPICAL_RAT = TropicalRatSemiring()
-MINMAX_PAIR = MinMaxPairSemiring()
-
-BUILTINS: Dict[str, ValueSemiring] = {
-    v.tag: v for v in (NAT, NONNEG_RAT, BOOL, TROPICAL_RAT, MINMAX_PAIR)
-}

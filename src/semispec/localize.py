@@ -11,15 +11,11 @@ every instance, by bucketing the products b*x for x in S.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from . import _purecore as core
 from .errors import InternalCheckError, PreconditionError
 from .kernel import (
-    INF,
-    NEG_INF,
     FiniteSemiring,
     Homomorphism,
     bits,
@@ -31,6 +27,7 @@ from .kernel import (
     units,
 )
 from . import poly
+from .poly import INF, NEG_INF
 
 
 def is_mult_submonoid(A: FiniteSemiring, s_mask: int) -> bool:
@@ -261,63 +258,6 @@ def harden(A: FiniteSemiring) -> LocalizedSemiring:
 
 
 # ---------------------------------------------------------------------------
-# N[1/N]: exact localization of the naturals at one positive integer
-
-
-@dataclass(frozen=True)
-class NatFraction:
-    """num / N^k with k minimal."""
-
-    num: int
-    k: int
-
-    def as_fraction(self, N: int) -> Fraction:
-        return Fraction(self.num, N**self.k)
-
-
-class NatLocalization:
-    """N[1/N] with canonical forms; exact arithmetic throughout."""
-
-    def __init__(self, N: int):
-        if N < 1:
-            raise PreconditionError("N must be >= 1")
-        self.N = N
-
-    def member(self, q: Fraction) -> bool:
-        if q < 0:
-            return False
-        d = q.denominator
-        g = gcd(d, self.N)
-        while d > 1 and g > 1:
-            while d % g == 0:
-                d //= g
-            g = gcd(d, self.N)
-        return d == 1
-
-    def canonical(self, q: Fraction) -> NatFraction:
-        if not self.member(q):
-            raise PreconditionError(f"{q} is not in N[1/{self.N}]")
-        k = 0
-        scaled = q
-        while scaled.denominator != 1:
-            scaled *= self.N
-            k += 1
-        return NatFraction(int(scaled), k)
-
-    def add(self, x: NatFraction, y: NatFraction) -> NatFraction:
-        return self.canonical(x.as_fraction(self.N) + y.as_fraction(self.N))
-
-    def mul(self, x: NatFraction, y: NatFraction) -> NatFraction:
-        return self.canonical(x.as_fraction(self.N) * y.as_fraction(self.N))
-
-    def from_nat(self, n: int) -> NatFraction:
-        return self.canonical(Fraction(n))
-
-    def fmt(self, x: NatFraction) -> str:
-        return str(x.num) if x.k == 0 else f"{x.num}/{self.N}^{x.k}"
-
-
-# ---------------------------------------------------------------------------
 # hardening of B[x]
 
 
@@ -345,11 +285,28 @@ def bx_frac_mul(u: BxFraction, v: BxFraction) -> BxFraction:
     return BxFraction(core.bx_mul(u.num, v.num), core.bx_mul(u.den, v.den))
 
 
+# MinMaxPair: pairs (n, d), n in N u {+inf} and d in Z u {-inf}, under
+# componentwise (min, max) addition and (+, +) multiplication, with the
+# absorbing zero (+inf, -inf). bx_hardening_iso maps the hardening of B[x]
+# onto it.
+MINMAX_ZERO = (INF, NEG_INF)
+
+
+def minmax_add(a: Tuple, b: Tuple) -> Tuple:
+    return (min(a[0], b[0]), max(a[1], b[1]))
+
+
+def minmax_mul(a: Tuple, b: Tuple) -> Tuple:
+    if a == MINMAX_ZERO or b == MINMAX_ZERO:
+        return MINMAX_ZERO
+    return (a[0] + b[0], a[1] + b[1])
+
+
 def bx_hardening_iso(frac: BxFraction) -> Tuple:
     """The MinMaxPair value (ord_0 f, deg f - deg g); zero maps to the
     distinguished absorbing point (inf, -inf)."""
     if frac.num == 0:
-        return (INF, NEG_INF)
+        return MINMAX_ZERO
     o, d = poly.bool_poly_ord_deg(frac.num)
     _, dg = poly.bool_poly_ord_deg(frac.den)
     return (o, d - dg)

@@ -1,9 +1,8 @@
 """Polynomial semirings at desk scale.
 
-Three representations, one per job:
-  IdemPoly  sparse coefficient maps over an idempotent semifield of values;
-  BoolPoly  bare supports (all coefficients 1), union/Minkowski arithmetic,
-            with a bitmask fast path for one variable;
+Two representations, one per job:
+  BoolPoly  bare supports (all coefficients 1), evaluated at boolean points,
+            with a bitmask form for one variable;
   RatPoly   exact rational univariate polynomials for the subring of
             polynomials whose degree-one coefficient vanishes.
 The squarefree-supported BoolPolys in n variables form a SquarefreeUniverse,
@@ -24,83 +23,11 @@ from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from .errors import FormatError, PreconditionError
-from .kernel import INF, NEG_INF, ValueSemiring
+
+INF = float("inf")
+NEG_INF = float("-inf")
 
 Expt = Tuple[int, ...]
-
-
-def _add_expt(e: Expt, f: Expt) -> Expt:
-    return tuple(x + y for x, y in zip(e, f))
-
-
-# ---------------------------------------------------------------------------
-# IdemPoly
-
-
-@dataclass(frozen=True)
-class IdemPoly:
-    """Polynomial over an idempotent semifield of values; coeffs holds only
-    nonzero coefficients, keyed by exponent vector."""
-
-    field: ValueSemiring
-    nvars: int
-    coeffs: Tuple[Tuple[Expt, object], ...]
-
-    def __post_init__(self):
-        if not self.field.idempotent:
-            raise PreconditionError("coefficient semifield must be idempotent")
-        for e, c in self.coeffs:
-            if len(e) != self.nvars or any(k < 0 for k in e):
-                raise FormatError(f"bad exponent vector {e}")
-            if self.field.eq(c, self.field.zero):
-                raise FormatError("stored zero coefficient")
-
-    def coeff(self, e: Expt) -> object:
-        for ee, c in self.coeffs:
-            if ee == e:
-                return c
-        return self.field.zero
-
-    def support(self) -> FrozenSet[Expt]:
-        return frozenset(e for e, _ in self.coeffs)
-
-
-def idem_poly(field: ValueSemiring, nvars: int, items: Iterable[Tuple[Expt, object]]) -> IdemPoly:
-    acc: Dict[Expt, object] = {}
-    for e, c in items:
-        e = tuple(e)
-        acc[e] = field.add(acc[e], c) if e in acc else c
-    kept = tuple(
-        (e, acc[e]) for e in sorted(acc) if not field.eq(acc[e], field.zero)
-    )
-    return IdemPoly(field, nvars, kept)
-
-
-def idem_poly_add(f: IdemPoly, g: IdemPoly) -> IdemPoly:
-    if f.field is not g.field or f.nvars != g.nvars:
-        raise PreconditionError("mismatched polynomial semirings")
-    return idem_poly(f.field, f.nvars, list(f.coeffs) + list(g.coeffs))
-
-
-def idem_poly_mul(f: IdemPoly, g: IdemPoly) -> IdemPoly:
-    if f.field is not g.field or f.nvars != g.nvars:
-        raise PreconditionError("mismatched polynomial semirings")
-    items = [
-        (_add_expt(e1, e2), f.field.mul(c1, c2))
-        for e1, c1 in f.coeffs
-        for e2, c2 in g.coeffs
-    ]
-    return idem_poly(f.field, f.nvars, items)
-
-
-def idem_poly_eval_at_zero(f: IdemPoly) -> object:
-    """Constant coefficient (zero if absent)."""
-    return f.coeff((0,) * f.nvars)
-
-
-def poly_semi_invertible(f: IdemPoly) -> bool:
-    """Over an idempotent semifield of values: nonzero constant coefficient."""
-    return not f.field.eq(idem_poly_eval_at_zero(f), f.field.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -118,21 +45,22 @@ class BoolPoly:
                 raise FormatError(f"bad exponent vector {e}")
 
 
+# bool_poly, bool_poly_mul and bool_poly_from_mask spell out the product that
+# the bitmask kernel core.bx_mul computes; the tests compare the two.
+
+
 def bool_poly(nvars: int, support: Iterable[Expt]) -> BoolPoly:
     return BoolPoly(nvars, frozenset(tuple(e) for e in support))
-
-
-def bool_poly_add(f: BoolPoly, g: BoolPoly) -> BoolPoly:
-    if f.nvars != g.nvars:
-        raise PreconditionError("mismatched variable counts")
-    return BoolPoly(f.nvars, f.support | g.support)
 
 
 def bool_poly_mul(f: BoolPoly, g: BoolPoly) -> BoolPoly:
     if f.nvars != g.nvars:
         raise PreconditionError("mismatched variable counts")
     return BoolPoly(
-        f.nvars, frozenset(_add_expt(e1, e2) for e1 in f.support for e2 in g.support)
+        f.nvars,
+        frozenset(
+            tuple(x + y for x, y in zip(e1, e2)) for e1 in f.support for e2 in g.support
+        ),
     )
 
 
@@ -175,10 +103,6 @@ def bool_poly_ord_deg(f: MaskOrPoly) -> Tuple:
     if m == 0:
         return (INF, NEG_INF)
     return ((m & -m).bit_length() - 1, m.bit_length() - 1)
-
-
-def bool_poly_ord(f: MaskOrPoly):
-    return bool_poly_ord_deg(f)[0]
 
 
 def bool_poly_deg(f: MaskOrPoly):
@@ -335,11 +259,6 @@ def rat_divmod(f: RatPoly, g: RatPoly) -> Tuple[RatPoly, RatPoly]:
     return q, r
 
 
-def rat_divides(g: RatPoly, f: RatPoly) -> bool:
-    _, r = rat_divmod(f, g)
-    return r.is_zero()
-
-
 def ktt_member(f: RatPoly) -> bool:
     """Membership in the subring of polynomials with vanishing degree-one
     coefficient."""
@@ -372,33 +291,6 @@ def _split_terms(text: str) -> List[str]:
     return out
 
 
-def _parse_monomial(text: str, names: Sequence[str]) -> Expt:
-    text = text.strip()
-    e = [0] * len(names)
-    if text in ("", "1"):
-        return tuple(e)
-    for factor in text.split("*"):
-        factor = factor.strip()
-        if factor == "1":
-            continue
-        m = _FACTOR_RE.match(factor)
-        if not m or m.group("var") not in names:
-            raise FormatError(f"cannot parse monomial factor {factor!r}")
-        e[names.index(m.group("var"))] += int(m.group("exp") or 1)
-    return tuple(e)
-
-
-def parse_bool_poly(text: str, names: Sequence[str]) -> BoolPoly:
-    """Parse sums of monomials like "1+x^2*y" with implicit coefficient 1."""
-    support = []
-    for term in _split_terms(text):
-        term = term.strip()
-        if term == "0":
-            continue
-        support.append(_parse_monomial(term, names))
-    return bool_poly(len(names), support)
-
-
 def parse_rat_poly(text: str, var: str = "t") -> RatPoly:
     """Parse sums of "c*t^k" terms with integer or a/b rational c."""
     items = []
@@ -425,15 +317,3 @@ def parse_rat_poly(text: str, var: str = "t") -> RatPoly:
         items.append((deg, coeff))
     return rat_poly(items)
 
-
-def fmt_rat_poly(f: RatPoly, var: str = "t") -> str:
-    if f.is_zero():
-        return "0"
-    parts = []
-    for d, c in reversed(f.coeffs):
-        if d == 0:
-            parts.append(str(c))
-        else:
-            head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-            parts.append(f"{head}{var}" + (f"^{d}" if d > 1 else ""))
-    return " + ".join(parts).replace("+ -", "- ")

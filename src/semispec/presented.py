@@ -17,14 +17,13 @@ at degree 6).
 
 from __future__ import annotations
 
-import os
 import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import FormatError, InternalCheckError, PreconditionError, ResourceError
-from .kernel import FiniteSemiring, tabulate
+from .kernel import FiniteSemiring, env_int, tabulate
 
 Mono = Tuple[int, ...]
 Term = Tuple[Tuple[Mono, int], ...]  # sorted by monomial, coefficients >= 1
@@ -131,13 +130,20 @@ class Presentation:
 
 def presentation_from_json(data: dict) -> Presentation:
     try:
-        gens = tuple(str(g) for g in data["gens"])
+        gens_raw = data["gens"]
         rels_raw = data["rels"]
         idem = bool(data.get("idempotent", False))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad presentation object: {exc}")
+    if not isinstance(gens_raw, list):
+        raise FormatError("gens must be a list of names")
+    gens = tuple(str(g) for g in gens_raw)
     if len(set(gens)) != len(gens):
         raise FormatError("duplicate generators")
+    if not isinstance(rels_raw, list) or not all(
+        isinstance(rel, list) and len(rel) == 2 for rel in rels_raw
+    ):
+        raise FormatError("rels must be a list of [lhs, rhs] pairs")
     rels = tuple(
         (parse_term(str(l), gens), parse_term(str(r), gens)) for l, r in rels_raw
     )
@@ -166,17 +172,9 @@ class Bound:
 
     @staticmethod
     def from_env() -> "Bound":
-        def geti(name: str, default: int) -> int:
-            try:
-                return int(os.environ.get(name, default))
-            except ValueError:
-                return default
-
-        return Bound(
-            degree=geti("SEMISPEC_CONGRUENCE_BOUND", 6),
-            coeff=geti("SEMISPEC_CONGRUENCE_COEFF", 6),
-            nodes=geti("SEMISPEC_CONGRUENCE_NODES", 200000),
-        )
+        """The default bound, with SEMISPEC_CONGRUENCE_NODES as its node
+        budget when set."""
+        return Bound(nodes=env_int("SEMISPEC_CONGRUENCE_NODES", Bound.nodes))
 
 
 def monomials(nvars: int, degree: int) -> List[Mono]:

@@ -1,5 +1,5 @@
-"""Structure sheaves on finite spectra, plus the two classical failure
-witnesses (the ring-side presheaf failure and the naturals model sections).
+"""Structure sheaves on finite spectra, plus the classical ring-side
+witness that the localization presheaf need not be a sheaf.
 
 Sections are computed two independent ways and compared:
   equalizer route    compatible fraction families over a principal cover,
@@ -15,11 +15,10 @@ spectrum it is computed and reported, never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _purecore as core
-from .errors import InternalCheckError, PreconditionError, ResourceError
+from .errors import InternalCheckError, PreconditionError
 from .kernel import (
     FiniteSemiring,
     Homomorphism,
@@ -32,7 +31,6 @@ from .kernel import (
 from .localize import (
     LocalizedSemiring,
     _powers_mask,
-    NatLocalization,
     localize,
     saturate,
     semi_invertibles_mask,
@@ -125,18 +123,6 @@ class SheafContext:
         return h
 
 
-def s_of_open(A: FiniteSemiring, point_set: Optional[int] = None) -> int:
-    """Monoid of an open of the all-primes spectrum (whole space if omitted)."""
-    ctx = SheafContext(A, "spec")
-    return ctx.monoid_of(ctx.space.full if point_set is None else point_set)
-
-
-def s_tilde_of_open(A: FiniteSemiring, point_set: Optional[int] = None) -> int:
-    """Monoid of an open of the subtractive-primes spectrum."""
-    ctx = SheafContext(A, "sp")
-    return ctx.monoid_of(ctx.space.full if point_set is None else point_set)
-
-
 # ---------------------------------------------------------------------------
 # equalizer sections
 
@@ -156,12 +142,6 @@ class SectionSemiring:
     @property
     def base_injective(self) -> bool:
         return len(set(self.from_base.images)) == self.ctx.A.size
-
-    def index_of(self, tup: Tuple[int, ...]) -> int:
-        try:
-            return self.tuples.index(tup)
-        except ValueError:
-            raise PreconditionError("tuple is not a compatible family")
 
 
 def _section_table(
@@ -439,95 +419,13 @@ def alexandrov_sections(ctx: SheafContext, open_set: int) -> AlexandrovSections:
 
 
 # ---------------------------------------------------------------------------
-# global sections, globality, globalization
+# global sections
 
 
 def gamma(A: FiniteSemiring) -> AlexandrovSections:
     """Global sections of the sheaf on the subtractive-primes spectrum."""
     ctx = SheafContext(A, "sp")
     return alexandrov_sections(ctx, ctx.space.full)
-
-
-def is_global(A: FiniteSemiring) -> bool:
-    return gamma(A).from_base.is_bijective()
-
-
-@dataclass
-class GlobalizeResult:
-    table: FiniteSemiring
-    steps: int
-    sizes: List[int]
-
-
-def globalize(A: FiniteSemiring, max_iter: int = 5) -> GlobalizeResult:
-    """Iterate global sections until the structure map becomes an
-    isomorphism."""
-    cur = A
-    sizes = [A.size]
-    for step in range(max_iter + 1):
-        g = gamma(cur)
-        if g.from_base.is_bijective():
-            return GlobalizeResult(cur, step, sizes)
-        cur = g.table
-        sizes.append(cur.size)
-    raise ResourceError(f"{A.label}: no stabilization within {max_iter} steps")
-
-
-# ---------------------------------------------------------------------------
-# sections over the naturals model
-
-
-@dataclass
-class NatSectionReport:
-    shape: Tuple
-    description: str
-    semiring: object
-
-
-def spec_nat_sections(shape: Tuple) -> NatSectionReport:
-    """Sections of the structure sheaf on the naturals model for the two
-    supported open shapes: a principal open, or everything-but-the-maximal
-    point. Anything else is refused.
-    """
-    if not shape:
-        raise PreconditionError("empty open shape")
-    if shape[0] == "D":
-        n = shape[1]
-        if not isinstance(n, int) or n < 1:
-            raise PreconditionError("principal open wants a positive integer")
-        return NatSectionReport(
-            shape, f"naturals with 1/{n} adjoined", NatLocalization(n)
-        )
-    if shape[0] == "comax":
-        return NatSectionReport(shape, "plain naturals", ComaxDecision())
-    raise PreconditionError(f"unsupported open shape {shape!r}")
-
-
-class ComaxDecision:
-    """Sections over the complement of the maximal point: a compatible pair
-    (x/2^a over D(2), y/3^b over D(3)) pins down one natural number."""
-
-    def decide(self, x: int, a: int, y: int, b: int) -> int:
-        lhs = Fraction(x, 2**a)
-        rhs = Fraction(y, 3**b)
-        if lhs != rhs:
-            raise PreconditionError("pair does not agree on the overlap")
-        if lhs.denominator != 1:
-            raise InternalCheckError("compatible pair is not a natural number")
-        return int(lhs)
-
-    def roundtrip(self, n: int, a: int, b: int) -> bool:
-        loc2, loc3 = NatLocalization(2), NatLocalization(3)
-        ok = loc2.member(Fraction(n)) and loc3.member(Fraction(n))
-        return ok and self.decide(n * 2**a, a, n * 3**b, b) == n
-
-
-def stalk_at_zero_member(q: Fraction) -> bool:
-    """The stalk of the naturals model at the zero prime: the nonnegative
-    rationals, realized as the union of all principal-open sections."""
-    if q < 0:
-        return False
-    return NatLocalization(max(1, q.denominator)).member(q)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 import operator
-import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError, PreconditionError, ResourceError
 from . import corpus
@@ -38,6 +37,7 @@ from .kernel import (
     Homomorphism,
     bits,
     enumerate_homs,
+    env_int,
     is_idempotent,
     joins,
     mask_of,
@@ -46,10 +46,7 @@ from .kernel import (
 
 
 def _spectrum_limit() -> int:
-    try:
-        return int(os.environ.get("SEMISPEC_SPECTRUM_LIMIT", 16))
-    except ValueError:
-        return 16
+    return env_int("SEMISPEC_SPECTRUM_LIMIT", 16)
 
 
 _HOM_ROUTE_LIMIT = 64
@@ -69,15 +66,6 @@ class SpectrumSpace:
     @property
     def full(self) -> int:
         return (1 << self.npoints) - 1
-
-    def d_open(self, a: int) -> int:
-        return self.basis[a]
-
-    def v_closed(self, elems: Iterable[int]) -> int:
-        out = self.full
-        for a in elems:
-            out &= self.full ^ self.basis[a]
-        return out
 
     def point_index(self, ideal_mask: int) -> int:
         try:
@@ -221,9 +209,6 @@ class InducedMap:
     target: SpectrumSpace  # spectrum of the domain
     point_map: Tuple[int, ...]
 
-    def apply(self, i: int) -> int:
-        return self.point_map[i]
-
     def preimage_set(self, target_set: int) -> int:
         return mask_of(
             i for i in range(self.source.npoints) if (target_set >> self.point_map[i]) & 1
@@ -281,12 +266,6 @@ def localization_point_report(A: FiniteSemiring, s_mask: int, kind: str) -> dict
         "open_map": open_ok,
         "pass": ok,
     }
-
-
-def localization_homeo_check(A: FiniteSemiring, s_mask: int) -> bool:
-    return all(
-        localization_point_report(A, s_mask, kind)["pass"] for kind in ("spec", "sp")
-    )
 
 
 def hardening_sp_homeo_check(A: FiniteSemiring) -> bool:
@@ -414,21 +393,6 @@ class NatSpectrumModel:
 
     def dimension(self) -> int:
         return dimension_of_opens(self.npoints, self.opens())
-
-    def basis_invariants_ok(self) -> bool:
-        full = (1 << self.npoints) - 1
-        if self.d_open(0) != 0 or self.d_open(1) != full:
-            return False
-        for n in range(2, self.prime_bound + 1):
-            o = self.d_open(n)
-            if not o & 1:
-                return False
-            if self._max_index is not None and (o >> self._max_index) & 1:
-                return False
-            for i, p in enumerate(self.primes):
-                if bool((o >> (i + 1)) & 1) != (n % p != 0):
-                    return False
-        return True
 
 
 def nat_model_verify(bound: int = 200) -> dict:

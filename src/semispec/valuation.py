@@ -71,10 +71,6 @@ def g_valuation_violation(v: GValuation) -> Optional[str]:
     return None
 
 
-def is_g_valuation(v: GValuation) -> bool:
-    return g_valuation_violation(v) is None
-
-
 def chi_of_prime(A: FiniteSemiring, prime_mask: int) -> GValuation:
     """Characteristic map of the complement of a prime ideal, into the
     two-element semiring."""
@@ -287,53 +283,8 @@ def factor_through_universal(
     return f
 
 
-def generator_sum_invariance(
-    lat: SubmoduleLattice, v: GValuation, module_index: int
-) -> bool:
-    """Sum of values is the same over every generating subset of a module."""
-    A = lat.base
-    S = v.target
-    m = lat.modules[module_index]
-    elems = list(bits(m))
-    if len(elems) > 12:
-        raise ResourceError("too many elements for the subset scan")
-    want = S.sum_of(v.images[a] for a in elems)
-    scal = mask_of(lat.iota.images)
-    zero_bit = 1 << A.zero
-    for code in range(1 << len(elems)):
-        seed = zero_bit | mask_of(elems[i] for i in range(len(elems)) if (code >> i) & 1)
-        if core.closure_mask(A.size, A.add, A.mul, seed, scal) != m:
-            continue
-        got = S.sum_of(v.images[a] for a in bits(seed))
-        if got != want:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the pullback and the homeomorphism
-
-
-def valuation_pullback_check(v: GValuation) -> bool:
-    """The kernel pullback sends prime kernels of the target to prime
-    ideals of the source, and the preimage of a basic open is the basic
-    open of the value."""
-    A, S = v.source, v.target
-    sp_s = sp_enumerate(S)
-    spec_a = spec_enumerate(A)
-    pulled = []
-    for p in sp_s.point_masks:
-        q = mask_of(a for a in A.elements if (p >> v.images[a]) & 1)
-        if q not in spec_a.point_masks:
-            return False
-        pulled.append(q)
-    for a in A.elements:
-        lhs = mask_of(
-            i for i, q in enumerate(pulled) if not (q >> a) & 1
-        )
-        if lhs != sp_s.basis[v.images[a]]:
-            return False
-    return True
 
 
 @dataclass
@@ -477,25 +428,3 @@ def mra_localization_iso_check(
             return False
     return True
 
-
-def mra_presheaf_gap_probe(A: FiniteSemiring, a: int) -> dict:
-    """Compare inverting the cyclic module of a directly against localizing
-    the lattice at the sheaf monoid of its basic open; records whether the
-    two localizations agree on this instance."""
-    from .kernel import find_iso
-    from .sheaf import SheafContext
-
-    lat, v = universal_valuation(A)
-    vmod = v.images[a]
-    left = localize(lat.table, _powers_mask(lat.table, vmod))
-    ctx = SheafContext(lat.table, "sp")
-    monoid = ctx.monoid_of(ctx.space.basis[vmod])
-    right = ctx.local(monoid)
-    iso = find_iso(left.table, right.table) is not None
-    return {
-        "base": A.label,
-        "element": A.name_of(a),
-        "power_localization_size": left.table.size,
-        "sheaf_localization_size": right.table.size,
-        "isomorphic": iso,
-    }

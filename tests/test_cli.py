@@ -45,10 +45,26 @@ def test_unknown_name_exit_code(ws, capsys):
     assert cli.main(["spec", "nosuch"]) == 4
 
 
+# malformed: not JSON at all, then well-formed JSON of the wrong shape
+BAD_BODIES = ['{"oops": [1,'] + [json.dumps(d) for d in (
+    {"size": 2, "zero": 0, "one": 1, "label": "t", "add": 5,
+     "mul": [[0, 0], [0, 1]]},
+    {"size": 2, "zero": 0, "one": 1, "label": "t", "add": [1, 2],
+     "mul": [[0, 0], [0, 1]]},
+    {"size": 2, "zero": 0, "one": 1, "label": "t", "add": [[0, 1], [1, 1]],
+     "mul": [[0, 0], [0, 1]], "names": [[1], [2]]},
+    {"gens": "xy", "rels": []},
+    {"gens": ["x"], "rels": 5},
+    {"gens": ["x"], "rels": [["x"]]},
+    {"gens": ["x", "y"], "rels": [["x^2", "x", "y"]]},
+)]
+
+
 def test_bad_json_exit_code(ws, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"oops": [1,')
-    assert cli.main(["load", str(bad), "--name", "x"]) == 3
+    for body in BAD_BODIES:
+        bad.write_text(body)
+        assert cli.main(["load", str(bad), "--name", "x"]) == 3, body
 
 
 def test_missing_file_exit_code(ws, capsys):

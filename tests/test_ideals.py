@@ -19,7 +19,6 @@ from semispec.ideals import (
     nat_prime_residue_check,
     nat_prime_subtractive_check,
     primes_containing,
-    quotient_by_ideal,
     radical_equals_prime_intersection,
     radical_mask,
     radical_member,
@@ -138,15 +137,6 @@ def test_subtractive_closure_minimal(small_tables):
             for K in all_ideals(A):
                 if is_subtractive(K) and K.mask & I.mask == I.mask:
                     assert K.mask & J.mask == J.mask, name
-
-
-def test_quotient_by_ideal_smoke():
-    A = corpus.get("boolx")
-    I = ideal_closure(A, [2])
-    Q, proj = quotient_by_ideal(A, I)
-    assert proj.violation() is None
-    assert proj.dom is A and proj.cod is Q
-    assert Q.size < A.size
 
 
 def test_nat_membership_frozen():

@@ -6,19 +6,14 @@ import operator
 import pytest
 
 from semispec import corpus
-from semispec.errors import FormatError, InternalCheckError, PreconditionError, ResourceError
+from semispec.errors import FormatError, InternalCheckError, ResourceError
 from semispec.kernel import (
-    BOOL,
-    MINMAX_PAIR,
-    NAT,
-    TROPICAL_RAT,
     FiniteSemiring,
     Homomorphism,
     bits,
     enumerate_homs,
     find_iso,
     generating_sequence,
-    identity_hom,
     is_idempotent,
     joins,
     leq,
@@ -155,9 +150,13 @@ def test_from_dict_rejects_garbage():
         })
 
 
+def identity(A):
+    return Homomorphism(A, A, tuple(A.elements))
+
+
 def test_identity_hom_and_violation():
     A = corpus.get("chain3")
-    assert identity_hom(A).violation() is None
+    assert identity(A).violation() is None
     # swapping two non-interchangeable elements breaks something
     swapped = Homomorphism(A, A, (0, 2, 1))
     assert swapped.violation() is not None
@@ -170,10 +169,10 @@ def test_hom_compose_and_kernel():
     h = Homomorphism(A, B, (0, 1, 1, 1))
     assert h.violation() is None
     assert h.kernel_mask() == 1
-    both = h.compose(identity_hom(A))
+    both = h.compose(identity(A))
     assert both.images == h.images
     assert not h.is_bijective()
-    assert identity_hom(A).is_bijective()
+    assert identity(A).is_bijective()
 
 
 def brute_hom_count(A: FiniteSemiring, B: FiniteSemiring) -> int:
@@ -230,21 +229,6 @@ def test_generating_sequence_generates(corpus_tables):
                             seen.add(c)
                             grew = True
         assert seen == set(A.elements), name
-
-
-def test_value_semirings():
-    assert BOOL.add(1, 0) == 1 and BOOL.mul(1, 0) == 0
-    assert BOOL.leq(0, 1) and not BOOL.leq(1, 0)
-    assert NAT.add(2, 3) == 5 and NAT.mul(2, 3) == 6
-    with pytest.raises(PreconditionError):
-        NAT.leq(1, 2)  # defined only for idempotent addition
-    from fractions import Fraction
-    assert TROPICAL_RAT.add(Fraction(2), Fraction(3)) == Fraction(2)
-    assert TROPICAL_RAT.mul(Fraction(2), TROPICAL_RAT.zero) == TROPICAL_RAT.zero
-    z = MINMAX_PAIR.zero
-    assert MINMAX_PAIR.mul((1, 2), z) == z
-    assert MINMAX_PAIR.add((1, 5), (2, 3)) == (1, 5)
-    assert MINMAX_PAIR.mul((1, 5), (2, 3)) == (3, 8)
 
 
 def test_joins_are_all_unions():

@@ -2,7 +2,6 @@
 
 import random
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
@@ -13,8 +12,8 @@ from semispec._purecore import bx_mul, bx_witness_exhaustive
 from semispec.errors import InternalCheckError, PreconditionError
 from semispec.kernel import find_iso, units
 from semispec.localize import (
+    MINMAX_ZERO,
     BxFraction,
-    NatLocalization,
     bx_frac_add,
     bx_frac_mul,
     bx_hardening_iso,
@@ -24,6 +23,8 @@ from semispec.localize import (
     is_mult_submonoid,
     is_saturated,
     localize,
+    minmax_add,
+    minmax_mul,
     saturate,
     semi_invertible,
     semi_invertibles_mask,
@@ -254,30 +255,6 @@ def test_hardening_is_hard(corpus_tables):
             assert is_hard(harden(A).table), name
 
 
-def test_nat_localization():
-    L = NatLocalization(2)
-    assert L.member(Fraction(3, 4))
-    assert not L.member(Fraction(1, 3))
-    assert L.member(Fraction(5))
-    c = L.canonical(Fraction(6, 8))
-    assert L.fmt(c) == "3/2^2"
-    a = L.canonical(Fraction(1, 2))
-    b = L.canonical(Fraction(3, 2))
-    s = L.add(a, b)
-    assert s.as_fraction(2) == Fraction(2)
-    p = L.mul(a, b)
-    assert p.as_fraction(2) == Fraction(3, 4)
-    assert L.from_nat(7).as_fraction(2) == Fraction(7)
-
-
-def test_nat_localization_rejects_outsiders():
-    L = NatLocalization(6)
-    assert L.member(Fraction(5, 36))
-    assert not L.member(Fraction(1, 5))
-    with pytest.raises(PreconditionError):
-        L.canonical(Fraction(1, 5))
-
-
 # one-variable boolean fractions: masks encode coefficient supports
 X, ONE, ONEX = 0b10, 0b1, 0b11
 
@@ -310,17 +287,24 @@ def test_bx_hardening_iso_zero():
     assert d < 0 or str(d) == "-inf"
 
 
+def test_minmax_pair_operations():
+    z = MINMAX_ZERO
+    assert minmax_mul((1, 2), z) == z and minmax_mul(z, (1, 2)) == z
+    assert minmax_add((1, 2), z) == (1, 2) and minmax_add(z, (1, 2)) == (1, 2)
+    assert minmax_add((1, 5), (2, 3)) == (1, 5)
+    assert minmax_mul((1, 5), (2, 3)) == (3, 8)
+
+
 def test_bx_hardening_iso_is_multiplicative():
-    from semispec.kernel import MINMAX_PAIR
     fracs = [BxFraction(X, ONE), BxFraction(ONEX, ONE), BxFraction(ONE, ONEX),
              BxFraction(0b110, ONEX), BxFraction(0b101, ONE)]
     for u in fracs:
         for v in fracs:
             lhs = bx_hardening_iso(bx_frac_mul(u, v))
-            rhs = MINMAX_PAIR.mul(bx_hardening_iso(u), bx_hardening_iso(v))
+            rhs = minmax_mul(bx_hardening_iso(u), bx_hardening_iso(v))
             assert lhs == rhs
             lhs = bx_hardening_iso(bx_frac_add(u, v))
-            rhs = MINMAX_PAIR.add(bx_hardening_iso(u), bx_hardening_iso(v))
+            rhs = minmax_add(bx_hardening_iso(u), bx_hardening_iso(v))
             assert lhs == rhs
 
 

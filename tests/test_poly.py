@@ -1,35 +1,23 @@
-"""Polynomial layers: boolean, idempotent-coefficient, and exact rational."""
-
-from fractions import Fraction
+"""Polynomial layers: boolean and exact rational."""
 
 import pytest
 
 from semispec import accept, poly
 from semispec._purecore import bx_mul
-from semispec.errors import FormatError, PreconditionError
-from semispec.kernel import BOOL, TROPICAL_RAT
+from semispec.errors import PreconditionError
 from semispec.poly import (
+    BoolPoly,
     bool_eval,
     bool_poly,
-    bool_poly_add,
     rat_add,
     bool_poly_deg,
     bool_poly_from_mask,
     bool_poly_mul,
-    bool_poly_ord,
     bool_poly_ord_deg,
     bool_poly_to_mask,
-    fmt_rat_poly,
-    idem_poly,
-    idem_poly_add,
-    idem_poly_eval_at_zero,
-    idem_poly_mul,
     ktt_member,
     monomial_kernel_set,
-    parse_bool_poly,
     parse_rat_poly,
-    poly_semi_invertible,
-    rat_divides,
     rat_divmod,
     rat_mul,
     rat_poly,
@@ -55,7 +43,7 @@ def test_bool_ops_match_pointwise_semantics():
     ]
     for f in polys:
         for g in polys:
-            s, p = bool_poly_add(f, g), bool_poly_mul(f, g)
+            s, p = BoolPoly(n, f.support | g.support), bool_poly_mul(f, g)
             for pt in all_points(n):
                 assert bool_eval(s, pt) == (bool_eval(f, pt) or bool_eval(g, pt))
                 assert bool_eval(p, pt) == (bool_eval(f, pt) and bool_eval(g, pt))
@@ -84,7 +72,6 @@ def test_bx_mul_matches_table_poly():
 
 def test_ord_deg():
     assert bool_poly_ord_deg(0b110) == (1, 2)
-    assert bool_poly_ord(0b1) == 0
     assert bool_poly_deg(0b1) == 0
     ordz, degz = bool_poly_ord_deg(0)
     assert ordz > 10**6 or ordz == float("inf") or str(ordz) == "inf"
@@ -148,33 +135,6 @@ def test_criterion_2_detects_a_dropped_monomial(monkeypatch):
     assert not accept.criterion_2().passed
 
 
-def test_idem_poly_tropical():
-    f = idem_poly(TROPICAL_RAT, 1, [((1,), Fraction(2)), ((0,), Fraction(0))])
-    g = idem_poly(TROPICAL_RAT, 1, [((1,), Fraction(1))])
-    p = idem_poly_mul(f, g)
-    # (min,+): multiplying shifts exponents and adds coefficients
-    assert p.coeff((2,)) == Fraction(3)
-    assert p.coeff((1,)) == Fraction(1)
-    s = idem_poly_add(f, g)
-    assert s.coeff((1,)) == Fraction(1)  # min of 2 and 1
-    assert idem_poly_eval_at_zero(f) == Fraction(0)
-    assert poly_semi_invertible(f)
-    assert not poly_semi_invertible(g)
-
-
-def test_idem_poly_rejects_non_idempotent_field():
-    from semispec.kernel import NAT
-    with pytest.raises(PreconditionError):
-        idem_poly(NAT, 1, [((1,), 1)])
-
-
-def test_bool_idem_poly_agrees_with_masks():
-    f = idem_poly(BOOL, 1, [((0,), 1), ((2,), 1)])
-    g = idem_poly(BOOL, 1, [((1,), 1)])
-    p = idem_poly_mul(f, g)
-    assert p.support() == {(1,), (3,)}
-
-
 def test_rat_poly_divmod():
     f = parse_rat_poly("t^4+t^3+t^2")
     g = parse_rat_poly("t^2-1")
@@ -182,14 +142,8 @@ def test_rat_poly_divmod():
     back = rat_sub(f, rat_mul(q, g))
     assert back.coeffs == r.coeffs
     assert r.degree() < g.degree()
-    assert not rat_divides(g, f)
-    assert rat_divides(parse_rat_poly("t"), parse_rat_poly("t^3"))
-
-
-def test_rat_poly_parse_fmt_roundtrip():
-    for text in ("t^4+t^3+t^2", "t^2-1", "1", "t", "2*t^2+1/2"):
-        f = parse_rat_poly(text)
-        assert parse_rat_poly(fmt_rat_poly(f)).coeffs == f.coeffs
+    assert not r.is_zero()
+    assert rat_divmod(parse_rat_poly("t^3"), parse_rat_poly("t"))[1].is_zero()
 
 
 def test_rat_poly_zero_division():
@@ -221,10 +175,3 @@ def test_ktt_closed_under_ops():
         for g in members:
             assert ktt_member(rat_add(f, g))
             assert ktt_member(rat_mul(f, g))
-
-
-def test_parse_bool_poly():
-    f = parse_bool_poly("x*y + x", ["x", "y"])
-    assert f.support == {(1, 1), (1, 0)}
-    with pytest.raises(FormatError):
-        parse_bool_poly("x + q", ["x", "y"])

@@ -3,7 +3,7 @@
 import pytest
 
 from semispec import corpus
-from semispec.errors import PreconditionError, ResourceError
+from semispec.errors import FormatError, PreconditionError, ResourceError
 from semispec.kernel import find_iso, verify_axioms
 from semispec.presented import (
     Bound,
@@ -185,8 +185,11 @@ def test_localized_images_unknown_generator():
 
 
 def test_bound_from_env(monkeypatch):
-    monkeypatch.setenv("SEMISPEC_CONGRUENCE_BOUND", "3")
-    monkeypatch.setenv("SEMISPEC_CONGRUENCE_COEFF", "5")
+    # only the node budget is configurable; degree and coefficient caps
+    # are the defaults
     monkeypatch.setenv("SEMISPEC_CONGRUENCE_NODES", "777")
     b = Bound.from_env()
-    assert (b.degree, b.coeff, b.nodes) == (3, 5, 777)
+    assert (b.degree, b.coeff, b.nodes) == (6, 6, 777)
+    monkeypatch.setenv("SEMISPEC_CONGRUENCE_NODES", "7e2")
+    with pytest.raises(FormatError, match="SEMISPEC_CONGRUENCE_NODES"):
+        Bound.from_env()

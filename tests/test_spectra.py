@@ -10,9 +10,9 @@ from conftest import (
     brute_subtractive_prime_masks,
 )
 from semispec import corpus
-from semispec.errors import PreconditionError
+from semispec.errors import FormatError, PreconditionError
 from semispec.ideals import nat_point_not_subtractive, nat_point_prime_check
-from semispec.kernel import Homomorphism, identity_hom
+from semispec.kernel import Homomorphism
 from semispec.spectra import (
     NatSpectrumModel,
     cover_check,
@@ -20,7 +20,6 @@ from semispec.spectra import (
     enumerate_space,
     hardening_sp_homeo_check,
     induced_map,
-    localization_homeo_check,
     localization_point_report,
     nat_model_verify,
     sp_enumerate,
@@ -87,6 +86,13 @@ def test_sp_kernel_route_matches_lattice_filter(monkeypatch):
     assert sp_enumerate(A).point_masks == by_lattice
 
 
+def test_spectrum_limit_must_be_an_integer(monkeypatch):
+    # a malformed limit is refused, not replaced by the default
+    monkeypatch.setenv("SEMISPEC_SPECTRUM_LIMIT", "3O")
+    with pytest.raises(FormatError, match="SEMISPEC_SPECTRUM_LIMIT"):
+        spec_enumerate(corpus.get("boolx"))
+
+
 def test_sp_embeds_in_spec(corpus_tables):
     # prime kernels are prime ideals; the reverse can fail
     for name, A in corpus_tables.items():
@@ -120,15 +126,6 @@ def test_opens_form_topology(corpus_tables):
             opens = space.opens()
             assert 0 in opens and space.full in opens, name
             topology_closed(opens)
-
-
-def test_d_open_and_v_closed_are_complementary(small_tables):
-    for name, A in small_tables.items():
-        space = spec_enumerate(A)
-        for a in A.elements:
-            d = space.d_open(a)
-            v = space.v_closed([a])
-            assert d & v == 0 and d | v == space.full, name
 
 
 def test_basis_generates_opens(small_tables):
@@ -185,7 +182,7 @@ def test_induced_map_preimages():
     f = induced_map(h, "spec")
     src, dst = spec_enumerate(B), spec_enumerate(A)
     for i in range(src.npoints):
-        j = f.apply(i)
+        j = f.point_map[i]
         assert 0 <= j < dst.npoints
     # preimage of an open is an open
     for u in dst.opens():
@@ -195,9 +192,9 @@ def test_induced_map_preimages():
 
 def test_induced_identity_is_identity():
     A = corpus.get("chain4")
-    f = induced_map(identity_hom(A), "spec")
+    f = induced_map(Homomorphism(A, A, tuple(A.elements)), "spec")
     space = spec_enumerate(A)
-    assert all(f.apply(i) == i for i in range(space.npoints))
+    assert f.point_map == tuple(range(space.npoints))
 
 
 FROZEN_DIMS = {
@@ -250,7 +247,9 @@ def test_localization_homeo_small(corpus_tables):
             for _ in range(A.size + 1):
                 p = A.mul[p][a]
                 powers |= 1 << p
-            assert localization_homeo_check(A, saturate(A, powers)), (name, a)
+            for kind in ("spec", "sp"):
+                rep = localization_point_report(A, saturate(A, powers), kind)
+                assert rep["pass"], (name, a, kind)
 
 
 def test_hardening_sp_homeo_all(corpus_tables):
@@ -264,10 +263,14 @@ def test_nat_model():
     sp = NatSpectrumModel(200, "sp")
     assert spec.dimension() == 2
     assert sp.dimension() == 1
-    assert spec.basis_invariants_ok() and sp.basis_invariants_ok()
-    full = (1 << spec.npoints) - 1
-    assert spec.d_open(1) == full
-    assert spec.d_open(0) == 0
+    for model in (spec, sp):
+        # D(n) holds the zero prime and the primes not dividing n, and
+        # never the maximal point once n >= 2
+        assert model.d_open(0) == 0
+        assert model.d_open(1) == (1 << model.npoints) - 1
+        for n in range(2, 201):
+            want = 1 | sum(1 << (i + 1) for i, p in enumerate(model.primes) if n % p)
+            assert model.d_open(n) == want, (model.kind, n)
     report = nat_model_verify(bound=200)
     assert report["pass"]
 
