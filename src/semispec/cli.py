@@ -21,7 +21,6 @@ from typing import List, Optional
 
 from . import accept, corpus
 from .errors import (
-    FormatError,
     PreconditionError,
     SemispecError,
     UnknownNameError,
@@ -30,6 +29,7 @@ from .errors import (
 from .kernel import (
     FiniteSemiring,
     load_semiring,
+    read_json_object,
     semiring_from_dict,
     semiring_to_dict,
     verify_axioms,
@@ -87,13 +87,7 @@ def _parse_element(A: FiniteSemiring, token: str) -> int:
 
 
 def cmd_load(args: argparse.Namespace) -> int:
-    with open(args.path, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{args.path}: {exc}") from exc
-    if not isinstance(d, dict):
-        raise FormatError(f"{args.path}: top level must be an object")
+    d = read_json_object(args.path)
     if "gens" in d:
         pres = presentation_from_json(d)
         table, _classes = finite_quotient(

@@ -309,15 +309,21 @@ def semiring_to_dict(A: FiniteSemiring) -> Dict:
     return d
 
 
-def load_semiring(path: str) -> FiniteSemiring:
+def read_json_object(path: str) -> Dict:
+    """The JSON object in the file at path; FormatError when the file cannot
+    be read, is not JSON or holds something other than an object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             d = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read semiring from {path}: {exc}") from exc
+        raise FormatError(f"cannot read {path}: {exc}") from exc
     if not isinstance(d, dict):
         raise FormatError(f"{path}: top level must be an object")
-    return semiring_from_dict(d)
+    return d
+
+
+def load_semiring(path: str) -> FiniteSemiring:
+    return semiring_from_dict(read_json_object(path))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import FormatError, InternalCheckError, PreconditionError, ResourceError
@@ -63,10 +65,6 @@ def term_mul(s: Term, t: Term) -> Term:
             for m2, c2 in t
         ]
     )
-
-
-def term_scale(m: Mono, c: int, t: Term) -> Term:
-    return term_from_items([(tuple(a + b for a, b in zip(m, mm)), c * cc) for mm, cc in t])
 
 
 _MONO_RE = re.compile(r"^(?P<var>[a-zA-Z]\w*)(?:\^(?P<exp>\d+))?$")
@@ -177,13 +175,14 @@ class Bound:
         return Bound(nodes=env_int("SEMISPEC_CONGRUENCE_NODES", Bound.nodes))
 
 
-def monomials(nvars: int, degree: int) -> List[Mono]:
+@lru_cache(maxsize=None)
+def monomials(nvars: int, degree: int) -> Tuple[Mono, ...]:
     """Every monomial of total degree at most `degree`, in lexicographic order."""
     if nvars == 0:
-        return [()]
-    return [
+        return ((),)
+    return tuple(
         (k,) + rest for k in range(degree + 1) for rest in monomials(nvars - 1, degree - k)
-    ]
+    )
 
 
 def term_within(t: Term, bound: Bound) -> bool:
@@ -200,7 +199,7 @@ Move = Tuple[int, int, Mono]  # relation index, direction (0: L->R, 1: R->L), mu
 class Answer:
     verdict: str  # "yes" | "no-at-bound"
     bound: Bound
-    chain: Optional[List[Term]] = None
+    chain: Optional[List[Term]] = None  # one rewrite per step; a tree path, not the shortest
 
     @property
     def is_yes(self) -> bool:
@@ -208,7 +207,14 @@ class Answer:
 
 
 class CongruenceIndex:
-    """Union-find over the rewrite-reachable bounded universe."""
+    """The rewrite-reachable bounded universe, as one exploration tree per
+    component.
+
+    Every term records (root, previous term, move) when an explore first
+    reaches it. Every move has its reverse and an explore runs until its
+    queue empties or the node budget stops all further search, so no later
+    explore can reach an earlier tree: two terms are congruent at the bound
+    exactly when they share a root."""
 
     def __init__(self, pres: Presentation, bound: Optional[Bound] = None):
         self.pres = pres
@@ -217,125 +223,106 @@ class CongruenceIndex:
         for l, r in self.rels:
             if not (term_within(l, self.bound) and term_within(r, self.bound)):
                 raise PreconditionError("relation exceeds the size bound")
-        self._parent: Dict[Term, Term] = {}
+        self._tree: Dict[Term, Tuple[Term, Optional[Term], Optional[Move]]] = {}
         self._explored: Set[Term] = set()
-        self._nodes = 0
-        # multipliers for the relations with a side 0; see _neighbors
-        self._all_monos = (
-            monomials(pres.nvars, self.bound.degree)
-            if any(not l or not r for l, r in self.rels) else []
-        )
         self.budget_exhausted = False
 
-    # union-find ------------------------------------------------------------
-    def _find(self, t: Term) -> Term:
-        root = t
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[t] != root:  # path halving
-            self._parent[t], t = root, self._parent[t]
-        return root
-
-    def _union(self, s: Term, t: Term) -> None:
-        rs, rt = self._find(s), self._find(t)
-        if rs != rt:
-            self._parent[rs] = rt
-
-    def _register(self, t: Term) -> None:
-        if t not in self._parent:
-            self._parent[t] = t
-            self._nodes += 1
-
     # rewriting --------------------------------------------------------------
-    def _contains(self, t: Term, pattern: Term) -> bool:
-        td = dict(t)
-        return all(td.get(m, 0) >= c for m, c in pattern)
+    def _step(self, t: Term, move: Move) -> Optional[Term]:
+        """t - m*src + m*dst, or None when m*src is not in t or the result
+        leaves the bound (t itself is within it)."""
+        ridx, direction, mult = move
+        src, dst = self.rels[ridx][direction], self.rels[ridx][1 - direction]
+        acc = dict(t)
+        for m, c in src:
+            key = tuple(map(add, m, mult))
+            left = acc.get(key, 0) - c
+            if left < 0:
+                return None
+            if left:
+                acc[key] = left
+            else:
+                del acc[key]
+        for m, c in dst:
+            key = tuple(map(add, m, mult))
+            acc[key] = acc.get(key, 0) + c
+            if acc[key] > self.bound.coeff or sum(key) > self.bound.degree:
+                return None
+        return tuple(sorted(acc.items()))
 
     def _neighbors(self, t: Term) -> Iterator[Tuple[Term, Move]]:
-        td = dict(t)
-        nv = self.pres.nvars
-        for ridx, (l, r) in enumerate(self.rels):
-            for direction, (src, dst) in enumerate(((l, r), (r, l))):
-                if not src:
+        for ridx, rel in enumerate(self.rels):
+            for direction, src in enumerate(rel):
+                if src:
+                    # m*src lies in t only if m times its first monomial does
+                    m0 = src[0][0]
+                    mults = sorted({
+                        tuple(a - b for a, b in zip(m, m0))
+                        for m, _c in t
+                        if all(a >= b for a, b in zip(m, m0))
+                    })
+                else:
                     # l ~ 0 gives m*l ~ 0, so t ~ t + m*l for every monomial m
-                    for mult in self._all_monos:
-                        result = term_add(t, term_scale(mult, 1, dst))
-                        if term_within(result, self.bound):
-                            yield result, (ridx, direction, mult)
-                    continue
-                m0, _ = src[0]
-                # candidate multipliers come from monomials of t over m0
-                cands = set()
-                for m, _c in t:
-                    if all(a >= b for a, b in zip(m, m0)):
-                        cands.add(tuple(a - b for a, b in zip(m, m0)))
-                for mult in sorted(cands):
-                    shifted_src = term_scale(mult, 1, src)
-                    if not self._contains(t, shifted_src):
-                        continue
-                    rest = term_from_items(
-                        [(m, td.get(m, 0) - dict(shifted_src).get(m, 0)) for m in td]
-                    )
-                    result = term_add(rest, term_scale(mult, 1, dst))
-                    if term_within(result, self.bound):
-                        yield result, (ridx, direction, mult)
+                    mults = monomials(self.pres.nvars, self.bound.degree)
+                for mult in mults:
+                    move = (ridx, direction, mult)
+                    nxt = self._step(t, move)
+                    if nxt is not None:
+                        yield nxt, move
 
     def explore(self, seed: Term) -> None:
         """Grow the universe by everything rewrite-reachable from the seed."""
-        if not term_within(seed, self.bound):
-            raise PreconditionError("seed exceeds the size bound")
         if seed in self._explored:
             return
-        self._register(seed)
+        if not term_within(seed, self.bound):
+            raise PreconditionError("seed exceeds the size bound")
+        tree = self._tree
+        root = tree.setdefault(seed, (seed, None, None))[0]
         queue = deque([seed])
         while queue:
             cur = queue.popleft()
             if cur in self._explored:
                 continue
             self._explored.add(cur)
-            if self._nodes > self.bound.nodes:
+            if len(tree) > self.bound.nodes:
                 self.budget_exhausted = True
                 return
-            for nxt, _move in self._neighbors(cur):
-                self._register(nxt)
-                self._union(cur, nxt)
-                if nxt not in self._explored:
+            for nxt, move in self._neighbors(cur):
+                if nxt not in tree:
+                    tree[nxt] = (root, cur, move)
                     queue.append(nxt)
+
+    def root(self, t: Term) -> Term:
+        """The first term of t's component, after exploring from t."""
+        self.explore(t)
+        return self._tree[t][0]
 
     # queries ----------------------------------------------------------------
     def congruent(self, s: Term, t: Term) -> Answer:
-        self.explore(s)
-        self.explore(t)
-        if self._find(s) != self._find(t):
+        if self.root(s) != self.root(t):
             return Answer("no-at-bound", self.bound)
-        chain = self._path(s, t)
-        self._verify_chain(chain)
-        return Answer("yes", self.bound, chain)
+        return Answer("yes", self.bound, self._chain(s, t))
 
-    def _path(self, s: Term, t: Term) -> List[Term]:
-        """Shortest rewrite path inside the explored region."""
-        if s == t:
-            return [s]
-        prev: Dict[Term, Term] = {s: s}
-        queue = deque([s])
-        while queue:
-            cur = queue.popleft()
-            for nxt, _move in self._neighbors(cur):
-                if nxt in prev or nxt not in self._parent:
-                    continue
-                prev[nxt] = cur
-                if nxt == t:
-                    path = [t]
-                    while path[-1] != s:
-                        path.append(prev[path[-1]])
-                    return list(reversed(path))
-                queue.append(nxt)
-        raise InternalCheckError("connected terms admit no replay path")
-
-    def _verify_chain(self, chain: List[Term]) -> None:
-        for a, b in zip(chain, chain[1:]):
-            if all(nxt != b for nxt, _m in self._neighbors(a)):
+    def _chain(self, s: Term, t: Term) -> List[Term]:
+        """The tree path from s to t through their lowest common ancestor,
+        not necessarily the shortest rewrite path. Each step is replayed
+        from its recorded move before the chain is returned."""
+        up_s, up_t = self._ancestors(s), self._ancestors(t)
+        while len(up_s) > 1 and len(up_t) > 1 and up_s[-2] == up_t[-2]:
+            up_s.pop()
+            up_t.pop()
+        for child in up_s[:-1] + up_t[:-1]:
+            _root, prev, move = self._tree[child]
+            if self._step(prev, move) != child:
                 raise InternalCheckError("replay chain contains an illegal step")
+        return up_s + up_t[-2::-1]
+
+    def _ancestors(self, t: Term) -> List[Term]:
+        """t, its previous term, and so on up to its root."""
+        path = [t]
+        while self._tree[path[-1]][1] is not None:
+            path.append(self._tree[path[-1]][1])
+        return path
 
 
 def build_index(pres: Presentation, bound: Optional[Bound] = None) -> CongruenceIndex:
@@ -418,28 +405,34 @@ def finite_quotient(
             )
 
     reps: List[Term] = []
+    by_root: Dict[Term, int] = {}  # component root -> class
     cls: Dict[Term, int] = {}
-    for t in terms:
-        for i, r in enumerate(reps):
-            if idx.congruent(t, r).is_yes:
-                cls[t] = i
-                break
-        else:
-            cls[t] = len(reps)
-            reps.append(t)
+
+    def class_of(t: Term) -> Optional[int]:
+        """The class of t's component, with t's chain to its representative
+        replayed, or None for a component no enumerated term reached.
+        Refuses once the budget ran out, before any axiom check of the
+        tables can run."""
+        i = by_root.get(idx.root(t))
         check_budget()
+        if i is not None:
+            idx.congruent(t, reps[i])
+        return i
+
+    for t in terms:
+        i = class_of(t)
+        if i is None:
+            i = by_root[idx.root(t)] = len(reps)
+            reps.append(t)
+        cls[t] = i
 
     def classify(t: Term) -> Term:
-        """Representative of t's class; refuses once the budget ran out,
-        before any axiom check of the tables can run."""
-        if t in cls:
-            return reps[cls[t]]
-        for r in reps:
-            if term_within(t, idx.bound) and idx.congruent(t, r).is_yes:
-                check_budget()
-                return r
-        check_budget()
-        raise PreconditionError("operation leaves the enumerated classes")
+        i = cls.get(t)
+        if i is None and term_within(t, idx.bound):
+            i = class_of(t)
+        if i is None:
+            raise PreconditionError("operation leaves the enumerated classes")
+        return reps[i]
 
     table = tabulate(
         reps,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import InternalCheckError, PreconditionError, ResourceError
 from . import corpus
@@ -287,12 +287,11 @@ def hardening_sp_homeo_check(A: FiniteSemiring) -> bool:
 
 def dimension_of_opens(npoints: int, opens: Sequence[int]) -> int:
     """Length of the longest strict chain of irreducible closed sets, the
-    irreducibles enumerated exhaustively; cross-checked against longest
-    chains of point closures."""
+    irreducibles enumerated exhaustively; cross-checked against the point
+    closures, which on a finite space are exactly the irreducibles."""
     full = (1 << npoints) - 1
     closeds = sorted({full ^ o for o in opens}, key=popcount)
-    cset = set(closeds)
-    irr: List[int] = []
+    irr: Set[int] = set()
     for C in closeds:
         if C == 0:
             continue
@@ -301,38 +300,21 @@ def dimension_of_opens(npoints: int, opens: Sequence[int]) -> int:
             F1 | F2 == C for i, F1 in enumerate(proper) for F2 in proper[i:]
         )
         if not reducible:
-            irr.append(C)
-    # longest chain in the containment order on irreducibles
-    irr.sort(key=popcount)
-    best: Dict[int, int] = {}
-    for i, C in enumerate(irr):
-        best[C] = 0
-        for D in irr[:i]:
-            if D != C and D | C == C and best[D] + 1 > best[C]:
-                best[C] = best[D] + 1
-    dim = max(best.values(), default=0)
-    # cross-check: point closures are irreducible and, on finite spaces,
-    # exhaust the irreducibles
-    closures = []
+            irr.add(C)
+    closures = set()
     for i in range(npoints):
         cl = full
         for F in closeds:
             if (F >> i) & 1:
                 cl &= F
-        if cl not in cset:
-            raise InternalCheckError("point closure is not closed")
-        closures.append(cl)
-    uniq = sorted(set(closures), key=popcount)
-    chain: Dict[int, int] = {}
-    for i, C in enumerate(uniq):
-        chain[C] = 0
-        for D in uniq[:i]:
-            if D != C and D | C == C and chain[D] + 1 > chain[C]:
-                chain[C] = chain[D] + 1
-    dim_chain = max(chain.values(), default=0)
-    if dim != dim_chain:
-        raise InternalCheckError("irreducible-closed dimension disagrees with chains")
-    return dim
+        closures.add(cl)
+    if irr != closures:
+        raise InternalCheckError("irreducible closed sets are not the point closures")
+    # longest chain in the containment order on irreducibles
+    best: Dict[int, int] = {}
+    for C in sorted(irr, key=popcount):
+        best[C] = max((best[D] + 1 for D in best if D != C and D | C == C), default=0)
+    return max(best.values(), default=0)
 
 
 def dimension(space: SpectrumSpace) -> int:

@@ -1,9 +1,16 @@
 """Finitely presented quotients and the bounded congruence search."""
 
+import itertools
+
 import pytest
 
 from semispec import corpus
-from semispec.errors import FormatError, PreconditionError, ResourceError
+from semispec.errors import (
+    FormatError,
+    InternalCheckError,
+    PreconditionError,
+    ResourceError,
+)
 from semispec.kernel import find_iso, verify_axioms
 from semispec.presented import (
     Bound,
@@ -20,7 +27,6 @@ from semispec.presented import (
     presentation_from_json,
     term_add,
     term_mul,
-    term_scale,
     var_term,
 )
 
@@ -54,12 +60,6 @@ def test_term_arithmetic_matches_dict_model():
             key = tuple(u + v for u, v in zip(m1, m2))
             wantp[key] = wantp.get(key, 0) + c1 * c2
     assert dict_of(p) == {m: c for m, c in wantp.items() if c}
-
-
-def test_term_scale():
-    gens = ("x",)
-    t = parse_term("1+x", gens)
-    assert dict_of(term_scale((2,), 3, t)) == {(2,): 3, (3,): 3}
 
 
 def test_var_and_one():
@@ -100,6 +100,19 @@ def test_idempotent_flag_gives_add_collapse():
     g = pres.gens
     assert congruent(idx, parse_term("1+1", g), parse_term("1", g)).is_yes
     assert congruent(idx, parse_term("x+x", g), parse_term("x", g)).is_yes
+
+
+def test_tampered_move_fails_the_replay():
+    pres = idem_square_presentation()
+    idx = CongruenceIndex(pres, Bound(degree=3, coeff=3))
+    g = pres.gens
+    x, x3 = parse_term("x", g), parse_term("x^3", g)
+    assert congruent(idx, x, x3).is_yes
+    root, prev, (ridx, direction, mult) = idx._tree[x3]
+    assert root == x and prev is not None
+    idx._tree[x3] = (root, prev, (ridx, 1 - direction, mult))
+    with pytest.raises(InternalCheckError):
+        congruent(idx, x, x3)
 
 
 def test_finite_quotient_recovers_known_table():
@@ -156,6 +169,70 @@ def test_relation_to_zero_rewrites_both_ways():
     # N[x]/(x^2) is infinite: 2+2 has no enumerated class
     with pytest.raises(PreconditionError):
         finite_quotient(presentation_from_json(SQUARE_ZERO), degree=2, coeff=2)
+
+
+def bounded_terms(nvars, bound):
+    """Every term within the bound, as sorted (monomial, coefficient) pairs."""
+    monos = [
+        m for m in itertools.product(range(bound.degree + 1), repeat=nvars)
+        if sum(m) <= bound.degree
+    ]
+    for coeffs in itertools.product(range(bound.coeff + 1), repeat=len(monos)):
+        yield tuple(sorted((m, c) for m, c in zip(monos, coeffs) if c))
+
+
+def one_rewrite_apart(t, pres, bound):
+    """Every bounded t - m*src + m*dst, for each relation side src -> dst and
+    every monomial m, written without the index's rewriting."""
+    monos = [
+        m for m in itertools.product(range(bound.degree + 1), repeat=pres.nvars)
+        if sum(m) <= bound.degree
+    ]
+    for l, r in pres.all_rels():
+        for src, dst in ((l, r), (r, l)):
+            for m in monos:
+                d = dict(t)
+                for mono, c in src:
+                    key = tuple(a + b for a, b in zip(mono, m))
+                    d[key] = d.get(key, 0) - c
+                if any(c < 0 for c in d.values()):
+                    continue
+                for mono, c in dst:
+                    key = tuple(a + b for a, b in zip(mono, m))
+                    d[key] = d.get(key, 0) + c
+                if all(sum(k) <= bound.degree and c <= bound.coeff for k, c in d.items() if c):
+                    yield tuple(sorted((k, c) for k, c in d.items() if c))
+
+
+@pytest.mark.parametrize("data, bound", [
+    ({"gens": ["x"], "rels": [["x*x", "x"]], "idempotent": True}, Bound(degree=3, coeff=3)),
+    ({**SQUARE_ZERO, "idempotent": True}, Bound(degree=2, coeff=2)),
+    (ZERO_PRODUCT, Bound(degree=2, coeff=1)),
+], ids=["idem-square", "idem-square-zero", "zero-product"])
+def test_congruent_matches_components_of_all_bounded_terms(data, bound):
+    pres = presentation_from_json(data)
+    terms = list(bounded_terms(pres.nvars, bound))
+    edges = {t: set(one_rewrite_apart(t, pres, bound)) for t in terms}
+    component = {}
+    for start in terms:
+        if start in component:
+            continue
+        component[start] = start
+        frontier = [start]
+        while frontier:
+            for nxt in edges[frontier.pop()]:
+                if nxt not in component:
+                    component[nxt] = start
+                    frontier.append(nxt)
+    assert len(set(component.values())) > 1
+    idx = CongruenceIndex(pres, bound)
+    for i, s in enumerate(terms):
+        for t in terms[i:]:
+            a = congruent(idx, s, t)
+            assert a.is_yes == (component[s] == component[t]), (s, t)
+            if a.is_yes:
+                assert a.chain[0] == s and a.chain[-1] == t
+                assert all(b in edges[c] for c, b in zip(a.chain, a.chain[1:]))
 
 
 def test_relation_exceeding_bound_refused():

@@ -10,13 +10,14 @@ from conftest import (
     brute_subtractive_prime_masks,
 )
 from semispec import corpus
-from semispec.errors import FormatError, PreconditionError
+from semispec.errors import FormatError, InternalCheckError, PreconditionError
 from semispec.ideals import nat_point_not_subtractive, nat_point_prime_check
 from semispec.kernel import Homomorphism
 from semispec.spectra import (
     NatSpectrumModel,
     cover_check,
     dimension,
+    dimension_of_opens,
     enumerate_space,
     hardening_sp_homeo_check,
     induced_map,
@@ -229,6 +230,14 @@ def test_dimension_of_opens_brute(small_tables):
                     break
             best = max(best, length)
         assert dimension(space) == best - 1, name
+
+
+def test_dimension_of_opens_refuses_a_non_topology():
+    # {0,1} and {0,2} are open but their meet {0} is not: the closed point
+    # sets {0}, {1}, {2} and the whole space {0,1,2} are irreducible, while
+    # the point closures are only the three singletons
+    with pytest.raises(InternalCheckError):
+        dimension_of_opens(3, [0, 3, 5, 6, 7])
 
 
 def test_localization_point_report():
