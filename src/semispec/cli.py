@@ -223,9 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="semispec",
         description="Finite commutative semirings: spectra, sheaves, "
         "hardening, and submodule-lattice valuations.",
-        epilog="Environment: SEMISPEC_WORKSPACE (registry directory), "
-        "SEMISPEC_CONGRUENCE_NODES (word-problem node budget), "
-        "SEMISPEC_SPECTRUM_LIMIT (exhaustive enumeration cap).",
+        epilog="Environment: SEMISPEC_WORKSPACE (registry directory).",
     )
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -7,7 +7,6 @@ tables; subsets are int bitmasks. All enumeration orders are deterministic.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -15,17 +14,6 @@ from . import _purecore as core
 from .errors import FormatError, InternalCheckError, PreconditionError, ResourceError
 
 MAX_SIZE = 64
-
-
-def env_int(name: str, default: int) -> int:
-    """An integer setting from the environment, default when unset."""
-    text = os.environ.get(name)
-    if text is None:
-        return default
-    try:
-        return int(text)
-    except ValueError:
-        raise FormatError(f"{name} must be an integer, not {text!r}") from None
 
 
 # ---------------------------------------------------------------------------

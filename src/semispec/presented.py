@@ -25,7 +25,7 @@ from operator import add
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import FormatError, InternalCheckError, PreconditionError, ResourceError
-from .kernel import FiniteSemiring, env_int, tabulate
+from .kernel import FiniteSemiring, tabulate
 
 Mono = Tuple[int, ...]
 Term = Tuple[Tuple[Mono, int], ...]  # sorted by monomial, coefficients >= 1
@@ -168,12 +168,6 @@ class Bound:
     coeff: int = 6
     nodes: int = 200000
 
-    @staticmethod
-    def from_env() -> "Bound":
-        """The default bound, with SEMISPEC_CONGRUENCE_NODES as its node
-        budget when set."""
-        return Bound(nodes=env_int("SEMISPEC_CONGRUENCE_NODES", Bound.nodes))
-
 
 @lru_cache(maxsize=None)
 def monomials(nvars: int, degree: int) -> Tuple[Mono, ...]:
@@ -193,6 +187,7 @@ def term_within(t: Term, bound: Bound) -> bool:
 # congruence index
 
 Move = Tuple[int, int, Mono]  # relation index, direction (0: L->R, 1: R->L), multiplier
+Record = Tuple[Term, Optional[Term], Optional[Move]]  # root, previous term, move
 
 
 @dataclass
@@ -218,13 +213,14 @@ class CongruenceIndex:
 
     def __init__(self, pres: Presentation, bound: Optional[Bound] = None):
         self.pres = pres
-        self.bound = bound or Bound.from_env()
+        self.bound = bound or Bound()
         self.rels = pres.all_rels()
         for l, r in self.rels:
             if not (term_within(l, self.bound) and term_within(r, self.bound)):
                 raise PreconditionError("relation exceeds the size bound")
-        self._tree: Dict[Term, Tuple[Term, Optional[Term], Optional[Move]]] = {}
+        self._tree: Dict[Term, Record] = {}
         self._explored: Set[Term] = set()
+        self._replayed: Set[Tuple[Term, Record]] = set()
         self.budget_exhausted = False
 
     # rewriting --------------------------------------------------------------
@@ -306,15 +302,20 @@ class CongruenceIndex:
     def _chain(self, s: Term, t: Term) -> List[Term]:
         """The tree path from s to t through their lowest common ancestor,
         not necessarily the shortest rewrite path. Each step is replayed
-        from its recorded move before the chain is returned."""
+        from its recorded move before the chain is returned, once per
+        (term, record) pair: a record that changes is replayed again."""
         up_s, up_t = self._ancestors(s), self._ancestors(t)
         while len(up_s) > 1 and len(up_t) > 1 and up_s[-2] == up_t[-2]:
             up_s.pop()
             up_t.pop()
         for child in up_s[:-1] + up_t[:-1]:
-            _root, prev, move = self._tree[child]
+            edge = (child, self._tree[child])
+            if edge in self._replayed:
+                continue
+            _root, prev, move = edge[1]
             if self._step(prev, move) != child:
                 raise InternalCheckError("replay chain contains an illegal step")
+            self._replayed.add(edge)
         return up_s + up_t[-2::-1]
 
     def _ancestors(self, t: Term) -> List[Term]:
@@ -378,9 +379,7 @@ def finite_quotient(
     up. If even that region exhausts the node budget the partition would
     be untrustworthy, so the call refuses instead of returning tables."""
     if bound is None:
-        bound = Bound(
-            degree=2 * degree, coeff=2 * coeff, nodes=Bound.from_env().nodes
-        )
+        bound = Bound(degree=2 * degree, coeff=2 * coeff)
     idx = CongruenceIndex(pres, bound)
     nv = pres.nvars
     monos = monomials(nv, degree)

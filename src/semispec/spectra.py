@@ -33,23 +33,16 @@ from .ideals import (
     subtractive_closure,
 )
 from .kernel import (
+    MAX_SIZE,
     FiniteSemiring,
     Homomorphism,
     bits,
     enumerate_homs,
-    env_int,
     is_idempotent,
     joins,
     mask_of,
     popcount,
 )
-
-
-def _spectrum_limit() -> int:
-    return env_int("SEMISPEC_SPECTRUM_LIMIT", 16)
-
-
-_HOM_ROUTE_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -108,41 +101,31 @@ def _sp_masks_via_homs(A: FiniteSemiring) -> List[int]:
     return sorted({h.kernel_mask() for h in enumerate_homs(A, B2)})
 
 
+def _ideals(A: FiniteSemiring) -> List[IdealHandle]:
+    """The ideal lattice that both spectra filter. A derived table (a
+    module semiring, say) may exceed the table cap; it is refused, and so
+    is a lattice of more than `ideals._IDEAL_CAP` ideals."""
+    if A.size > MAX_SIZE:
+        raise ResourceError(f"{A.label}: size {A.size} over the table cap {MAX_SIZE}")
+    return all_ideals(A)
+
+
 def spec_enumerate(A: FiniteSemiring) -> SpectrumSpace:
     """All prime ideals, found by filtering the ideal lattice."""
-    if A.size > _spectrum_limit():
-        raise ResourceError(f"{A.label}: size {A.size} over spectrum limit")
-    pts = [I.mask for I in all_ideals(A) if is_prime(I)]
+    pts = [I.mask for I in _ideals(A) if is_prime(I)]
     return _build_space(A, "spec", pts)
 
 
 def sp_enumerate(A: FiniteSemiring) -> SpectrumSpace:
-    """All subtractive prime ideals (prime kernels).
-
-    Below the spectrum size limit the ideal lattice is filtered directly,
-    and for idempotent semirings the result is cross-checked against the
-    kernels of all boolean-valued homomorphisms. Idempotent semirings up to
-    64 elements use the kernel route alone, with every kernel re-verified
-    pointwise as a subtractive prime.
-    """
-    if A.size <= _spectrum_limit():
-        pts = [
-            I.mask for I in all_ideals(A) if is_prime(I) and is_subtractive(I)
-        ]
-        if is_idempotent(A):
-            via_homs = _sp_masks_via_homs(A)
-            if via_homs != sorted(pts):
-                raise InternalCheckError(
-                    f"{A.label}: hom kernels disagree with subtractive primes"
-                )
-        return _build_space(A, "sp", pts)
-    if not is_idempotent(A) or A.size > _HOM_ROUTE_LIMIT:
-        raise ResourceError(f"{A.label}: size {A.size} over spectrum limit")
-    pts = _sp_masks_via_homs(A)
-    for m in pts:
-        h = IdealHandle(A, m)
-        if not h.is_proper() or not is_prime(h) or not is_subtractive(h):
-            raise InternalCheckError(f"{A.label}: hom kernel fails the point check")
+    """All subtractive prime ideals (prime kernels), found by filtering
+    the ideal lattice. For idempotent semirings the points are
+    cross-checked against the kernels of all homomorphisms into the
+    two-element semiring, which must be exactly the same masks."""
+    pts = [I.mask for I in _ideals(A) if is_prime(I) and is_subtractive(I)]
+    if is_idempotent(A) and _sp_masks_via_homs(A) != sorted(pts):
+        raise InternalCheckError(
+            f"{A.label}: hom kernels disagree with subtractive primes"
+        )
     return _build_space(A, "sp", pts)
 
 

@@ -28,7 +28,7 @@ from .kernel import (
     powers,
     tabulate,
 )
-from .ideals import _module_sum, closed_sets
+from .ideals import _MODULE_CAP, _module_sum, closed_sets
 from .localize import _powers_mask, localize
 from .spectra import sp_enumerate, spec_enumerate
 from . import corpus
@@ -179,12 +179,11 @@ def build_mra(
     A: FiniteSemiring,
     scalars: Optional[FiniteSemiring] = None,
     iota: Optional[Homomorphism] = None,
-    limit: int = 256,
 ) -> SubmoduleLattice:
     """The idempotent semiring of all scalar-stable submodules of A, with
     elementwise sum as addition and generated-product as multiplication.
 
-    Raises ResourceError once more than limit modules are found."""
+    Raises ResourceError once more than `ideals._MODULE_CAP` modules are found."""
     scalars, iota = _default_scalars(A, scalars, iota)
     if A.size > 16:
         raise ResourceError(
@@ -196,7 +195,7 @@ def build_mra(
     def close(seed: int) -> int:
         return core.closure_mask(A.size, A.add, A.mul, seed | zero_bit, scal)
 
-    cyclic_masks, found = closed_sets(A, close, limit)
+    cyclic_masks, found = closed_sets(A, close, _MODULE_CAP)
     modules = sorted(found)
 
     def product_module(m1: int, m2: int) -> int:

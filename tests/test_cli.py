@@ -108,15 +108,47 @@ def test_presentation_with_relation_to_zero(ws, capsys):
     assert cli.main(["load", str(pres), "--name", "q"]) == 5
 
 
-def test_presentation_budget_exit_code(ws, monkeypatch, capsys):
-    monkeypatch.setenv("SEMISPEC_CONGRUENCE_NODES", "3000")
+def test_presentation_enumeration_bound_exit_code(ws, capsys):
+    # 11^11 candidate terms: refused before any congruence search
     pres = ws / "pres.json"
     pres.write_text(json.dumps(
         {"gens": ["x"], "rels": [["x*x", "x"]], "idempotent": True}
     ))
-    code = cli.main(["load", str(pres), "--name", "q", "--degree", "4",
-                     "--coeff", "4"])
+    code = cli.main(["load", str(pres), "--name", "q", "--degree", "10",
+                     "--coeff", "10"])
     assert code == 8
+    assert "enumeration bound" in capsys.readouterr().err
+
+
+class _RecordingEnviron(dict):
+    """A copy of the environment that remembers every name looked up."""
+
+    def __init__(self, env):
+        super().__init__(env)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def test_spectra_of_a_32_element_table(ws, monkeypatch, capsys):
+    A = corpus.product_semiring(corpus.get("z4"), corpus.get("satnat8"), "z4*satnat8")
+    path = ws / "big.json"
+    path.write_text(json.dumps(semiring_to_dict(A)))
+    env = _RecordingEnviron(os.environ)
+    monkeypatch.setattr(os, "environ", env)
+    assert cli.main(["load", str(path), "--name", "big"]) == 0
+    assert cli.main(["spec", "big"]) == 0
+    assert cli.main(["sp", "big"]) == 0
+    out = capsys.readouterr().out
+    assert "3 prime ideals" in out and "2 prime kernels" in out
+    # the workspace is the only setting read from the environment
+    assert {k for k in env.read if k.startswith("SEMISPEC_")} == {"SEMISPEC_WORKSPACE"}
 
 
 def test_topology_json(ws, capsys):

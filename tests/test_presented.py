@@ -5,12 +5,7 @@ import itertools
 import pytest
 
 from semispec import corpus
-from semispec.errors import (
-    FormatError,
-    InternalCheckError,
-    PreconditionError,
-    ResourceError,
-)
+from semispec.errors import InternalCheckError, PreconditionError, ResourceError
 from semispec.kernel import find_iso, verify_axioms
 from semispec.presented import (
     Bound,
@@ -259,14 +254,3 @@ def test_localized_images_unknown_generator():
     pres = counterexample_presentation()
     with pytest.raises(PreconditionError):
         localized_images_equal(pres, one_term(2), one_term(2), "z")
-
-
-def test_bound_from_env(monkeypatch):
-    # only the node budget is configurable; degree and coefficient caps
-    # are the defaults
-    monkeypatch.setenv("SEMISPEC_CONGRUENCE_NODES", "777")
-    b = Bound.from_env()
-    assert (b.degree, b.coeff, b.nodes) == (6, 6, 777)
-    monkeypatch.setenv("SEMISPEC_CONGRUENCE_NODES", "7e2")
-    with pytest.raises(FormatError, match="SEMISPEC_CONGRUENCE_NODES"):
-        Bound.from_env()

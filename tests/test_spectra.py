@@ -9,8 +9,8 @@ from conftest import (
     brute_prime_kernel_masks,
     brute_subtractive_prime_masks,
 )
-from semispec import corpus
-from semispec.errors import FormatError, InternalCheckError, PreconditionError
+from semispec import corpus, ideals, spectra
+from semispec.errors import InternalCheckError, PreconditionError, ResourceError
 from semispec.ideals import nat_point_not_subtractive, nat_point_prime_check
 from semispec.kernel import Homomorphism
 from semispec.spectra import (
@@ -79,19 +79,45 @@ def test_sp_points_are_hom_kernels_when_idempotent(idempotent_tables):
         assert got == brute_prime_kernel_masks(A), name
 
 
-def test_sp_kernel_route_matches_lattice_filter(monkeypatch):
-    A = corpus.get("boolxy")
-    by_lattice = sp_enumerate(A).point_masks
-    monkeypatch.setenv("SEMISPEC_SPECTRUM_LIMIT", "8")
-    assert A.size > 8  # over the limit: hom kernels alone
-    assert sp_enumerate(A).point_masks == by_lattice
+def test_sp_cross_checks_hom_kernels(monkeypatch):
+    # a planted missing kernel must trip the cross-check, which is always on
+    real = spectra._sp_masks_via_homs
+    monkeypatch.setattr(spectra, "_sp_masks_via_homs", lambda A: real(A)[1:])
+    with pytest.raises(InternalCheckError, match="hom kernels"):
+        sp_enumerate(corpus.get("boolxy"))
 
 
-def test_spectrum_limit_must_be_an_integer(monkeypatch):
-    # a malformed limit is refused, not replaced by the default
-    monkeypatch.setenv("SEMISPEC_SPECTRUM_LIMIT", "3O")
-    with pytest.raises(FormatError, match="SEMISPEC_SPECTRUM_LIMIT"):
-        spec_enumerate(corpus.get("boolx"))
+@pytest.mark.parametrize(
+    "a, b, nspec, nsp",
+    [("satnat8", "satnat8", 4, 2), ("boolxy", "chain3", 14, 6)],
+)
+def test_spectra_of_large_products(a, b, nspec, nsp):
+    # one route at every table size up to the cap of 64 elements. The
+    # primes of A x B are exactly P x B and A x Q, and subtractive exactly
+    # when P or Q is, so the factors' spectra predict the points.
+    A, B = corpus.get(a), corpus.get(b)
+    AB = corpus.product_semiring(A, B, f"{a}*{b}")
+    assert AB.size in (48, 64)
+    for enum, npoints in ((spec_enumerate, nspec), (sp_enumerate, nsp)):
+        want = [
+            sum(1 << (x * B.size + y) for x in A.elements for y in B.elements
+                if (P >> x) & 1)
+            for P in enum(A).point_masks
+        ] + [
+            sum(1 << (x * B.size + y) for x in A.elements for y in B.elements
+                if (Q >> y) & 1)
+            for Q in enum(B).point_masks
+        ]
+        got = enum(AB).point_masks
+        assert len(got) == npoints
+        assert sorted(got) == sorted(want)
+
+
+def test_spectrum_refuses_a_lattice_over_the_ideal_cap(monkeypatch):
+    monkeypatch.setattr(ideals, "_IDEAL_CAP", 100)
+    A = corpus.product_semiring(corpus.get("boolxy"), corpus.get("boolx"), "bxy*bx")
+    with pytest.raises(ResourceError):
+        spec_enumerate(A)
 
 
 def test_sp_embeds_in_spec(corpus_tables):
