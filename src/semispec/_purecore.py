@@ -6,6 +6,7 @@ bitmasks over the elements.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 Table = Sequence[Sequence[int]]
@@ -249,21 +250,40 @@ def bx_mul(a: int, b: int) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
+def _bx_slices(kmax: int) -> Tuple[int, ...]:
+    """Slice k <= kmax has bit t < 2^kmax set exactly when the odd witness
+    u = 2t+1 has x^k: every bit for k = 0, else period 2^k, 2^(k-1) clear
+    bits then 2^(k-1) set."""
+    ones = (1 << (1 << kmax)) - 1
+    return (ones,) + tuple(
+        ones // ((1 << (1 << k)) - 1) * ((1 << (1 << (k - 1))) - 1 << (1 << (k - 1)))
+        for k in range(1, kmax + 1)
+    )
+
+
 def bx_witness_exhaustive(a: int, b: int, kmax: int) -> int:
     """Smallest witness u (encoded as a mask, constant bit set, deg<=kmax)
     with a*u == b*u, or -1. Fully exhaustive scan.
 
-    Products are built block by block: the u in [2^k, 2^(k+1)) are the
-    earlier u with bit k added, so a*u is an earlier product OR a<<k.
+    Every u is evaluated at once, bit-sliced: bit t of the integer at
+    position j of pa is bit j of a*u for u = 2t+1. Where a has x^i, the
+    slices of x^0..x^kmax are ORed in at positions i..i+kmax, so position
+    i is complete once row i is in; likewise pb for b.
     """
     if a == b:
         return 1
-    pa, pb = [0], [0]  # pa[u] = a*u for every u below the current block
-    for k in range(kmax + 1):
-        ak, bk = a << k, b << k
-        pa += [p | ak for p in pa]
-        pb += [p | bk for p in pb]
-        for u in range((1 << k) | 1, 2 << k, 2):
-            if pa[u] == pb[u]:
-                return u
-    return -1
+    slices = _bx_slices(kmax)
+    top = max(a, b).bit_length() + kmax
+    pa, pb = [0] * top, [0] * top
+    diff = 0  # bit t set once a*u and b*u differ
+    for i in range(top):
+        for p, x in ((pa, a), (pb, b)):
+            if x >> i & 1:
+                for k, s in enumerate(slices):
+                    p[i + k] |= s
+        diff |= pa[i] ^ pb[i]
+        if diff == slices[0]:
+            return -1
+    free = slices[0] & ~diff
+    return 2 * (free & -free).bit_length() - 1

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import corpus, poly
-from . import _purecore as core
 from .errors import ResourceError
 from .ideals import (
     all_ideals,
@@ -459,14 +458,18 @@ def _suite_witness_transitivity() -> Optional[str]:
             count += 1
     if count == 0:
         return "no submonoids visited"
-    # fraction side: u~v and v~w forces u~w on generated triples
+    # fraction side: u~v and v~w forces u~w on triples drawn independently
+    # from one hardening fiber (ord o, deg num - deg den = d), degrees <= 7
     rng = random.Random(99)
     for _ in range(200):
-        u = _random_bx_fraction(rng, 5)
-        c1 = rng.getrandbits(6) | 1
-        c2 = rng.getrandbits(6) | 1
-        v = BxFraction(core.bx_mul(u.num, c1), core.bx_mul(u.den, c1))
-        w = BxFraction(core.bx_mul(v.num, c2), core.bx_mul(v.den, c2))
+        o = rng.randrange(8)
+        d = rng.randrange(o - 7, 8)
+        fiber = []
+        for _ in range(3):
+            dd = rng.randrange(max(0, o - d), min(7, 7 - d) + 1)
+            num = (rng.getrandbits(dd + d + 1) | 1 << (dd + d)) >> o << o | 1 << o
+            fiber.append(BxFraction(num, rng.getrandbits(dd + 1) | 1 << dd | 1))
+        u, v, w = fiber
         if not (
             bx_witness_equal(u, v)
             and bx_witness_equal(v, w)

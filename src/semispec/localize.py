@@ -318,34 +318,23 @@ _EXHAUSTIVE_CAP = 14  # bx_witness_equal also scans exhaustively up to this boun
 def bx_witness_equal(u: BxFraction, v: BxFraction, bound: Optional[int] = None) -> bool:
     """Equality of fractions by bounded witness search.
 
-    Scans the complete separating family x^i*(1+x+...+x^k) for i,k <= bound
-    (complete: any witness with unit constant term forces equal (ord, deg),
-    and then the canonical family member is itself a witness). Whenever the
-    bound is at most 14 (_EXHAUSTIVE_CAP), a fully exhaustive scan over all
-    witnesses with unit constant term confirms the answer.
+    Scans the separating family e_k = 1+x+...+x^k for k <= bound (complete:
+    any witness with unit constant term forces equal (ord, deg), and then
+    some e_k is itself a witness). Whenever the bound is at most 14
+    (_EXHAUSTIVE_CAP), a fully exhaustive scan over all witnesses with unit
+    constant term confirms the answer.
     """
     a = core.bx_mul(u.num, v.den)
     b = core.bx_mul(v.num, u.den)
     if bound is None:
-        bound = 2 * max(
-            poly.bool_poly_deg(u.num),
-            poly.bool_poly_deg(u.den),
-            poly.bool_poly_deg(v.num),
-            poly.bool_poly_deg(v.den),
-            1,
-        )
-    found = False
+        bound = 2 * max(1, *(poly.bool_poly_deg(f) for f in (u.num, u.den, v.num, v.den)))
+    pa = pb = 0  # a*e_k and b*e_k, since e_k = e_(k-1) + x^k
     for k in range(bound + 1):
-        ek = (1 << (k + 1)) - 1
-        for i in range(bound - k + 1):
-            w = ek << i
-            if w & 1 == 0:
-                continue
-            if core.bx_mul(a, w) == core.bx_mul(b, w):
-                found = True
-                break
-        if found:
+        pa |= a << k
+        pb |= b << k
+        if pa == pb:
             break
+    found = pa == pb
     if bound <= _EXHAUSTIVE_CAP:
         exh = core.bx_witness_exhaustive(a, b, bound) != -1
         if exh != found:

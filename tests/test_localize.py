@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from semispec import _purecore as core
-from semispec import corpus
+from semispec import accept, corpus
 from semispec import localize as loc_mod
 from semispec._purecore import bx_mul, bx_witness_exhaustive
 from semispec.errors import InternalCheckError, PreconditionError
@@ -322,6 +322,50 @@ def test_bx_witness_exhaustive_matches_naive_scan():
                 below = [u for u in witnesses if u < 2 << kmax]
                 want = below[0] if below else -1
                 assert bx_witness_exhaustive(a, b, kmax) == want, (a, b, kmax)
+
+
+def test_bx_slices_mark_the_witnesses_that_have_each_degree():
+    for kmax in range(15):
+        slices = core._bx_slices(kmax)
+        assert len(slices) == kmax + 1
+        for k, s in enumerate(slices):
+            want = sum(1 << t for t in range(1 << kmax) if ((2 * t + 1) >> k) & 1)
+            assert s == want, (kmax, k)
+
+
+def _naive_witness(a, b, kmax):
+    for u in range(1, 2 << kmax, 2):
+        if bx_mul(a, u) == bx_mul(b, u):
+            return u
+    return -1
+
+
+def test_bx_witness_exhaustive_matches_naive_scan_up_to_the_cap():
+    rng = random.Random(1014)
+    seen = set()
+    for kmax in (10, 12, 14):
+        cases = [(0, 0b1011), (0b1101, 0), (0, 0)]
+        for _ in range(6):
+            # f and g share their constant term and degree, so witnesses occur
+            c, top = rng.getrandbits(5) | 1, rng.randrange(1, 7)
+            f, g = (1 | 1 << top | rng.getrandbits(top) for _ in range(2))
+            cases.append((bx_mul(f, c), bx_mul(g, c)))
+        cases += [(rng.getrandbits(9), rng.getrandbits(9)) for _ in range(2)]
+        for a, b in cases:
+            want = _naive_witness(a, b, kmax)
+            assert bx_witness_exhaustive(a, b, kmax) == want, (a, b, kmax)
+            seen.add(want)
+    assert -1 in seen and max(seen) > 1
+
+
+def test_criterion_10_detects_a_scan_that_tries_only_w_1(monkeypatch):
+    # planted defect: equality of fractions by their cross-products alone
+    monkeypatch.setattr(
+        accept, "bx_witness_equal", lambda u, v: bx_mul(u.num, v.den) == bx_mul(v.num, u.den)
+    )
+    r = accept.criterion_10()
+    assert not r.passed
+    assert "witness-transitivity" in r.detail
 
 
 def test_bx_witness_equal_detects_a_blind_exhaustive_scan(monkeypatch):
