@@ -1,20 +1,20 @@
 """Ideals of finite semirings and of N: closure, the lattice of sets fixed
 by a closure (ideals, submodules), primality, subtractivity, radicals,
-and numerical-semigroup membership.
+and checks of the classification of the ideals of N.
 
 Finite-semiring ideals are bitmasks over element indices. N-ideals are
-handled through generator lists with Apery-set certificates.
+membership predicates and generator pairs: the tail of <p, q> is certified
+by the closed form for two coprime generators and re-checked by a sieve.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import _purecore as core
-from .errors import InternalCheckError, PreconditionError
+from .errors import InternalCheckError
 from .kernel import (
     FiniteSemiring,
     bits,
@@ -177,7 +177,7 @@ def radical_mask(I: IdealHandle) -> int:
     return mask_of(a for a in I.ambient.elements if radical_member(I, a))
 
 
-def primes_containing(A: FiniteSemiring, mask: int, primes: Sequence[IdealHandle]) -> List[IdealHandle]:
+def primes_containing(mask: int, primes: Sequence[IdealHandle]) -> List[IdealHandle]:
     return [p for p in primes if p.mask & mask == mask]
 
 
@@ -187,78 +187,13 @@ def radical_equals_prime_intersection(
     """rad(I) == intersection of primes containing I (empty intersection = A)."""
     A = I.ambient
     inter = A.full_mask
-    for p in primes_containing(A, I.mask, primes):
+    for p in primes_containing(I.mask, primes):
         inter &= p.mask
     return radical_mask(I) == inter
 
 
 # ---------------------------------------------------------------------------
-# ideals of N: numerical semigroup membership with certificates
-
-
-@dataclass(frozen=True)
-class NatMembership:
-    member: bool
-    coeffs: Optional[Tuple[int, ...]]  # certificate: sum coeffs[i]*gens[i] = n
-
-
-@lru_cache(maxsize=256)
-def _apery(gens: Tuple[int, ...]) -> Tuple[Optional[Tuple[int, Tuple[int, ...]]], ...]:
-    """Apery table of the N-ideal generated by gens (sorted, distinct, all
-    positive) with respect to m = gens[0]: entry r is (w, c) with w the
-    least element of the ideal congruent to r mod m and c the generator
-    multiplicities summing to w, or None if no element is congruent to r.
-
-    Dijkstra-style relaxation over the residues mod m.
-    """
-    m = gens[0]
-    apery: List[Optional[int]] = [None] * m
-    combo: List[Optional[Tuple[int, ...]]] = [None] * m
-    apery[0] = 0
-    combo[0] = tuple(0 for _ in gens)
-    heap: List[Tuple[int, int]] = [(0, 0)]
-    while heap:
-        val, r = heapq.heappop(heap)
-        if apery[r] is not None and val > apery[r]:
-            continue
-        for gi, g in enumerate(gens):
-            nv = val + g
-            nr = nv % m
-            if apery[nr] is None or nv < apery[nr]:
-                apery[nr] = nv
-                base = list(combo[r])
-                base[gi] += 1
-                combo[nr] = tuple(base)
-                heapq.heappush(heap, (nv, nr))
-    return tuple(None if w is None else (w, c) for w, c in zip(apery, combo))
-
-
-def nat_ideal_member(gens: Sequence[int], n: int) -> NatMembership:
-    """Membership of n in the N-ideal generated by gens (all gens > 0 unless
-    the ideal is {0}), via the Apery set of the smallest generator, built
-    once per generator set.
-
-    The certificate is replayed before returning.
-    """
-    if n < 0:
-        raise PreconditionError("negative input")
-    gens = tuple(sorted(set(g for g in gens if g > 0)))
-    if n == 0:
-        return NatMembership(True, tuple(0 for _ in gens))
-    if not gens:
-        return NatMembership(False, None)
-    m = gens[0]
-    entry = _apery(gens)[n % m]
-    if entry is None or n < entry[0]:
-        return NatMembership(False, None)
-    # lift the Apery witness by multiples of m
-    w, combo = entry
-    coeffs = list(combo)
-    coeffs[0] += (n - w) // m
-    total = sum(c * g for c, g in zip(coeffs, gens))
-    if total != n:
-        raise InternalCheckError("nat membership certificate failed replay")
-    return NatMembership(True, tuple(coeffs))
+# ideals of N: the tail of a two-generator ideal
 
 
 def nat_pair_tail_start(p: int, q: int) -> int:
@@ -266,14 +201,49 @@ def nat_pair_tail_start(p: int, q: int) -> int:
     return (p - 1) * q
 
 
+def _window_by_inverse(p: int, q: int, start: int) -> int:
+    """Bit i set when start + i = a*p + b*q with a >= 0, b < p: b is
+    n*q^-1 mod p (the only candidate below p), and each certificate is
+    replayed. p and q are coprime."""
+    inv = pow(q, -1, p)
+    out = 0
+    for i in range(p):
+        n = start + i
+        b = n * inv % p
+        a = (n - b * q) // p
+        if a >= 0 and a * p + b * q == n:
+            out |= 1 << i
+    return out
+
+
+def _window_by_sieve(p: int, q: int, start: int) -> int:
+    """Bit i set when start + i = a*p + b*q with a >= 0, b < p, by ORing the
+    multiples of p shifted by b*q, read from start: no inverse, no division.
+    Needs start >= (p - 1) * q, so that no shift is negative."""
+    row = 0  # the multiples of p below start + p
+    for k in range(0, start + p, p):
+        row |= 1 << k
+    out = 0
+    for b in range(p):
+        out |= row >> (start - b * q)
+    return out & ((1 << p) - 1)
+
+
 def nat_pair_tail_check(p: int, q: int) -> bool:
-    """<p,q> contains every n >= (p-1)q.
+    """<p,q> contains every n >= (p-1)q; False when p and q share a factor.
 
     Checking a full window of p consecutive integers suffices: membership is
-    stable under adding p, so the window propagates to the whole tail.
+    stable under adding p, so the window propagates to the whole tail. Each
+    window member is decided by two routes, a certificate from the inverse
+    of q mod p and an additive sieve, and the routes must agree.
     """
+    if math.gcd(p, q) != 1:
+        return False
     start = nat_pair_tail_start(p, q)
-    return all(nat_ideal_member([p, q], n).member for n in range(start, start + p))
+    window = _window_by_inverse(p, q, start)
+    if window != _window_by_sieve(p, q, start):
+        raise InternalCheckError(f"<{p},{q}>: tail window routes disagree")
+    return window == (1 << p) - 1
 
 
 def nat_prime_residue_check(p: int, bound: int) -> bool:

@@ -315,19 +315,19 @@ def bx_hardening_iso(frac: BxFraction) -> Tuple:
 _EXHAUSTIVE_CAP = 14  # bx_witness_equal also scans exhaustively up to this bound
 
 
-def bx_witness_equal(u: BxFraction, v: BxFraction, bound: Optional[int] = None) -> bool:
+def bx_witness_equal(u: BxFraction, v: BxFraction) -> bool:
     """Equality of fractions by bounded witness search.
 
-    Scans the separating family e_k = 1+x+...+x^k for k <= bound (complete:
-    any witness with unit constant term forces equal (ord, deg), and then
-    some e_k is itself a witness). Whenever the bound is at most 14
+    Scans the separating family e_k = 1+x+...+x^k for k up to a bound of
+    twice the largest degree among the four polynomials (complete: any
+    witness with unit constant term forces equal (ord, deg), and then some
+    e_k is itself a witness). Whenever the bound is at most 14
     (_EXHAUSTIVE_CAP), a fully exhaustive scan over all witnesses with unit
     constant term confirms the answer.
     """
     a = core.bx_mul(u.num, v.den)
     b = core.bx_mul(v.num, u.den)
-    if bound is None:
-        bound = 2 * max(1, *(poly.bool_poly_deg(f) for f in (u.num, u.den, v.num, v.den)))
+    bound = 2 * max(1, *(poly.bool_poly_deg(f) for f in (u.num, u.den, v.num, v.den)))
     pa = pb = 0  # a*e_k and b*e_k, since e_k = e_(k-1) + x^k
     for k in range(bound + 1):
         pa |= a << k

@@ -377,7 +377,10 @@ def finite_quotient(
     between small terms may legitimately pass through somewhat larger ones,
     but an unbounded search universe makes idempotent presentations blow
     up. If even that region exhausts the node budget the partition would
-    be untrustworthy, so the call refuses instead of returning tables."""
+    be untrustworthy, so the call refuses instead of returning tables.
+    The enumeration must hold 0 and 1: coeff >= 1 and degree >= 0."""
+    if coeff < 1 or degree < 0:
+        raise PreconditionError("presentation bounds need coeff >= 1 and degree >= 0")
     if bound is None:
         bound = Bound(degree=2 * degree, coeff=2 * coeff)
     idx = CongruenceIndex(pres, bound)

@@ -235,10 +235,10 @@ def localization_point_report(A: FiniteSemiring, s_mask: int, kind: str) -> dict
     # openness with certificates: the image of every basis open of the
     # localized spectrum is a basis open of the base spectrum
     open_ok = True
+    P = A.prod_of(bits(s_mask))
     for c in loc.table.elements:
         img = mask_of(m.point_map[i] for i in bits(m.source.basis[c]))
         a, s = loc.reps[c]
-        P = A.prod_of(bits(s_mask))
         if img != m.target.basis[A.mul[a][P]]:
             open_ok = False
     ok = injective and image_ok and open_ok

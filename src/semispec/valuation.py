@@ -406,6 +406,8 @@ def mra_localization_iso_check(
     if h.violation() is not None:
         return False
 
+    scal = mask_of(lat.iota.images)
+
     def beta_of_module(mask2: int) -> int:
         ks = {}
         for c in bits(mask2):
@@ -415,7 +417,6 @@ def mra_localization_iso_check(
         seed = 1 << A.zero
         for x, k in ks.values():
             seed |= 1 << A.mul[x][A.power(a, big - k)]
-        scal = mask_of(lat.iota.images)
         m = core.closure_mask(A.size, A.add, A.mul, seed, scal)
         return loc_m.class_of_pair(lat.index_of(m), lat.table.power(vmod, big))
 

@@ -108,6 +108,15 @@ def test_presentation_with_relation_to_zero(ws, capsys):
     assert cli.main(["load", str(pres), "--name", "q"]) == 5
 
 
+@pytest.mark.parametrize("bounds", [["--coeff", "0"], ["--coeff", "-1"], ["--degree", "-1"]])
+def test_presentation_bounds_that_cannot_hold_0_and_1_exit_5(ws, capsys, bounds):
+    pres = ws / "pres.json"
+    pres.write_text(json.dumps({"gens": ["x"], "rels": []}))
+    assert cli.main(["load", str(pres), "--name", "q"] + bounds) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_presentation_enumeration_bound_exit_code(ws, capsys):
     # 11^11 candidate terms: refused before any congruence search
     pres = ws / "pres.json"

@@ -1,11 +1,13 @@
 """Ideal closure, primality, subtractivity, radicals, and the naturals."""
 
+import math
+
 import pytest
 
 from conftest import brute_ideal_ok, brute_prime_ideal_masks
 from semispec import _purecore as core
-from semispec import corpus, ideals
-from semispec.errors import InternalCheckError, PreconditionError
+from semispec import accept, corpus, ideals
+from semispec.errors import InternalCheckError
 from semispec.ideals import (
     all_ideals,
     closed_sets,
@@ -13,7 +15,6 @@ from semispec.ideals import (
     is_ideal,
     is_prime,
     is_subtractive,
-    nat_ideal_member,
     nat_pair_tail_check,
     nat_pair_tail_start,
     nat_prime_residue_check,
@@ -111,9 +112,9 @@ def test_radical_equals_prime_intersection(corpus_tables):
 def test_primes_containing():
     A = corpus.get("boolx")
     primes = [I for I in all_ideals(A) if is_prime(I)]
-    over_zero = primes_containing(A, 1, primes)
+    over_zero = primes_containing(1, primes)
     assert sorted(I.mask for I in over_zero) == [1, 5, 13]
-    over_x = primes_containing(A, 0b101, primes)
+    over_x = primes_containing(0b101, primes)
     assert sorted(I.mask for I in over_x) == [5, 13]
 
 
@@ -139,54 +140,64 @@ def test_subtractive_closure_minimal(small_tables):
                     assert K.mask & J.mask == J.mask, name
 
 
-def test_nat_membership_frozen():
-    assert not nat_ideal_member((3, 5), 7).member
-    m8 = nat_ideal_member((3, 5), 8)
-    assert m8.member and m8.coeffs is not None
-    assert sum(c * g for c, g in zip(m8.coeffs, (3, 5))) == 8
-    assert nat_ideal_member((3, 5), 0).member
-    assert not nat_ideal_member((), 4).member
-    assert nat_ideal_member((1,), 4).member
-    with pytest.raises(PreconditionError):
-        nat_ideal_member((3, 5), -1)
-
-
-def test_nat_membership_vs_direct_scan():
-    gens = (4, 7, 9)
-    direct = set()
-    for a in range(30):
-        for b in range(30):
-            for c in range(30):
-                v = 4 * a + 7 * b + 9 * c
-                if v <= 100:
-                    direct.add(v)
-    for n in range(101):
-        assert nat_ideal_member(gens, n).member == (n in direct), n
-
-
-def test_nat_membership_detects_a_corrupt_apery_table(monkeypatch):
-    # planted defect: one certificate in the cached table is off by a generator
-    real = ideals._apery
-
-    def corrupt(gens):
-        table = list(real(gens))
-        w, combo = table[2]
-        table[2] = (w, (combo[0] + 1,) + combo[1:])
-        return tuple(table)
-
-    monkeypatch.setattr(ideals, "_apery", corrupt)
-    assert not nat_ideal_member((3, 5), 7).member
-    with pytest.raises(InternalCheckError):
-        nat_ideal_member((3, 5), 8)
-
-
 def test_nat_pair_tail():
     assert nat_pair_tail_start(3, 5) == 10
     assert nat_pair_tail_check(3, 5)
     assert nat_pair_tail_check(4, 7)
     # threshold formula (p-1)q: everything from there on is inside
-    for n in range(10, 40):
-        assert nat_ideal_member((3, 5), n).member
+    direct = {3 * a + 5 * b for a in range(14) for b in range(9)}
+    assert all(n in direct for n in range(10, 40))
+    assert 7 not in direct  # the Frobenius number 3*5 - 3 - 5, below the tail
+    # a shared factor leaves infinitely many gaps: False, not a disagreement
+    assert not nat_pair_tail_check(4, 6)
+
+
+def test_nat_tail_routes_match_a_direct_scan():
+    for p in range(1, 13):
+        for q in range(1, 16):
+            if math.gcd(p, q) != 1:
+                continue
+            direct = {a * p + b * q for a in range(3 * q + 2) for b in range(3 * p + 2)}
+            for start in (0, (p - 1) * q, 2 * p * q):
+                want = sum(1 << i for i in range(p) if start + i in direct)
+                assert ideals._window_by_inverse(p, q, start) == want, (p, q, start)
+                if start >= (p - 1) * q:
+                    assert ideals._window_by_sieve(p, q, start) == want, (p, q, start)
+
+
+def test_criterion_1_detects_a_wrong_inverse(monkeypatch):
+    # planted defect: route 1 is handed q^-1 + 1 mod p, so its certificates
+    # fail the replay
+    monkeypatch.setattr(
+        ideals, "pow", lambda base, exp, mod: (pow(base, exp, mod) + 1) % mod, raising=False
+    )
+    with pytest.raises(InternalCheckError):
+        accept.criterion_1()
+
+
+def test_criterion_1_detects_a_dropped_sieve_row(monkeypatch):
+    # planted defect: route 2 without the row shifted by (p-1)q
+    def sieve_without_last_row(p, q, start):
+        row = 0
+        for k in range(0, start + p, p):
+            row |= 1 << k
+        out = 0
+        for b in range(p - 1):
+            out |= row >> (start - b * q)
+        return out & ((1 << p) - 1)
+
+    monkeypatch.setattr(ideals, "_window_by_sieve", sieve_without_last_row)
+    with pytest.raises(InternalCheckError):
+        accept.criterion_1()
+
+
+def test_criterion_1_fails_on_a_gap_both_routes_agree_on(monkeypatch):
+    # planted defect: both routes miss the first window member alike
+    for name in ("_window_by_inverse", "_window_by_sieve"):
+        real = getattr(ideals, name)
+        monkeypatch.setattr(ideals, name, lambda p, q, start, real=real: real(p, q, start) & ~1)
+    assert not nat_pair_tail_check(3, 5)
+    assert not accept.criterion_1().passed
 
 
 def test_nat_prime_checks():
