@@ -317,20 +317,20 @@ def criterion_8() -> CheckResult:
     bad = []
     for A in corpus.members(max_size=16, min_size=1, include_trivial=True):
         if A.add[A.one][A.one] != A.one:
-            continue  # no scalar map from the two-element semiring
+            continue  # {0, 1} is no subsemiring, so no submodule lattice
         try:
             lat = build_mra(A)
         except ResourceError:
             continue
         visited.append(f"{A.label}({lat.table.size})")
-        rep = vstar_homeo_check(A)
+        rep = vstar_homeo_check(lat)
         if not rep.ok:
             bad.append(f"{A.label}: homeo {rep}")
             continue
         for v, _ker in val_spec_bijection(A):
             factor_through_universal(lat, v)
         for a in A.elements:
-            if not mra_localization_iso_check(A, a):
+            if not mra_localization_iso_check(lat, a):
                 bad.append(f"{A.label}: localization iso fails at {A.name_of(a)}")
     ok = not bad and len(visited) >= 6
     detail = f"lattices {', '.join(visited)}; homeo+factoring+localization all pass"

@@ -21,6 +21,7 @@ from typing import List, Optional
 
 from . import accept, corpus
 from .errors import (
+    FormatError,
     PreconditionError,
     SemispecError,
     UnknownNameError,
@@ -48,12 +49,17 @@ def workspace_dir() -> str:
 
 
 def _workspace_path(name: str) -> str:
+    """The registry file of name; a name that could leave the workspace
+    directory or that no file system accepts is refused."""
+    if not name or any(c and c in name for c in ("/", os.sep, os.altsep, "\0")):
+        raise FormatError(f"bad registry name {name!r}")
     return os.path.join(workspace_dir(), f"{name}.json")
 
 
 def _store(name: str, A: FiniteSemiring) -> None:
+    path = _workspace_path(name)
     os.makedirs(workspace_dir(), exist_ok=True)
-    with open(_workspace_path(name), "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(semiring_to_dict(A), fh, sort_keys=True, indent=1)
 
 
@@ -183,9 +189,8 @@ def cmd_harden(args: argparse.Namespace) -> int:
 
 def cmd_mra(args: argparse.Namespace) -> int:
     A = resolve(args.name)
-    scalars = resolve(args.scalars) if args.scalars else None
-    lat = build_mra(A, scalars)
-    rep = vstar_homeo_check(A, scalars)
+    lat = build_mra(A)
+    rep = vstar_homeo_check(lat)
     name = f"{args.name}-modules"
     _store(name, lat.table)
     report = {
@@ -268,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("mra", help="submodule lattice and its spectrum comparison")
     q.add_argument("name")
-    q.add_argument("--scalars", help="scalar semiring (default: two-element)")
     q.set_defaults(fn=cmd_mra)
 
     q = sub.add_parser("verify", help="run a named check, or all of them")

@@ -348,13 +348,6 @@ class Homomorphism:
     def is_bijective(self) -> bool:
         return self.dom.size == self.cod.size and len(set(self.images)) == self.dom.size
 
-    def compose(self, inner: "Homomorphism") -> "Homomorphism":
-        if inner.cod is not self.dom and inner.cod != self.dom:
-            raise PreconditionError("composition mismatch")
-        return Homomorphism(
-            inner.dom, self.cod, tuple(self.images[x] for x in inner.images)
-        )
-
 
 def generating_sequence(A: FiniteSemiring) -> List[int]:
     """Greedy generating sequence: smallest element outside the closure so far."""

@@ -130,9 +130,11 @@ def presentation_from_json(data: dict) -> Presentation:
     try:
         gens_raw = data["gens"]
         rels_raw = data["rels"]
-        idem = bool(data.get("idempotent", False))
+        idem = data.get("idempotent", False)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad presentation object: {exc}")
+    if not isinstance(idem, bool):
+        raise FormatError("idempotent must be true or false")
     if not isinstance(gens_raw, list):
         raise FormatError("gens must be a list of names")
     gens = tuple(str(g) for g in gens_raw)

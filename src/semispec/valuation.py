@@ -1,14 +1,18 @@
 """Order-subadditive multiplicative valuations into idempotent semirings,
 their exhaustive correspondence with prime ideals over the two-element
-target, and the lattice of scalar-stable submodules with its universal
-valuation.
+target, and the submodule lattice of an idempotent semiring with its
+universal valuation.
 
-The lattice construction enumerates every submodule as a sum of cyclic
-modules (finite base, so finitely generated is no restriction), checks the
-semiring axioms on the resulting tables, and certifies that its natural
-order is set inclusion.
-The universal map a -> cyclic module of a is verified to be initial among
-integral valuations by explicit factoring plus exhaustive uniqueness scans.
+A submodule is taken over the two-element subsemiring {0, 1}, which exists
+exactly when 1 + 1 = 1: a subset holding 0 and closed under +. The lattice
+is built once per semiring. The construction enumerates every submodule as
+a sum of cyclic modules (finite base, so finitely generated is no
+restriction), checks the semiring axioms on the resulting tables, certifies
+that its natural order is set inclusion, and checks that a -> cyclic module
+of a is a valuation with an integral part. That map is verified to be
+initial among integral valuations by explicit factoring plus exhaustive
+uniqueness scans, and the spectrum comparison and the localization check
+take the built lattice.
 """
 
 from __future__ import annotations
@@ -143,59 +147,46 @@ def integral_part(v: GValuation) -> int:
 @dataclass(frozen=True)
 class SubmoduleLattice:
     base: FiniteSemiring
-    scalars: FiniteSemiring
-    iota: Homomorphism  # scalars -> base
     table: FiniteSemiring  # lattice as a semiring
     modules: Tuple[int, ...]  # lattice element -> subset mask of the base
     cyclic: Tuple[int, ...]  # base element -> lattice index of its module
+
+    @property
+    def valuation(self) -> GValuation:
+        """The universal valuation a -> cyclic module of a."""
+        return GValuation(self.base, self.table, self.cyclic)
 
     def index_of(self, module_mask: int) -> int:
         try:
             return self.modules.index(module_mask)
         except ValueError:
-            raise PreconditionError("subset is not a scalar-stable module")
+            raise PreconditionError("subset is not a submodule")
 
 
-def _default_scalars(
-    A: FiniteSemiring,
-    scalars: Optional[FiniteSemiring],
-    iota: Optional[Homomorphism],
-) -> Tuple[FiniteSemiring, Homomorphism]:
-    if scalars is None:
-        scalars = corpus.get("bool2")
-    if iota is None:
-        if scalars.size != 2:
-            raise PreconditionError("scalar hom required for non-boolean scalars")
-        images = [0] * scalars.size
-        images[scalars.zero] = A.zero
-        images[scalars.one] = A.one
-        iota = Homomorphism(scalars, A, tuple(images))
-    if iota.violation() is not None:
-        raise PreconditionError("scalar map is not a homomorphism")
-    return scalars, iota
+def _module_closure(A: FiniteSemiring, seed: int) -> int:
+    """Smallest submodule of A over {0, 1} containing seed."""
+    zero_bit = 1 << A.zero
+    return core.closure_mask(
+        A.size, A.add, A.mul, seed | zero_bit, zero_bit | (1 << A.one)
+    )
 
 
-def build_mra(
-    A: FiniteSemiring,
-    scalars: Optional[FiniteSemiring] = None,
-    iota: Optional[Homomorphism] = None,
-) -> SubmoduleLattice:
-    """The idempotent semiring of all scalar-stable submodules of A, with
-    elementwise sum as addition and generated-product as multiplication.
+def build_mra(A: FiniteSemiring) -> SubmoduleLattice:
+    """The idempotent semiring of all submodules of A over {0, 1}, with
+    elementwise sum as addition and generated-product as multiplication,
+    and its universal valuation, checked to be a valuation with an
+    integral part.
 
-    Raises ResourceError once more than `ideals._MODULE_CAP` modules are found."""
-    scalars, iota = _default_scalars(A, scalars, iota)
+    Raises PreconditionError unless 1 + 1 = 1 in A, and ResourceError once
+    more than `ideals._MODULE_CAP` modules are found."""
+    if not is_idempotent(A):
+        raise PreconditionError(f"{A.label}: 1 + 1 != 1, so {{0, 1}} is no subsemiring")
     if A.size > 16:
         raise ResourceError(
             f"{A.label}: {A.size} elements, over the module lattice limit 16"
         )
-    scal = mask_of(iota.images)
-    zero_bit = 1 << A.zero
 
-    def close(seed: int) -> int:
-        return core.closure_mask(A.size, A.add, A.mul, seed | zero_bit, scal)
-
-    cyclic_masks, found = closed_sets(A, close, _MODULE_CAP)
+    cyclic_masks, found = closed_sets(A, lambda seed: _module_closure(A, seed), _MODULE_CAP)
     modules = sorted(found)
 
     def product_module(m1: int, m2: int) -> int:
@@ -204,14 +195,14 @@ def build_mra(
             ra = A.mul[a]
             for b in bits(m2):
                 seed |= 1 << ra[b]
-        return close(seed)
+        return _module_closure(A, seed)
 
     names = tuple(
         "{" + ",".join(A.name_of(a) for a in bits(m)) + "}" for m in modules
     )
     table = tabulate(
         modules, lambda m1, m2: _module_sum(A, m1, m2), product_module,
-        zero_bit, cyclic_masks[A.one], f"M[{A.label}]", names,
+        1 << A.zero, cyclic_masks[A.one], f"M[{A.label}]", names,
     )
     if not is_idempotent(table):
         raise InternalCheckError("module lattice is not idempotent")
@@ -221,27 +212,13 @@ def build_mra(
             if below != (m1 | m2 == m2):
                 raise InternalCheckError("lattice order differs from inclusion")
     index = {m: i for i, m in enumerate(modules)}
-    cyclic = tuple(index[m] for m in cyclic_masks)
-    return SubmoduleLattice(A, scalars, iota, table, tuple(modules), cyclic)
-
-
-def universal_valuation(
-    A: FiniteSemiring,
-    scalars: Optional[FiniteSemiring] = None,
-    iota: Optional[Homomorphism] = None,
-) -> Tuple[SubmoduleLattice, GValuation]:
-    """a -> module generated by a; checked to be a valuation whose integral
-    part contains the scalar image."""
-    lat = build_mra(A, scalars, iota)
-    v = GValuation(A, lat.table, lat.cyclic)
+    lat = SubmoduleLattice(A, table, tuple(modules), tuple(index[m] for m in cyclic_masks))
+    v = lat.valuation
     bad = g_valuation_violation(v)
     if bad is not None:
         raise InternalCheckError(f"{A.label}: universal map fails {bad}")
-    ipart = integral_part(v)
-    for r in lat.iota.images:
-        if not (ipart >> r) & 1:
-            raise InternalCheckError(f"{A.label}: scalar image is not integral")
-    return lat, v
+    integral_part(v)
+    return lat
 
 
 def factor_through_universal(
@@ -256,10 +233,7 @@ def factor_through_universal(
     bad = g_valuation_violation(v)
     if bad is not None:
         raise PreconditionError(f"not a valuation ({bad})")
-    ipart = integral_part(v)
-    for r in lat.iota.images:
-        if not (ipart >> r) & 1:
-            raise PreconditionError("scalar image is not integral for this valuation")
+    integral_part(v)
     S = v.target
     images = tuple(
         S.sum_of(v.images[a] for a in bits(m)) for m in lat.modules
@@ -298,21 +272,17 @@ class HomeoReport:
         return self.bijective and self.openness and self.basis
 
 
-def vstar_homeo_check(
-    A: FiniteSemiring,
-    scalars: Optional[FiniteSemiring] = None,
-    iota: Optional[Homomorphism] = None,
-) -> HomeoReport:
+def vstar_homeo_check(lat: SubmoduleLattice) -> HomeoReport:
     """Certify that pulling back along the universal valuation is a
     homeomorphism from the subtractive-prime space of the lattice onto the
     prime space of the base."""
-    lat, v = universal_valuation(A, scalars, iota)
+    A, v = lat.base, lat.cyclic
     sp_m = sp_enumerate(lat.table)
     spec_a = spec_enumerate(A)
     fwd: List[int] = []  # sp_m point index -> spec_a point index
     bijective = True
     for p in sp_m.point_masks:
-        q = mask_of(a for a in A.elements if (p >> v.images[a]) & 1)
+        q = mask_of(a for a in A.elements if (p >> v[a]) & 1)
         if q not in spec_a.point_masks:
             bijective = False
             break
@@ -332,7 +302,7 @@ def vstar_homeo_check(
     openness = True
     if bijective:
         for a in A.elements:
-            img = mask_of(fwd[i] for i in bits(sp_m.basis[v.images[a]]))
+            img = mask_of(fwd[i] for i in bits(sp_m.basis[v[a]]))
             if img != spec_a.basis[a]:
                 openness = False
                 break
@@ -361,34 +331,23 @@ def _power_exponent(T: FiniteSemiring, x: int, s: int) -> int:
     return ps.index(s)
 
 
-def mra_localization_iso_check(
-    A: FiniteSemiring,
-    a: int,
-    scalars: Optional[FiniteSemiring] = None,
-    iota: Optional[Homomorphism] = None,
-) -> bool:
+def mra_localization_iso_check(lat: SubmoduleLattice, a: int) -> bool:
     """Lattice of the localization vs localization of the lattice at the
     cyclic module of a: build both and check the two canonical maps are
     mutually inverse homomorphisms."""
-    lat, v = universal_valuation(A, scalars, iota)
+    A = lat.base
     la = localize(A, _powers_mask(A, a))
-    iota2 = la.phi.compose(lat.iota)
-    lat2 = build_mra(la.table, lat.scalars, iota2)
-    vmod = v.images[a]
+    lat2 = build_mra(la.table)
+    vmod = lat.cyclic[a]
     loc_m = localize(lat.table, _powers_mask(lat.table, vmod))
-    scal2 = mask_of(iota2.images)
-    zero_bit2 = 1 << la.table.zero
 
     def alpha_of_pair(mi: int, s: int) -> int:
         k = _power_exponent(lat.table, vmod, s)
         ak = A.power(a, k)
-        seed = zero_bit2
+        seed = 0
         for m_el in bits(lat.modules[mi]):
             seed |= 1 << la.class_of_pair(m_el, ak)
-        mask2 = core.closure_mask(
-            la.table.size, la.table.add, la.table.mul, seed, scal2
-        )
-        return lat2.index_of(mask2)
+        return lat2.index_of(_module_closure(la.table, seed))
 
     # well-definedness across every pair in each class, then the map itself
     alpha = [None] * loc_m.table.size
@@ -406,18 +365,16 @@ def mra_localization_iso_check(
     if h.violation() is not None:
         return False
 
-    scal = mask_of(lat.iota.images)
-
     def beta_of_module(mask2: int) -> int:
         ks = {}
         for c in bits(mask2):
             x, s = la.reps[c]
             ks[c] = (x, _power_exponent(A, a, s))
         big = max((k for _x, k in ks.values()), default=0)
-        seed = 1 << A.zero
+        seed = 0
         for x, k in ks.values():
             seed |= 1 << A.mul[x][A.power(a, big - k)]
-        m = core.closure_mask(A.size, A.add, A.mul, seed, scal)
+        m = _module_closure(A, seed)
         return loc_m.class_of_pair(lat.index_of(m), lat.table.power(vmod, big))
 
     for c in loc_m.table.elements:

@@ -234,3 +234,45 @@ def test_mra_refuses_a_large_lattice(ws, capsys):
     # boolxy has 2,480 submodules, over the default limit of 256
     assert cli.main(["mra", "boolxy"]) == 8
     assert "256" in capsys.readouterr().err
+
+
+def _files_under(root):
+    return {os.path.join(d, f) for d, _dirs, files in os.walk(root) for f in files}
+
+
+@pytest.mark.parametrize("label", ["../escaped", "a\u0000b", "sub/dir"])
+def test_registry_names_stay_in_the_workspace(ws, capsys, label):
+    # the label names the entry when --name is absent
+    d = semiring_to_dict(corpus.get("chain3"))
+    d["label"] = label
+    src = ws / "in.json"
+    src.write_text(json.dumps(d))
+    before = _files_under(ws)
+    assert cli.main(["load", str(src)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert _files_under(ws) == before
+    assert not (ws / "escaped.json").exists()
+
+
+@pytest.mark.parametrize("name", ["../escaped", ""])
+def test_registry_lookup_refuses_a_path(ws, capsys, name):
+    assert cli.main(["spec", name]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flag", ["false", "true", 1, None])
+def test_presentation_idempotent_must_be_a_boolean(ws, capsys, flag):
+    pres = ws / "pres.json"
+    pres.write_text(json.dumps(
+        {"gens": ["x"], "rels": [["x*x", "x"]], "idempotent": flag}
+    ))
+    assert cli.main(["load", str(pres), "--name", "q"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    # a JSON false is the absent flag: x*x = x without 1 + 1 = 1 contains N
+    pres.write_text(json.dumps(
+        {"gens": ["x"], "rels": [["x*x", "x"]], "idempotent": False}
+    ))
+    assert cli.main(["load", str(pres), "--name", "q"]) == 5

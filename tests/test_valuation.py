@@ -18,7 +18,6 @@ from semispec.valuation import (
     g_valuation_violation,
     integral_part,
     mra_localization_iso_check,
-    universal_valuation,
     val_spec_bijection,
     vstar_homeo_check,
 )
@@ -145,7 +144,8 @@ def test_build_mra_resource_guard():
 
 
 def test_universal_valuation_boolx_frozen():
-    lat, v = universal_valuation(corpus.get("boolx"))
+    lat = build_mra(corpus.get("boolx"))
+    v = lat.valuation
     assert lat.table.size == 7
     names = [lat.table.name_of(v.images[a]) for a in range(4)]
     assert names == ["{0}", "{0,1}", "{0,x}", "{0,1+x}"]
@@ -155,7 +155,8 @@ def test_universal_valuation_boolx_frozen():
 def test_factoring_reproduces_valuations():
     for name in ("boolx", "chain3", "chain4", "boolpair"):
         A = corpus.get(name)
-        lat, v = universal_valuation(A)
+        lat = build_mra(A)
+        v = lat.valuation
         for w in bool_valuations(A):
             f = factor_through_universal(lat, w)
             assert all(
@@ -168,8 +169,9 @@ def test_generator_sum_invariance():
     # module
     for name in ("boolx", "chain4"):
         A = corpus.get(name)
-        lat, v = universal_valuation(A)
-        S, scal = v.target, mask_of(lat.iota.images)
+        lat = build_mra(A)
+        v = lat.valuation
+        S, scal = v.target, (1 << A.zero) | (1 << A.one)
         for idx, m in enumerate(lat.modules):
             elems = list(bits(m))
             want = S.sum_of(v.images[a] for a in elems)
@@ -201,22 +203,23 @@ def test_valuation_pullback():
 
 def test_vstar_homeo(corpus_tables):
     for name in FROZEN_LATTICE_SIZES:
-        rep = vstar_homeo_check(corpus_tables[name])
+        rep = vstar_homeo_check(build_mra(corpus_tables[name]))
         assert rep.ok, name
 
 
 def test_mra_localization_iso():
     for name in ("boolx", "chain3", "chain4"):
         A = corpus.get(name)
+        lat = build_mra(A)
         for a in A.elements:
-            assert mra_localization_iso_check(A, a), (name, a)
+            assert mra_localization_iso_check(lat, a), (name, a)
 
 
 def test_mra_presheaf_gap_probe():
     # on boolx, inverting the cyclic module of x and localizing the lattice
     # at the sheaf monoid of its basic open give the same semiring
-    lat, v = universal_valuation(corpus.get("boolx"))
-    vmod = v.images[2]
+    lat = build_mra(corpus.get("boolx"))
+    vmod = lat.valuation.images[2]
     left = localize(lat.table, _powers_mask(lat.table, vmod))
     ctx = SheafContext(lat.table, "sp")
     right = ctx.local(ctx.monoid_of(ctx.space.basis[vmod]))
@@ -240,3 +243,32 @@ def test_modules_match_subset_scan(idempotent_tables):
             )
         ]
         assert list(build_mra(A).modules) == want, name
+
+
+def test_criterion_8_builds_each_lattice_once(monkeypatch):
+    # one build per idempotent base table tried, one per localization at
+    # an element of a table whose lattice built
+    from semispec import accept, valuation
+
+    real = valuation.build_mra
+    base_calls, local_calls, built = [], [], []
+    tried = [
+        A
+        for A in corpus.members(max_size=16, min_size=1, include_trivial=True)
+        if is_idempotent(A)
+    ]
+
+    def counting(A, *rest):
+        is_base = any(A is B for B in tried)
+        (base_calls if is_base else local_calls).append(A.label)
+        lat = real(A, *rest)
+        if is_base:
+            built.append(A)
+        return lat
+
+    monkeypatch.setattr(accept, "build_mra", counting)
+    monkeypatch.setattr(valuation, "build_mra", counting)
+    assert accept.criterion_8().passed
+    assert base_calls == [A.label for A in tried]
+    assert len(built) < len(tried)  # boolxy is over the module cap
+    assert len(local_calls) == sum(A.size for A in built)
