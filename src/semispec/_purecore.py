@@ -115,21 +115,6 @@ def ideal_closure_mask(n: int, add: Table, mul: Table, seed: int, zero: int) -> 
     return closure_mask(n, add, mul, seed | (1 << zero), (1 << n) - 1)
 
 
-def subsemiring_closure_mask(n: int, add: Table, mul: Table, seed: int) -> int:
-    """Closure under both operations (no external scaling)."""
-    cur = seed
-    while True:
-        nxt = cur
-        elems = [i for i in range(n) if (cur >> i) & 1]
-        for a in elems:
-            ra, ma = add[a], mul[a]
-            for b in elems:
-                nxt |= (1 << ra[b]) | (1 << ma[b])
-        if nxt == cur:
-            return cur
-        cur = nxt
-
-
 def prime_violation(n: int, mul: Table, mask: int) -> Optional[Tuple[int, int]]:
     """A pair a,b outside I with ab inside, or None."""
     outside = [a for a in range(n) if not (mask >> a) & 1]

@@ -7,7 +7,8 @@ is deterministic for fixed inputs and configuration.
 
 Exit codes: 0 success; 2 usage; 3 malformed input; 4 unknown name;
 5 precondition violated; 6 verification failed; 7 internal cross-check
-tripped; 8 resource limit exceeded.
+tripped; 8 resource limit exceeded; 141 standard output closed by its
+reader (128 + SIGPIPE), with no message.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ def cmd_load(args: argparse.Namespace) -> int:
         A = table
     else:
         A = semiring_from_dict(d)
-    name = args.name or A.label or os.path.splitext(os.path.basename(args.path))[0]
+    default = A.label or os.path.splitext(os.path.basename(args.path))[0]
+    name = default if args.name is None else args.name
     A = dataclasses.replace(A, label=name)
     _store(name, A)
     print(f"loaded {name}: {A.size} elements")
@@ -288,7 +290,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:  # exit as SIGPIPE would; no flush fails at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except SemispecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

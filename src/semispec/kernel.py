@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import _purecore as core
@@ -223,8 +224,9 @@ def is_idempotent(A: FiniteSemiring) -> bool:
 
 
 def leq(A: FiniteSemiring, a: int, b: int) -> bool:
-    """a <= b iff a+b=b. Only meaningful on idempotent semirings."""
-    if not is_idempotent(A):
+    """a <= b iff a+b=b. Only meaningful on idempotent semirings, which
+    1 + 1 = 1 tells apart (`is_idempotent` asserts the equivalence)."""
+    if A.add[A.one][A.one] != A.one:
         raise PreconditionError(f"{A.label}: order requires an idempotent semiring")
     return A.add[a][b] == b
 
@@ -341,35 +343,30 @@ class Homomorphism:
                     return f"mul@({a},{b})"
         return None
 
-    def kernel_mask(self) -> int:
-        """Preimage of zero; always a subtractive ideal of the domain."""
-        return mask_of(a for a in self.dom.elements if self.images[a] == self.cod.zero)
-
     def is_bijective(self) -> bool:
         return self.dom.size == self.cod.size and len(set(self.images)) == self.dom.size
 
 
-def generating_sequence(A: FiniteSemiring) -> List[int]:
-    """Greedy generating sequence: smallest element outside the closure so far."""
-    closed = core.subsemiring_closure_mask(
-        A.size, A.add, A.mul, (1 << A.zero) | (1 << A.one)
-    )
-    gens: List[int] = []
-    full = A.full_mask
-    while closed != full:
-        g = next(i for i in A.elements if not (closed >> i) & 1)
-        gens.append(g)
-        closed = core.subsemiring_closure_mask(A.size, A.add, A.mul, closed | (1 << g))
-    return gens
+def _sum_rule(B: FiniteSemiring, bounded: bool) -> Tuple[Tuple[int, ...], ...]:
+    """rule[p][q]: the mask of values allowed for f(x + y) when f(x) = p
+    and f(y) = q. Equal (a hom) allows only p + q; bounded (a valuation)
+    allows every value below p + q in the natural order of B."""
+    def allowed(s: int) -> int:
+        return mask_of(w for w in B.elements if leq(B, w, s)) if bounded else 1 << s
+
+    return tuple(tuple(allowed(s) for s in row) for row in B.add)
 
 
 def _extend_partial(
-    A: FiniteSemiring, B: FiniteSemiring, val: List[int], fresh: List[int]
+    A: FiniteSemiring, val: List[int], fresh: List[int], rules: Tuple
 ) -> Optional[List[int]]:
-    """Close a partial map under both operations; None on conflict.
+    """Close a partial map under the rules for + and *; None on conflict.
 
+    Each rule maps the images of x and y to the mask of values allowed for
+    the image of x + y (or xy); a value is forced when only one is allowed.
     Returns the trail of newly assigned domain elements for backtracking.
     """
+    sums, prods = rules
     trail: List[int] = []
     queue = list(fresh)
     while queue:
@@ -379,20 +376,63 @@ def _extend_partial(
             vy = val[y]
             if vy < 0:
                 continue
-            for t, w in (
-                (A.add[x][y], B.add[vx][vy]),
-                (A.mul[x][y], B.mul[vx][vy]),
-            ):
+            for t, ok in ((A.add[x][y], sums[vx][vy]), (A.mul[x][y], prods[vx][vy])):
                 vt = val[t]
                 if vt < 0:
-                    val[t] = w
-                    trail.append(t)
-                    queue.append(t)
-                elif vt != w:
+                    if ok & (ok - 1) == 0:
+                        val[t] = ok.bit_length() - 1
+                        trail.append(t)
+                        queue.append(t)
+                elif not (ok >> vt) & 1:
                     for u in trail:
                         val[u] = -1
                     return None
     return trail
+
+
+def _maps(
+    A: FiniteSemiring, B: FiniteSemiring, bounded: bool,
+    injective: bool = False, limit: Optional[int] = None,
+) -> List[Tuple[int, ...]]:
+    """Image tuples of the maps A -> B that keep 0, 1 and products and
+    whose sums follow `_sum_rule(B, bounded)`, in lexicographic order.
+
+    DFS that branches on the first unassigned element, with closure
+    propagation after each choice. For homs the assigned set is the
+    subsemiring generated so far; for valuations into a two-element B the
+    propagation is complete, so every leaf is a valuation. With
+    injective=True only injective maps are kept (pruned during search).
+    """
+    rules = (_sum_rule(B, bounded), tuple(tuple(1 << w for w in row) for row in B.mul))
+    val = [-1] * A.size
+    val[A.zero] = B.zero
+    if val[A.one] >= 0 and val[A.one] != B.one:
+        return []  # collapsed domain cannot reach a nontrivial codomain
+    val[A.one] = B.one
+    out: List[Tuple[int, ...]] = []
+    if _extend_partial(A, val, [A.zero, A.one], rules) is None:
+        return out
+
+    def injective_ok() -> bool:
+        assigned = [v for v in val if v >= 0]
+        return len(assigned) == len(set(assigned))
+
+    def dfs(start: int) -> Iterator[Tuple[int, ...]]:
+        g = next((a for a in range(start, A.size) if val[a] < 0), None)
+        if g is None:
+            yield tuple(val)
+            return
+        for w in B.elements:
+            val[g] = w
+            trail = _extend_partial(A, val, [g], rules)
+            if trail is not None:
+                if not injective or injective_ok():
+                    yield from dfs(g + 1)
+                for t in trail:
+                    val[t] = -1
+        val[g] = -1
+
+    return sorted(islice(dfs(0), limit))
 
 
 def enumerate_homs(
@@ -403,54 +443,14 @@ def enumerate_homs(
 ) -> List[Homomorphism]:
     """All homomorphisms A -> B, lexicographically ordered by image tuple.
 
-    DFS over a generating sequence with closure propagation; every hom
-    found is re-checked pointwise before it is returned. With
-    injective=True only injective homs are returned (pruned during search).
+    Found by `_maps` with sums kept equal; every hom is re-checked
+    pointwise before it is returned. With injective=True only injective
+    homs are returned (pruned during search).
     """
-    gens = generating_sequence(A)
-    val = [-1] * A.size
-    val[A.zero] = B.zero
-    if val[A.one] >= 0 and val[A.one] != B.one:
-        return []  # collapsed domain cannot reach a nontrivial codomain
-    val[A.one] = B.one
-    seed = _extend_partial(A, B, val, [A.zero, A.one])
-    out: List[Homomorphism] = []
-    if seed is None:
-        return out
-
-    def injective_ok() -> bool:
-        assigned = [v for v in val if v >= 0]
-        return len(assigned) == len(set(assigned))
-
-    def dfs(i: int) -> bool:
-        if limit is not None and len(out) >= limit:
-            return True
-        if i == len(gens):
-            h = Homomorphism(A, B, tuple(val))
-            if h.violation() is not None:
-                raise InternalCheckError("hom DFS closure produced a non-hom")
-            out.append(h)
-            return limit is not None and len(out) >= limit
-        g = gens[i]
-        if val[g] >= 0:
-            return dfs(i + 1)
-        for w in B.elements:
-            val[g] = w
-            trail = _extend_partial(A, B, val, [g])
-            if trail is not None:
-                if (not injective or injective_ok()) and dfs(i + 1):
-                    for t in trail:
-                        val[t] = -1
-                    val[g] = -1
-                    return True
-                for t in trail:
-                    val[t] = -1
-            val[g] = -1
-        return False
-
-    dfs(0)
-    out.sort(key=lambda h: h.images)
-    return out
+    homs = [Homomorphism(A, B, images) for images in _maps(A, B, False, injective, limit)]
+    if any(h.violation() is not None for h in homs):
+        raise InternalCheckError("hom DFS closure produced a non-hom")
+    return homs
 
 
 def find_iso(A: FiniteSemiring, B: FiniteSemiring) -> Optional[Homomorphism]:

@@ -4,9 +4,10 @@ naturals.
 A spectrum is a finite list of prime ideal masks with the topology
 generated by principal opens D(a) = {p : a not in p}. The kind selects
 which primes count as points: every prime ideal (spec) or only the
-subtractive ones (sp). Dimension is computed from irreducible closed sets
-directly, then cross-checked against longest specialization chains; the
-two must agree on finite spaces.
+subtractive ones (sp). Primes come from saturations of single elements,
+checked against the kernels of the valuations into bool2. Dimension is
+computed from irreducible closed sets directly, then cross-checked against
+longest specialization chains; the two must agree on finite spaces.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import InternalCheckError, PreconditionError, ResourceError
 from . import corpus
 from .ideals import (
     IdealHandle,
-    all_ideals,
+    _module_sum,
     ideal_closure,
     is_prime,
     is_subtractive,
@@ -36,13 +37,14 @@ from .kernel import (
     MAX_SIZE,
     FiniteSemiring,
     Homomorphism,
+    _maps,
     bits,
-    enumerate_homs,
     is_idempotent,
     joins,
     mask_of,
     popcount,
 )
+from .localize import _powers_mask, _saturation, harden, localize, semi_invertibles_mask
 
 
 @dataclass(frozen=True)
@@ -96,36 +98,44 @@ def _build_space(A: FiniteSemiring, kind: str, masks: Sequence[int]) -> Spectrum
     return space
 
 
-def _sp_masks_via_homs(A: FiniteSemiring) -> List[int]:
+def _bool2_kernels(A: FiniteSemiring, homs: bool) -> List[int]:
+    """Kernels of the homomorphisms (homs) or valuations into bool2, sorted."""
     B2 = corpus.get("bool2")
-    return sorted({h.kernel_mask() for h in enumerate_homs(A, B2)})
+    maps = _maps(A, B2, not homs)
+    return sorted({mask_of(a for a in A.elements if f[a] == B2.zero) for f in maps})
 
 
-def _ideals(A: FiniteSemiring) -> List[IdealHandle]:
-    """The ideal lattice that both spectra filter. A derived table (a
-    module semiring, say) may exceed the table cap; it is refused, and so
-    is a lattice of more than `ideals._IDEAL_CAP` ideals."""
+def _prime_masks(A: FiniteSemiring) -> List[int]:
+    """Every prime ideal, sorted: the complements of the saturations sat(a)
+    that hold 0 and are closed under + (the complement of a prime P is
+    sat(s), s the product of A minus P), checked against the valuation
+    kernels and by `is_prime`. A derived table over the cap is refused."""
     if A.size > MAX_SIZE:
         raise ResourceError(f"{A.label}: size {A.size} over the table cap {MAX_SIZE}")
-    return all_ideals(A)
+    sats = {_saturation(A, _powers_mask(A, a)) for a in A.elements}
+    pts = sorted(
+        P for P in (A.full_mask & ~S for S in sats)
+        if (P >> A.zero) & 1 and _module_sum(A, P, P) == P
+    )
+    if pts != _bool2_kernels(A, homs=False):
+        raise InternalCheckError(f"{A.label}: valuation kernels disagree with saturations")
+    if not all(is_prime(IdealHandle(A, m)) for m in pts):
+        raise InternalCheckError(f"{A.label}: a saturation complement is not prime")
+    return pts
 
 
 def spec_enumerate(A: FiniteSemiring) -> SpectrumSpace:
-    """All prime ideals, found by filtering the ideal lattice."""
-    pts = [I.mask for I in _ideals(A) if is_prime(I)]
-    return _build_space(A, "spec", pts)
+    """All prime ideals, from one saturation per element."""
+    return _build_space(A, "spec", _prime_masks(A))
 
 
 def sp_enumerate(A: FiniteSemiring) -> SpectrumSpace:
-    """All subtractive prime ideals (prime kernels), found by filtering
-    the ideal lattice. For idempotent semirings the points are
-    cross-checked against the kernels of all homomorphisms into the
-    two-element semiring, which must be exactly the same masks."""
-    pts = [I.mask for I in _ideals(A) if is_prime(I) and is_subtractive(I)]
-    if is_idempotent(A) and _sp_masks_via_homs(A) != sorted(pts):
-        raise InternalCheckError(
-            f"{A.label}: hom kernels disagree with subtractive primes"
-        )
+    """All subtractive prime ideals (prime kernels): the subtractive points
+    of spec. For idempotent semirings they are cross-checked against the
+    kernels of all homomorphisms into bool2, which must be the same masks."""
+    pts = [m for m in _prime_masks(A) if is_subtractive(IdealHandle(A, m))]
+    if is_idempotent(A) and _bool2_kernels(A, homs=True) != pts:
+        raise InternalCheckError(f"{A.label}: hom kernels disagree with subtractive primes")
     return _build_space(A, "sp", pts)
 
 
@@ -220,8 +230,6 @@ def induced_map(f: Homomorphism, kind: str) -> InducedMap:
 def localization_point_report(A: FiniteSemiring, s_mask: int, kind: str) -> dict:
     """The spectrum map of the canonical hom to S^-1 A: injective, open,
     image exactly the primes missing S."""
-    from .localize import localize  # deferred: localize depends on kernel only
-
     loc = localize(A, s_mask)
     m = induced_map(loc.phi, kind)
     image = mask_of(sorted(set(m.point_map)))
@@ -253,8 +261,6 @@ def localization_point_report(A: FiniteSemiring, s_mask: int, kind: str) -> dict
 
 def hardening_sp_homeo_check(A: FiniteSemiring) -> bool:
     """Sp of the hardening map is a homeomorphism onto all of Sp A."""
-    from .localize import harden, semi_invertibles_mask
-
     s = semi_invertibles_mask(A)
     rep = localization_point_report(A, s, "sp")
     if not rep["pass"]:

@@ -1,7 +1,7 @@
 """Order-subadditive multiplicative valuations into idempotent semirings,
-their exhaustive correspondence with prime ideals over the two-element
-target, and the submodule lattice of an idempotent semiring with its
-universal valuation.
+those into the two-element target found by the hom search with sums
+bounded, their correspondence with prime ideals, and the submodule
+lattice of an idempotent semiring with its universal valuation.
 
 A submodule is taken over the two-element subsemiring {0, 1}, which exists
 exactly when 1 + 1 = 1: a subset holding 0 and closed under +. The lattice
@@ -25,6 +25,7 @@ from .errors import InternalCheckError, PreconditionError, ResourceError
 from .kernel import (
     FiniteSemiring,
     Homomorphism,
+    _maps,
     bits,
     enumerate_homs,
     is_idempotent,
@@ -86,17 +87,13 @@ def chi_of_prime(A: FiniteSemiring, prime_mask: int) -> GValuation:
 
 
 def bool_valuations(A: FiniteSemiring) -> List[GValuation]:
-    """Every valuation into the two-element semiring, by exhaustive scan
-    over all maps."""
-    if A.size > 20:
-        raise ResourceError(f"{A.label}: 2^{A.size} maps is over the scan limit")
+    """Every valuation into the two-element semiring, found by the search
+    behind `kernel.enumerate_homs` with sums bounded instead of equal;
+    each is re-checked by `g_valuation_violation`."""
     b2 = corpus.get("bool2")
-    out = []
-    for code in range(1 << A.size):
-        images = tuple((code >> a) & 1 for a in A.elements)
-        v = GValuation(A, b2, images)
-        if g_valuation_violation(v) is None:
-            out.append(v)
+    out = [GValuation(A, b2, images) for images in _maps(A, b2, True)]
+    if any(g_valuation_violation(v) is not None for v in out):
+        raise InternalCheckError(f"{A.label}: valuation search produced a non-valuation")
     return out
 
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -253,6 +255,33 @@ def test_registry_names_stay_in_the_workspace(ws, capsys, label):
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert _files_under(ws) == before
     assert not (ws / "escaped.json").exists()
+
+
+def test_load_refuses_an_empty_name(ws, capsys):
+    # an explicit empty --name is refused, not replaced by the label
+    src = table_file(ws)
+    before = _files_under(ws)
+    assert cli.main(["load", src, "--name", ""]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert _files_under(ws) == before
+
+
+def test_closed_stdout_exits_141_silently(ws):
+    # the reader is gone before the command writes: no error line, no
+    # traceback, no message at interpreter exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "semispec.cli", "spec", "boolxy"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 @pytest.mark.parametrize("name", ["../escaped", ""])

@@ -13,7 +13,6 @@ from semispec.kernel import (
     bits,
     enumerate_homs,
     find_iso,
-    generating_sequence,
     is_idempotent,
     joins,
     leq,
@@ -168,7 +167,7 @@ def test_hom_compose_and_kernel():
     # collapse x to 1: the unique map sending only 0 to 0
     h = Homomorphism(A, B, (0, 1, 1, 1))
     assert h.violation() is None
-    assert h.kernel_mask() == 1
+    assert [a for a in A.elements if h(a) == B.zero] == [A.zero]
     assert not h.is_bijective()
     assert identity(A).is_bijective()
 
@@ -209,24 +208,6 @@ def test_find_iso_detects_relabeling():
     iso = find_iso(A, B)
     assert iso is not None and iso.is_bijective()
     assert find_iso(A, corpus.get("boolx")) is None  # same size, different law
-
-
-def test_generating_sequence_generates(corpus_tables):
-    for name, A in corpus_tables.items():
-        if A.size > 8:
-            continue
-        gens = generating_sequence(A)
-        seen = {A.zero, A.one} | set(gens)
-        grew = True
-        while grew:
-            grew = False
-            for a in list(seen):
-                for b in list(seen):
-                    for c in (A.add[a][b], A.mul[a][b]):
-                        if c not in seen:
-                            seen.add(c)
-                            grew = True
-        assert seen == set(A.elements), name
 
 
 def test_joins_are_all_unions():

@@ -9,10 +9,10 @@ from conftest import (
     brute_prime_kernel_masks,
     brute_subtractive_prime_masks,
 )
-from semispec import corpus, ideals, spectra
-from semispec.errors import InternalCheckError, PreconditionError, ResourceError
+from semispec import corpus, ideals, kernel, spectra
+from semispec.errors import InternalCheckError, PreconditionError
 from semispec.ideals import nat_point_not_subtractive, nat_point_prime_check
-from semispec.kernel import Homomorphism
+from semispec.kernel import Homomorphism, make_semiring
 from semispec.spectra import (
     NatSpectrumModel,
     cover_check,
@@ -28,6 +28,7 @@ from semispec.spectra import (
     space_to_dot,
     space_to_json,
 )
+from semispec.valuation import bool_valuations
 
 FROZEN_SPEC = {
     "bool2": [1], "boolnil": [5, 13], "boolpair": [3, 5],
@@ -81,10 +82,72 @@ def test_sp_points_are_hom_kernels_when_idempotent(idempotent_tables):
 
 def test_sp_cross_checks_hom_kernels(monkeypatch):
     # a planted missing kernel must trip the cross-check, which is always on
-    real = spectra._sp_masks_via_homs
-    monkeypatch.setattr(spectra, "_sp_masks_via_homs", lambda A: real(A)[1:])
+    real = spectra._bool2_kernels
+    monkeypatch.setattr(
+        spectra, "_bool2_kernels", lambda A, homs: real(A, homs)[1:] if homs else real(A, homs)
+    )
     with pytest.raises(InternalCheckError, match="hom kernels"):
         sp_enumerate(corpus.get("boolxy"))
+
+
+def test_spec_cross_checks_the_saturation_route(monkeypatch):
+    # route 1 losing one candidate, the prime {0} of boolxy, must trip the
+    # valuation-kernel route
+    A = corpus.get("boolxy")
+    real = spectra._saturation
+    nonzero = A.full_mask & ~(1 << A.zero)
+    monkeypatch.setattr(
+        spectra, "_saturation",
+        lambda B, s: B.full_mask if real(B, s) == nonzero else real(B, s),
+    )
+    with pytest.raises(InternalCheckError, match="valuation kernels"):
+        spec_enumerate(A)
+
+
+def test_valuation_search_needs_its_bottom_forcing_rule(monkeypatch):
+    # a search that lets x + y take any value when x and y map to zero
+    # finds maps that are no valuations: both spec and the valuations trip
+    real = kernel._sum_rule
+
+    def unforced(B, bounded):
+        rule = real(B, bounded)
+        if not bounded:
+            return rule
+        return tuple(
+            tuple(B.full_mask if ok == 1 << B.zero else ok for ok in row) for row in rule
+        )
+
+    monkeypatch.setattr(kernel, "_sum_rule", unforced)
+    A = corpus.get("boolxy")
+    with pytest.raises(InternalCheckError):
+        spec_enumerate(A)
+    with pytest.raises(InternalCheckError):
+        bool_valuations(A)
+
+
+def chain_times_bool2():
+    """bool2 x C, C an 18-element max-chain whose non-unit elements
+    multiply to 0: 36 elements, 131,074 ideals and 2 primes."""
+    top = 17
+    C = make_semiring(
+        list(range(top + 1)), max,
+        lambda a, b: b if a == top else a if b == top else 0, 0, top, "C18",
+    )
+    return corpus.product_semiring(corpus.get("bool2"), C, "bool2*C18")
+
+
+def test_spectra_never_read_the_ideal_lattice(monkeypatch, corpus_tables):
+    def refuse(*_args, **_kw):
+        raise AssertionError("the ideal lattice was read")
+
+    monkeypatch.setattr(ideals, "closed_sets", refuse)
+    for name, A in corpus_tables.items():
+        assert sorted(spec_enumerate(A).point_masks) == FROZEN_SPEC[name]
+        assert sorted(sp_enumerate(A).point_masks) == FROZEN_SP[name]
+    A = chain_times_bool2()
+    assert A.size == 36
+    assert spec_enumerate(A).npoints == 2
+    assert sp_enumerate(A).npoints == 2
 
 
 @pytest.mark.parametrize(
@@ -111,13 +174,6 @@ def test_spectra_of_large_products(a, b, nspec, nsp):
         got = enum(AB).point_masks
         assert len(got) == npoints
         assert sorted(got) == sorted(want)
-
-
-def test_spectrum_refuses_a_lattice_over_the_ideal_cap(monkeypatch):
-    monkeypatch.setattr(ideals, "_IDEAL_CAP", 100)
-    A = corpus.product_semiring(corpus.get("boolxy"), corpus.get("boolx"), "bxy*bx")
-    with pytest.raises(ResourceError):
-        spec_enumerate(A)
 
 
 def test_sp_embeds_in_spec(corpus_tables):

@@ -88,6 +88,15 @@ def test_valuations_biject_with_primes(corpus_tables):
             assert got == want, name
 
 
+def test_bool_valuations_of_a_32_element_product():
+    # past the reach of a scan over all 2^32 maps
+    A = corpus.product_semiring(corpus.get("boolxy"), BOOL2, "boolxy*bool2")
+    vals = bool_valuations(A)
+    assert len(vals) == 13
+    kernels = sorted(mask_of(a for a in A.elements if v(a) == 0) for v in vals)
+    assert kernels == sorted(spec_enumerate(A).point_masks)
+
+
 def test_integral_part_is_subsemiring():
     A = corpus.get("boolx")
     for v in bool_valuations(A):
