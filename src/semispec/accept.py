@@ -50,8 +50,11 @@ from .presented import (
     build_index,
     congruent,
     counterexample_presentation,
+    evaluate,
+    is_model,
     localized_images_equal,
     parse_term,
+    separating_model,
 )
 from .sheaf import (
     SheafContext,
@@ -278,8 +281,16 @@ def criterion_6() -> CheckResult:
     eqy, ky = localized_images_equal(pres, s, t, "y", bound6)
     idx8 = build_index(pres, Bound(degree=8, coeff=8))
     a8 = congruent(idx8, s, t)
+    # a finite model proves the pair distinct; the one found is re-checked
+    model = separating_model(pres, s, t, corpus.members(max_size=8))
+    separated = (
+        model is not None
+        and is_model(*model, pres)
+        and evaluate(*model, s) != evaluate(*model, t)
+    )
     ok = (
-        a6.verdict == "no-at-bound"
+        separated
+        and a6.verdict == "no-at-bound"
         and a8.verdict == "no-at-bound"
         and eqx
         and kx == 1

@@ -95,15 +95,14 @@ def _parse_element(A: FiniteSemiring, token: str) -> int:
 
 def cmd_load(args: argparse.Namespace) -> int:
     d = read_json_object(args.path)
-    if "gens" in d:
-        pres = presentation_from_json(d)
-        table, _classes = finite_quotient(
-            pres, degree=args.degree, coeff=args.coeff
+    default = os.path.splitext(os.path.basename(args.path))[0]
+    if "gens" in d:  # a presentation has no label
+        A, _classify = finite_quotient(
+            presentation_from_json(d), degree=args.degree, coeff=args.coeff
         )
-        A = table
     else:
         A = semiring_from_dict(d)
-    default = A.label or os.path.splitext(os.path.basename(args.path))[0]
+        default = A.label or default
     name = default if args.name is None else args.name
     A = dataclasses.replace(A, label=name)
     _store(name, A)
@@ -236,9 +235,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("load", help="register a semiring table or presentation")
     q.add_argument("path")
-    q.add_argument("--name", help="registry name (default: label or filename)")
-    q.add_argument("--degree", type=int, default=2, help="presentation: monomial degree cap")
-    q.add_argument("--coeff", type=int, default=2, help="presentation: coefficient cap")
+    q.add_argument(
+        "--name",
+        help="registry name (default: the table's label, else the file's base name)",
+    )
+    q.add_argument(
+        "--degree", type=int, default=2,
+        help="presentation: degree cap on the normal forms that represent "
+        "its elements (default 2); the table is built by closure from the "
+        "generators and checked to be a model of the relations",
+    )
+    q.add_argument(
+        "--coeff", type=int, default=2,
+        help="presentation: coefficient cap on those normal forms (default 2); "
+        "a normal form outside either cap exits 5",
+    )
     q.set_defaults(fn=cmd_load)
 
     q = sub.add_parser("axioms", help="check the semiring axioms")

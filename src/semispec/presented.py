@@ -1,5 +1,7 @@
-"""Finitely presented commutative semirings over the naturals, with a
-bounded congruence-closure decision procedure for the word problem.
+"""Finitely presented commutative semirings over the naturals: a bounded
+congruence-closure decision procedure for the word problem, finite models
+that tell two terms apart, and finite quotients built by closure from the
+generators.
 
 Terms are N-linear combinations of monomials in the generators, stored
 canonically. A presentation induces the smallest semiring congruence
@@ -13,19 +15,41 @@ The explored universe grows on demand from the queried terms; it is the set
 of terms rewrite-reachable from registered seeds within the bound, not a
 full enumeration of all bounded terms (which is astronomically large even
 at degree 6).
+
+A finite quotient needs no exploration. Its representatives are normal
+forms: terms that no relation, oriented from its larger side in a fixed
+well-founded order, rewrites further. Starting from 0, 1 and the generators,
+the normal form of every sum and product of two representatives is found by
+replayed rewrites, and one not seen before becomes a new representative.
+The table is exact once a model check passes: it satisfies the semiring
+axioms and every relation, with each generator sent to its representative.
+Where greedy normal forms are not unique the check fails at two of them,
+and that pair joins the relations before the closure starts again.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from .errors import FormatError, InternalCheckError, PreconditionError, ResourceError
-from .kernel import FiniteSemiring, tabulate
+from .kernel import MAX_SIZE, FiniteSemiring, verify_axioms
 
 Mono = Tuple[int, ...]
 Term = Tuple[Tuple[Mono, int], ...]  # sorted by monomial, coefficients >= 1
@@ -209,9 +233,9 @@ class CongruenceIndex:
 
     Every term records (root, previous term, move) when an explore first
     reaches it. Every move has its reverse and an explore runs until its
-    queue empties or the node budget stops all further search, so no later
-    explore can reach an earlier tree: two terms are congruent at the bound
-    exactly when they share a root."""
+    queue empties, so no later explore can reach an earlier tree: two terms
+    are congruent at the bound exactly when they share a root. An explore
+    that would hold more than the node budget raises ResourceError."""
 
     def __init__(self, pres: Presentation, bound: Optional[Bound] = None):
         self.pres = pres
@@ -223,12 +247,11 @@ class CongruenceIndex:
         self._tree: Dict[Term, Record] = {}
         self._explored: Set[Term] = set()
         self._replayed: Set[Tuple[Term, Record]] = set()
-        self.budget_exhausted = False
 
     # rewriting --------------------------------------------------------------
     def _step(self, t: Term, move: Move) -> Optional[Term]:
-        """t - m*src + m*dst, or None when m*src is not in t or the result
-        leaves the bound (t itself is within it)."""
+        """t - m*src + m*dst, or None when m*src is not in t or a monomial
+        it rewrites leaves the bound."""
         ridx, direction, mult = move
         src, dst = self.rels[ridx][direction], self.rels[ridx][1 - direction]
         acc = dict(t)
@@ -283,8 +306,9 @@ class CongruenceIndex:
                 continue
             self._explored.add(cur)
             if len(tree) > self.bound.nodes:
-                self.budget_exhausted = True
-                return
+                raise ResourceError(
+                    f"node budget of {self.bound.nodes} terms exhausted"
+                )
             for nxt, move in self._neighbors(cur):
                 if nxt not in tree:
                     tree[nxt] = (root, cur, move)
@@ -364,87 +388,271 @@ def localized_images_equal(
     return False, -1
 
 
+# ---------------------------------------------------------------------------
+# finite models and finite quotients
+
+
+def evaluate(A: Union[FiniteSemiring, "_Closure"], images: Sequence[int], t: Term) -> int:
+    """The value of t in A with generator i sent to images[i]. A may also
+    be a closure whose tables are still partial; an entry not known yet
+    raises KeyError."""
+    acc = A.zero
+    for m, c in t:
+        v = A.one
+        for g, e in zip(images, m):
+            for _ in range(e):
+                v = A.mul[v][g]
+        for _ in range(c):
+            acc = A.add[acc][v]
+    return acc
+
+
+def is_model(A: FiniteSemiring, images: Sequence[int], pres: Presentation) -> bool:
+    """Every relation of pres holds in A with generator i sent to images[i]."""
+    return all(
+        evaluate(A, images, l) == evaluate(A, images, r) for l, r in pres.all_rels()
+    )
+
+
+def separating_model(
+    pres: Presentation, s: Term, t: Term, tables: Sequence[FiniteSemiring]
+) -> Optional[Tuple[FiniteSemiring, Tuple[int, ...]]]:
+    """The first table, smallest first, with generator images under which
+    every relation holds and s and t differ, or None. Such a finite model
+    proves s and t distinct in the presented semiring (finite model search
+    in the style of McCune's Mace4, 2003)."""
+    for A in sorted(tables, key=lambda A: A.size):
+        for images in itertools.product(A.elements, repeat=pres.nvars):
+            if is_model(A, images, pres) and evaluate(A, images, s) != evaluate(A, images, t):
+                return A, images
+    return None
+
+
+def _order_key(t: Term) -> Tuple[Tuple[int, Mono, int], ...]:
+    """Sort key of the fixed well-founded order that every reduction step
+    must lower. Terms compare as multisets of monomials: the larger term has
+    the larger coefficient at the largest monomial where the two differ.
+    Monomials compare by degree, then lexicographically. The multiset
+    extension of a well-order is well-founded (Dershowitz and Manna, 1979),
+    and s < t gives s + u < t + u and m*s < m*t, so a relation oriented from
+    its larger side lowers every term it rewrites."""
+    return tuple(sorted(((sum(m), m, c) for m, c in t), reverse=True))
+
+
+# The laws of commutative semirings that the closure's tables can break,
+# each as the number of elements in a witness and the two sides it equates.
+# Both tables are symmetric, and a normal form plus 0 or times 0 is itself
+# or 0, so commutativity and the laws of 0 always hold.
+_LAWS = {
+    "add-assoc": (3, lambda A, a, b, c: (A.add[A.add[a][b]][c], A.add[a][A.add[b][c]])),
+    "mul-assoc": (3, lambda A, a, b, c: (A.mul[A.mul[a][b]][c], A.mul[a][A.mul[b][c]])),
+    "distrib": (3, lambda A, a, b, c: (A.mul[a][A.add[b][c]], A.add[A.mul[a][b]][A.mul[a][c]])),
+    "mul-one": (1, lambda A, a: (A.mul[a][A.one], a)),
+}
+
+
+def _disagreement(
+    A: Union[FiniteSemiring, "_Closure"],
+    images: Optional[Sequence[int]],
+    pres: Presentation,
+    witnesses: Iterable[Tuple[str, Sequence[int]]],
+) -> Optional[Tuple[int, int]]:
+    """Two different elements that a law, at one of the witnesses, or a
+    relation equates: the values of its two sides in A. None when every
+    law and relation holds wherever A's entries are known. Relations are
+    skipped until every generator has an image."""
+    for code, w in witnesses:
+        if code not in _LAWS:
+            raise InternalCheckError(f"closure table breaks {code}")
+        try:
+            p, q = _LAWS[code][1](A, *w)
+        except KeyError:
+            continue
+        if p != q:
+            return p, q
+    for l, r in pres.all_rels() if images is not None else ():
+        try:
+            p, q = evaluate(A, images, l), evaluate(A, images, r)
+        except KeyError:
+            continue
+        if p != q:
+            return p, q
+    return None
+
+
+class _Closure:
+    """The closure from the generators: representatives that are normal
+    forms, terms that no relation, oriented from its larger side, rewrites
+    any further, and the tables of + and * on them, which fill in as the
+    closure runs (`add[a][b]` is the representative of a + b)."""
+
+    def __init__(self, pres: Presentation, bound: Bound, degree: int, coeff: int):
+        self.pres = pres
+        self.bound = bound
+        self.rep_bound = Bound(degree=degree, coeff=coeff)
+        self.examined = 0
+        self.derived: Tuple[Tuple[Term, Term], ...] = ()
+        self._start()
+
+    def derive(self, p: int, q: int) -> None:
+        """Add the terms of two representatives that the presentation makes
+        equal as one more relation, and start the closure again."""
+        self.derived += ((self.reps[p], self.reps[q]),)
+        self._start()
+
+    def _start(self) -> None:
+        rels = self.pres.rels + self.derived
+        self.idx = CongruenceIndex(
+            Presentation(self.pres.gens, rels, self.pres.idempotent), self.bound
+        )
+        self.rules = [
+            (ridx, direction, src)
+            for ridx, rel in enumerate(self.idx.rels)
+            for direction, src in enumerate(rel)
+            if _order_key(src) > _order_key(rel[1 - direction])
+        ]
+        self.reps: List[Term] = []
+        self.index: Dict[Term, int] = {}
+        self.add: Dict[int, Dict[int, int]] = defaultdict(dict)
+        self.mul: Dict[int, Dict[int, int]] = defaultdict(dict)
+        self.images: Optional[Tuple[int, ...]] = None
+
+    def _lowering_step(self, t: Term) -> Optional[Tuple[Term, Move]]:
+        """The first rewrite of t by an oriented relation, with its move, or
+        None when t is a normal form. Every rewrite examined is charged to
+        the node budget."""
+        for ridx, direction, src in self.rules:
+            m0 = src[0][0]
+            for m, _c in t:
+                if all(a >= b for a, b in zip(m, m0)):
+                    self.examined += 1
+                    if self.examined > self.bound.nodes:
+                        raise ResourceError(
+                            f"node budget of {self.bound.nodes} rewrites exhausted "
+                            f"after {len(self.derived)} derived relations"
+                        )
+                    move = (ridx, direction, tuple(a - b for a, b in zip(m, m0)))
+                    nxt = self.idx._step(t, move)
+                    if nxt is not None:
+                        return nxt, move
+        return None
+
+    def rep_of(self, t: Term) -> int:
+        """The representative of t's normal form, which becomes a new one
+        when unseen. Each reduction step is replayed as a move of the
+        congruence index and must lower `_order_key`, so t is congruent to
+        the normal form."""
+        cur, step = t, self._lowering_step(t)
+        while step is not None:
+            nxt, move = step
+            if self.idx._step(cur, move) != nxt or _order_key(nxt) >= _order_key(cur):
+                raise InternalCheckError("reduction step is not a lowering rewrite")
+            cur, step = nxt, self._lowering_step(nxt)
+        i = self.index.get(cur)
+        if i is None:
+            if not term_within(cur, self.rep_bound):
+                raise PreconditionError(
+                    f"quotient element {fmt_term(cur, self.pres.gens)} lies "
+                    f"outside degree {self.rep_bound.degree}, coefficient "
+                    f"{self.rep_bound.coeff}: the quotient is infinite or needs "
+                    "larger bounds"
+                )
+            if len(self.reps) == MAX_SIZE:
+                raise ResourceError(
+                    f"more than {MAX_SIZE} representatives: over the table cap"
+                )
+            i = self.index[cur] = len(self.reps)
+            self.reps.append(cur)
+        return i
+
+    def table(self) -> FiniteSemiring:
+        """The table of the representatives, found by closure from 0, 1 and
+        the generators."""
+        reps, rep_of, nv = self.reps, self.rep_of, self.pres.nvars
+        self.zero, self.one = rep_of(ZERO), rep_of(one_term(nv))
+        self.images = tuple(rep_of(var_term(nv, i)) for i in range(nv))
+        k = 0
+        while k < len(reps):  # reps grows while its pairs are classified
+            # sums first: products raise the degree, so a normal form that
+            # leaves the bound comes later, after more entries are known
+            for j in range(k + 1):
+                self.add[k][j] = self.add[j][k] = rep_of(term_add(reps[k], reps[j]))
+            for j in range(k + 1):
+                self.mul[k][j] = self.mul[j][k] = rep_of(term_mul(reps[k], reps[j]))
+            k += 1
+        n = len(reps)
+        return FiniteSemiring(
+            size=n,
+            zero=self.zero,
+            one=self.one,
+            add=tuple(tuple(self.add[a][b] for b in range(n)) for a in range(n)),
+            mul=tuple(tuple(self.mul[a][b] for b in range(n)) for a in range(n)),
+            label="presented-quotient",
+            names=tuple(fmt_term(r, self.pres.gens) for r in reps),
+        )
+
+
 def finite_quotient(
     pres: Presentation,
     degree: int = 4,
     coeff: int = 4,
     bound: Optional[Bound] = None,
-) -> Tuple[FiniteSemiring, Dict[Term, int]]:
-    """Reconstruct the quotient as a finite table by partitioning all terms
-    up to (degree, coeff) into congruence classes. Raises if an operation
-    leaves the enumerated classes; intended for presentations defining a
-    small finite semiring.
+) -> Tuple[FiniteSemiring, Callable[[Term], int]]:
+    """The presented semiring as a finite table, built by closure from the
+    generators (Froidure and Pin, 1997), with the class of every term.
 
-    The rewrite search is confined to twice the enumeration bounds: paths
-    between small terms may legitimately pass through somewhat larger ones,
-    but an unbounded search universe makes idempotent presentations blow
-    up. If even that region exhausts the node budget the partition would
-    be untrustworthy, so the call refuses instead of returning tables.
-    The enumeration must hold 0 and 1: coeff >= 1 and degree >= 0."""
+    The representatives start as the normal forms of 0, 1 and the
+    generators; the normal form of every sum and product of two
+    representatives is found, and one not seen before becomes a new
+    representative. Each reduction step is a replayed rewrite by one
+    relation that lowers a fixed well-founded order, so every term is
+    congruent to a representative, and every table entry to the sum or
+    product it stands for. The table must then pass a model check: the
+    axiom check, and every relation with each generator sent to its
+    representative. A model is generated by the generators, and in it the
+    representatives are distinct, so it is the quotient, and a term's class
+    is its value in it.
+
+    Greedy normal forms need not be unique. Then a law or a relation fails
+    at two different representatives that the presentation makes equal,
+    since each is congruent to the same term or to the two sides of one
+    relation. That pair becomes a derived relation and the closure starts
+    again, in the manner of Knuth-Bendix completion; no table that fails
+    the check is returned.
+
+    A normal form outside (degree, coeff) raises PreconditionError, as for
+    a quotient containing the naturals, unless the entries found so far
+    break a law or a relation, which again gives a derived relation. More
+    than MAX_SIZE representatives raise ResourceError. Rewriting is
+    confined to `bound`, which by default holds every sum and product of
+    two representatives, and every rewrite examined, over all restarts,
+    counts against its node budget. A (degree, coeff) region of more than
+    100,000 terms is refused up front. The bounds must hold 0 and 1:
+    coeff >= 1 and degree >= 0."""
     if coeff < 1 or degree < 0:
         raise PreconditionError("presentation bounds need coeff >= 1 and degree >= 0")
-    if bound is None:
-        bound = Bound(degree=2 * degree, coeff=2 * coeff)
-    idx = CongruenceIndex(pres, bound)
-    nv = pres.nvars
-    monos = monomials(nv, degree)
-    terms: List[Term] = []
-
-    def gen_terms(i: int, acc: List[Tuple[Mono, int]]) -> None:
-        if i == len(monos):
-            terms.append(term_from_items(acc))
-            return
-        for c in range(coeff + 1):
-            gen_terms(i + 1, acc + ([(monos[i], c)] if c else []))
-
+    monos = monomials(pres.nvars, degree)
     if (coeff + 1) ** len(monos) > 100000:
         raise ResourceError("enumeration bound too large")
-    gen_terms(0, [])
-
-    def check_budget() -> None:
-        if idx.budget_exhausted:
-            raise ResourceError(
-                "node budget exhausted; the class partition would be "
-                "untrustworthy"
+    if bound is None:
+        bound = Bound(degree=2 * degree, coeff=2 * coeff * coeff * len(monos))
+    closure = _Closure(pres, bound, degree, coeff)
+    while True:
+        try:
+            table = closure.table()
+        except PreconditionError:  # a normal form left (degree, coeff)
+            every_witness = (
+                (code, w)
+                for code, (arity, _sides) in _LAWS.items()
+                for w in itertools.product(range(len(closure.reps)), repeat=arity)
             )
-
-    reps: List[Term] = []
-    by_root: Dict[Term, int] = {}  # component root -> class
-    cls: Dict[Term, int] = {}
-
-    def class_of(t: Term) -> Optional[int]:
-        """The class of t's component, with t's chain to its representative
-        replayed, or None for a component no enumerated term reached.
-        Refuses once the budget ran out, before any axiom check of the
-        tables can run."""
-        i = by_root.get(idx.root(t))
-        check_budget()
-        if i is not None:
-            idx.congruent(t, reps[i])
-        return i
-
-    for t in terms:
-        i = class_of(t)
-        if i is None:
-            i = by_root[idx.root(t)] = len(reps)
-            reps.append(t)
-        cls[t] = i
-
-    def classify(t: Term) -> Term:
-        i = cls.get(t)
-        if i is None and term_within(t, idx.bound):
-            i = class_of(t)
-        if i is None:
-            raise PreconditionError("operation leaves the enumerated classes")
-        return reps[i]
-
-    table = tabulate(
-        reps,
-        lambda s, t: classify(term_add(s, t)),
-        lambda s, t: classify(term_mul(s, t)),
-        reps[cls[ZERO]],
-        reps[cls[one_term(nv)]],
-        "presented-quotient",
-        [fmt_term(r, pres.gens) for r in reps],
-    )
-    return table, cls
+            pair = _disagreement(closure, closure.images, pres, every_witness)
+            if pair is None:
+                raise
+        else:
+            images = closure.images
+            witnesses = ((v.code, v.witness) for v in verify_axioms(table))
+            pair = _disagreement(table, images, pres, witnesses)
+            if pair is None:
+                return table, lambda t: evaluate(table, images, t)
+        closure.derive(*pair)

@@ -46,14 +46,15 @@ from . import poly
 
 
 class SheafContext:
-    """Caches the spectrum, the monoid of each open, localizations and
-    restriction maps for one (semiring, kind) pair."""
+    """Caches the spectrum, the monoid of each open and of each principal
+    open, localizations and restriction maps for one (semiring, kind) pair."""
 
     def __init__(self, A: FiniteSemiring, kind: str):
         self.A = A
         self.kind = kind
         self.space = enumerate_space(A, kind)
         self._monoids: Dict[int, int] = {}
+        self._principal: Dict[int, int] = {}
         self._locs: Dict[int, LocalizedSemiring] = {}
         self._restr: Dict[Tuple[int, int], Homomorphism] = {}
 
@@ -85,13 +86,17 @@ class SheafContext:
 
     def principal_monoid(self, a: int) -> int:
         """Monoid of D(a); on the all-primes spectrum this equals the
-        saturation of the powers of a, and that identity is asserted."""
+        saturation of the powers of a, and that identity is asserted once
+        per element."""
+        if a in self._principal:
+            return self._principal[a]
         m = self.monoid_of(self.space.basis[a])
         if self.kind == "spec":
             if m != saturate(self.A, _powers_mask(self.A, a)):
                 raise InternalCheckError(
                     f"{self.A.label}: S_D(a) is not the saturation of the powers"
                 )
+        self._principal[a] = m
         return m
 
     # -- presheaf ------------------------------------------------------------

@@ -7,7 +7,7 @@ red test.
 
 import pytest
 
-from semispec import accept
+from semispec import accept, presented
 
 
 @pytest.mark.parametrize(
@@ -26,3 +26,15 @@ def test_criterion(number, ident, fn):
 def test_every_criterion_is_registered():
     assert [n for n, _i, _f in accept.CRITERIA] == list(range(1, 11))
     assert len(accept.IDENTS) == 10
+
+
+def test_criterion_6_rechecks_its_separating_model(monkeypatch):
+    # a model search that drops 1 + x = x + y finds bool2 with x = y = 0,
+    # which separates the pair but is no model: the re-check fails it
+    search = presented.separating_model
+
+    def search_without_last_relation(pres, s, t, tables):
+        return search(presented.Presentation(pres.gens, pres.rels[:-1]), s, t, tables)
+
+    monkeypatch.setattr(accept, "separating_model", search_without_last_relation)
+    assert not accept.criterion_6().passed

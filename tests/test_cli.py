@@ -96,6 +96,17 @@ def test_presentation_load_and_spec(ws, capsys):
     assert "3 prime ideals" in out
 
 
+def test_presentations_without_a_name_are_stored_under_their_file_names(ws, capsys):
+    qx, nil = ws / "qx.json", ws / "nil.json"
+    qx.write_text(json.dumps({"gens": ["x"], "rels": [["x*x", "x"]], "idempotent": True}))
+    nil.write_text(json.dumps({"gens": ["x"], "rels": [["x^2", "0"]], "idempotent": True}))
+    assert cli.main(["load", str(qx)]) == 0
+    assert cli.main(["load", str(nil)]) == 0
+    out = capsys.readouterr().out
+    assert "loaded qx: 4 elements" in out and "loaded nil: 4 elements" in out
+    assert sorted(os.listdir(ws / "ws")) == ["nil.json", "qx.json"]
+
+
 def test_presentation_with_relation_to_zero(ws, capsys):
     pres = ws / "pres.json"
     pres.write_text(json.dumps(

@@ -4,9 +4,9 @@ import itertools
 
 import pytest
 
-from semispec import corpus
+from semispec import corpus, presented
 from semispec.errors import InternalCheckError, PreconditionError, ResourceError
-from semispec.kernel import find_iso, verify_axioms
+from semispec.kernel import find_iso, semiring_from_dict, verify_axioms
 from semispec.presented import (
     Bound,
     CongruenceIndex,
@@ -118,17 +118,19 @@ def test_finite_quotient_recovers_known_table():
     # table with a single multiplicative absorber below 1+x
     assert find_iso(table, corpus.get("boolx")) is not None
     g = pres.gens
-    assert cls[parse_term("x", g)] == cls[parse_term("x^2", g)]
-    assert cls[parse_term("1", g)] != cls[parse_term("x", g)]
+    assert cls(parse_term("x", g)) == cls(parse_term("x^2", g))
+    assert cls(parse_term("1", g)) != cls(parse_term("x", g))
 
 
 def test_finite_quotient_budget_refusal():
+    # the closure examines 40 rewrites here; a budget of 20 refuses
     pres = idem_square_presentation()
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match="node budget of 20"):
         finite_quotient(
             pres, degree=4, coeff=4,
-            bound=Bound(degree=8, coeff=8, nodes=2000),
+            bound=Bound(degree=8, coeff=8, nodes=20),
         )
+    assert finite_quotient(pres, degree=4, coeff=4)[0].size == 4
 
 
 ZERO_PRODUCT = {"gens": ["x", "y"], "rels": [["x*y", "0"], ["x^2", "x"], ["y^2", "y"]]}
@@ -143,12 +145,12 @@ def test_finite_quotient_with_relation_to_zero():
     assert verify_axioms(table) == []
     assert table.size == 8
     g = pres.gens
-    assert table.mul[cls[parse_term("x", g)]][cls[parse_term("y", g)]] == table.zero
+    assert table.mul[cls(parse_term("x", g))][cls(parse_term("y", g))] == table.zero
 
     pres = presentation_from_json({**SQUARE_ZERO, "idempotent": True})
     table, cls = finite_quotient(pres, degree=2, coeff=2)
     assert verify_axioms(table) == []
-    assert cls[parse_term("x^2", pres.gens)] == table.zero
+    assert cls(parse_term("x^2", pres.gens)) == table.zero
     assert find_iso(table, corpus.get("boolnil")) is not None
 
 
@@ -254,3 +256,152 @@ def test_localized_images_unknown_generator():
     pres = counterexample_presentation()
     with pytest.raises(PreconditionError):
         localized_images_equal(pres, one_term(2), one_term(2), "z")
+
+
+@pytest.mark.parametrize("data, coeff", [
+    ({"gens": ["x"], "rels": [["x*x", "x"]], "idempotent": True}, 2),
+    ({**SQUARE_ZERO, "idempotent": True}, 2),
+    ({**ZERO_PRODUCT, "idempotent": True}, 1),
+], ids=["idem-square", "idem-square-zero", "idem-zero-product"])
+def test_congruence_index_never_joins_two_quotient_classes(data, coeff):
+    # pairs of terms up to degree 2 and the given coefficient, searched at
+    # (2, 2), which holds 1 + 1 = 1
+    pres = presentation_from_json(data)
+    _table, cls = finite_quotient(pres, degree=2, coeff=2)
+    idx = CongruenceIndex(pres, Bound(degree=2, coeff=2))
+    terms = list(bounded_terms(pres.nvars, Bound(degree=2, coeff=coeff)))
+    verdicts = set()
+    for i, s in enumerate(terms):
+        for t in terms[i:]:
+            yes = congruent(idx, s, t).is_yes
+            verdicts.add((yes, cls(s) == cls(t)))
+            assert not yes or cls(s) == cls(t), (s, t)
+    assert {(True, True), (False, False)} <= verdicts
+
+
+# The tables the closure replaced built from the presentations in tests/ and
+# the README, frozen; each is built again, at its old bounds and at larger
+# ones that refused before.
+BOOLX_LIKE = {"label": "", "size": 4, "zero": 0, "one": 2,
+              "add": [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3], [3, 3, 3, 3]],
+              "mul": [[0, 0, 0, 0], [0, 1, 1, 1], [0, 1, 2, 3], [0, 1, 3, 3]]}
+ZERO_PRODUCT_8 = {"label": "", "size": 8, "zero": 0, "one": 4,
+                  "add": [[0, 1, 2, 3, 4, 5, 6, 7], [1, 1, 3, 3, 5, 5, 7, 7],
+                          [2, 3, 2, 3, 6, 7, 6, 7], [3, 3, 3, 3, 7, 7, 7, 7],
+                          [4, 5, 6, 7, 4, 5, 6, 7], [5, 5, 7, 7, 5, 5, 7, 7],
+                          [6, 7, 6, 7, 6, 7, 6, 7], [7, 7, 7, 7, 7, 7, 7, 7]],
+                  "mul": [[0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 1, 1, 1, 1, 1],
+                          [0, 0, 2, 2, 2, 2, 2, 2], [0, 1, 2, 3, 3, 3, 3, 3],
+                          [0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 5, 5, 7, 7],
+                          [0, 1, 2, 3, 6, 7, 6, 7], [0, 1, 2, 3, 7, 7, 7, 7]]}
+BOOLNIL_LIKE = {"label": "", "size": 4, "zero": 0, "one": 2,
+                "add": [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3], [3, 3, 3, 3]],
+                "mul": [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 2, 3], [0, 1, 3, 3]]}
+
+
+@pytest.mark.parametrize("data, degree, coeff, frozen", [
+    ({"gens": ["x"], "rels": [["x*x", "x"]], "idempotent": True}, 2, 2, BOOLX_LIKE),
+    ({"gens": ["x"], "rels": [["x*x", "x"]], "idempotent": True}, 3, 3, BOOLX_LIKE),
+    ({**ZERO_PRODUCT, "idempotent": True}, 1, 1, ZERO_PRODUCT_8),
+    ({**ZERO_PRODUCT, "idempotent": True}, 2, 2, ZERO_PRODUCT_8),
+    ({**SQUARE_ZERO, "idempotent": True}, 2, 2, BOOLNIL_LIKE),
+], ids=["idem-square", "idem-square-3", "idem-zero-product", "idem-zero-product-2",
+        "idem-square-zero"])
+def test_quotients_match_the_enumerated_tables(data, degree, coeff, frozen):
+    table, _cls = finite_quotient(presentation_from_json(data), degree, coeff)
+    assert find_iso(table, semiring_from_dict(frozen)) is not None
+
+
+@pytest.mark.parametrize("data", [
+    {"gens": ["x"], "rels": [["2*x", "0"]], "idempotent": True},
+    {"gens": ["x"], "rels": [["x*x", "x"], ["2*x", "0"]], "idempotent": True},
+], ids=["tables-so-far", "axiom-check"])
+def test_normal_forms_that_disagree_give_a_derived_relation(data):
+    # 2x rewrites to 0 by the relation and to x by 1 + 1 = 1, so x = 0. The
+    # closure first finds x^2 and x^3 as normal forms, and x^3 leaves the
+    # degree bound unless the tables so far show associativity failing;
+    # with x^2 = x the table closes and fails distributivity instead.
+    pres = presentation_from_json(data)
+    table, cls = finite_quotient(pres, degree=2, coeff=2)
+    assert verify_axioms(table) == []
+    assert find_iso(table, corpus.get("bool2")) is not None
+    assert cls(parse_term("x", pres.gens)) == table.zero
+
+
+def test_a_relation_broken_by_the_tables_so_far_collapses_the_quotient():
+    # 1 + 1 rewrites to 0 by the relation before 1 + 1 = 1 applies, so the
+    # tables so far hold 1 + 1 = 0 when x^3 leaves the degree bound: the
+    # relation 1 + 1 = 1 fails, 1 = 0 is derived, and one element remains
+    pres = presentation_from_json({"gens": ["x"], "rels": [["1+1", "0"]], "idempotent": True})
+    table, cls = finite_quotient(pres, degree=2, coeff=2)
+    assert table.size == 1
+    assert cls(parse_term("x", pres.gens)) == cls(one_term(1)) == table.zero
+
+
+@pytest.mark.parametrize("rels", [
+    [["x", "1"], ["x^2", "x"], ["1+1", "1"]],
+    [["x^2", "x"], ["1+1", "1"], ["x", "1"]],
+], ids=["first", "last"])
+def test_a_relation_the_table_breaks_is_derived_again(monkeypatch, rels):
+    # a reduction that skips the given relation x = 1 closes on boolx, in
+    # which x = 1 fails; the relation check, wherever x = 1 stands, derives
+    # it again, and the quotient has 2 elements
+    pres = presentation_from_json({"gens": ["x"], "rels": rels})
+    skipped = rels.index(["x", "1"])
+    init = presented._Closure.__init__
+
+    def init_skipping(self, *args):
+        init(self, *args)
+        self.rules = [r for r in self.rules if r[0] != skipped]
+
+    monkeypatch.setattr(presented._Closure, "__init__", init_skipping)
+    table, _cls = finite_quotient(pres, degree=2, coeff=2)
+    assert find_iso(table, corpus.get("bool2")) is not None
+
+
+def test_a_reduction_step_without_a_legal_move_fails_the_replay(monkeypatch):
+    pres = idem_square_presentation()
+    g = pres.gens
+    x, one_plus_x = parse_term("x", g), parse_term("1+x", g)
+    lowering_step = presented._Closure._lowering_step
+
+    def merging(self, t):
+        if t == one_plus_x:
+            return x, (0, 0, (0,))
+        return lowering_step(self, t)
+
+    monkeypatch.setattr(presented._Closure, "_lowering_step", merging)
+    with pytest.raises(InternalCheckError):
+        finite_quotient(pres, degree=2, coeff=2)
+
+
+def test_zero_product_without_idempotent_addition_is_refused_at_once():
+    # the naturals embed (x = y = 0 satisfies every relation), so a normal
+    # form leaves the coefficient bound
+    with pytest.raises(PreconditionError):
+        finite_quotient(presentation_from_json(ZERO_PRODUCT), degree=2, coeff=2)
+
+
+def test_a_quotient_over_the_table_cap_is_refused():
+    # subsets of {1, x, y, z, xy, xz, yz}: 128 elements, all within (2, 1)
+    pres = presentation_from_json({
+        "gens": ["x", "y", "z"],
+        "rels": [["x^2", "x"], ["y^2", "y"], ["z^2", "z"], ["x*y*z", "0"]],
+        "idempotent": True,
+    })
+    with pytest.raises(ResourceError, match="more than 64 representatives"):
+        finite_quotient(pres, degree=2, coeff=1)
+
+
+def test_criterion_6_pair_is_separated_by_a_finite_model():
+    pres = counterexample_presentation()
+    g = pres.gens
+    s, t = parse_term("1+x*y", g), parse_term("x+y", g)
+    A = corpus.get("satnat4")
+    assert presented.is_model(A, (3, 0), pres)
+    assert presented.evaluate(A, (3, 0), s) != presented.evaluate(A, (3, 0), t)
+    # bool2 sends x = y = 0 to a pair it separates, but 1 + x = x + y fails
+    assert not presented.is_model(corpus.get("bool2"), (0, 0), pres)
+    A, images = presented.separating_model(pres, s, t, corpus.members(max_size=8))
+    assert presented.is_model(A, images, pres)
+    assert presented.separating_model(pres, s, s, corpus.members(max_size=8)) is None

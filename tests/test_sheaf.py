@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from semispec import _purecore, corpus
+from semispec import _purecore, accept, corpus, sheaf
 from semispec.errors import InternalCheckError, PreconditionError
 from semispec.kernel import find_iso, units
 from semispec.localize import localize, saturate, semi_invertibles_mask
@@ -263,3 +263,17 @@ def test_ktt_counterexample():
     assert report["status"] == "pass"
     assert len(report["witnesses"]) == 5
     assert all(w["ok"] for w in report["witnesses"])
+
+
+def test_criterion_4_saturates_each_principal_monoid_once(monkeypatch):
+    # the identity S_D(a) = sat(powers of a) is asserted once per
+    # (context, element): criterion 4 builds one spec context per member
+    calls = []
+
+    def counting(A, s_mask):
+        calls.append((A.label, s_mask))
+        return saturate(A, s_mask)
+
+    monkeypatch.setattr(sheaf, "saturate", counting)
+    assert accept.criterion_4().passed
+    assert calls and len(calls) == len(set(calls))
