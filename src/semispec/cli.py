@@ -241,14 +241,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument(
         "--degree", type=int, default=2,
-        help="presentation: degree cap on the normal forms that represent "
-        "its elements (default 2); the table is built by closure from the "
-        "generators and checked to be a model of the relations",
+        help="presentation: the closure from the generators rewrites terms "
+        "and keeps normal forms of up to twice this degree (default 2); its "
+        "table is kept only if it is a model of the relations",
     )
     q.add_argument(
         "--coeff", type=int, default=2,
-        help="presentation: coefficient cap on those normal forms (default 2); "
-        "a normal form outside either cap exits 5",
+        help="presentation: coefficients of up to 2*coeff^2 times the number "
+        "of monomials of degree at most --degree (default 2); a closure that "
+        "does not end within these exits 8, and only a quotient proved "
+        "infinite exits 5",
     )
     q.set_defaults(fn=cmd_load)
 

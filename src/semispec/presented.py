@@ -18,38 +18,37 @@ at degree 6).
 
 A finite quotient needs no exploration. Its representatives are normal
 forms: terms that no relation, oriented from its larger side in a fixed
-well-founded order, rewrites further. Starting from 0, 1 and the generators,
-the normal form of every sum and product of two representatives is found by
-replayed rewrites, and one not seen before becomes a new representative.
-The table is exact once a model check passes: it satisfies the semiring
-axioms and every relation, with each generator sent to its representative.
-Where greedy normal forms are not unique the check fails at two of them,
-and that pair joins the relations before the closure starts again.
+well-founded order and completed by critical pairs (Knuth-Bendix), rewrites
+further. Starting from 0, 1 and the generators, the normal form of every
+sum and product of two representatives is found by rewrites that the
+congruence index performs, and one not seen before becomes a new
+representative. The table is exact once a model check passes: it
+satisfies the semiring axioms and every relation, with each generator sent
+to its representative. A table that fails the check is refused, and so is
+a quotient that generator images in an infinite semiring prove infinite.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, ge, sub
 from typing import (
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from .errors import FormatError, InternalCheckError, PreconditionError, ResourceError
-from .kernel import MAX_SIZE, FiniteSemiring, verify_axioms
+from .kernel import MAX_SIZE, FiniteSemiring, tabulate
 
 Mono = Tuple[int, ...]
 Term = Tuple[Tuple[Mono, int], ...]  # sorted by monomial, coefficients >= 1
@@ -392,19 +391,26 @@ def localized_images_equal(
 # finite models and finite quotients
 
 
-def evaluate(A: Union[FiniteSemiring, "_Closure"], images: Sequence[int], t: Term) -> int:
-    """The value of t in A with generator i sent to images[i]. A may also
-    be a closure whose tables are still partial; an entry not known yet
-    raises KeyError."""
-    acc = A.zero
+def _value(zero, one, plus: Callable, times: Callable, images: Sequence, t: Term):
+    """The value of t with generator i sent to images[i], in the semiring
+    given by its 0, 1, + and *."""
+    acc = zero
     for m, c in t:
-        v = A.one
+        v = one
         for g, e in zip(images, m):
             for _ in range(e):
-                v = A.mul[v][g]
+                v = times(v, g)
         for _ in range(c):
-            acc = A.add[acc][v]
+            acc = plus(acc, v)
     return acc
+
+
+def evaluate(A: FiniteSemiring, images: Sequence[int], t: Term) -> int:
+    """The value of t in A with generator i sent to images[i]."""
+    plus, times = A.add, A.mul
+    return _value(
+        A.zero, A.one, lambda a, b: plus[a][b], lambda a, b: times[a][b], images, t
+    )
 
 
 def is_model(A: FiniteSemiring, images: Sequence[int], pres: Presentation) -> bool:
@@ -428,6 +434,47 @@ def separating_model(
     return None
 
 
+_INF = float("inf")
+
+# Two infinite semirings with generator images to try, and when the image
+# of a presented semiring in them is infinite. The naturals with a top
+# element receive N injectively, so every image there is infinite. In the
+# max-plus integers (0 is -inf, 1 is 0, + is max, * is +) a generator sent
+# to v, finite and not 0, has powers worth v, 2v, 3v, ...
+_INFINITE_MODELS = (
+    (
+        "the naturals with a top element (inf)",
+        (0, 1, add, lambda a, b: 0 if a == 0 or b == 0 else a * b),
+        (0, 1, 2, _INF),
+        lambda images: True,
+    ),
+    (
+        "the max-plus integers",
+        (-_INF, 0, max, add),
+        (-_INF, -1, 0, 1),
+        lambda images: any(v not in (0, -_INF) for v in images),
+    ),
+)
+
+
+def infinite_model(pres: Presentation, tries: int = 4096) -> Optional[str]:
+    """Generator images in an infinite semiring under which every relation
+    holds and the image of the presented semiring is infinite, described,
+    or None. Such images prove the presented semiring infinite. At most
+    `tries` assignments are tried in each semiring."""
+    for name, ops, candidates, infinite in _INFINITE_MODELS:
+        for images in itertools.islice(
+            itertools.product(candidates, repeat=pres.nvars), tries
+        ):
+            if infinite(images) and all(
+                _value(*ops, images, l) == _value(*ops, images, r)
+                for l, r in pres.all_rels()
+            ):
+                shown = ", ".join(f"{g} = {v:g}" for g, v in zip(pres.gens, images))
+                return f"{shown or 'no generators'} in {name}"
+    return None
+
+
 def _order_key(t: Term) -> Tuple[Tuple[int, Mono, int], ...]:
     """Sort key of the fixed well-founded order that every reduction step
     must lower. Terms compare as multisets of monomials: the larger term has
@@ -439,157 +486,156 @@ def _order_key(t: Term) -> Tuple[Tuple[int, Mono, int], ...]:
     return tuple(sorted(((sum(m), m, c) for m, c in t), reverse=True))
 
 
-# The laws of commutative semirings that the closure's tables can break,
-# each as the number of elements in a witness and the two sides it equates.
-# Both tables are symmetric, and a normal form plus 0 or times 0 is itself
-# or 0, so commutativity and the laws of 0 always hold.
-_LAWS = {
-    "add-assoc": (3, lambda A, a, b, c: (A.add[A.add[a][b]][c], A.add[a][A.add[b][c]])),
-    "mul-assoc": (3, lambda A, a, b, c: (A.mul[A.mul[a][b]][c], A.mul[a][A.mul[b][c]])),
-    "distrib": (3, lambda A, a, b, c: (A.mul[a][A.add[b][c]], A.add[A.mul[a][b]][A.mul[a][c]])),
-    "mul-one": (1, lambda A, a: (A.mul[a][A.one], a)),
-}
+Rule = Tuple[int, int, Term]  # relation index, direction, larger side
 
 
-def _disagreement(
-    A: Union[FiniteSemiring, "_Closure"],
-    images: Optional[Sequence[int]],
-    pres: Presentation,
-    witnesses: Iterable[Tuple[str, Sequence[int]]],
-) -> Optional[Tuple[int, int]]:
-    """Two different elements that a law, at one of the witnesses, or a
-    relation equates: the values of its two sides in A. None when every
-    law and relation holds wherever A's entries are known. Relations are
-    skipped until every generator has an image."""
-    for code, w in witnesses:
-        if code not in _LAWS:
-            raise InternalCheckError(f"closure table breaks {code}")
-        try:
-            p, q = _LAWS[code][1](A, *w)
-        except KeyError:
-            continue
-        if p != q:
-            return p, q
-    for l, r in pres.all_rels() if images is not None else ():
-        try:
-            p, q = evaluate(A, images, l), evaluate(A, images, r)
-        except KeyError:
-            continue
-        if p != q:
-            return p, q
-    return None
+def _overlaps(r1: Rule, r2: Rule) -> Iterator[Tuple[Term, Move, Move]]:
+    """The critical pairs of two oriented relations: for a monomial a of
+    one larger side and b of the other, the multipliers that put both on
+    lcm(a, b), and the least term holding both multiples (coefficient by
+    coefficient, the larger), with the two moves that rewrite it."""
+    (i1, d1, l1), (i2, d2, l2) = r1, r2
+    for a, _c in l1:
+        for b, _c in l2:
+            if r1 == r2 and a >= b:  # a == b is trivial; (b, a) repeats (a, b)
+                continue
+            top = tuple(map(max, a, b))
+            m1, m2 = tuple(map(sub, top, a)), tuple(map(sub, top, b))
+            acc = dict(term_mul(l1, ((m1, 1),)))
+            for m, c in term_mul(l2, ((m2, 1),)):
+                acc[m] = max(acc.get(m, 0), c)
+            yield term_from_items(list(acc.items())), (i1, d1, m1), (i2, d2, m2)
 
 
 class _Closure:
-    """The closure from the generators: representatives that are normal
-    forms, terms that no relation, oriented from its larger side, rewrites
-    any further, and the tables of + and * on them, which fill in as the
-    closure runs (`add[a][b]` is the representative of a + b)."""
+    """The closure from the generators. Its representatives are normal
+    forms: terms that no relation, oriented from its larger side, rewrites
+    any further. The relations are those of the presentation and those
+    that completion derives from them."""
 
-    def __init__(self, pres: Presentation, bound: Bound, degree: int, coeff: int):
+    def __init__(self, pres: Presentation, bound: Bound):
         self.pres = pres
         self.bound = bound
-        self.rep_bound = Bound(degree=degree, coeff=coeff)
         self.examined = 0
-        self.derived: Tuple[Tuple[Term, Term], ...] = ()
-        self._start()
+        self.idx = CongruenceIndex(pres, bound)
+        self.rules: List[Rule] = []
+        for ridx, rel in enumerate(self.idx.rels):
+            self._orient(ridx, rel)
+        self._complete()
 
-    def derive(self, p: int, q: int) -> None:
-        """Add the terms of two representatives that the presentation makes
-        equal as one more relation, and start the closure again."""
-        self.derived += ((self.reps[p], self.reps[q]),)
-        self._start()
+    def _orient(self, ridx: int, rel: Tuple[Term, Term]) -> None:
+        if rel[0] != rel[1]:
+            direction = 0 if _order_key(rel[0]) > _order_key(rel[1]) else 1
+            self.rules.append((ridx, direction, rel[direction]))
 
-    def _start(self) -> None:
-        rels = self.pres.rels + self.derived
-        self.idx = CongruenceIndex(
-            Presentation(self.pres.gens, rels, self.pres.idempotent), self.bound
-        )
-        self.rules = [
-            (ridx, direction, src)
-            for ridx, rel in enumerate(self.idx.rels)
-            for direction, src in enumerate(rel)
-            if _order_key(src) > _order_key(rel[1 - direction])
-        ]
-        self.reps: List[Term] = []
-        self.index: Dict[Term, int] = {}
-        self.add: Dict[int, Dict[int, int]] = defaultdict(dict)
-        self.mul: Dict[int, Dict[int, int]] = defaultdict(dict)
-        self.images: Optional[Tuple[int, ...]] = None
-
-    def _lowering_step(self, t: Term) -> Optional[Tuple[Term, Move]]:
-        """The first rewrite of t by an oriented relation, with its move, or
-        None when t is a normal form. Every rewrite examined is charged to
-        the node budget."""
+    def _moves(self, t: Term) -> Iterator[Move]:
+        """Candidate rewrites of t by the oriented relations: a larger side
+        times the multiplier that puts its first monomial on one of t's.
+        Each is charged to the node budget."""
         for ridx, direction, src in self.rules:
             m0 = src[0][0]
             for m, _c in t:
-                if all(a >= b for a, b in zip(m, m0)):
+                if all(map(ge, m, m0)):
                     self.examined += 1
                     if self.examined > self.bound.nodes:
                         raise ResourceError(
-                            f"node budget of {self.bound.nodes} rewrites exhausted "
-                            f"after {len(self.derived)} derived relations"
+                            f"node budget of {self.bound.nodes} rewrites exhausted"
                         )
-                    move = (ridx, direction, tuple(a - b for a, b in zip(m, m0)))
-                    nxt = self.idx._step(t, move)
-                    if nxt is not None:
-                        return nxt, move
-        return None
+                    yield ridx, direction, tuple(map(sub, m, m0))
 
-    def rep_of(self, t: Term) -> int:
-        """The representative of t's normal form, which becomes a new one
-        when unseen. Each reduction step is replayed as a move of the
-        congruence index and must lower `_order_key`, so t is congruent to
-        the normal form."""
-        cur, step = t, self._lowering_step(t)
-        while step is not None:
-            nxt, move = step
-            if self.idx._step(cur, move) != nxt or _order_key(nxt) >= _order_key(cur):
-                raise InternalCheckError("reduction step is not a lowering rewrite")
-            cur, step = nxt, self._lowering_step(nxt)
-        i = self.index.get(cur)
-        if i is None:
-            if not term_within(cur, self.rep_bound):
-                raise PreconditionError(
-                    f"quotient element {fmt_term(cur, self.pres.gens)} lies "
-                    f"outside degree {self.rep_bound.degree}, coefficient "
-                    f"{self.rep_bound.coeff}: the quotient is infinite or needs "
-                    "larger bounds"
-                )
-            if len(self.reps) == MAX_SIZE:
-                raise ResourceError(
-                    f"more than {MAX_SIZE} representatives: over the table cap"
-                )
-            i = self.index[cur] = len(self.reps)
-            self.reps.append(cur)
-        return i
+    def normal_form(self, t: Term) -> Term:
+        """t rewritten while an oriented relation applies. Each step is a
+        move that the congruence index accepts and performs, so t is
+        congruent to the result, and it must lower `_order_key`."""
+        cur = t
+        while True:
+            for move in self._moves(cur):
+                nxt = self.idx._step(cur, move)
+                if nxt is not None:
+                    break
+            else:
+                return cur
+            if _order_key(nxt) >= _order_key(cur):
+                raise InternalCheckError("reduction step does not lower the term order")
+            cur = nxt
 
-    def table(self) -> FiniteSemiring:
+    def _complete(self) -> None:
+        """Knuth-Bendix completion within the bound: each critical pair is
+        rewritten both ways, and two different normal forms, congruent
+        through the term they share, join the relations, oriented. Once
+        every critical pair within the bound meets again, normal forms there
+        are unique (Newman's lemma)."""
+        done = 0
+        while done < len(self.rules):
+            for other in self.rules[: done + 1]:
+                for s, a, b in _overlaps(self.rules[done], other):
+                    if not term_within(s, self.bound):
+                        continue
+                    p, q = self.idx._step(s, a), self.idx._step(s, b)
+                    if p is None or q is None:
+                        continue
+                    p, q = self.normal_form(p), self.normal_form(q)
+                    if p != q and term_within(p, self.bound) and term_within(q, self.bound):
+                        rels = self.idx.rels + ((p, q),)
+                        self.idx = CongruenceIndex(
+                            Presentation(self.pres.gens, rels), self.bound
+                        )
+                        self._orient(len(rels) - 1, (p, q))
+            done += 1
+
+    def table(self) -> Tuple[FiniteSemiring, Tuple[int, ...]]:
         """The table of the representatives, found by closure from 0, 1 and
-        the generators."""
-        reps, rep_of, nv = self.reps, self.rep_of, self.pres.nvars
-        self.zero, self.one = rep_of(ZERO), rep_of(one_term(nv))
-        self.images = tuple(rep_of(var_term(nv, i)) for i in range(nv))
+        the generators, and the generators' representatives."""
+        reps: List[Term] = []
+        index: Dict[Term, int] = {}
+        add_t: Dict[Tuple[int, int], int] = {}
+        mul_t: Dict[Tuple[int, int], int] = {}
+
+        def rep_of(t: Term) -> int:
+            nf = self.normal_form(t)
+            i = index.get(nf)
+            if i is None:
+                if not term_within(nf, self.bound):
+                    raise ResourceError(
+                        f"quotient element {fmt_term(nf, self.pres.gens)} lies "
+                        f"outside degree {self.bound.degree}, coefficient "
+                        f"{self.bound.coeff}: could not close within the bounds"
+                    )
+                if len(reps) == MAX_SIZE:
+                    raise ResourceError(
+                        f"more than {MAX_SIZE} representatives: over the table cap"
+                    )
+                i = index[nf] = len(reps)
+                reps.append(nf)
+            return i
+
+        nv = self.pres.nvars
+        zero, one = rep_of(ZERO), rep_of(one_term(nv))
+        images = tuple(rep_of(var_term(nv, i)) for i in range(nv))
         k = 0
         while k < len(reps):  # reps grows while its pairs are classified
             # sums first: products raise the degree, so a normal form that
-            # leaves the bound comes later, after more entries are known
+            # leaves the bounds comes after the elements sums reach
             for j in range(k + 1):
-                self.add[k][j] = self.add[j][k] = rep_of(term_add(reps[k], reps[j]))
+                add_t[k, j] = add_t[j, k] = rep_of(term_add(reps[k], reps[j]))
             for j in range(k + 1):
-                self.mul[k][j] = self.mul[j][k] = rep_of(term_mul(reps[k], reps[j]))
+                mul_t[k, j] = mul_t[j, k] = rep_of(term_mul(reps[k], reps[j]))
             k += 1
-        n = len(reps)
-        return FiniteSemiring(
-            size=n,
-            zero=self.zero,
-            one=self.one,
-            add=tuple(tuple(self.add[a][b] for b in range(n)) for a in range(n)),
-            mul=tuple(tuple(self.mul[a][b] for b in range(n)) for a in range(n)),
-            label="presented-quotient",
-            names=tuple(fmt_term(r, self.pres.gens) for r in reps),
-        )
+        try:
+            A = tabulate(
+                range(len(reps)),
+                lambda a, b: add_t[a, b],
+                lambda a, b: mul_t[a, b],
+                zero,
+                one,
+                label="presented-quotient",
+                names=[fmt_term(r, self.pres.gens) for r in reps],
+            )
+        except FormatError as exc:
+            raise ResourceError(f"closure table is no semiring ({exc}): could not close")
+        if not is_model(A, images, self.pres):
+            raise ResourceError("closure table breaks a relation: could not close")
+        return A, images
 
 
 def finite_quotient(
@@ -601,32 +647,29 @@ def finite_quotient(
     """The presented semiring as a finite table, built by closure from the
     generators (Froidure and Pin, 1997), with the class of every term.
 
-    The representatives start as the normal forms of 0, 1 and the
-    generators; the normal form of every sum and product of two
+    The relations are oriented from their larger side in a fixed
+    well-founded order and completed by critical pairs, in the manner of
+    Knuth-Bendix. The representatives start as the normal forms of 0, 1
+    and the generators; the normal form of every sum and product of two
     representatives is found, and one not seen before becomes a new
-    representative. Each reduction step is a replayed rewrite by one
-    relation that lowers a fixed well-founded order, so every term is
-    congruent to a representative, and every table entry to the sum or
-    product it stands for. The table must then pass a model check: the
-    axiom check, and every relation with each generator sent to its
+    representative. Each reduction step is a move that the congruence
+    index performs and that lowers the order, so every term is congruent
+    to a representative, and every table entry to the sum or product it
+    stands for. The table must then pass a model check: the axiom check of
+    `tabulate`, and every relation with each generator sent to its
     representative. A model is generated by the generators, and in it the
     representatives are distinct, so it is the quotient, and a term's class
-    is its value in it.
+    is its value in it. No table that fails the check is returned.
 
-    Greedy normal forms need not be unique. Then a law or a relation fails
-    at two different representatives that the presentation makes equal,
-    since each is congruent to the same term or to the two sides of one
-    relation. That pair becomes a derived relation and the closure starts
-    again, in the manner of Knuth-Bendix completion; no table that fails
-    the check is returned.
-
-    A normal form outside (degree, coeff) raises PreconditionError, as for
-    a quotient containing the naturals, unless the entries found so far
-    break a law or a relation, which again gives a derived relation. More
-    than MAX_SIZE representatives raise ResourceError. Rewriting is
-    confined to `bound`, which by default holds every sum and product of
-    two representatives, and every rewrite examined, over all restarts,
-    counts against its node budget. A (degree, coeff) region of more than
+    A presentation that `infinite_model` proves infinite raises
+    PreconditionError before the closure starts. A closure that does not
+    end in a checked table raises ResourceError: a normal form outside
+    `bound`, more than MAX_SIZE representatives, a failed model check, or
+    the node budget spent. `bound` confines both the rewriting and the
+    representatives, and every rewrite examined counts against its node
+    budget. By default it allows twice `degree`, and coefficients large
+    enough for every sum and product of two terms of degree up to `degree`
+    and coefficients up to `coeff`. A (degree, coeff) region of more than
     100,000 terms is refused up front. The bounds must hold 0 and 1:
     coeff >= 1 and degree >= 0."""
     if coeff < 1 or degree < 0:
@@ -636,23 +679,8 @@ def finite_quotient(
         raise ResourceError("enumeration bound too large")
     if bound is None:
         bound = Bound(degree=2 * degree, coeff=2 * coeff * coeff * len(monos))
-    closure = _Closure(pres, bound, degree, coeff)
-    while True:
-        try:
-            table = closure.table()
-        except PreconditionError:  # a normal form left (degree, coeff)
-            every_witness = (
-                (code, w)
-                for code, (arity, _sides) in _LAWS.items()
-                for w in itertools.product(range(len(closure.reps)), repeat=arity)
-            )
-            pair = _disagreement(closure, closure.images, pres, every_witness)
-            if pair is None:
-                raise
-        else:
-            images = closure.images
-            witnesses = ((v.code, v.witness) for v in verify_axioms(table))
-            pair = _disagreement(table, images, pres, witnesses)
-            if pair is None:
-                return table, lambda t: evaluate(table, images, t)
-        closure.derive(*pair)
+    model = infinite_model(pres)
+    if model is not None:
+        raise PreconditionError(f"the quotient is infinite: {model} satisfy every relation")
+    table, images = _Closure(pres, bound).table()
+    return table, lambda t: evaluate(table, images, t)

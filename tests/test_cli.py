@@ -121,6 +121,26 @@ def test_presentation_with_relation_to_zero(ws, capsys):
     assert cli.main(["load", str(pres), "--name", "q"]) == 5
 
 
+def test_presentation_exits_5_only_when_proved_infinite(ws, capsys):
+    pres = ws / "pres.json"
+    pres.write_text(json.dumps({"gens": ["x"], "rels": [["x^2", "0"]]}))
+    assert cli.main(["load", str(pres), "--name", "q"]) == 5
+    assert "quotient is infinite: x = 0 in the naturals" in capsys.readouterr().err
+    # 2x = 0 and x^2 = 2 give 4 = 0: eight elements, whose normal forms
+    # 3 and 3 + x lie outside coefficient 2
+    pres.write_text(json.dumps({"gens": ["x"], "rels": [["0", "2*x"], ["2", "x*x"]]}))
+    assert cli.main(["load", str(pres), "--name", "q"]) == 0
+    assert "loaded q: 8 elements" in capsys.readouterr().out
+    # 128 elements, with no infinite model: refused, exit 8
+    pres.write_text(json.dumps({
+        "gens": ["x", "y", "z"],
+        "rels": [["x^2", "x"], ["y^2", "y"], ["z^2", "z"], ["x*y*z", "0"]],
+        "idempotent": True,
+    }))
+    assert cli.main(["load", str(pres), "--name", "q", "--coeff", "1"]) == 8
+    assert "more than 64" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bounds", [["--coeff", "0"], ["--coeff", "-1"], ["--degree", "-1"]])
 def test_presentation_bounds_that_cannot_hold_0_and_1_exit_5(ws, capsys, bounds):
     pres = ws / "pres.json"

@@ -315,12 +315,10 @@ def test_quotients_match_the_enumerated_tables(data, degree, coeff, frozen):
 @pytest.mark.parametrize("data", [
     {"gens": ["x"], "rels": [["2*x", "0"]], "idempotent": True},
     {"gens": ["x"], "rels": [["x*x", "x"], ["2*x", "0"]], "idempotent": True},
-], ids=["tables-so-far", "axiom-check"])
-def test_normal_forms_that_disagree_give_a_derived_relation(data):
-    # 2x rewrites to 0 by the relation and to x by 1 + 1 = 1, so x = 0. The
-    # closure first finds x^2 and x^3 as normal forms, and x^3 leaves the
-    # degree bound unless the tables so far show associativity failing;
-    # with x^2 = x the table closes and fails distributivity instead.
+], ids=["double-zero", "idempotent-square"])
+def test_critical_pairs_join_normal_forms_that_disagree(data):
+    # 2x rewrites to 0 by the relation and to x by 1 + 1 = 1: the critical
+    # pair of the two gives x = 0, and the quotient is bool2
     pres = presentation_from_json(data)
     table, cls = finite_quotient(pres, degree=2, coeff=2)
     assert verify_axioms(table) == []
@@ -328,58 +326,125 @@ def test_normal_forms_that_disagree_give_a_derived_relation(data):
     assert cls(parse_term("x", pres.gens)) == table.zero
 
 
-def test_a_relation_broken_by_the_tables_so_far_collapses_the_quotient():
-    # 1 + 1 rewrites to 0 by the relation before 1 + 1 = 1 applies, so the
-    # tables so far hold 1 + 1 = 0 when x^3 leaves the degree bound: the
-    # relation 1 + 1 = 1 fails, 1 = 0 is derived, and one element remains
+def test_critical_pairs_of_one_side_collapse_the_quotient():
+    # 1 + 1 rewrites to 0 by the relation and to 1 by 1 + 1 = 1, so 1 = 0
+    # and one element remains
     pres = presentation_from_json({"gens": ["x"], "rels": [["1+1", "0"]], "idempotent": True})
     table, cls = finite_quotient(pres, degree=2, coeff=2)
     assert table.size == 1
     assert cls(parse_term("x", pres.gens)) == cls(one_term(1)) == table.zero
 
 
+# 2x = 0 and x^2 = 2 give 4 = 2x^2 = 0; greedy rewriting never finds it,
+# as 2x^2 meets x^2 -> 2 only after 2x -> 0 has removed it
+FOUR_IS_ZERO = {"gens": ["x"], "rels": [["0", "2*x"], ["2", "x*x"]]}
+
+
+def test_critical_pairs_derive_what_greedy_rewriting_misses():
+    pres = presentation_from_json(FOUR_IS_ZERO)
+    table, cls = finite_quotient(pres, degree=2, coeff=2)
+    assert verify_axioms(table) == [] and table.size == 8
+    four = parse_term("4", pres.gens)
+    assert cls(four) == table.zero
+    closure = presented._Closure(pres, Bound(degree=4, coeff=24))
+    assert (four, ()) in closure.idx.rels or ((), four) in closure.idx.rels
+
+
+@pytest.mark.parametrize("data, message", [
+    (FOUR_IS_ZERO, "could not close within the bounds"),
+    ({"gens": ["x"], "rels": [["x*x", "x"], ["2*x", "0"]], "idempotent": True},
+     r"no semiring \(.*distrib"),
+], ids=["four-is-zero", "idem-square-double-zero"])
+def test_a_closure_without_critical_pairs_is_refused_not_called_infinite(
+    monkeypatch, data, message
+):
+    # greedy normal forms of 4-is-zero run 0, 1, 2, 3, ... out of the
+    # bounds; those of the other close on a table that breaks
+    # distributivity. Neither has an infinite model, so each refusal is
+    # exit 8, not exit 5
+    monkeypatch.setattr(presented._Closure, "_complete", lambda self: None)
+    with pytest.raises(ResourceError, match=message):
+        finite_quotient(presentation_from_json(data), degree=2, coeff=2)
+
+
 @pytest.mark.parametrize("rels", [
     [["x", "1"], ["x^2", "x"], ["1+1", "1"]],
     [["x^2", "x"], ["1+1", "1"], ["x", "1"]],
 ], ids=["first", "last"])
-def test_a_relation_the_table_breaks_is_derived_again(monkeypatch, rels):
-    # a reduction that skips the given relation x = 1 closes on boolx, in
-    # which x = 1 fails; the relation check, wherever x = 1 stands, derives
-    # it again, and the quotient has 2 elements
+def test_a_table_that_breaks_a_relation_is_refused(monkeypatch, rels):
+    # a closure that never rewrites by x = 1 ends on the four-element
+    # boolx, in which x = 1 fails; the relation check refuses it wherever
+    # x = 1 stands
     pres = presentation_from_json({"gens": ["x"], "rels": rels})
     skipped = rels.index(["x", "1"])
-    init = presented._Closure.__init__
+    orient = presented._Closure._orient
 
-    def init_skipping(self, *args):
-        init(self, *args)
-        self.rules = [r for r in self.rules if r[0] != skipped]
+    def orient_skipping(self, ridx, rel):
+        if ridx != skipped:
+            orient(self, ridx, rel)
 
-    monkeypatch.setattr(presented._Closure, "__init__", init_skipping)
-    table, _cls = finite_quotient(pres, degree=2, coeff=2)
-    assert find_iso(table, corpus.get("bool2")) is not None
+    monkeypatch.setattr(presented._Closure, "_orient", orient_skipping)
+    with pytest.raises(ResourceError, match="breaks a relation"):
+        finite_quotient(pres, degree=2, coeff=2)
 
 
-def test_a_reduction_step_without_a_legal_move_fails_the_replay(monkeypatch):
+def _offering_first(monkeypatch, term, move):
+    """Make the closure offer `move` first whenever it rewrites `term`."""
+    moves = presented._Closure._moves
+
+    def offering(self, t):
+        if t == term:
+            yield move
+        yield from moves(self, t)
+
+    monkeypatch.setattr(presented._Closure, "_moves", offering)
+
+
+def test_a_merge_without_a_legal_move_is_never_taken(monkeypatch):
+    # 1 + 1 -> 1 at multiplier 1 would have to take 1 + x to x; the index
+    # refuses the move, as 1 + x holds no 1 + 1, and 1 + x stays apart
     pres = idem_square_presentation()
     g = pres.gens
-    x, one_plus_x = parse_term("x", g), parse_term("1+x", g)
-    lowering_step = presented._Closure._lowering_step
+    _offering_first(monkeypatch, parse_term("1+x", g), (1, 0, (0,)))
+    table, cls = finite_quotient(pres, degree=2, coeff=2)
+    assert find_iso(table, corpus.get("boolx")) is not None
+    assert cls(parse_term("1+x", g)) != cls(parse_term("x", g))
 
-    def merging(self, t):
-        if t == one_plus_x:
-            return x, (0, 0, (0,))
-        return lowering_step(self, t)
 
-    monkeypatch.setattr(presented._Closure, "_lowering_step", merging)
-    with pytest.raises(InternalCheckError):
+def test_a_step_that_raises_the_term_order_fails_the_check(monkeypatch):
+    # x -> x^2 is a legal move, but it raises the order
+    pres = idem_square_presentation()
+    _offering_first(monkeypatch, parse_term("1+x", pres.gens), (0, 1, (0,)))
+    with pytest.raises(InternalCheckError, match="term order"):
         finite_quotient(pres, degree=2, coeff=2)
 
 
 def test_zero_product_without_idempotent_addition_is_refused_at_once():
-    # the naturals embed (x = y = 0 satisfies every relation), so a normal
-    # form leaves the coefficient bound
-    with pytest.raises(PreconditionError):
+    # the naturals embed (x = y = 0 satisfies every relation)
+    with pytest.raises(PreconditionError, match="quotient is infinite: x = 0, y = 0"):
         finite_quotient(presentation_from_json(ZERO_PRODUCT), degree=2, coeff=2)
+
+
+@pytest.mark.parametrize("data, found", [
+    (ZERO_PRODUCT, "x = 0, y = 0 in the naturals"),
+    (SQUARE_ZERO, "x = 0 in the naturals"),
+    ({"gens": ["x"], "rels": [["1+x", "x"]]}, "x = inf in the naturals"),
+    ({"gens": ["x"], "rels": [], "idempotent": True}, "x = -1 in the max-plus"),
+    ({"gens": [], "rels": []}, "no generators in the naturals"),
+    ({"gens": ["x"], "rels": [["x*x", "x"]], "idempotent": True}, None),
+    ({**ZERO_PRODUCT, "idempotent": True}, None),
+    (FOUR_IS_ZERO, None),
+], ids=["zero-product", "square-zero", "top", "max-plus", "naturals", "idem-square",
+        "idem-zero-product", "four-is-zero"])
+def test_infinite_models_prove_infinite_quotients(data, found):
+    pres = presentation_from_json(data)
+    model = presented.infinite_model(pres)
+    if found is None:
+        assert model is None
+    else:
+        assert model.startswith(found)
+        with pytest.raises(PreconditionError, match="quotient is infinite"):
+            finite_quotient(pres, degree=2, coeff=2)
 
 
 def test_a_quotient_over_the_table_cap_is_refused():
