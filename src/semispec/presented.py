@@ -457,14 +457,15 @@ _INFINITE_MODELS = (
 )
 
 
-def infinite_model(pres: Presentation, tries: int = 4096) -> Optional[str]:
+def infinite_model(pres: Presentation) -> Optional[str]:
     """Generator images in an infinite semiring under which every relation
     holds and the image of the presented semiring is infinite, described,
     or None. Such images prove the presented semiring infinite. At most
-    `tries` assignments are tried in each semiring."""
+    4,096 assignments (every one for up to six generators) are tried in
+    each semiring."""
     for name, ops, candidates, infinite in _INFINITE_MODELS:
         for images in itertools.islice(
-            itertools.product(candidates, repeat=pres.nvars), tries
+            itertools.product(candidates, repeat=pres.nvars), 4096
         ):
             if infinite(images) and all(
                 _value(*ops, images, l) == _value(*ops, images, r)

@@ -123,7 +123,7 @@ def test_finite_quotient_recovers_known_table():
 
 
 def test_finite_quotient_budget_refusal():
-    # the closure examines 40 rewrites here; a budget of 20 refuses
+    # the closure examines 45 rewrites here; a budget of 20 refuses
     pres = idem_square_presentation()
     with pytest.raises(ResourceError, match="node budget of 20"):
         finite_quotient(
