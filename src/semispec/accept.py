@@ -47,8 +47,7 @@ from .localize import (
 )
 from .presented import (
     Bound,
-    build_index,
-    congruent,
+    CongruenceIndex,
     counterexample_presentation,
     evaluate,
     is_model,
@@ -275,12 +274,11 @@ def criterion_6() -> CheckResult:
     pres = counterexample_presentation()
     g = pres.gens
     s, t = parse_term("1+x*y", g), parse_term("x+y", g)
-    bound6 = Bound(degree=6, coeff=6)
-    a6 = congruent(build_index(pres, bound6), s, t)
-    eqx, kx = localized_images_equal(pres, s, t, "x", bound6)
-    eqy, ky = localized_images_equal(pres, s, t, "y", bound6)
-    idx8 = build_index(pres, Bound(degree=8, coeff=8))
-    a8 = congruent(idx8, s, t)
+    idx6 = CongruenceIndex(pres, Bound(degree=6, coeff=6))
+    a6 = idx6.congruent(s, t)
+    eqx, kx = localized_images_equal(idx6, s, t, "x")
+    eqy, ky = localized_images_equal(idx6, s, t, "y")
+    a8 = CongruenceIndex(pres, Bound(degree=8, coeff=8)).congruent(s, t)
     # a finite model proves the pair distinct; the one found is re-checked
     model = separating_model(pres, s, t, corpus.members(max_size=8))
     separated = (

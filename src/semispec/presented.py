@@ -20,11 +20,11 @@ A finite quotient needs no exploration. Its representatives are normal
 forms: terms that no relation, oriented from its larger side in a fixed
 well-founded order and completed by critical pairs (Knuth-Bendix), rewrites
 further. Starting from 0, 1 and the generators, the normal form of every
-sum and product of two representatives is found by rewrites that the
-congruence index performs, and one not seen before becomes a new
-representative. The table is exact once a model check passes: it
-satisfies the semiring axioms and every relation, with each generator sent
-to its representative. A table that fails the check is refused, and so is
+sum and product of two representatives is found by rewriting with those
+oriented relations, and one not seen before becomes a new representative.
+The table is exact once a model check passes: it satisfies the semiring
+axioms and every relation, with each generator sent to its
+representative. A table that fails the check is refused, and so is
 a quotient that generator images in an infinite semiring prove infinite.
 """
 
@@ -208,6 +208,27 @@ def term_within(t: Term, bound: Bound) -> bool:
     return all(sum(m) <= bound.degree and c <= bound.coeff for m, c in t)
 
 
+def _rewrite(t: Term, src: Term, dst: Term, mult: Mono, bound: Bound) -> Optional[Term]:
+    """t - mult*src + mult*dst, or None when mult*src is not in t or a
+    monomial it rewrites leaves the bound."""
+    acc = dict(t)
+    for m, c in src:
+        key = tuple(map(add, m, mult))
+        left = acc.get(key, 0) - c
+        if left < 0:
+            return None
+        if left:
+            acc[key] = left
+        else:
+            del acc[key]
+    for m, c in dst:
+        key = tuple(map(add, m, mult))
+        acc[key] = acc.get(key, 0) + c
+        if acc[key] > bound.coeff or sum(key) > bound.degree:
+            return None
+    return tuple(sorted(acc.items()))
+
+
 # ---------------------------------------------------------------------------
 # congruence index
 
@@ -218,7 +239,6 @@ Record = Tuple[Term, Optional[Term], Optional[Move]]  # root, previous term, mov
 @dataclass
 class Answer:
     verdict: str  # "yes" | "no-at-bound"
-    bound: Bound
     chain: Optional[List[Term]] = None  # one rewrite per step; a tree path, not the shortest
 
     @property
@@ -249,26 +269,9 @@ class CongruenceIndex:
 
     # rewriting --------------------------------------------------------------
     def _step(self, t: Term, move: Move) -> Optional[Term]:
-        """t - m*src + m*dst, or None when m*src is not in t or a monomial
-        it rewrites leaves the bound."""
         ridx, direction, mult = move
-        src, dst = self.rels[ridx][direction], self.rels[ridx][1 - direction]
-        acc = dict(t)
-        for m, c in src:
-            key = tuple(map(add, m, mult))
-            left = acc.get(key, 0) - c
-            if left < 0:
-                return None
-            if left:
-                acc[key] = left
-            else:
-                del acc[key]
-        for m, c in dst:
-            key = tuple(map(add, m, mult))
-            acc[key] = acc.get(key, 0) + c
-            if acc[key] > self.bound.coeff or sum(key) > self.bound.degree:
-                return None
-        return tuple(sorted(acc.items()))
+        rel = self.rels[ridx]
+        return _rewrite(t, rel[direction], rel[1 - direction], mult, self.bound)
 
     def _neighbors(self, t: Term) -> Iterator[Tuple[Term, Move]]:
         for ridx, rel in enumerate(self.rels):
@@ -321,8 +324,8 @@ class CongruenceIndex:
     # queries ----------------------------------------------------------------
     def congruent(self, s: Term, t: Term) -> Answer:
         if self.root(s) != self.root(t):
-            return Answer("no-at-bound", self.bound)
-        return Answer("yes", self.bound, self._chain(s, t))
+            return Answer("no-at-bound")
+        return Answer("yes", self._chain(s, t))
 
     def _chain(self, s: Term, t: Term) -> List[Term]:
         """The tree path from s to t through their lowest common ancestor,
@@ -351,31 +354,14 @@ class CongruenceIndex:
         return path
 
 
-def build_index(pres: Presentation, bound: Optional[Bound] = None) -> CongruenceIndex:
-    idx = CongruenceIndex(pres, bound)
-    for l, r in idx.rels:
-        if not idx.congruent(l, r).is_yes:
-            raise InternalCheckError("relation sides not congruent")
-    return idx
-
-
-def congruent(index: CongruenceIndex, s: Term, t: Term) -> Answer:
-    return index.congruent(s, t)
-
-
 def localized_images_equal(
-    pres: Presentation,
-    s: Term,
-    t: Term,
-    gen: str,
-    bound: Optional[Bound] = None,
-    kmax: int = 8,
+    idx: CongruenceIndex, s: Term, t: Term, gen: str, kmax: int = 8
 ) -> Tuple[bool, int]:
-    """True iff a^k*s ~ a^k*t for some k <= kmax (fraction equality after
-    inverting the generator); returns the smallest such k."""
+    """True iff a^k*s ~ a^k*t in the index for some k <= kmax (fraction
+    equality after inverting the generator); returns the smallest such k."""
+    pres = idx.pres
     if gen not in pres.gens:
         raise PreconditionError(f"unknown generator {gen!r}")
-    idx = CongruenceIndex(pres, bound)
     a = var_term(pres.nvars, list(pres.gens).index(gen))
     ak = one_term(pres.nvars)
     for k in range(kmax + 1):
@@ -487,15 +473,15 @@ def _order_key(t: Term) -> Tuple[Tuple[int, Mono, int], ...]:
     return tuple(sorted(((sum(m), m, c) for m, c in t), reverse=True))
 
 
-Rule = Tuple[int, int, Term]  # relation index, direction, larger side
+Rule = Tuple[Term, Term]  # larger side, smaller side
 
 
-def _overlaps(r1: Rule, r2: Rule) -> Iterator[Tuple[Term, Move, Move]]:
+def _overlaps(r1: Rule, r2: Rule) -> Iterator[Tuple[Term, Mono, Mono]]:
     """The critical pairs of two oriented relations: for a monomial a of
-    one larger side and b of the other, the multipliers that put both on
-    lcm(a, b), and the least term holding both multiples (coefficient by
-    coefficient, the larger), with the two moves that rewrite it."""
-    (i1, d1, l1), (i2, d2, l2) = r1, r2
+    one larger side and b of the other, the least term holding the
+    multiples of both larger sides that meet on lcm(a, b) (coefficient by
+    coefficient, the larger), with the two multipliers."""
+    l1, l2 = r1[0], r2[0]
     for a, _c in l1:
         for b, _c in l2:
             if r1 == r2 and a >= b:  # a == b is trivial; (b, a) repeats (a, b)
@@ -505,7 +491,7 @@ def _overlaps(r1: Rule, r2: Rule) -> Iterator[Tuple[Term, Move, Move]]:
             acc = dict(term_mul(l1, ((m1, 1),)))
             for m, c in term_mul(l2, ((m2, 1),)):
                 acc[m] = max(acc.get(m, 0), c)
-            yield term_from_items(list(acc.items())), (i1, d1, m1), (i2, d2, m2)
+            yield term_from_items(list(acc.items())), m1, m2
 
 
 class _Closure:
@@ -518,22 +504,21 @@ class _Closure:
         self.pres = pres
         self.bound = bound
         self.examined = 0
-        self.idx = CongruenceIndex(pres, bound)
         self.rules: List[Rule] = []
-        for ridx, rel in enumerate(self.idx.rels):
-            self._orient(ridx, rel)
+        for rel in pres.all_rels():
+            self._orient(rel)
         self._complete()
 
-    def _orient(self, ridx: int, rel: Tuple[Term, Term]) -> None:
-        if rel[0] != rel[1]:
-            direction = 0 if _order_key(rel[0]) > _order_key(rel[1]) else 1
-            self.rules.append((ridx, direction, rel[direction]))
+    def _orient(self, rel: Tuple[Term, Term]) -> None:
+        l, r = rel
+        if l != r:
+            self.rules.append((l, r) if _order_key(l) > _order_key(r) else (r, l))
 
-    def _moves(self, t: Term) -> Iterator[Move]:
-        """Candidate rewrites of t by the oriented relations: a larger side
-        times the multiplier that puts its first monomial on one of t's.
-        Each is charged to the node budget."""
-        for ridx, direction, src in self.rules:
+    def _moves(self, t: Term) -> Iterator[Tuple[Term, Term, Mono]]:
+        """Candidate rewrites of t by the oriented relations: a larger side,
+        the smaller side, and the multiplier that puts the larger side's
+        first monomial on one of t's. Each is charged to the node budget."""
+        for src, dst in self.rules:
             m0 = src[0][0]
             for m, _c in t:
                 if all(map(ge, m, m0)):
@@ -542,16 +527,17 @@ class _Closure:
                         raise ResourceError(
                             f"node budget of {self.bound.nodes} rewrites exhausted"
                         )
-                    yield ridx, direction, tuple(map(sub, m, m0))
+                    yield src, dst, tuple(map(sub, m, m0))
 
     def normal_form(self, t: Term) -> Term:
-        """t rewritten while an oriented relation applies. Each step is a
-        move that the congruence index accepts and performs, so t is
-        congruent to the result, and it must lower `_order_key`."""
+        """t rewritten while an oriented relation applies. Each step
+        replaces a multiple of one side of a relation by the same multiple
+        of the other, within the bound, so t is congruent to the result,
+        and it must lower `_order_key`."""
         cur = t
         while True:
-            for move in self._moves(cur):
-                nxt = self.idx._step(cur, move)
+            for src, dst, mult in self._moves(cur):
+                nxt = _rewrite(cur, src, dst, mult, self.bound)
                 if nxt is not None:
                     break
             else:
@@ -568,20 +554,18 @@ class _Closure:
         are unique (Newman's lemma)."""
         done = 0
         while done < len(self.rules):
+            rule = self.rules[done]
             for other in self.rules[: done + 1]:
-                for s, a, b in _overlaps(self.rules[done], other):
+                for s, m1, m2 in _overlaps(rule, other):
                     if not term_within(s, self.bound):
                         continue
-                    p, q = self.idx._step(s, a), self.idx._step(s, b)
+                    p = _rewrite(s, *rule, m1, self.bound)
+                    q = _rewrite(s, *other, m2, self.bound)
                     if p is None or q is None:
                         continue
                     p, q = self.normal_form(p), self.normal_form(q)
                     if p != q and term_within(p, self.bound) and term_within(q, self.bound):
-                        rels = self.idx.rels + ((p, q),)
-                        self.idx = CongruenceIndex(
-                            Presentation(self.pres.gens, rels), self.bound
-                        )
-                        self._orient(len(rels) - 1, (p, q))
+                        self._orient((p, q))
             done += 1
 
     def table(self) -> Tuple[FiniteSemiring, Tuple[int, ...]]:
@@ -653,14 +637,15 @@ def finite_quotient(
     Knuth-Bendix. The representatives start as the normal forms of 0, 1
     and the generators; the normal form of every sum and product of two
     representatives is found, and one not seen before becomes a new
-    representative. Each reduction step is a move that the congruence
-    index performs and that lowers the order, so every term is congruent
-    to a representative, and every table entry to the sum or product it
-    stands for. The table must then pass a model check: the axiom check of
-    `tabulate`, and every relation with each generator sent to its
-    representative. A model is generated by the generators, and in it the
-    representatives are distinct, so it is the quotient, and a term's class
-    is its value in it. No table that fails the check is returned.
+    representative. Each reduction step replaces a multiple of one side
+    of a relation by the same multiple of the other and lowers the order,
+    so every term is congruent to a representative, and every table entry
+    to the sum or product it stands for. The table must then pass a model
+    check: the axiom check of `tabulate`, and every relation with each
+    generator sent to its representative. A model is generated by the
+    generators, and in it the representatives are distinct, so it is the
+    quotient, and a term's class is its value in it. No table that fails
+    the check is returned.
 
     A presentation that `infinite_model` proves infinite raises
     PreconditionError before the closure starts. A closure that does not
@@ -668,7 +653,8 @@ def finite_quotient(
     `bound`, more than MAX_SIZE representatives, a failed model check, or
     the node budget spent. `bound` confines both the rewriting and the
     representatives, and every rewrite examined counts against its node
-    budget. By default it allows twice `degree`, and coefficients large
+    budget. A relation may reach past `bound`: it then rewrites only
+    where its result stays within. By default it allows twice `degree`, and coefficients large
     enough for every sum and product of two terms of degree up to `degree`
     and coefficients up to `coeff`. A (degree, coeff) region of more than
     100,000 terms is refused up front. The bounds must hold 0 and 1:

@@ -233,9 +233,12 @@ def test_closed_sets_detects_a_wrong_join(monkeypatch):
         all_ideals(corpus.get("boolpair"))
 
 
-def test_is_prime_detects_a_blind_prime_test(monkeypatch):
-    # planted defect: the direct prime test accepts every ideal
+def test_a_blind_prime_test_fails_the_radical_check(monkeypatch):
+    # planted defect: the prime test accepts every proper ideal, so the
+    # "primes" over {0} in z4 meet in {0}, not in its radical {0, 2}
     monkeypatch.setattr(core, "prime_violation", lambda n, mul, mask: None)
-    with pytest.raises(InternalCheckError):
-        for I in all_ideals(corpus.get("z4")):
-            is_prime(I)
+    z4 = corpus.get("z4")
+    zero = next(I for I in all_ideals(z4) if I.mask == 1 << z4.zero)
+    primes = [I for I in all_ideals(z4) if is_prime(I)]
+    assert not radical_equals_prime_intersection(zero, primes)
+    assert not accept.criterion_7().passed

@@ -4,15 +4,13 @@ import itertools
 
 import pytest
 
-from semispec import corpus, presented
+from semispec import accept, corpus, presented
 from semispec.errors import InternalCheckError, PreconditionError, ResourceError
 from semispec.kernel import find_iso, semiring_from_dict, verify_axioms
 from semispec.presented import (
     Bound,
     CongruenceIndex,
     Presentation,
-    build_index,
-    congruent,
     counterexample_presentation,
     finite_quotient,
     fmt_term,
@@ -70,9 +68,9 @@ def idem_square_presentation() -> Presentation:
 
 def test_congruence_yes_with_replayed_chain():
     pres = idem_square_presentation()
-    idx = build_index(pres, Bound(degree=3, coeff=3))
+    idx = CongruenceIndex(pres, Bound(degree=3, coeff=3))
     g = pres.gens
-    a = congruent(idx, parse_term("x", g), parse_term("x^3", g))
+    a = idx.congruent(parse_term("x", g), parse_term("x^3", g))
     assert a.is_yes
     assert a.chain is not None and len(a.chain) >= 2
     # chain replay is verified internally; endpoints must match
@@ -82,19 +80,19 @@ def test_congruence_yes_with_replayed_chain():
 
 def test_congruence_no_at_bound():
     pres = idem_square_presentation()
-    idx = build_index(pres, Bound(degree=3, coeff=3))
+    idx = CongruenceIndex(pres, Bound(degree=3, coeff=3))
     g = pres.gens
-    a = congruent(idx, parse_term("x", g), parse_term("1", g))
+    a = idx.congruent(parse_term("x", g), parse_term("1", g))
     assert a.verdict == "no-at-bound"
     assert not a.is_yes
 
 
 def test_idempotent_flag_gives_add_collapse():
     pres = idem_square_presentation()
-    idx = build_index(pres, Bound(degree=3, coeff=3))
+    idx = CongruenceIndex(pres, Bound(degree=3, coeff=3))
     g = pres.gens
-    assert congruent(idx, parse_term("1+1", g), parse_term("1", g)).is_yes
-    assert congruent(idx, parse_term("x+x", g), parse_term("x", g)).is_yes
+    assert idx.congruent(parse_term("1+1", g), parse_term("1", g)).is_yes
+    assert idx.congruent(parse_term("x+x", g), parse_term("x", g)).is_yes
 
 
 def test_tampered_move_fails_the_replay():
@@ -102,12 +100,12 @@ def test_tampered_move_fails_the_replay():
     idx = CongruenceIndex(pres, Bound(degree=3, coeff=3))
     g = pres.gens
     x, x3 = parse_term("x", g), parse_term("x^3", g)
-    assert congruent(idx, x, x3).is_yes
+    assert idx.congruent(x, x3).is_yes
     root, prev, (ridx, direction, mult) = idx._tree[x3]
     assert root == x and prev is not None
     idx._tree[x3] = (root, prev, (ridx, 1 - direction, mult))
     with pytest.raises(InternalCheckError):
-        congruent(idx, x, x3)
+        idx.congruent(x, x3)
 
 
 def test_finite_quotient_recovers_known_table():
@@ -156,13 +154,13 @@ def test_finite_quotient_with_relation_to_zero():
 
 def test_relation_to_zero_rewrites_both_ways():
     pres = presentation_from_json(ZERO_PRODUCT)
-    idx = build_index(pres, Bound(degree=3, coeff=2))
+    idx = CongruenceIndex(pres, Bound(degree=3, coeff=2))
     g = pres.gens
     # reaching x + x^2*y from x needs the rewrite that adds a multiple of x*y
-    a = congruent(idx, parse_term("x", g), parse_term("x+x^2*y", g))
+    a = idx.congruent(parse_term("x", g), parse_term("x+x^2*y", g))
     assert a.is_yes and a.chain[0] == parse_term("x", g)
-    assert congruent(idx, parse_term("x*y^2", g), parse_term("0", g)).is_yes
-    assert not congruent(idx, parse_term("x", g), parse_term("y", g)).is_yes
+    assert idx.congruent(parse_term("x*y^2", g), parse_term("0", g)).is_yes
+    assert not idx.congruent(parse_term("x", g), parse_term("y", g)).is_yes
     # N[x]/(x^2) is infinite: 2+2 has no enumerated class
     with pytest.raises(PreconditionError):
         finite_quotient(presentation_from_json(SQUARE_ZERO), degree=2, coeff=2)
@@ -225,7 +223,7 @@ def test_congruent_matches_components_of_all_bounded_terms(data, bound):
     idx = CongruenceIndex(pres, bound)
     for i, s in enumerate(terms):
         for t in terms[i:]:
-            a = congruent(idx, s, t)
+            a = idx.congruent(s, t)
             assert a.is_yes == (component[s] == component[t]), (s, t)
             if a.is_yes:
                 assert a.chain[0] == s and a.chain[-1] == t
@@ -244,18 +242,18 @@ def test_counterexample_presentation_frozen():
     pres = counterexample_presentation()
     assert pres.gens == ("x", "y")
     g = pres.gens
-    idx = build_index(pres, Bound(degree=6, coeff=6))
+    idx = CongruenceIndex(pres, Bound(degree=6, coeff=6))
     s, t = parse_term("1+x*y", g), parse_term("x+y", g)
-    assert congruent(idx, s, t).verdict == "no-at-bound"
+    assert idx.congruent(s, t).verdict == "no-at-bound"
     # both generators become invertible witnesses at the first power
-    assert localized_images_equal(pres, s, t, "x") == (True, 1)
-    assert localized_images_equal(pres, s, t, "y") == (True, 1)
+    assert localized_images_equal(idx, s, t, "x") == (True, 1)
+    assert localized_images_equal(idx, s, t, "y") == (True, 1)
 
 
 def test_localized_images_unknown_generator():
-    pres = counterexample_presentation()
+    idx = CongruenceIndex(counterexample_presentation())
     with pytest.raises(PreconditionError):
-        localized_images_equal(pres, one_term(2), one_term(2), "z")
+        localized_images_equal(idx, one_term(2), one_term(2), "z")
 
 
 @pytest.mark.parametrize("data, coeff", [
@@ -273,7 +271,7 @@ def test_congruence_index_never_joins_two_quotient_classes(data, coeff):
     verdicts = set()
     for i, s in enumerate(terms):
         for t in terms[i:]:
-            yes = congruent(idx, s, t).is_yes
+            yes = idx.congruent(s, t).is_yes
             verdicts.add((yes, cls(s) == cls(t)))
             assert not yes or cls(s) == cls(t), (s, t)
     assert {(True, True), (False, False)} <= verdicts
@@ -299,17 +297,46 @@ BOOLNIL_LIKE = {"label": "", "size": 4, "zero": 0, "one": 2,
                 "mul": [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 2, 3], [0, 1, 3, 3]]}
 
 
-@pytest.mark.parametrize("data, degree, coeff, frozen", [
+FROZEN_QUOTIENTS = [
     ({"gens": ["x"], "rels": [["x*x", "x"]], "idempotent": True}, 2, 2, BOOLX_LIKE),
     ({"gens": ["x"], "rels": [["x*x", "x"]], "idempotent": True}, 3, 3, BOOLX_LIKE),
     ({**ZERO_PRODUCT, "idempotent": True}, 1, 1, ZERO_PRODUCT_8),
     ({**ZERO_PRODUCT, "idempotent": True}, 2, 2, ZERO_PRODUCT_8),
     ({**SQUARE_ZERO, "idempotent": True}, 2, 2, BOOLNIL_LIKE),
-], ids=["idem-square", "idem-square-3", "idem-zero-product", "idem-zero-product-2",
-        "idem-square-zero"])
+]
+
+
+@pytest.mark.parametrize("data, degree, coeff, frozen", FROZEN_QUOTIENTS,
+                         ids=["idem-square", "idem-square-3", "idem-zero-product",
+                              "idem-zero-product-2", "idem-square-zero"])
 def test_quotients_match_the_enumerated_tables(data, degree, coeff, frozen):
     table, _cls = finite_quotient(presentation_from_json(data), degree, coeff)
     assert find_iso(table, semiring_from_dict(frozen)) is not None
+
+
+def test_the_closure_builds_no_congruence_index(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the closure built a congruence index")
+
+    monkeypatch.setattr(CongruenceIndex, "__init__", refuse)
+    for data, degree, coeff, frozen in FROZEN_QUOTIENTS:
+        table, _cls = finite_quotient(presentation_from_json(data), degree, coeff)
+        assert find_iso(table, semiring_from_dict(frozen)) is not None
+
+
+def test_a_relation_outside_the_rewriting_bound_is_no_proof_of_infinity():
+    # at degree 2 the closure rewrites within degree 4, so x^5 = x applies
+    # only to products that reach degree 5 or more; the quotient still
+    # closes, on the table that degree 3 gives
+    x5 = presentation_from_json({"gens": ["x"], "rels": [["x^5", "x"]], "idempotent": True})
+    table, _cls = finite_quotient(x5, degree=2, coeff=2)
+    assert table.size == 32
+    assert find_iso(table, finite_quotient(x5, degree=3, coeff=2)[0]) is not None
+    # x^9 = x^2 never applies within degree 4, and x^5 = x^4 * x is a
+    # normal form outside it: a refusal, not a proof of infinity
+    x9 = presentation_from_json({"gens": ["x"], "rels": [["x^9", "x^2"]], "idempotent": True})
+    with pytest.raises(ResourceError, match="lies outside degree 4"):
+        finite_quotient(x9, degree=2, coeff=1)
 
 
 @pytest.mark.parametrize("data", [
@@ -347,7 +374,7 @@ def test_critical_pairs_derive_what_greedy_rewriting_misses():
     four = parse_term("4", pres.gens)
     assert cls(four) == table.zero
     closure = presented._Closure(pres, Bound(degree=4, coeff=24))
-    assert (four, ()) in closure.idx.rels or ((), four) in closure.idx.rels
+    assert (four, ()) in closure.rules
 
 
 @pytest.mark.parametrize("data, message", [
@@ -376,12 +403,12 @@ def test_a_table_that_breaks_a_relation_is_refused(monkeypatch, rels):
     # boolx, in which x = 1 fails; the relation check refuses it wherever
     # x = 1 stands
     pres = presentation_from_json({"gens": ["x"], "rels": rels})
-    skipped = rels.index(["x", "1"])
+    skipped = pres.rels[rels.index(["x", "1"])]
     orient = presented._Closure._orient
 
-    def orient_skipping(self, ridx, rel):
-        if ridx != skipped:
-            orient(self, ridx, rel)
+    def orient_skipping(self, rel):
+        if rel != skipped:
+            orient(self, rel)
 
     monkeypatch.setattr(presented._Closure, "_orient", orient_skipping)
     with pytest.raises(ResourceError, match="breaks a relation"):
@@ -401,11 +428,13 @@ def _offering_first(monkeypatch, term, move):
 
 
 def test_a_merge_without_a_legal_move_is_never_taken(monkeypatch):
-    # 1 + 1 -> 1 at multiplier 1 would have to take 1 + x to x; the index
-    # refuses the move, as 1 + x holds no 1 + 1, and 1 + x stays apart
+    # 1 + 1 -> 1 at multiplier 1 would have to take 1 + x to x; the
+    # rewrite refuses the move, as 1 + x holds no 1 + 1, and 1 + x stays
+    # apart
     pres = idem_square_presentation()
     g = pres.gens
-    _offering_first(monkeypatch, parse_term("1+x", g), (1, 0, (0,)))
+    two_to_one = (parse_term("2", g), one_term(1), (0,))
+    _offering_first(monkeypatch, parse_term("1+x", g), two_to_one)
     table, cls = finite_quotient(pres, degree=2, coeff=2)
     assert find_iso(table, corpus.get("boolx")) is not None
     assert cls(parse_term("1+x", g)) != cls(parse_term("x", g))
@@ -414,7 +443,9 @@ def test_a_merge_without_a_legal_move_is_never_taken(monkeypatch):
 def test_a_step_that_raises_the_term_order_fails_the_check(monkeypatch):
     # x -> x^2 is a legal move, but it raises the order
     pres = idem_square_presentation()
-    _offering_first(monkeypatch, parse_term("1+x", pres.gens), (0, 1, (0,)))
+    g = pres.gens
+    x_to_x2 = (parse_term("x", g), parse_term("x^2", g), (0,))
+    _offering_first(monkeypatch, parse_term("1+x", g), x_to_x2)
     with pytest.raises(InternalCheckError, match="term order"):
         finite_quotient(pres, degree=2, coeff=2)
 
@@ -456,6 +487,19 @@ def test_a_quotient_over_the_table_cap_is_refused():
     })
     with pytest.raises(ResourceError, match="more than 64 representatives"):
         finite_quotient(pres, degree=2, coeff=1)
+
+
+def test_criterion_6_builds_one_index_per_bound(monkeypatch):
+    built = []
+    init = CongruenceIndex.__init__
+
+    def counting(self, pres, bound=None):
+        built.append(bound)
+        init(self, pres, bound)
+
+    monkeypatch.setattr(CongruenceIndex, "__init__", counting)
+    assert accept.criterion_6().passed
+    assert built == [Bound(degree=6, coeff=6), Bound(degree=8, coeff=8)]
 
 
 def test_criterion_6_pair_is_separated_by_a_finite_model():
