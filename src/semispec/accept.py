@@ -47,7 +47,7 @@ from .localize import (
 )
 from .presented import (
     Bound,
-    CongruenceIndex,
+    _Closure,
     counterexample_presentation,
     evaluate,
     is_model,
@@ -274,11 +274,11 @@ def criterion_6() -> CheckResult:
     pres = counterexample_presentation()
     g = pres.gens
     s, t = parse_term("1+x*y", g), parse_term("x+y", g)
-    idx6 = CongruenceIndex(pres, Bound(degree=6, coeff=6))
-    a6 = idx6.congruent(s, t)
-    eqx, kx = localized_images_equal(idx6, s, t, "x")
-    eqy, ky = localized_images_equal(idx6, s, t, "y")
-    a8 = CongruenceIndex(pres, Bound(degree=8, coeff=8)).congruent(s, t)
+    closure6 = _Closure(pres, Bound(degree=6, coeff=6))
+    a6 = closure6.congruent(s, t)
+    eqx, kx = localized_images_equal(closure6, s, t, "x")
+    eqy, ky = localized_images_equal(closure6, s, t, "y")
+    a8 = _Closure(pres, Bound(degree=8, coeff=8)).congruent(s, t)
     # a finite model proves the pair distinct; the one found is re-checked
     model = separating_model(pres, s, t, corpus.members(max_size=8))
     separated = (

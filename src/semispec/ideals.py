@@ -55,7 +55,6 @@ def is_ideal(A: FiniteSemiring, mask: int) -> bool:
 
 
 _IDEAL_CAP = 200000
-_MODULE_CAP = 256  # submodules in one `valuation.build_mra` lattice
 
 
 def _module_sum(A: FiniteSemiring, m1: int, m2: int) -> int:

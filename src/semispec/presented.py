@@ -1,51 +1,33 @@
-"""Finitely presented commutative semirings over the naturals: a bounded
-congruence-closure decision procedure for the word problem, finite models
-that tell two terms apart, and finite quotients built by closure from the
+"""Finitely presented commutative semirings over the naturals: the word
+problem decided by a completed rewriting system, finite models that tell
+two terms apart, and finite quotients built by closure from the
 generators.
 
 Terms are N-linear combinations of monomials in the generators, stored
 canonically. A presentation induces the smallest semiring congruence
-containing its relation pairs; within a size bound this is decided by
-exploring single-relation rewrites t -> t - m*L + m*R (m a monomial
-multiplier, both directions). Single-monomial multipliers generate the same
-congruence as arbitrary polynomial contexts, so connectivity inside the
-bounded region is sound; a disconnect is only ever reported as no-at-bound.
+containing its relation pairs. Each relation is oriented from its larger
+side in a fixed well-founded order, and the oriented relations are
+completed by critical pairs (Knuth-Bendix) within a size bound. A rewrite
+replaces m*L in a term by m*R, for a monomial m; single-monomial
+multipliers generate the same congruence as arbitrary polynomial
+contexts. Two terms with one normal form are congruent, and the rewrites
+that reach it are the certificate. Two terms with distinct normal forms
+are distinct when the bound cut nothing: no critical pair, and no rewrite
+of either normal form. Otherwise the question is refused.
 
-The explored universe grows on demand from the queried terms; it is the set
-of terms rewrite-reachable from registered seeds within the bound, not a
-full enumeration of all bounded terms (which is astronomically large even
-at degree 6).
-
-A finite quotient needs no exploration. Its representatives are normal
-forms: terms that no relation, oriented from its larger side in a fixed
-well-founded order and completed by critical pairs (Knuth-Bendix), rewrites
-further. Starting from 0, 1 and the generators, the normal form of every
-sum and product of two representatives is found by rewriting with those
-oriented relations, and one not seen before becomes a new representative.
-The table is exact once a model check passes: it satisfies the semiring
-axioms and every relation, with each generator sent to its
-representative. A table that fails the check is refused, and so is
-a quotient that generator images in an infinite semiring prove infinite.
+A finite quotient is built by closure from the generators, on the same
+normal forms, and returned only once it passes a model check
+(`finite_quotient`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
-from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import add, ge, sub
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import FormatError, InternalCheckError, PreconditionError, ResourceError
 from .kernel import MAX_SIZE, FiniteSemiring, tabulate
@@ -194,23 +176,15 @@ class Bound:
     nodes: int = 200000
 
 
-@lru_cache(maxsize=None)
-def monomials(nvars: int, degree: int) -> Tuple[Mono, ...]:
-    """Every monomial of total degree at most `degree`, in lexicographic order."""
-    if nvars == 0:
-        return ((),)
-    return tuple(
-        (k,) + rest for k in range(degree + 1) for rest in monomials(nvars - 1, degree - k)
-    )
-
-
 def term_within(t: Term, bound: Bound) -> bool:
     return all(sum(m) <= bound.degree and c <= bound.coeff for m, c in t)
 
 
-def _rewrite(t: Term, src: Term, dst: Term, mult: Mono, bound: Bound) -> Optional[Term]:
-    """t - mult*src + mult*dst, or None when mult*src is not in t or a
-    monomial it rewrites leaves the bound."""
+def _rewrite(
+    t: Term, src: Term, dst: Term, mult: Mono, bound: Bound
+) -> Optional[Tuple[Term, bool]]:
+    """t - mult*src + mult*dst, and whether every monomial it raises stays
+    within the bound; None when mult*src is not in t."""
     acc = dict(t)
     for m, c in src:
         key = tuple(map(add, m, mult))
@@ -221,160 +195,16 @@ def _rewrite(t: Term, src: Term, dst: Term, mult: Mono, bound: Bound) -> Optiona
             acc[key] = left
         else:
             del acc[key]
+    fits = True
     for m, c in dst:
         key = tuple(map(add, m, mult))
         acc[key] = acc.get(key, 0) + c
-        if acc[key] > bound.coeff or sum(key) > bound.degree:
-            return None
-    return tuple(sorted(acc.items()))
+        fits = fits and acc[key] <= bound.coeff and sum(key) <= bound.degree
+    return tuple(sorted(acc.items())), fits
 
 
 # ---------------------------------------------------------------------------
-# congruence index
-
-Move = Tuple[int, int, Mono]  # relation index, direction (0: L->R, 1: R->L), multiplier
-Record = Tuple[Term, Optional[Term], Optional[Move]]  # root, previous term, move
-
-
-@dataclass
-class Answer:
-    verdict: str  # "yes" | "no-at-bound"
-    chain: Optional[List[Term]] = None  # one rewrite per step; a tree path, not the shortest
-
-    @property
-    def is_yes(self) -> bool:
-        return self.verdict == "yes"
-
-
-class CongruenceIndex:
-    """The rewrite-reachable bounded universe, as one exploration tree per
-    component.
-
-    Every term records (root, previous term, move) when an explore first
-    reaches it. Every move has its reverse and an explore runs until its
-    queue empties, so no later explore can reach an earlier tree: two terms
-    are congruent at the bound exactly when they share a root. An explore
-    that would hold more than the node budget raises ResourceError."""
-
-    def __init__(self, pres: Presentation, bound: Optional[Bound] = None):
-        self.pres = pres
-        self.bound = bound or Bound()
-        self.rels = pres.all_rels()
-        for l, r in self.rels:
-            if not (term_within(l, self.bound) and term_within(r, self.bound)):
-                raise PreconditionError("relation exceeds the size bound")
-        self._tree: Dict[Term, Record] = {}
-        self._explored: Set[Term] = set()
-        self._replayed: Set[Tuple[Term, Record]] = set()
-
-    # rewriting --------------------------------------------------------------
-    def _step(self, t: Term, move: Move) -> Optional[Term]:
-        ridx, direction, mult = move
-        rel = self.rels[ridx]
-        return _rewrite(t, rel[direction], rel[1 - direction], mult, self.bound)
-
-    def _neighbors(self, t: Term) -> Iterator[Tuple[Term, Move]]:
-        for ridx, rel in enumerate(self.rels):
-            for direction, src in enumerate(rel):
-                if src:
-                    # m*src lies in t only if m times its first monomial does
-                    m0 = src[0][0]
-                    mults = sorted({
-                        tuple(a - b for a, b in zip(m, m0))
-                        for m, _c in t
-                        if all(a >= b for a, b in zip(m, m0))
-                    })
-                else:
-                    # l ~ 0 gives m*l ~ 0, so t ~ t + m*l for every monomial m
-                    mults = monomials(self.pres.nvars, self.bound.degree)
-                for mult in mults:
-                    move = (ridx, direction, mult)
-                    nxt = self._step(t, move)
-                    if nxt is not None:
-                        yield nxt, move
-
-    def explore(self, seed: Term) -> None:
-        """Grow the universe by everything rewrite-reachable from the seed."""
-        if seed in self._explored:
-            return
-        if not term_within(seed, self.bound):
-            raise PreconditionError("seed exceeds the size bound")
-        tree = self._tree
-        root = tree.setdefault(seed, (seed, None, None))[0]
-        queue = deque([seed])
-        while queue:
-            cur = queue.popleft()
-            if cur in self._explored:
-                continue
-            self._explored.add(cur)
-            if len(tree) > self.bound.nodes:
-                raise ResourceError(
-                    f"node budget of {self.bound.nodes} terms exhausted"
-                )
-            for nxt, move in self._neighbors(cur):
-                if nxt not in tree:
-                    tree[nxt] = (root, cur, move)
-                    queue.append(nxt)
-
-    def root(self, t: Term) -> Term:
-        """The first term of t's component, after exploring from t."""
-        self.explore(t)
-        return self._tree[t][0]
-
-    # queries ----------------------------------------------------------------
-    def congruent(self, s: Term, t: Term) -> Answer:
-        if self.root(s) != self.root(t):
-            return Answer("no-at-bound")
-        return Answer("yes", self._chain(s, t))
-
-    def _chain(self, s: Term, t: Term) -> List[Term]:
-        """The tree path from s to t through their lowest common ancestor,
-        not necessarily the shortest rewrite path. Each step is replayed
-        from its recorded move before the chain is returned, once per
-        (term, record) pair: a record that changes is replayed again."""
-        up_s, up_t = self._ancestors(s), self._ancestors(t)
-        while len(up_s) > 1 and len(up_t) > 1 and up_s[-2] == up_t[-2]:
-            up_s.pop()
-            up_t.pop()
-        for child in up_s[:-1] + up_t[:-1]:
-            edge = (child, self._tree[child])
-            if edge in self._replayed:
-                continue
-            _root, prev, move = edge[1]
-            if self._step(prev, move) != child:
-                raise InternalCheckError("replay chain contains an illegal step")
-            self._replayed.add(edge)
-        return up_s + up_t[-2::-1]
-
-    def _ancestors(self, t: Term) -> List[Term]:
-        """t, its previous term, and so on up to its root."""
-        path = [t]
-        while self._tree[path[-1]][1] is not None:
-            path.append(self._tree[path[-1]][1])
-        return path
-
-
-def localized_images_equal(
-    idx: CongruenceIndex, s: Term, t: Term, gen: str, kmax: int = 8
-) -> Tuple[bool, int]:
-    """True iff a^k*s ~ a^k*t in the index for some k <= kmax (fraction
-    equality after inverting the generator); returns the smallest such k."""
-    pres = idx.pres
-    if gen not in pres.gens:
-        raise PreconditionError(f"unknown generator {gen!r}")
-    a = var_term(pres.nvars, list(pres.gens).index(gen))
-    ak = one_term(pres.nvars)
-    for k in range(kmax + 1):
-        lhs, rhs = term_mul(ak, s), term_mul(ak, t)
-        if term_within(lhs, idx.bound) and term_within(rhs, idx.bound):
-            if idx.congruent(lhs, rhs).is_yes:
-                return True, k
-        ak = term_mul(ak, a)
-    return False, -1
-
-
-# ---------------------------------------------------------------------------
-# finite models and finite quotients
+# finite models
 
 
 def _value(zero, one, plus: Callable, times: Callable, images: Sequence, t: Term):
@@ -462,6 +292,10 @@ def infinite_model(pres: Presentation) -> Optional[str]:
     return None
 
 
+# ---------------------------------------------------------------------------
+# completion: normal forms, congruence and finite quotients
+
+
 def _order_key(t: Term) -> Tuple[Tuple[int, Mono, int], ...]:
     """Sort key of the fixed well-founded order that every reduction step
     must lower. Terms compare as multisets of monomials: the larger term has
@@ -494,17 +328,29 @@ def _overlaps(r1: Rule, r2: Rule) -> Iterator[Tuple[Term, Mono, Mono]]:
             yield term_from_items(list(acc.items())), m1, m2
 
 
+@dataclass
+class Answer:
+    verdict: str  # "yes" | "no-at-bound", a proof that the terms differ
+    chain: Optional[List[Term]] = None  # s, rewrites down to one normal form, up to t
+
+    @property
+    def is_yes(self) -> bool:
+        return self.verdict == "yes"
+
+
 class _Closure:
-    """The closure from the generators. Its representatives are normal
-    forms: terms that no relation, oriented from its larger side, rewrites
-    any further. The relations are those of the presentation and those
-    that completion derives from them."""
+    """The relations of a presentation, oriented from their larger side and
+    completed, and the closure from the generators, whose representatives
+    are normal forms. `cut` is the first critical term that completion
+    skipped because of the bound, or None."""
 
     def __init__(self, pres: Presentation, bound: Bound):
         self.pres = pres
         self.bound = bound
         self.examined = 0
+        self.cut: Optional[Term] = None
         self.rules: List[Rule] = []
+        self._descents: Dict[Term, Tuple[List[Term], bool]] = {}
         for rel in pres.all_rels():
             self._orient(rel)
         self._complete()
@@ -529,44 +375,101 @@ class _Closure:
                         )
                     yield src, dst, tuple(map(sub, m, m0))
 
-    def normal_form(self, t: Term) -> Term:
-        """t rewritten while an oriented relation applies. Each step
+    def _reduce(self, t: Term) -> Tuple[List[Term], List[Tuple[Rule, Mono]], bool]:
+        """t and the terms it rewrites to while an oriented relation
+        applies within the bound, down to a normal form; the rule and
+        multiplier of each step; and whether some relation still matches
+        the normal form, with a result outside the bound. Each step
         replaces a multiple of one side of a relation by the same multiple
-        of the other, within the bound, so t is congruent to the result,
-        and it must lower `_order_key`."""
+        of the other, so t is congruent to the result, and it must lower
+        `_order_key`."""
+        terms, moves = [t], []
         cur = t
         while True:
+            blocked = False
             for src, dst, mult in self._moves(cur):
-                nxt = _rewrite(cur, src, dst, mult, self.bound)
-                if nxt is not None:
-                    break
+                step = _rewrite(cur, src, dst, mult, self.bound)
+                if step is not None:
+                    nxt, fits = step
+                    if fits:
+                        break
+                    blocked = True
             else:
-                return cur
+                return terms, moves, blocked
             if _order_key(nxt) >= _order_key(cur):
                 raise InternalCheckError("reduction step does not lower the term order")
+            terms.append(nxt)
+            moves.append(((src, dst), mult))
             cur = nxt
+
+    def normal_form(self, t: Term) -> Term:
+        """t rewritten while an oriented relation applies within the bound."""
+        return self._reduce(t)[0][-1]
 
     def _complete(self) -> None:
         """Knuth-Bendix completion within the bound: each critical pair is
         rewritten both ways, and two different normal forms, congruent
-        through the term they share, join the relations, oriented. Once
-        every critical pair within the bound meets again, normal forms there
-        are unique (Newman's lemma)."""
+        through the term they share, join the relations, oriented. A
+        critical term outside the bound, or one whose two rewrites are not
+        both within it, is skipped, and the first such term is kept in
+        `cut`. When none is, every critical pair joins, so the rules are
+        confluent on all terms, not only within the bound (the critical
+        pair lemma: Knuth and Bendix, 1970; Huet, 1980; for congruences of
+        commutative monoids, Buchberger's criterion for binomial ideals:
+        Eisenbud and Sturmfels, 1996), and every term has one normal form
+        (Newman's lemma)."""
         done = 0
         while done < len(self.rules):
             rule = self.rules[done]
             for other in self.rules[: done + 1]:
                 for s, m1, m2 in _overlaps(rule, other):
-                    if not term_within(s, self.bound):
-                        continue
-                    p = _rewrite(s, *rule, m1, self.bound)
-                    q = _rewrite(s, *other, m2, self.bound)
-                    if p is None or q is None:
-                        continue
-                    p, q = self.normal_form(p), self.normal_form(q)
-                    if p != q and term_within(p, self.bound) and term_within(q, self.bound):
-                        self._orient((p, q))
+                    # s holds both multiples, so both rewrites match
+                    p, p_fits = _rewrite(s, *rule, m1, self.bound)
+                    q, q_fits = _rewrite(s, *other, m2, self.bound)
+                    if term_within(s, self.bound) and p_fits and q_fits:
+                        p, q = self.normal_form(p), self.normal_form(q)
+                        if p != q:
+                            self._orient((p, q))
+                    elif self.cut is None:
+                        self.cut = s
             done += 1
+
+    def congruent(self, s: Term, t: Term) -> Answer:
+        """"yes" when s and t reach one normal form, with the chain s -> ...
+        -> normal form <- ... <- t, each step replayed. "no-at-bound" when
+        the normal forms differ and the bound cut nothing: completion
+        skipped no critical pair, and no relation matches either normal
+        form. Normal forms are then unique (`_complete`), so they prove s
+        and t distinct at every bound. Otherwise ResourceError, naming the
+        cut. Each query may examine up to the node budget of rewrites."""
+        self.examined = 0
+        (s_down, s_blocked), (t_down, t_blocked) = self._descent(s), self._descent(t)
+        if s_down[-1] == t_down[-1]:
+            return Answer("yes", s_down + t_down[-2::-1])
+        gens, bound = self.pres.gens, self.bound
+        if self.cut is not None:
+            cut = f"completion skipped the critical term {fmt_term(self.cut, gens)}"
+        elif s_blocked or t_blocked:
+            nf = (s_down if s_blocked else t_down)[-1]
+            cut = f"a relation rewrites the normal form {fmt_term(nf, gens)} only"
+        else:
+            return Answer("no-at-bound")
+        raise ResourceError(
+            f"{cut} outside degree {bound.degree}, coefficient {bound.coeff}: "
+            "cannot tell the normal forms apart"
+        )
+
+    def _descent(self, t: Term) -> Tuple[List[Term], bool]:
+        """The terms and the flag of `_reduce`, once each step is replayed
+        by one of the rules. Kept once found."""
+        found = self._descents.get(t)
+        if found is None:
+            terms, moves, blocked = self._reduce(t)
+            for cur, (rule, mult), nxt in zip(terms, moves, terms[1:]):
+                if rule not in self.rules or _rewrite(cur, *rule, mult, self.bound) != (nxt, True):
+                    raise InternalCheckError("replay chain contains an illegal step")
+            found = self._descents[t] = terms, blocked
+        return found
 
     def table(self) -> Tuple[FiniteSemiring, Tuple[int, ...]]:
         """The table of the representatives, found by closure from 0, 1 and
@@ -623,6 +526,26 @@ class _Closure:
         return A, images
 
 
+def localized_images_equal(
+    closure: _Closure, s: Term, t: Term, gen: str, kmax: int = 8
+) -> Tuple[bool, int]:
+    """True and the smallest k <= kmax with a^k*s ~ a^k*t, for the
+    generator a (fraction equality after inverting a), or False and -1
+    when the closure proves every such pair distinct. Raises ResourceError
+    when the closure cannot decide a pair before the first that is
+    congruent."""
+    pres = closure.pres
+    if gen not in pres.gens:
+        raise PreconditionError(f"unknown generator {gen!r}")
+    a = var_term(pres.nvars, list(pres.gens).index(gen))
+    ak = one_term(pres.nvars)
+    for k in range(kmax + 1):
+        if closure.congruent(term_mul(ak, s), term_mul(ak, t)).is_yes:
+            return True, k
+        ak = term_mul(ak, a)
+    return False, -1
+
+
 def finite_quotient(
     pres: Presentation,
     degree: int = 4,
@@ -653,19 +576,19 @@ def finite_quotient(
     `bound`, more than MAX_SIZE representatives, a failed model check, or
     the node budget spent. `bound` confines both the rewriting and the
     representatives, and every rewrite examined counts against its node
-    budget. A relation may reach past `bound`: it then rewrites only
-    where its result stays within. By default it allows twice `degree`, and coefficients large
+    budget. By default it allows twice `degree`, and coefficients large
     enough for every sum and product of two terms of degree up to `degree`
-    and coefficients up to `coeff`. A (degree, coeff) region of more than
-    100,000 terms is refused up front. The bounds must hold 0 and 1:
-    coeff >= 1 and degree >= 0."""
+    and coefficients up to `coeff`. A relation may reach past `bound`: it
+    then rewrites only where its result stays within. A (degree, coeff)
+    region of more than 100,000 terms is refused up front. The bounds must
+    hold 0 and 1: coeff >= 1 and degree >= 0."""
     if coeff < 1 or degree < 0:
         raise PreconditionError("presentation bounds need coeff >= 1 and degree >= 0")
-    monos = monomials(pres.nvars, degree)
-    if (coeff + 1) ** len(monos) > 100000:
+    monos = math.comb(pres.nvars + degree, degree)  # monomials of degree <= degree
+    if (coeff + 1) ** monos > 100000:
         raise ResourceError("enumeration bound too large")
     if bound is None:
-        bound = Bound(degree=2 * degree, coeff=2 * coeff * coeff * len(monos))
+        bound = Bound(degree=2 * degree, coeff=2 * coeff * coeff * monos)
     model = infinite_model(pres)
     if model is not None:
         raise PreconditionError(f"the quotient is infinite: {model} satisfy every relation")

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import _purecore as core
-from .errors import InternalCheckError, PreconditionError, ResourceError
+from .errors import InternalCheckError, PreconditionError
 from .kernel import (
+    MAX_SIZE,
     FiniteSemiring,
     Homomorphism,
     _maps,
@@ -33,7 +34,7 @@ from .kernel import (
     powers,
     tabulate,
 )
-from .ideals import _MODULE_CAP, _module_sum, closed_sets
+from .ideals import _module_sum, closed_sets
 from .localize import _powers_mask, localize
 from .spectra import sp_enumerate, spec_enumerate
 from . import corpus
@@ -175,15 +176,10 @@ def build_mra(A: FiniteSemiring) -> SubmoduleLattice:
     integral part.
 
     Raises PreconditionError unless 1 + 1 = 1 in A, and ResourceError once
-    more than `ideals._MODULE_CAP` modules are found."""
+    more modules are found than a table may hold (`kernel.MAX_SIZE`)."""
     if not is_idempotent(A):
         raise PreconditionError(f"{A.label}: 1 + 1 != 1, so {{0, 1}} is no subsemiring")
-    if A.size > 16:
-        raise ResourceError(
-            f"{A.label}: {A.size} elements, over the module lattice limit 16"
-        )
-
-    cyclic_masks, found = closed_sets(A, lambda seed: _module_closure(A, seed), _MODULE_CAP)
+    cyclic_masks, found = closed_sets(A, lambda seed: _module_closure(A, seed), MAX_SIZE)
     modules = sorted(found)
 
     def product_module(m1: int, m2: int) -> int:

@@ -264,9 +264,9 @@ def test_workspace_default_location(tmp_path, monkeypatch):
 
 
 def test_mra_refuses_a_large_lattice(ws, capsys):
-    # boolxy has 2,480 submodules, over the default limit of 256
+    # boolxy has 2,480 submodules, over the table cap of 64
     assert cli.main(["mra", "boolxy"]) == 8
-    assert "256" in capsys.readouterr().err
+    assert "64" in capsys.readouterr().err
 
 
 def _files_under(root):

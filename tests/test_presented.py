@@ -1,4 +1,5 @@
-"""Finitely presented quotients and the bounded congruence search."""
+"""Finitely presented quotients and congruence by the completed rewriting
+system."""
 
 import itertools
 
@@ -9,8 +10,8 @@ from semispec.errors import InternalCheckError, PreconditionError, ResourceError
 from semispec.kernel import find_iso, semiring_from_dict, verify_axioms
 from semispec.presented import (
     Bound,
-    CongruenceIndex,
     Presentation,
+    _Closure,
     counterexample_presentation,
     finite_quotient,
     fmt_term,
@@ -68,9 +69,9 @@ def idem_square_presentation() -> Presentation:
 
 def test_congruence_yes_with_replayed_chain():
     pres = idem_square_presentation()
-    idx = CongruenceIndex(pres, Bound(degree=3, coeff=3))
+    closure = _Closure(pres, Bound(degree=3, coeff=3))
     g = pres.gens
-    a = idx.congruent(parse_term("x", g), parse_term("x^3", g))
+    a = closure.congruent(parse_term("x", g), parse_term("x^3", g))
     assert a.is_yes
     assert a.chain is not None and len(a.chain) >= 2
     # chain replay is verified internally; endpoints must match
@@ -80,32 +81,49 @@ def test_congruence_yes_with_replayed_chain():
 
 def test_congruence_no_at_bound():
     pres = idem_square_presentation()
-    idx = CongruenceIndex(pres, Bound(degree=3, coeff=3))
+    closure = _Closure(pres, Bound(degree=3, coeff=3))
     g = pres.gens
-    a = idx.congruent(parse_term("x", g), parse_term("1", g))
+    a = closure.congruent(parse_term("x", g), parse_term("1", g))
     assert a.verdict == "no-at-bound"
     assert not a.is_yes
 
 
 def test_idempotent_flag_gives_add_collapse():
     pres = idem_square_presentation()
-    idx = CongruenceIndex(pres, Bound(degree=3, coeff=3))
+    closure = _Closure(pres, Bound(degree=3, coeff=3))
     g = pres.gens
-    assert idx.congruent(parse_term("1+1", g), parse_term("1", g)).is_yes
-    assert idx.congruent(parse_term("x+x", g), parse_term("x", g)).is_yes
+    assert closure.congruent(parse_term("1+1", g), parse_term("1", g)).is_yes
+    assert closure.congruent(parse_term("x+x", g), parse_term("x", g)).is_yes
 
 
-def test_tampered_move_fails_the_replay():
+def test_tampered_move_fails_the_replay(monkeypatch):
     pres = idem_square_presentation()
-    idx = CongruenceIndex(pres, Bound(degree=3, coeff=3))
+    closure = _Closure(pres, Bound(degree=3, coeff=3))
     g = pres.gens
-    x, x3 = parse_term("x", g), parse_term("x^3", g)
-    assert idx.congruent(x, x3).is_yes
-    root, prev, (ridx, direction, mult) = idx._tree[x3]
-    assert root == x and prev is not None
-    idx._tree[x3] = (root, prev, (ridx, 1 - direction, mult))
-    with pytest.raises(InternalCheckError):
-        idx.congruent(x, x3)
+    x, x2, x3 = (parse_term(text, g) for text in ("x", "x^2", "x^3"))
+    assert closure.congruent(x, x3).is_yes
+    reduce = _Closure._reduce
+
+    def altering_first_move(alter):
+        def altered(self, t):
+            terms, moves, blocked = reduce(self, t)
+            if t == x3:
+                assert terms[:2] == [x3, x2] and moves[0] == ((x2, x), (1,))
+                moves[0] = alter(*moves[0])
+            return terms, moves, blocked
+        return altered
+
+    # x^3 -> x^2 -> x; the rule x -> x^2 does not rewrite x^3 to x^2, and
+    # x^3 -> x^2 does, but it is none of the closure's rules
+    for alter in (
+        lambda rule, mult: (rule[::-1], mult),
+        lambda rule, mult: ((x3, x2), (0,)),
+    ):
+        closure = _Closure(pres, Bound(degree=3, coeff=3))
+        monkeypatch.setattr(_Closure, "_reduce", altering_first_move(alter))
+        with pytest.raises(InternalCheckError, match="illegal step"):
+            closure.congruent(x, x3)
+        monkeypatch.undo()
 
 
 def test_finite_quotient_recovers_known_table():
@@ -154,13 +172,14 @@ def test_finite_quotient_with_relation_to_zero():
 
 def test_relation_to_zero_rewrites_both_ways():
     pres = presentation_from_json(ZERO_PRODUCT)
-    idx = CongruenceIndex(pres, Bound(degree=3, coeff=2))
+    closure = _Closure(pres, Bound(degree=4, coeff=2))
     g = pres.gens
-    # reaching x + x^2*y from x needs the rewrite that adds a multiple of x*y
-    a = idx.congruent(parse_term("x", g), parse_term("x+x^2*y", g))
-    assert a.is_yes and a.chain[0] == parse_term("x", g)
-    assert idx.congruent(parse_term("x*y^2", g), parse_term("0", g)).is_yes
-    assert not idx.congruent(parse_term("x", g), parse_term("y", g)).is_yes
+    # x*y -> 0 at multiplier x removes x^2*y from x + x^2*y; the chain
+    # from x adds it back
+    a = closure.congruent(parse_term("x", g), parse_term("x+x^2*y", g))
+    assert a.is_yes and a.chain == [parse_term("x", g), parse_term("x+x^2*y", g)]
+    assert closure.congruent(parse_term("x*y^2", g), parse_term("0", g)).is_yes
+    assert not closure.congruent(parse_term("x", g), parse_term("y", g)).is_yes
     # N[x]/(x^2) is infinite: 2+2 has no enumerated class
     with pytest.raises(PreconditionError):
         finite_quotient(presentation_from_json(SQUARE_ZERO), degree=2, coeff=2)
@@ -176,14 +195,14 @@ def bounded_terms(nvars, bound):
         yield tuple(sorted((m, c) for m, c in zip(monos, coeffs) if c))
 
 
-def one_rewrite_apart(t, pres, bound):
-    """Every bounded t - m*src + m*dst, for each relation side src -> dst and
-    every monomial m, written without the index's rewriting."""
+def one_rewrite_apart(t, rels, nvars, bound):
+    """Every bounded t - m*src + m*dst, for each side src -> dst of a pair
+    in rels and every monomial m, written without the closure's rewriting."""
     monos = [
-        m for m in itertools.product(range(bound.degree + 1), repeat=pres.nvars)
+        m for m in itertools.product(range(bound.degree + 1), repeat=nvars)
         if sum(m) <= bound.degree
     ]
-    for l, r in pres.all_rels():
+    for l, r in rels:
         for src, dst in ((l, r), (r, l)):
             for m in monos:
                 d = dict(t)
@@ -199,15 +218,18 @@ def one_rewrite_apart(t, pres, bound):
                     yield tuple(sorted((k, c) for k, c in d.items() if c))
 
 
-@pytest.mark.parametrize("data, bound", [
-    ({"gens": ["x"], "rels": [["x*x", "x"]], "idempotent": True}, Bound(degree=3, coeff=3)),
-    ({**SQUARE_ZERO, "idempotent": True}, Bound(degree=2, coeff=2)),
-    (ZERO_PRODUCT, Bound(degree=2, coeff=1)),
+# ZERO_PRODUCT's completion skips the critical term x^2*y, of degree 3, at
+# (2, 1); at (4, 2) it skips none and decides every pair, so it runs there
+@pytest.mark.parametrize("data, bound, closure_bound", [
+    ({"gens": ["x"], "rels": [["x*x", "x"]], "idempotent": True},
+     Bound(degree=3, coeff=3), Bound(degree=3, coeff=3)),
+    ({**SQUARE_ZERO, "idempotent": True}, Bound(degree=2, coeff=2), Bound(degree=2, coeff=2)),
+    (ZERO_PRODUCT, Bound(degree=2, coeff=1), Bound(degree=4, coeff=2)),
 ], ids=["idem-square", "idem-square-zero", "zero-product"])
-def test_congruent_matches_components_of_all_bounded_terms(data, bound):
+def test_congruent_matches_components_of_all_bounded_terms(data, bound, closure_bound):
     pres = presentation_from_json(data)
     terms = list(bounded_terms(pres.nvars, bound))
-    edges = {t: set(one_rewrite_apart(t, pres, bound)) for t in terms}
+    edges = {t: set(one_rewrite_apart(t, pres.all_rels(), pres.nvars, bound)) for t in terms}
     component = {}
     for start in terms:
         if start in component:
@@ -220,40 +242,67 @@ def test_congruent_matches_components_of_all_bounded_terms(data, bound):
                     component[nxt] = start
                     frontier.append(nxt)
     assert len(set(component.values())) > 1
-    idx = CongruenceIndex(pres, bound)
+    closure = _Closure(pres, closure_bound)
+    by_rules = {}  # each chain step is one rewrite by the closure's rules
+    verdicts = set()
     for i, s in enumerate(terms):
         for t in terms[i:]:
-            a = idx.congruent(s, t)
+            try:
+                a = closure.congruent(s, t)
+            except ResourceError:
+                continue
+            verdicts.add(a.is_yes)
             assert a.is_yes == (component[s] == component[t]), (s, t)
             if a.is_yes:
                 assert a.chain[0] == s and a.chain[-1] == t
-                assert all(b in edges[c] for c, b in zip(a.chain, a.chain[1:]))
-
-
-def test_relation_exceeding_bound_refused():
-    pres = presentation_from_json(
-        {"gens": ["x"], "rels": [["x^9", "x"]], "idempotent": False}
-    )
-    with pytest.raises(PreconditionError):
-        CongruenceIndex(pres, Bound(degree=4, coeff=4, nodes=1000))
+                for c, b in zip(a.chain, a.chain[1:]):
+                    if c not in by_rules:
+                        by_rules[c] = set(
+                            one_rewrite_apart(c, closure.rules, pres.nvars, closure_bound)
+                        )
+                    assert b in by_rules[c], (c, b)
+    assert verdicts == {True, False}
 
 
 def test_counterexample_presentation_frozen():
     pres = counterexample_presentation()
     assert pres.gens == ("x", "y")
     g = pres.gens
-    idx = CongruenceIndex(pres, Bound(degree=6, coeff=6))
+    closure = _Closure(pres, Bound(degree=6, coeff=6))
     s, t = parse_term("1+x*y", g), parse_term("x+y", g)
-    assert idx.congruent(s, t).verdict == "no-at-bound"
+    assert closure.congruent(s, t).verdict == "no-at-bound"
     # both generators become invertible witnesses at the first power
-    assert localized_images_equal(idx, s, t, "x") == (True, 1)
-    assert localized_images_equal(idx, s, t, "y") == (True, 1)
+    assert localized_images_equal(closure, s, t, "x") == (True, 1)
+    assert localized_images_equal(closure, s, t, "y") == (True, 1)
 
 
 def test_localized_images_unknown_generator():
-    idx = CongruenceIndex(counterexample_presentation())
+    closure = _Closure(counterexample_presentation(), Bound())
     with pytest.raises(PreconditionError):
-        localized_images_equal(idx, one_term(2), one_term(2), "z")
+        localized_images_equal(closure, one_term(2), one_term(2), "z")
+
+
+def test_a_completion_cut_by_the_bound_proves_nothing():
+    # at (3, 3) completion skips the critical term x^2*y^2, so the
+    # distinct normal forms of 1 + x*y and x + y are no proof; from (4, 4)
+    # on nothing is skipped
+    pres = counterexample_presentation()
+    g = pres.gens
+    s, t = parse_term("1+x*y", g), parse_term("x+y", g)
+    with pytest.raises(ResourceError, match=r"skipped the critical term x\^2\*y\^2"):
+        _Closure(pres, Bound(degree=3, coeff=3)).congruent(s, t)
+    assert _Closure(pres, Bound(degree=4, coeff=4)).congruent(s, t).verdict == "no-at-bound"
+
+
+def test_a_rewrite_outside_the_bound_proves_nothing():
+    # x^5 -> x^4 leaves degree 3, so x^5 is a normal form there only
+    # because of the bound; at degree 5 it rewrites down to x
+    pres = idem_square_presentation()
+    g = pres.gens
+    x, x5 = parse_term("x", g), parse_term("x^5", g)
+    with pytest.raises(ResourceError, match=r"x\^5 only outside degree 3"):
+        _Closure(pres, Bound(degree=3, coeff=3)).congruent(x, x5)
+    assert _Closure(pres, Bound(degree=5, coeff=5)).congruent(x, x5).is_yes
 
 
 @pytest.mark.parametrize("data, coeff", [
@@ -262,19 +311,22 @@ def test_localized_images_unknown_generator():
     ({**ZERO_PRODUCT, "idempotent": True}, 1),
 ], ids=["idem-square", "idem-square-zero", "idem-zero-product"])
 def test_congruence_index_never_joins_two_quotient_classes(data, coeff):
-    # pairs of terms up to degree 2 and the given coefficient, searched at
-    # (2, 2), which holds 1 + 1 = 1
+    # pairs of terms up to degree 2 and the given coefficient, decided at
+    # (4, 2), which holds 1 + 1 = 1 and every critical term
     pres = presentation_from_json(data)
     _table, cls = finite_quotient(pres, degree=2, coeff=2)
-    idx = CongruenceIndex(pres, Bound(degree=2, coeff=2))
+    closure = _Closure(pres, Bound(degree=4, coeff=2))
     terms = list(bounded_terms(pres.nvars, Bound(degree=2, coeff=coeff)))
     verdicts = set()
     for i, s in enumerate(terms):
         for t in terms[i:]:
-            yes = idx.congruent(s, t).is_yes
+            try:
+                yes = closure.congruent(s, t).is_yes
+            except ResourceError:
+                continue
             verdicts.add((yes, cls(s) == cls(t)))
-            assert not yes or cls(s) == cls(t), (s, t)
-    assert {(True, True), (False, False)} <= verdicts
+            assert yes == (cls(s) == cls(t)), (s, t)
+    assert verdicts == {(True, True), (False, False)}
 
 
 # The tables the closure replaced built from the presentations in tests/ and
@@ -312,16 +364,6 @@ FROZEN_QUOTIENTS = [
 def test_quotients_match_the_enumerated_tables(data, degree, coeff, frozen):
     table, _cls = finite_quotient(presentation_from_json(data), degree, coeff)
     assert find_iso(table, semiring_from_dict(frozen)) is not None
-
-
-def test_the_closure_builds_no_congruence_index(monkeypatch):
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("the closure built a congruence index")
-
-    monkeypatch.setattr(CongruenceIndex, "__init__", refuse)
-    for data, degree, coeff, frozen in FROZEN_QUOTIENTS:
-        table, _cls = finite_quotient(presentation_from_json(data), degree, coeff)
-        assert find_iso(table, semiring_from_dict(frozen)) is not None
 
 
 def test_a_relation_outside_the_rewriting_bound_is_no_proof_of_infinity():
@@ -373,7 +415,7 @@ def test_critical_pairs_derive_what_greedy_rewriting_misses():
     assert verify_axioms(table) == [] and table.size == 8
     four = parse_term("4", pres.gens)
     assert cls(four) == table.zero
-    closure = presented._Closure(pres, Bound(degree=4, coeff=24))
+    closure = _Closure(pres, Bound(degree=4, coeff=24))
     assert (four, ()) in closure.rules
 
 
@@ -389,7 +431,7 @@ def test_a_closure_without_critical_pairs_is_refused_not_called_infinite(
     # bounds; those of the other close on a table that breaks
     # distributivity. Neither has an infinite model, so each refusal is
     # exit 8, not exit 5
-    monkeypatch.setattr(presented._Closure, "_complete", lambda self: None)
+    monkeypatch.setattr(_Closure, "_complete", lambda self: None)
     with pytest.raises(ResourceError, match=message):
         finite_quotient(presentation_from_json(data), degree=2, coeff=2)
 
@@ -404,27 +446,27 @@ def test_a_table_that_breaks_a_relation_is_refused(monkeypatch, rels):
     # x = 1 stands
     pres = presentation_from_json({"gens": ["x"], "rels": rels})
     skipped = pres.rels[rels.index(["x", "1"])]
-    orient = presented._Closure._orient
+    orient = _Closure._orient
 
     def orient_skipping(self, rel):
         if rel != skipped:
             orient(self, rel)
 
-    monkeypatch.setattr(presented._Closure, "_orient", orient_skipping)
+    monkeypatch.setattr(_Closure, "_orient", orient_skipping)
     with pytest.raises(ResourceError, match="breaks a relation"):
         finite_quotient(pres, degree=2, coeff=2)
 
 
 def _offering_first(monkeypatch, term, move):
     """Make the closure offer `move` first whenever it rewrites `term`."""
-    moves = presented._Closure._moves
+    moves = _Closure._moves
 
     def offering(self, t):
         if t == term:
             yield move
         yield from moves(self, t)
 
-    monkeypatch.setattr(presented._Closure, "_moves", offering)
+    monkeypatch.setattr(_Closure, "_moves", offering)
 
 
 def test_a_merge_without_a_legal_move_is_never_taken(monkeypatch):
@@ -491,13 +533,13 @@ def test_a_quotient_over_the_table_cap_is_refused():
 
 def test_criterion_6_builds_one_index_per_bound(monkeypatch):
     built = []
-    init = CongruenceIndex.__init__
+    complete = _Closure._complete
 
-    def counting(self, pres, bound=None):
-        built.append(bound)
-        init(self, pres, bound)
+    def counting(self):
+        built.append(self.bound)
+        complete(self)
 
-    monkeypatch.setattr(CongruenceIndex, "__init__", counting)
+    monkeypatch.setattr(_Closure, "_complete", counting)
     assert accept.criterion_6().passed
     assert built == [Bound(degree=6, coeff=6), Bound(degree=8, coeff=8)]
 

@@ -147,7 +147,7 @@ def test_build_mra_rejects_non_bool_algebra():
 
 
 def test_build_mra_resource_guard():
-    # boolxy has 2,480 submodules, over the cap of 256
+    # boolxy has 2,480 submodules, over the table cap of 64
     with pytest.raises(ResourceError):
         build_mra(corpus.get("boolxy"))
 
