@@ -178,10 +178,10 @@ def get(name: str) -> FiniteSemiring:
 def members(
     max_size: Optional[int] = None,
     min_size: int = 1,
-    idempotent: Optional[bool] = None,
     include_trivial: bool = False,
 ) -> List[FiniteSemiring]:
-    """Corpus members filtered by size and idempotency, in name order."""
+    """Corpus members filtered by size, in name order; trivial1 only
+    when asked for."""
     out = []
     for name in corpus_names():
         A = get(name)
@@ -191,8 +191,5 @@ def members(
             continue
         if A.size < min_size:
             continue
-        if idempotent is not None:
-            if (A.add[A.one][A.one] == A.one) != idempotent:
-                continue
         out.append(A)
     return out

@@ -527,9 +527,9 @@ class _Closure:
 
 
 def localized_images_equal(
-    closure: _Closure, s: Term, t: Term, gen: str, kmax: int = 8
+    closure: _Closure, s: Term, t: Term, gen: str
 ) -> Tuple[bool, int]:
-    """True and the smallest k <= kmax with a^k*s ~ a^k*t, for the
+    """True and the smallest k <= 8 with a^k*s ~ a^k*t, for the
     generator a (fraction equality after inverting a), or False and -1
     when the closure proves every such pair distinct. Raises ResourceError
     when the closure cannot decide a pair before the first that is
@@ -539,7 +539,7 @@ def localized_images_equal(
         raise PreconditionError(f"unknown generator {gen!r}")
     a = var_term(pres.nvars, list(pres.gens).index(gen))
     ak = one_term(pres.nvars)
-    for k in range(kmax + 1):
+    for k in range(9):
         if closure.congruent(term_mul(ak, s), term_mul(ak, t)).is_yes:
             return True, k
         ak = term_mul(ak, a)

@@ -384,9 +384,6 @@ def alexandrov_sections(ctx: SheafContext, open_set: int) -> AlexandrovSections:
         raise PreconditionError("not an open set of this spectrum")
     pts = list(bits(open_set))
     minimal = [space.minimal_open(i) for i in pts]
-    for m in minimal:
-        if m & ~open_set:
-            raise InternalCheckError("minimal open escapes the ambient open")
     locs = []
     for pos, i in enumerate(pts):
         s = ctx.monoid_of(minimal[pos])

@@ -5,7 +5,10 @@ A spectrum is a finite list of prime ideal masks with the topology
 generated by principal opens D(a) = {p : a not in p}. The kind selects
 which primes count as points: every prime ideal (spec) or only the
 subtractive ones (sp). Primes come from saturations of single elements,
-checked against the kernels of the valuations into bool2. Dimension is
+checked against the kernels of the valuations into bool2. One pullback,
+q |-> {a : f(a) in q} with its continuity certificate, serves every map of
+tables: the spectrum map of a homomorphism and the comparison of Sp of the
+submodule lattice with Spec along the universal valuation. Dimension is
 computed from irreducible closed sets directly, then cross-checked against
 longest specialization chains; the two must agree on finite spaces.
 """
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import InternalCheckError, PreconditionError, ResourceError
@@ -44,7 +47,7 @@ from .kernel import (
     mask_of,
     popcount,
 )
-from .localize import _powers_mask, _saturation, harden, localize, semi_invertibles_mask
+from .localize import _powers_mask, _saturation, localize, semi_invertibles_mask
 
 
 @dataclass(frozen=True)
@@ -61,12 +64,6 @@ class SpectrumSpace:
     @property
     def full(self) -> int:
         return (1 << self.npoints) - 1
-
-    def point_index(self, ideal_mask: int) -> int:
-        try:
-            return self.point_masks.index(ideal_mask)
-        except ValueError:
-            raise PreconditionError("not a point of this spectrum")
 
     def specializes(self, i: int, j: int) -> bool:
         """Point j lies in the closure of point i (bigger prime)."""
@@ -193,14 +190,13 @@ def cover_check(
 
 @dataclass(frozen=True)
 class InducedMap:
-    """Point map of Spec(f)/Sp(f): q |-> f^-1(q), with its continuity
-    certificate (preimage of D(a) is D(f(a)))."""
+    """Point map q |-> f^-1(q) from the spectrum of f's codomain (source)
+    to that of its domain (target), with its continuity certificate."""
 
-    hom: Homomorphism
-    kind: str
-    source: SpectrumSpace  # spectrum of the codomain
-    target: SpectrumSpace  # spectrum of the domain
+    source: SpectrumSpace
+    target: SpectrumSpace
     point_map: Tuple[int, ...]
+    continuous: bool  # the preimage of every D(a) is D(f(a))
 
     def preimage_set(self, target_set: int) -> int:
         return mask_of(
@@ -208,28 +204,40 @@ class InducedMap:
         )
 
 
-def induced_map(f: Homomorphism, kind: str) -> InducedMap:
-    src = enumerate_space(f.cod, kind)
-    tgt = enumerate_space(f.dom, kind)
+def pullback(
+    images: Sequence[int], source: SpectrumSpace, target: SpectrumSpace
+) -> InducedMap:
+    """q |-> {a : f(a) in q} for f(a) = images[a], from the points of
+    `source` (over f's codomain) to those of `target` (over its domain),
+    for a homomorphism and a valuation alike; a preimage that is no point
+    raises InternalCheckError. Continuous: each D(a) pulls back to D(f(a))."""
+    A = target.base
+    index = {p: i for i, p in enumerate(target.point_masks)}
     pm = []
-    for q in src.point_masks:
-        pre = mask_of(a for a in f.dom.elements if (q >> f(a)) & 1)
-        handle = IdealHandle(f.dom, pre)
-        if not handle.is_proper() or not is_prime(handle):
-            raise InternalCheckError("preimage of a prime is not prime")
-        if kind == "sp" and not is_subtractive(handle):
-            raise InternalCheckError("preimage of a kernel is not subtractive")
-        pm.append(tgt.point_index(pre))
-    out = InducedMap(f, kind, src, tgt, tuple(pm))
-    for a in f.dom.elements:  # continuity: certificate a -> f(a)
-        if out.preimage_set(tgt.basis[a]) != src.basis[f(a)]:
-            raise InternalCheckError("preimage of a basis open is not the certified open")
+    for q in source.point_masks:
+        pre = mask_of(a for a in A.elements if (q >> images[a]) & 1)
+        if pre not in index:
+            raise InternalCheckError(f"{A.label}: a preimage is no point of {target.kind}")
+        pm.append(index[pre])
+    out = InducedMap(source, target, tuple(pm), False)
+    continuous = all(
+        out.preimage_set(target.basis[a]) == source.basis[images[a]] for a in A.elements
+    )
+    return replace(out, continuous=continuous)
+
+
+def induced_map(f: Homomorphism, kind: str) -> InducedMap:
+    """Spec(f) or Sp(f): the `pullback` along f, which must be continuous,
+    or InternalCheckError is raised."""
+    out = pullback(f.images, enumerate_space(f.cod, kind), enumerate_space(f.dom, kind))
+    if not out.continuous:
+        raise InternalCheckError("preimage of a basis open is not the certified open")
     return out
 
 
 def localization_point_report(A: FiniteSemiring, s_mask: int, kind: str) -> dict:
     """The spectrum map of the canonical hom to S^-1 A: injective, open,
-    image exactly the primes missing S."""
+    image exactly the primes missing S, and whether it is every point."""
     loc = localize(A, s_mask)
     m = induced_map(loc.phi, kind)
     image = mask_of(sorted(set(m.point_map)))
@@ -255,19 +263,15 @@ def localization_point_report(A: FiniteSemiring, s_mask: int, kind: str) -> dict
         "injective": injective,
         "image_matches": image_ok,
         "open_map": open_ok,
+        "onto": image == m.target.full,
         "pass": ok,
     }
 
 
 def hardening_sp_homeo_check(A: FiniteSemiring) -> bool:
     """Sp of the hardening map is a homeomorphism onto all of Sp A."""
-    s = semi_invertibles_mask(A)
-    rep = localization_point_report(A, s, "sp")
-    if not rep["pass"]:
-        return False
-    m = induced_map(harden(A).phi, "sp")
-    onto = len(set(m.point_map)) == m.target.npoints
-    return onto and m.source.npoints == m.target.npoints
+    rep = localization_point_report(A, semi_invertibles_mask(A), "sp")
+    return rep["pass"] and rep["onto"]
 
 
 # ---------------------------------------------------------------------------

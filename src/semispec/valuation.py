@@ -1,7 +1,7 @@
 """Order-subadditive multiplicative valuations into idempotent semirings,
 those into the two-element target found by the hom search with sums
-bounded, their correspondence with prime ideals, and the submodule
-lattice of an idempotent semiring with its universal valuation.
+bounded, whose kernels are the prime ideals, and the submodule lattice
+of an idempotent semiring with its universal valuation.
 
 A submodule is taken over the two-element subsemiring {0, 1}, which exists
 exactly when 1 + 1 = 1: a subset holding 0 and closed under +. The lattice
@@ -11,8 +11,9 @@ restriction), checks the semiring axioms on the resulting tables, certifies
 that its natural order is set inclusion, and checks that a -> cyclic module
 of a is a valuation with an integral part. That map is verified to be
 initial among integral valuations by explicit factoring plus exhaustive
-uniqueness scans, and the spectrum comparison and the localization check
-take the built lattice.
+uniqueness scans. The spectrum comparison pulls Sp of the lattice back
+along it by `spectra.pullback`, as for a homomorphism, and it and the
+localization check take the built lattice.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .kernel import (
 )
 from .ideals import _module_sum, closed_sets
 from .localize import _powers_mask, localize
-from .spectra import sp_enumerate, spec_enumerate
+from .spectra import pullback, sp_enumerate, spec_enumerate
 from . import corpus
 
 
@@ -77,16 +78,6 @@ def g_valuation_violation(v: GValuation) -> Optional[str]:
     return None
 
 
-def chi_of_prime(A: FiniteSemiring, prime_mask: int) -> GValuation:
-    """Characteristic map of the complement of a prime ideal, into the
-    two-element semiring."""
-    b2 = corpus.get("bool2")
-    images = tuple(
-        b2.zero if (prime_mask >> a) & 1 else b2.one for a in A.elements
-    )
-    return GValuation(A, b2, images)
-
-
 def bool_valuations(A: FiniteSemiring) -> List[GValuation]:
     """Every valuation into the two-element semiring, found by the search
     behind `kernel.enumerate_homs` with sums bounded instead of equal;
@@ -96,30 +87,6 @@ def bool_valuations(A: FiniteSemiring) -> List[GValuation]:
     if any(g_valuation_violation(v) is not None for v in out):
         raise InternalCheckError(f"{A.label}: valuation search produced a non-valuation")
     return out
-
-
-def val_spec_bijection(A: FiniteSemiring) -> List[Tuple[GValuation, int]]:
-    """Pair every two-element-valued valuation with its kernel and certify
-    that kernel-of and characteristic-of are mutually inverse maps onto the
-    prime ideals."""
-    vals = bool_valuations(A)
-    space = spec_enumerate(A)
-    pairs = []
-    seen = set()
-    for v in vals:
-        ker = mask_of(a for a in A.elements if v.images[a] == v.target.zero)
-        if ker not in space.point_masks:
-            raise InternalCheckError(f"{A.label}: valuation kernel is not prime")
-        if ker in seen:
-            raise InternalCheckError(f"{A.label}: two valuations share a kernel")
-        seen.add(ker)
-        back = chi_of_prime(A, ker)
-        if back.images != v.images:
-            raise InternalCheckError(f"{A.label}: characteristic map is not inverse")
-        pairs.append((v, ker))
-    if seen != set(space.point_masks):
-        raise InternalCheckError(f"{A.label}: valuations miss some prime")
-    return pairs
 
 
 def integral_part(v: GValuation) -> int:
@@ -268,39 +235,20 @@ class HomeoReport:
 def vstar_homeo_check(lat: SubmoduleLattice) -> HomeoReport:
     """Certify that pulling back along the universal valuation is a
     homeomorphism from the subtractive-prime space of the lattice onto the
-    prime space of the base."""
-    A, v = lat.base, lat.cyclic
+    prime space of the base: the explicit inverse q |-> {modules inside q}
+    proves `spectra.pullback` a bijection, whose continuity is openness. A
+    pulled-back point that is no prime raises InternalCheckError."""
     sp_m = sp_enumerate(lat.table)
-    spec_a = spec_enumerate(A)
-    fwd: List[int] = []  # sp_m point index -> spec_a point index
-    bijective = True
-    for p in sp_m.point_masks:
-        q = mask_of(a for a in A.elements if (p >> v[a]) & 1)
-        if q not in spec_a.point_masks:
-            bijective = False
-            break
-        fwd.append(spec_a.point_masks.index(q))
-    if bijective:
-        bijective = len(set(fwd)) == len(spec_a.point_masks) == len(sp_m.point_masks)
-    if bijective:
-        for qi, q in enumerate(spec_a.point_masks):
-            back = mask_of(
-                i for i, m in enumerate(lat.modules) if m & ~q == 0
-            )
-            if back not in sp_m.point_masks or fwd[
-                sp_m.point_masks.index(back)
-            ] != qi:
-                bijective = False
-                break
-    openness = True
-    if bijective:
-        for a in A.elements:
-            img = mask_of(fwd[i] for i in bits(sp_m.basis[v[a]]))
-            if img != spec_a.basis[a]:
-                openness = False
-                break
-    else:
-        openness = False
+    spec_a = spec_enumerate(lat.base)
+    f = pullback(lat.cyclic, sp_m, spec_a)
+    index = {p: i for i, p in enumerate(sp_m.point_masks)}
+    inverse = [
+        index.get(mask_of(i for i, m in enumerate(lat.modules) if m & ~q == 0))
+        for q in spec_a.point_masks
+    ]
+    bijective = sp_m.npoints == spec_a.npoints and all(
+        j is not None and f.point_map[j] == qi for qi, j in enumerate(inverse)
+    )
     basis = True
     for mi, m in enumerate(lat.modules):
         union = 0
@@ -309,7 +257,7 @@ def vstar_homeo_check(lat: SubmoduleLattice) -> HomeoReport:
         if union != sp_m.basis[mi]:
             basis = False
             break
-    return HomeoReport(bijective, openness, basis, len(spec_a.point_masks))
+    return HomeoReport(bijective, bijective and f.continuous, basis, spec_a.npoints)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Point spaces, their topology, induced maps, and the naturals model."""
 
+import dataclasses
 import json
 
 import pytest
@@ -23,6 +24,7 @@ from semispec.spectra import (
     induced_map,
     localization_point_report,
     nat_model_verify,
+    pullback,
     sp_enumerate,
     spec_enumerate,
     space_to_dot,
@@ -280,6 +282,17 @@ def test_induced_identity_is_identity():
     assert f.point_map == tuple(range(space.npoints))
 
 
+def test_pullback_certificate_reads_the_basis():
+    # on built spaces D(a) is defined from the points, so the certificate
+    # holds; a source whose basis swaps D(0) and D(1) fails it
+    A = corpus.get("chain4")
+    space = spec_enumerate(A)
+    assert pullback(A.elements, space, space).continuous
+    b = space.basis
+    bad = dataclasses.replace(space, basis=(b[1], b[0]) + b[2:])
+    assert not pullback(A.elements, bad, space).continuous
+
+
 FROZEN_DIMS = {
     "boolx": (2, 1), "chain4": (2, 2), "boolxy": (5, 2), "trop5": (1, 1),
     "chain3xbool": (1, 1), "bool2": (0, 0), "satnat4": (1, 0),
@@ -347,6 +360,15 @@ def test_hardening_sp_homeo_all(corpus_tables):
     for name, A in corpus_tables.items():
         if A.size <= 8:
             assert hardening_sp_homeo_check(A), name
+
+
+def test_hardening_check_reads_its_own_localization(monkeypatch):
+    # with the semi-invertibles replaced by the powers of x, the
+    # localization misses the points holding x, so Sp is not onto
+    A = corpus.get("boolx")
+    x = A.names.index("x")
+    monkeypatch.setattr(spectra, "semi_invertibles_mask", lambda B: (1 << B.one) | (1 << x))
+    assert not hardening_sp_homeo_check(A)
 
 
 def test_nat_model():

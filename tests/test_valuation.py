@@ -1,10 +1,12 @@
 """Boolean valuations, submodule lattices, and the universal factoring."""
 
+import dataclasses
+
 import pytest
 
 from semispec import _purecore as core
 from semispec import corpus
-from semispec.errors import PreconditionError, ResourceError
+from semispec.errors import InternalCheckError, PreconditionError, ResourceError
 from semispec.kernel import bits, find_iso, is_idempotent, leq, mask_of
 from semispec.localize import _powers_mask, localize
 from semispec.sheaf import SheafContext
@@ -13,12 +15,10 @@ from semispec.valuation import (
     GValuation,
     bool_valuations,
     build_mra,
-    chi_of_prime,
     factor_through_universal,
     g_valuation_violation,
     integral_part,
     mra_localization_iso_check,
-    val_spec_bijection,
     vstar_homeo_check,
 )
 
@@ -46,19 +46,18 @@ def test_subadditivity_vs_additivity():
     # underlying addition saturates, so it is not an additive map refused
     # by the plain homomorphism check
     A = corpus.get("satnat4")
-    v = chi_of_prime(A, 1)
+    v = GValuation(A, BOOL2, tuple(0 if a == A.zero else 1 for a in A.elements))
     assert g_valuation_violation(v) is None
 
 
 def test_chi_of_prime_everywhere(corpus_tables):
+    # the characteristic map of the complement of every prime is a valuation
     for name, A in corpus_tables.items():
         if A.size > 8:
             continue
         for pmask in spec_enumerate(A).point_masks:
-            v = chi_of_prime(A, pmask)
-            assert g_valuation_violation(v) is None, name
-            got = tuple(0 if (pmask >> a) & 1 else 1 for a in A.elements)
-            assert v.images == got, name
+            chi = tuple(0 if (pmask >> a) & 1 else 1 for a in A.elements)
+            assert g_valuation_violation(GValuation(A, BOOL2, chi)) is None, name
 
 
 FROZEN_VAL_COUNTS = {
@@ -80,12 +79,8 @@ def test_valuations_biject_with_primes(corpus_tables):
     for name, A in corpus_tables.items():
         if A.size > 8:
             continue
-        pairs = val_spec_bijection(A)
-        assert len(pairs) == len(spec_enumerate(A).point_masks), name
-        for v, pmask in pairs:
-            got = frozenset(a for a in A.elements if v.images[a] == 0)
-            want = frozenset(a for a in A.elements if (pmask >> a) & 1)
-            assert got == want, name
+        kernels = [mask_of(a for a in A.elements if v(a) == 0) for v in bool_valuations(A)]
+        assert sorted(kernels) == sorted(spec_enumerate(A).point_masks), name
 
 
 def test_bool_valuations_of_a_32_element_product():
@@ -214,6 +209,29 @@ def test_vstar_homeo(corpus_tables):
     for name in FROZEN_LATTICE_SIZES:
         rep = vstar_homeo_check(build_mra(corpus_tables[name]))
         assert rep.ok, name
+
+
+def test_vstar_homeo_refuses_a_pullback_that_is_not_a_point():
+    # swapping the images of x and 1+x keeps a map into the lattice, but a
+    # pulled-back point of Sp is then no prime of boolx
+    lat = build_mra(corpus.get("boolx"))
+    c = lat.cyclic
+    swapped = dataclasses.replace(lat, cyclic=(c[0], c[1], c[3], c[2]))
+    with pytest.raises(InternalCheckError):
+        vstar_homeo_check(swapped)
+
+
+def test_vstar_homeo_needs_the_explicit_inverse():
+    # every nonzero element sent to the whole base: each point of Sp pulls
+    # back to the prime {0}, so the point counts agree but the map is not
+    # a bijection
+    A = corpus.get("boolx")
+    lat = build_mra(A)
+    top = lat.modules.index(A.full_mask)
+    collapsed = dataclasses.replace(lat, cyclic=(lat.cyclic[0],) + (top,) * (A.size - 1))
+    rep = vstar_homeo_check(collapsed)
+    assert rep.points == 3
+    assert not rep.bijective and not rep.openness and not rep.ok
 
 
 def test_mra_localization_iso():
