@@ -89,6 +89,22 @@ def _parse_element(A: FiniteSemiring, token: str) -> int:
     return v
 
 
+def _split_elements(text: str) -> List[str]:
+    """The comma-separated tokens of text, empty ones dropped; a comma
+    inside parentheses belongs to an element name such as (1,0)."""
+    out, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            out.append(text[start:i])
+            start = i + 1
+    out.append(text[start:])
+    return [t for t in out if t]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -156,7 +172,7 @@ def cmd_topology(args: argparse.Namespace) -> int:
 def cmd_sheaf(args: argparse.Namespace) -> int:
     A = resolve(args.name)
     ctx = SheafContext(A, args.kind)
-    cover = [_parse_element(A, t) for t in args.cover.split(",") if t]
+    cover = [_parse_element(A, t) for t in _split_elements(args.cover)]
     target = _parse_element(A, args.target) if args.target is not None else None
     secs = equalizer_sections(ctx, cover, target=target)
     report = {
@@ -277,9 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("sheaf", help="sections over a principal cover")
     q.add_argument("name")
-    q.add_argument("--cover", required=True, help="comma-separated elements")
+    q.add_argument(
+        "--cover", required=True,
+        help="comma-separated elements, by name or table index; a comma "
+        "inside parentheses is part of a name, as in (1,0),(h,1)",
+    )
     q.add_argument("--kind", choices=("spec", "sp"), default="spec")
-    q.add_argument("--target", help="element whose basic open is covered")
+    q.add_argument(
+        "--target", help="element whose basic open is covered, by name or table index"
+    )
     q.set_defaults(fn=cmd_sheaf)
 
     q = sub.add_parser("harden", help="localize at the semi-invertible elements")

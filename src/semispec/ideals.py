@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from . import _purecore as core
 from .errors import InternalCheckError
 from .kernel import (
     FiniteSemiring,
@@ -42,16 +41,42 @@ class IdealHandle:
         return bool((self.mask >> a) & 1)
 
 
+def closure_mask(A: FiniteSemiring, seed: int, scalars: int) -> int:
+    """Smallest subset containing seed, closed under + and scaling by the
+    elements of the mask scalars: an ideal when scalars is every element
+    and seed holds 0."""
+    add, mul = A.add, A.mul
+    cur = seed
+    while True:
+        nxt = cur
+        elems = [i for i in range(A.size) if (cur >> i) & 1]
+        for a in elems:
+            ra = add[a]
+            for b in elems:
+                nxt |= 1 << ra[b]
+        s = scalars
+        while s:
+            bit = s & -s
+            r = bit.bit_length() - 1
+            s ^= bit
+            mr = mul[r]
+            for a in elems:
+                nxt |= 1 << mr[a]
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
 def ideal_closure(A: FiniteSemiring, gens: Iterable[int]) -> IdealHandle:
     """Smallest ideal containing gens: fixed point under + and scaling."""
-    seed = mask_of(gens)
-    return IdealHandle(A, core.ideal_closure_mask(A.size, A.add, A.mul, seed, A.zero))
+    seed = mask_of(gens) | 1 << A.zero
+    return IdealHandle(A, closure_mask(A, seed, A.full_mask))
 
 
 def is_ideal(A: FiniteSemiring, mask: int) -> bool:
     if not (mask >> A.zero) & 1:
         return False
-    return core.ideal_closure_mask(A.size, A.add, A.mul, mask, A.zero) == mask
+    return closure_mask(A, mask, A.full_mask) == mask
 
 
 _IDEAL_CAP = 200000
@@ -101,8 +126,10 @@ def closed_sets(
 def all_ideals(A: FiniteSemiring) -> List[IdealHandle]:
     """Every ideal, ordered by size then mask: each is a sum of principal
     ideals."""
+    zero_bit, full = 1 << A.zero, A.full_mask
+
     def close(seed: int) -> int:
-        return core.ideal_closure_mask(A.size, A.add, A.mul, seed, A.zero)
+        return closure_mask(A, seed | zero_bit, full)
 
     _principal, found = closed_sets(A, close, _IDEAL_CAP)
     return [IdealHandle(A, m) for m in sorted(found, key=lambda m: (popcount(m), m))]
@@ -111,15 +138,35 @@ def all_ideals(A: FiniteSemiring) -> List[IdealHandle]:
 def is_prime(I: IdealHandle) -> bool:
     """Proper, and ab in I implies a in I or b in I: the complement is
     closed under multiplication."""
-    A = I.ambient
-    return I.is_proper() and core.prime_violation(A.size, A.mul, I.mask) is None
+    if not I.is_proper():
+        return False
+    mask, mul = I.mask, I.ambient.mul
+    outside = [a for a in I.ambient.elements if not (mask >> a) & 1]
+    for a in outside:
+        ma = mul[a]
+        for b in outside:
+            if (mask >> ma[b]) & 1:
+                return False
+    return True
 
 
 def is_subtractive(I: IdealHandle) -> bool:
     """a+b=c with b,c in I forces a in I; on idempotent ambients this is
     cross-checked against down-closedness in the natural order."""
     A = I.ambient
-    direct = core.subtractive_violation(A.size, A.add, I.mask) is None
+    mask, add = I.mask, A.add
+    inside = I.members()
+    direct = True
+    for a in A.elements:
+        if (mask >> a) & 1:
+            continue
+        ra = add[a]
+        for b in inside:
+            if (mask >> ra[b]) & 1:
+                direct = False
+                break
+        if not direct:
+            break
     if is_idempotent(A):
         down = all(
             (I.mask >> a) & 1
@@ -137,20 +184,27 @@ def is_subtractive(I: IdealHandle) -> bool:
 def subtractive_closure(I: IdealHandle) -> IdealHandle:
     """Smallest subtractive ideal containing I: {a : a+b=c for some b,c in I}.
 
-    One pass suffices by theory; the fixed-point iteration plus a
-    stability assertion guards the implementation.
+    One pass suffices by theory; a second pass must add nothing, and the
+    result must be a subtractive ideal.
     """
     A = I.ambient
-    m1 = core.subtractive_close_mask(A.size, A.add, I.mask)
-    one_pass = I.mask
-    for a in A.elements:
-        if (one_pass >> a) & 1:
-            continue
-        for b in I.members():
-            if (I.mask >> A.add[a][b]) & 1:
-                one_pass |= 1 << a
-                break
-    if one_pass != m1:
+    add = A.add
+
+    def one_pass(mask: int) -> int:
+        out = mask
+        inside = list(bits(mask))
+        for a in A.elements:
+            if (out >> a) & 1:
+                continue
+            ra = add[a]
+            for b in inside:
+                if (mask >> ra[b]) & 1:
+                    out |= 1 << a
+                    break
+        return out
+
+    m1 = one_pass(I.mask)
+    if one_pass(m1) != m1:
         raise InternalCheckError(f"{A.label}: subtractive closure not one-pass stable")
     out = IdealHandle(A, m1)
     if not is_ideal(A, m1) or not is_subtractive(out):

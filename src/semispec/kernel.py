@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from . import _purecore as core
 from .errors import FormatError, InternalCheckError, PreconditionError, ResourceError
 
 MAX_SIZE = 64
@@ -84,12 +83,6 @@ class FiniteSemiring:
         r = self.zero
         for x in xs:
             r = self.add[r][x]
-        return r
-
-    def prod_of(self, xs: Iterable[int]) -> int:
-        r = self.one
-        for x in xs:
-            r = self.mul[r][x]
         return r
 
     def name_of(self, a: int) -> str:
@@ -199,9 +192,61 @@ class AxiomViolation:
 
 
 def verify_axioms(A: FiniteSemiring) -> List[AxiomViolation]:
-    """Exhaustive check of the commutative-semiring laws; empty if valid."""
-    raw = core.verify_axioms_scan(A.size, A.add, A.mul, A.zero, A.one)
-    return [AxiomViolation(code, tuple(w)) for code, w in raw]
+    """Exhaustive check of the commutative-semiring laws; empty if valid.
+    One violation per broken law, with the first witness in lexicographic
+    order of the law's variables."""
+    n, add, mul, zero, one = A.size, A.add, A.mul, A.zero, A.one
+
+    def first_assoc(t: Sequence[Sequence[int]]) -> Optional[Tuple[int, int, int]]:
+        for a in range(n):
+            ta = t[a]
+            for b in range(n):
+                tab = ta[b]
+                tb = t[b]
+                for c in range(n):
+                    if t[tab][c] != ta[tb[c]]:
+                        return (a, b, c)
+        return None
+
+    def first_comm(t: Sequence[Sequence[int]]) -> Optional[Tuple[int, int]]:
+        for a in range(n):
+            for b in range(a + 1, n):
+                if t[a][b] != t[b][a]:
+                    return (a, b)
+        return None
+
+    def first_unit(t: Sequence[Sequence[int]], e: int) -> Optional[Tuple[int]]:
+        for a in range(n):
+            if t[a][e] != a:
+                return (a,)
+        return None
+
+    def first_distrib() -> Optional[Tuple[int, int, int]]:
+        for a in range(n):
+            ma = mul[a]
+            for b in range(n):
+                for c in range(n):
+                    if ma[add[b][c]] != add[ma[b]][ma[c]]:
+                        return (a, b, c)
+        return None
+
+    def first_not_absorbed() -> Optional[Tuple[int]]:
+        for a in range(n):
+            if mul[a][zero] != zero:
+                return (a,)
+        return None
+
+    laws = (
+        ("add-assoc", first_assoc(add)),
+        ("add-comm", first_comm(add)),
+        ("add-zero", first_unit(add, zero)),
+        ("mul-assoc", first_assoc(mul)),
+        ("mul-comm", first_comm(mul)),
+        ("mul-one", first_unit(mul, one)),
+        ("distrib", first_distrib()),
+        ("zero-absorbs", first_not_absorbed()),
+    )
+    return [AxiomViolation(code, w) for code, w in laws if w is not None]
 
 
 def assert_valid(A: FiniteSemiring) -> FiniteSemiring:
@@ -232,7 +277,13 @@ def leq(A: FiniteSemiring, a: int, b: int) -> bool:
 
 
 def units(A: FiniteSemiring) -> int:
-    return core.units_mask(A.size, A.mul, A.one)
+    """The mask of the units: a is a unit iff 1 is in its row of mul."""
+    one = A.one
+    out = 0
+    for a, ma in enumerate(A.mul):
+        if one in ma:
+            out |= 1 << a
+    return out
 
 
 # ---------------------------------------------------------------------------

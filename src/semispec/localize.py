@@ -11,9 +11,9 @@ every instance, by bucketing the products b*x for x in S.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
-from . import _purecore as core
 from .errors import InternalCheckError, PreconditionError
 from .kernel import (
     FiniteSemiring,
@@ -227,12 +227,17 @@ def _assert_saturation_iso(A: FiniteSemiring, loc: LocalizedSemiring) -> None:
 def semi_invertible(A: FiniteSemiring, a: int) -> bool:
     """1 + a*b = a*c for some b,c; equivalently 1 lies in the subtractive
     closure of aA. Idempotent ambients cross-check 1 <= a*b."""
-    w = core.semi_invertible_witness(A.size, A.add, A.mul, A.one, a)
+    ma, one_row = A.mul[a], A.add[A.one]
+    found = False
+    for b in A.elements:
+        if one_row[ma[b]] in ma:
+            found = True
+            break
     if is_idempotent(A):
         shortcut = any(leq(A, A.one, A.mul[a][b]) for b in A.elements)
-        if shortcut != (w is not None):
+        if shortcut != found:
             raise InternalCheckError(f"{A.label}: semi-invertibility criteria disagree")
-    return w is not None
+    return found
 
 
 def semi_invertibles_mask(A: FiniteSemiring) -> int:
@@ -274,15 +279,28 @@ class BxFraction:
             raise PreconditionError("denominator must have constant term 1")
 
 
+def bx_mul(a: int, b: int) -> int:
+    """Product of boolean polynomials in one variable (OR-convolution)."""
+    if a == 0 or b == 0:
+        return 0
+    out = 0
+    x = a
+    while x:
+        bit = x & -x
+        out |= b << (bit.bit_length() - 1)
+        x ^= bit
+    return out
+
+
 def bx_frac_add(u: BxFraction, v: BxFraction) -> BxFraction:
     return BxFraction(
-        core.bx_mul(u.num, v.den) | core.bx_mul(v.num, u.den),
-        core.bx_mul(u.den, v.den),
+        bx_mul(u.num, v.den) | bx_mul(v.num, u.den),
+        bx_mul(u.den, v.den),
     )
 
 
 def bx_frac_mul(u: BxFraction, v: BxFraction) -> BxFraction:
-    return BxFraction(core.bx_mul(u.num, v.num), core.bx_mul(u.den, v.den))
+    return BxFraction(bx_mul(u.num, v.num), bx_mul(u.den, v.den))
 
 
 # MinMaxPair: pairs (n, d), n in N u {+inf} and d in Z u {-inf}, under
@@ -315,6 +333,45 @@ def bx_hardening_iso(frac: BxFraction) -> Tuple:
 _EXHAUSTIVE_CAP = 14  # bx_witness_equal also scans exhaustively up to this bound
 
 
+@lru_cache(maxsize=None)
+def _bx_slices(kmax: int) -> Tuple[int, ...]:
+    """Slice k <= kmax has bit t < 2^kmax set exactly when the odd witness
+    u = 2t+1 has x^k: every bit for k = 0, else period 2^k, 2^(k-1) clear
+    bits then 2^(k-1) set."""
+    ones = (1 << (1 << kmax)) - 1
+    return (ones,) + tuple(
+        ones // ((1 << (1 << k)) - 1) * ((1 << (1 << (k - 1))) - 1 << (1 << (k - 1)))
+        for k in range(1, kmax + 1)
+    )
+
+
+def bx_witness_exhaustive(a: int, b: int, kmax: int) -> int:
+    """Smallest witness u (encoded as a mask, constant bit set, deg<=kmax)
+    with a*u == b*u, or -1. Fully exhaustive scan.
+
+    Every u is evaluated at once, bit-sliced: bit t of the integer at
+    position j of pa is bit j of a*u for u = 2t+1. Where a has x^i, the
+    slices of x^0..x^kmax are ORed in at positions i..i+kmax, so position
+    i is complete once row i is in; likewise pb for b.
+    """
+    if a == b:
+        return 1
+    slices = _bx_slices(kmax)
+    top = max(a, b).bit_length() + kmax
+    pa, pb = [0] * top, [0] * top
+    diff = 0  # bit t set once a*u and b*u differ
+    for i in range(top):
+        for p, x in ((pa, a), (pb, b)):
+            if x >> i & 1:
+                for k, s in enumerate(slices):
+                    p[i + k] |= s
+        diff |= pa[i] ^ pb[i]
+        if diff == slices[0]:
+            return -1
+    free = slices[0] & ~diff
+    return 2 * (free & -free).bit_length() - 1
+
+
 def bx_witness_equal(u: BxFraction, v: BxFraction) -> bool:
     """Equality of fractions by bounded witness search.
 
@@ -325,8 +382,8 @@ def bx_witness_equal(u: BxFraction, v: BxFraction) -> bool:
     (_EXHAUSTIVE_CAP), a fully exhaustive scan over all witnesses with unit
     constant term confirms the answer.
     """
-    a = core.bx_mul(u.num, v.den)
-    b = core.bx_mul(v.num, u.den)
+    a = bx_mul(u.num, v.den)
+    b = bx_mul(v.num, u.den)
     bound = 2 * max(1, *(poly.bool_poly_deg(f) for f in (u.num, u.den, v.num, v.den)))
     pa = pb = 0  # a*e_k and b*e_k, since e_k = e_(k-1) + x^k
     for k in range(bound + 1):
@@ -336,7 +393,7 @@ def bx_witness_equal(u: BxFraction, v: BxFraction) -> bool:
             break
     found = pa == pb
     if bound <= _EXHAUSTIVE_CAP:
-        exh = core.bx_witness_exhaustive(a, b, bound) != -1
+        exh = bx_witness_exhaustive(a, b, bound) != -1
         if exh != found:
             raise InternalCheckError("bx witness family missed an exhaustive witness")
     return found

@@ -46,7 +46,7 @@ class BoolPoly:
 
 
 # bool_poly, bool_poly_mul and bool_poly_from_mask spell out the product that
-# the bitmask kernel core.bx_mul computes; the tests compare the two.
+# the bitmask kernel localize.bx_mul computes; the tests compare the two.
 
 
 def bool_poly(nvars: int, support: Iterable[Expt]) -> BoolPoly:

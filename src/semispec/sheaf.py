@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import _purecore as core
 from .errors import InternalCheckError, PreconditionError
 from .kernel import (
     FiniteSemiring,
@@ -149,6 +148,44 @@ class SectionSemiring:
         return len(set(self.from_base.images)) == self.ctx.A.size
 
 
+def equalizer_scan(
+    sizes: Sequence[int],
+    compat: Dict[Tuple[int, int], Sequence[int]],
+) -> List[Tuple[int, ...]]:
+    """All tuples (t_0..t_{k-1}), t_i < sizes[i], with t_j's bit set in
+    compat[(i,j)][t_i] for every constrained pair i<j. Ascending order."""
+    k = len(sizes)
+    full = [(1 << s) - 1 for s in sizes]
+    out: List[Tuple[int, ...]] = []
+    tup: List[int] = []
+
+    def dfs(depth: int, masks: List[int]) -> None:
+        if depth == k:
+            out.append(tuple(tup))
+            return
+        m = masks[depth]
+        while m:
+            bit = m & -m
+            v = bit.bit_length() - 1
+            m ^= bit
+            nm = masks[:]
+            ok = True
+            for j in range(depth + 1, k):
+                c = compat.get((depth, j))
+                if c is not None:
+                    nm[j] &= c[v]
+                    if nm[j] == 0:
+                        ok = False
+                        break
+            if ok:
+                tup.append(v)
+                dfs(depth + 1, nm)
+                tup.pop()
+
+    dfs(0, full)
+    return out
+
+
 def _section_table(
     A: FiniteSemiring,
     locs: Sequence[LocalizedSemiring],
@@ -159,7 +196,7 @@ def _section_table(
     pairwise constrained by compat) as a semiring under the componentwise
     operations, with their index and the checked map from the base."""
     tables = [l.table for l in locs]
-    tuples = core.equalizer_scan([T.size for T in tables], compat)
+    tuples = equalizer_scan([T.size for T in tables], compat)
 
     def plus(t1: Tuple[int, ...], t2: Tuple[int, ...]) -> Tuple[int, ...]:
         return tuple(T.add[x][y] for T, x, y in zip(tables, t1, t2))

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from . import _purecore as core
 from .errors import InternalCheckError, PreconditionError
 from .kernel import (
     MAX_SIZE,
@@ -35,7 +34,7 @@ from .kernel import (
     powers,
     tabulate,
 )
-from .ideals import _module_sum, closed_sets
+from .ideals import _module_sum, closed_sets, closure_mask
 from .localize import _powers_mask, localize
 from .spectra import pullback, sp_enumerate, spec_enumerate
 from . import corpus
@@ -131,9 +130,7 @@ class SubmoduleLattice:
 def _module_closure(A: FiniteSemiring, seed: int) -> int:
     """Smallest submodule of A over {0, 1} containing seed."""
     zero_bit = 1 << A.zero
-    return core.closure_mask(
-        A.size, A.add, A.mul, seed | zero_bit, zero_bit | (1 << A.one)
-    )
+    return closure_mask(A, seed | zero_bit, zero_bit | (1 << A.one))
 
 
 def build_mra(A: FiniteSemiring) -> SubmoduleLattice:
@@ -235,9 +232,13 @@ class HomeoReport:
 def vstar_homeo_check(lat: SubmoduleLattice) -> HomeoReport:
     """Certify that pulling back along the universal valuation is a
     homeomorphism from the subtractive-prime space of the lattice onto the
-    prime space of the base: the explicit inverse q |-> {modules inside q}
-    proves `spectra.pullback` a bijection, whose continuity is openness. A
-    pulled-back point that is no prime raises InternalCheckError."""
+    prime space of the base. Three conjuncts, each reading its own data:
+    bijective, the explicit inverse q |-> {modules inside q} of the point
+    map (the points of both spaces); basis, each D(M) of the lattice is the
+    union of D(a) over the cyclic modules a of M's elements (the lattice's
+    basis); openness, the point map sends each D(M) onto the union of D(a)
+    over the elements a of M (the base's basis). A pulled-back point that
+    is no prime raises InternalCheckError."""
     sp_m = sp_enumerate(lat.table)
     spec_a = spec_enumerate(lat.base)
     f = pullback(lat.cyclic, sp_m, spec_a)
@@ -249,15 +250,16 @@ def vstar_homeo_check(lat: SubmoduleLattice) -> HomeoReport:
     bijective = sp_m.npoints == spec_a.npoints and all(
         j is not None and f.point_map[j] == qi for qi, j in enumerate(inverse)
     )
-    basis = True
+    basis = openness = True
     for mi, m in enumerate(lat.modules):
-        union = 0
+        union_m = union_a = 0
         for a in bits(m):
-            union |= sp_m.basis[lat.cyclic[a]]
-        if union != sp_m.basis[mi]:
-            basis = False
-            break
-    return HomeoReport(bijective, bijective and f.continuous, basis, spec_a.npoints)
+            union_m |= sp_m.basis[lat.cyclic[a]]
+            union_a |= spec_a.basis[a]
+        image = mask_of(f.point_map[i] for i in bits(sp_m.basis[mi]))
+        basis = basis and union_m == sp_m.basis[mi]
+        openness = openness and image == union_a
+    return HomeoReport(bijective, openness, basis, spec_a.npoints)
 
 
 # ---------------------------------------------------------------------------

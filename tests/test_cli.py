@@ -251,6 +251,18 @@ def test_element_parsing_by_index(ws, capsys):
     assert data["sections"] == 3
 
 
+def test_cover_names_may_hold_commas_inside_parentheses(ws, capsys):
+    # chain3xbool names its elements (1,0), (h,1), ...: the names that
+    # spec prints select the same cover as their table indices
+    names = corpus.get("chain3xbool").names
+    assert cli.main(["sheaf", "chain3xbool", "--cover", "(1,0),(h,1)"]) == 0
+    by_name = capsys.readouterr().out
+    indices = f"{names.index('(1,0)')},{names.index('(h,1)')}"
+    assert cli.main(["sheaf", "chain3xbool", "--cover", indices]) == 0
+    assert capsys.readouterr().out == by_name
+    assert json.loads(by_name)["cover"] == ["(1,0)", "(h,1)"]
+
+
 def test_usage_error_exit_code(ws):
     with pytest.raises(SystemExit) as e:
         cli.main(["load"])  # missing required argument

@@ -5,12 +5,12 @@ import math
 import pytest
 
 from conftest import brute_ideal_ok, brute_prime_ideal_masks
-from semispec import _purecore as core
 from semispec import accept, corpus, ideals
 from semispec.errors import InternalCheckError
 from semispec.ideals import (
     all_ideals,
     closed_sets,
+    closure_mask,
     ideal_closure,
     is_ideal,
     is_prime,
@@ -219,7 +219,7 @@ def test_closed_sets_finds_every_boolxy_module():
     bool_scalars = (1 << A.zero) | (1 << A.one)
 
     def close(seed):
-        return core.closure_mask(A.size, A.add, A.mul, seed | (1 << A.zero), bool_scalars)
+        return closure_mask(A, seed | (1 << A.zero), bool_scalars)
 
     principal, found = closed_sets(A, close)
     assert len(found) == 2480
@@ -236,9 +236,10 @@ def test_closed_sets_detects_a_wrong_join(monkeypatch):
 def test_a_blind_prime_test_fails_the_radical_check(monkeypatch):
     # planted defect: the prime test accepts every proper ideal, so the
     # "primes" over {0} in z4 meet in {0}, not in its radical {0, 2}
-    monkeypatch.setattr(core, "prime_violation", lambda n, mul, mask: None)
+    for module in (ideals, accept):
+        monkeypatch.setattr(module, "is_prime", lambda I: I.is_proper())
     z4 = corpus.get("z4")
     zero = next(I for I in all_ideals(z4) if I.mask == 1 << z4.zero)
-    primes = [I for I in all_ideals(z4) if is_prime(I)]
+    primes = [I for I in all_ideals(z4) if ideals.is_prime(I)]
     assert not radical_equals_prime_intersection(zero, primes)
     assert not accept.criterion_7().passed

@@ -98,6 +98,33 @@ def test_axiom_codes_detected():
                or "absorb" in c for c in codes)
 
 
+# One planted table per law, each breaking that law and no other: zero and
+# one are elements 0 and 1, and the pinned witness is the first the scan
+# meets, in lexicographic order of the law's variables.
+ONE_BROKEN_LAW = {
+    "add-assoc": (((0, 1, 2), (1, 0, 0), (2, 0, 0)),
+                  ((0, 0, 0), (0, 1, 2), (0, 2, 1)), (1, 1, 2)),
+    "add-comm": (((0, 0), (1, 1)), ((0, 0), (0, 1)), (0, 1)),
+    "add-zero": (((0, 0), (0, 0)), ((0, 0), (0, 1)), (1,)),
+    "mul-assoc": (((0, 1, 2, 3), (1, 1, 1, 1), (2, 1, 2, 2), (3, 1, 2, 3)),
+                  ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 3), (0, 3, 3, 0)), (2, 2, 3)),
+    "mul-comm": (((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)),
+                 ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 0, 2), (0, 3, 0, 3)), (2, 3)),
+    "mul-one": (((0, 1), (1, 1)), ((0, 0), (0, 0)), (1,)),
+    "distrib": (((0, 1, 2), (1, 0, 2), (2, 2, 2)),
+                ((0, 0, 0), (0, 1, 2), (0, 2, 0)), (2, 1, 1)),
+    "zero-absorbs": (((0, 1, 2), (1, 0, 2), (2, 2, 2)),
+                     ((0, 0, 2), (0, 1, 2), (2, 2, 2)), (2,)),
+}
+
+
+@pytest.mark.parametrize("law", sorted(ONE_BROKEN_LAW))
+def test_each_broken_law_is_named_with_its_first_witness(law):
+    add, mul, witness = ONE_BROKEN_LAW[law]
+    broken = FiniteSemiring(len(add), 0, 1, add, mul, law)
+    assert [(v.code, v.witness) for v in verify_axioms(broken)] == [(law, witness)]
+
+
 def test_leq_matches_definition(idempotent_tables):
     for name, A in idempotent_tables.items():
         for a in A.elements:

@@ -5,10 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from semispec import _purecore as core
 from semispec import accept, corpus
 from semispec import localize as loc_mod
-from semispec._purecore import bx_mul, bx_witness_exhaustive
 from semispec.errors import InternalCheckError, PreconditionError
 from semispec.kernel import find_iso, units
 from semispec.localize import (
@@ -17,7 +15,9 @@ from semispec.localize import (
     bx_frac_add,
     bx_frac_mul,
     bx_hardening_iso,
+    bx_mul,
     bx_witness_equal,
+    bx_witness_exhaustive,
     harden,
     is_hard,
     is_mult_submonoid,
@@ -326,7 +326,7 @@ def test_bx_witness_exhaustive_matches_naive_scan():
 
 def test_bx_slices_mark_the_witnesses_that_have_each_degree():
     for kmax in range(15):
-        slices = core._bx_slices(kmax)
+        slices = loc_mod._bx_slices(kmax)
         assert len(slices) == kmax + 1
         for k, s in enumerate(slices):
             want = sum(1 << t for t in range(1 << kmax) if ((2 * t + 1) >> k) & 1)
@@ -370,6 +370,6 @@ def test_criterion_10_detects_a_scan_that_tries_only_w_1(monkeypatch):
 
 def test_bx_witness_equal_detects_a_blind_exhaustive_scan(monkeypatch):
     # planted defect: the exhaustive cross-check never finds a witness
-    monkeypatch.setattr(core, "bx_witness_exhaustive", lambda a, b, kmax: -1)
+    monkeypatch.setattr(loc_mod, "bx_witness_exhaustive", lambda a, b, kmax: -1)
     with pytest.raises(InternalCheckError):
         bx_witness_equal(BxFraction(0b110, ONEX), BxFraction(X, ONE))

@@ -3,8 +3,8 @@
 import pytest
 
 from semispec import accept, poly
-from semispec._purecore import bx_mul
 from semispec.errors import PreconditionError
+from semispec.localize import bx_mul
 from semispec.poly import (
     BoolPoly,
     bool_eval,

@@ -24,7 +24,7 @@ PERFBENCH = ROOT / "perfbench"
 ENTRY_POINTS = {"cli.main"}  # [project.scripts] in pyproject.toml
 
 # Kept only as test oracles: the polynomial-level product that
-# test_bx_mul_matches_table_poly compares core.bx_mul against.
+# test_bx_mul_matches_table_poly compares localize.bx_mul against.
 ORACLES = {"poly.bool_poly", "poly.bool_poly_mul", "poly.bool_poly_from_mask"}
 
 DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

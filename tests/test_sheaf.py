@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from semispec import _purecore, accept, corpus, sheaf
+from semispec import accept, corpus, sheaf
 from semispec.errors import InternalCheckError, PreconditionError
 from semispec.kernel import find_iso, units
 from semispec.localize import localize, saturate, semi_invertibles_mask
@@ -112,9 +112,9 @@ def test_boolx_principal_cover_sections_frozen():
 def test_equalizer_detects_a_dropped_family(monkeypatch, kind, cover, target):
     # planted defect: the equalizer scan loses its last compatible family
     ctx = SheafContext(corpus.get("boolx"), kind)
-    scan = _purecore.equalizer_scan
+    scan = sheaf.equalizer_scan
     monkeypatch.setattr(
-        _purecore, "equalizer_scan", lambda sizes, compat: scan(sizes, compat)[:-1]
+        sheaf, "equalizer_scan", lambda sizes, compat: scan(sizes, compat)[:-1]
     )
     with pytest.raises(InternalCheckError):
         equalizer_sections(ctx, cover, target)

@@ -4,9 +4,9 @@ import dataclasses
 
 import pytest
 
-from semispec import _purecore as core
-from semispec import corpus
+from semispec import corpus, valuation
 from semispec.errors import InternalCheckError, PreconditionError, ResourceError
+from semispec.ideals import closure_mask
 from semispec.kernel import bits, find_iso, is_idempotent, leq, mask_of
 from semispec.localize import _powers_mask, localize
 from semispec.sheaf import SheafContext
@@ -183,7 +183,7 @@ def test_generator_sum_invariance():
                 seed = (1 << A.zero) | mask_of(
                     e for i, e in enumerate(elems) if (code >> i) & 1
                 )
-                if core.closure_mask(A.size, A.add, A.mul, seed, scal) == m:
+                if closure_mask(A, seed, scal) == m:
                     got = S.sum_of(v.images[a] for a in bits(seed))
                     assert got == want, (name, idx)
 
@@ -219,6 +219,21 @@ def test_vstar_homeo_refuses_a_pullback_that_is_not_a_point():
     swapped = dataclasses.replace(lat, cyclic=(c[0], c[1], c[3], c[2]))
     with pytest.raises(InternalCheckError):
         vstar_homeo_check(swapped)
+
+
+def test_vstar_homeo_openness_reads_the_base_basis(monkeypatch):
+    # planted defect: the base's spectrum swaps D(0) and D(1); its points,
+    # the point map and the lattice's basis are untouched, so only
+    # openness, the one conjunct that reads the base's basis, can see it
+    A = corpus.get("boolx")
+    space = spec_enumerate(A)
+    b = list(space.basis)
+    b[A.zero], b[A.one] = b[A.one], b[A.zero]
+    bad = dataclasses.replace(space, basis=tuple(b))
+    monkeypatch.setattr(valuation, "spec_enumerate", lambda B: bad if B is A else spec_enumerate(B))
+    rep = vstar_homeo_check(build_mra(A))
+    assert rep.bijective and rep.basis
+    assert not rep.openness and not rep.ok
 
 
 def test_vstar_homeo_needs_the_explicit_inverse():
