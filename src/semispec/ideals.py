@@ -181,31 +181,31 @@ def is_subtractive(I: IdealHandle) -> bool:
     return direct
 
 
+def _subtractive_pass(A: FiniteSemiring, mask: int) -> int:
+    """mask with every a such that a + b is in mask for some b in mask."""
+    add = A.add
+    out = mask
+    inside = list(bits(mask))
+    for a in A.elements:
+        if (out >> a) & 1:
+            continue
+        ra = add[a]
+        for b in inside:
+            if (mask >> ra[b]) & 1:
+                out |= 1 << a
+                break
+    return out
+
+
 def subtractive_closure(I: IdealHandle) -> IdealHandle:
     """Smallest subtractive ideal containing I: {a : a+b=c for some b,c in I}.
 
-    One pass suffices by theory; a second pass must add nothing, and the
-    result must be a subtractive ideal.
+    One pass suffices by theory, and the result must be a subtractive
+    ideal; a second pass would add exactly the violations that
+    `is_subtractive` scans for.
     """
     A = I.ambient
-    add = A.add
-
-    def one_pass(mask: int) -> int:
-        out = mask
-        inside = list(bits(mask))
-        for a in A.elements:
-            if (out >> a) & 1:
-                continue
-            ra = add[a]
-            for b in inside:
-                if (mask >> ra[b]) & 1:
-                    out |= 1 << a
-                    break
-        return out
-
-    m1 = one_pass(I.mask)
-    if one_pass(m1) != m1:
-        raise InternalCheckError(f"{A.label}: subtractive closure not one-pass stable")
+    m1 = _subtractive_pass(A, I.mask)
     out = IdealHandle(A, m1)
     if not is_ideal(A, m1) or not is_subtractive(out):
         raise InternalCheckError(f"{A.label}: subtractive closure is not a kernel")
@@ -295,15 +295,6 @@ def nat_prime_residue_check(p: int, bound: int) -> bool:
     for a in range(bound + 1):
         for b in range(a, bound + 1):
             if (a * b) % p == 0 and a % p != 0 and b % p != 0:
-                return False
-    return True
-
-
-def nat_prime_subtractive_check(p: int, bound: int) -> bool:
-    """pN is subtractive on [0,bound]: a+b=c with p|b, p|c forces p|a."""
-    for a in range(bound + 1):
-        for b in range(0, bound + 1 - a, p):
-            if (a + b) % p == 0 and a % p != 0:
                 return False
     return True
 

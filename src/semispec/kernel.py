@@ -260,18 +260,16 @@ def assert_valid(A: FiniteSemiring) -> FiniteSemiring:
 
 
 def is_idempotent(A: FiniteSemiring) -> bool:
-    """1+1=1; equivalent to a+a=a for all a, and the equivalence is asserted."""
-    flag = A.add[A.one][A.one] == A.one
-    allflag = all(A.add[a][a] == a for a in A.elements)
-    if flag != allflag:
-        raise InternalCheckError(f"{A.label}: 1+1=1 disagrees with a+a=a")
-    return flag
+    """1+1=1. On a table that satisfies the axioms this is a+a=a for all
+    a, since a + a = a(1 + 1) by distributivity and the unit law.
+    `tabulate`, `semiring_from_dict` and `corpus.get` check the axioms,
+    and products and permutations of checked tables keep them."""
+    return A.add[A.one][A.one] == A.one
 
 
 def leq(A: FiniteSemiring, a: int, b: int) -> bool:
-    """a <= b iff a+b=b. Only meaningful on idempotent semirings, which
-    1 + 1 = 1 tells apart (`is_idempotent` asserts the equivalence)."""
-    if A.add[A.one][A.one] != A.one:
+    """a <= b iff a+b=b. Only meaningful on idempotent semirings."""
+    if not is_idempotent(A):
         raise PreconditionError(f"{A.label}: order requires an idempotent semiring")
     return A.add[a][b] == b
 
@@ -296,12 +294,17 @@ def _is_list(x, n: int) -> bool:
     return isinstance(x, (list, tuple)) and len(x) == n
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool: JSON true and false are no indices."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def semiring_from_dict(d: Dict) -> FiniteSemiring:
     missing = _SCHEMA_KEYS - set(d)
     if missing:
         raise FormatError(f"semiring JSON missing keys: {sorted(missing)}")
     n = d["size"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise FormatError("size must be a positive integer")
     if n > MAX_SIZE:
         raise PreconditionError(f"size {n} exceeds cap {MAX_SIZE}")
@@ -311,15 +314,15 @@ def semiring_from_dict(d: Dict) -> FiniteSemiring:
             raise FormatError(f"{key} table must be {n}x{n}")
         for row in t:
             for v in row:
-                if not isinstance(v, int) or not 0 <= v < n:
+                if not _is_int(v) or not 0 <= v < n:
                     raise FormatError(f"{key} entry {v!r} out of range")
     for key in ("zero", "one"):
         v = d[key]
-        if not isinstance(v, int) or not 0 <= v < n:
+        if not _is_int(v) or not 0 <= v < n:
             raise FormatError(f"{key} out of range")
     names = d.get("names")
     if names is not None:
-        if not _is_list(names, n) or not all(isinstance(x, (str, int)) for x in names):
+        if not _is_list(names, n) or not all(isinstance(x, str) or _is_int(x) for x in names):
             raise FormatError("names must be a list of strings, one per element")
         names = tuple(str(x) for x in names)
         if len(set(names)) != n:

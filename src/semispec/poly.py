@@ -20,7 +20,7 @@ from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import FormatError, PreconditionError
 
@@ -45,8 +45,9 @@ class BoolPoly:
                 raise FormatError(f"bad exponent vector {e}")
 
 
-# bool_poly, bool_poly_mul and bool_poly_from_mask spell out the product that
-# the bitmask kernel localize.bx_mul computes; the tests compare the two.
+# bool_poly, bool_poly_mul, bool_poly_from_mask and bool_poly_to_mask spell
+# out the product that the bitmask kernel localize.bx_mul computes; the tests
+# compare the two.
 
 
 def bool_poly(nvars: int, support: Iterable[Expt]) -> BoolPoly:
@@ -89,24 +90,16 @@ def bool_poly_from_mask(mask: int) -> BoolPoly:
     return BoolPoly(1, frozenset((k,) for k in range(mask.bit_length()) if (mask >> k) & 1))
 
 
-MaskOrPoly = Union[int, BoolPoly]
-
-
-def _as_mask(f: MaskOrPoly) -> int:
-    return f if isinstance(f, int) else bool_poly_to_mask(f)
-
-
-def bool_poly_ord_deg(f: MaskOrPoly) -> Tuple:
-    """(order at 0, degree) of a univariate boolean polynomial; the zero
-    polynomial maps to the distinguished point (inf, -inf)."""
-    m = _as_mask(f)
+def bool_poly_ord_deg(m: int) -> Tuple:
+    """(order at 0, degree) of a univariate boolean polynomial in mask
+    form; the zero polynomial maps to the distinguished point (inf, -inf)."""
     if m == 0:
         return (INF, NEG_INF)
     return ((m & -m).bit_length() - 1, m.bit_length() - 1)
 
 
-def bool_poly_deg(f: MaskOrPoly):
-    return bool_poly_ord_deg(f)[1]
+def bool_poly_deg(m: int):
+    return bool_poly_ord_deg(m)[1]
 
 
 class SquarefreeUniverse(abc.Sequence):

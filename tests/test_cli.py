@@ -55,6 +55,8 @@ BAD_BODIES = ['{"oops": [1,'] + [json.dumps(d) for d in (
      "mul": [[0, 0], [0, 1]]},
     {"size": 2, "zero": 0, "one": 1, "label": "t", "add": [[0, 1], [1, 1]],
      "mul": [[0, 0], [0, 1]], "names": [[1], [2]]},
+    {"size": True, "zero": False, "one": False, "label": "b", "add": [[False]],
+     "mul": [[False]]},
     {"gens": "xy", "rels": []},
     {"gens": ["x"], "rels": 5},
     {"gens": ["x"], "rels": [["x"]]},

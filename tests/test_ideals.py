@@ -18,7 +18,6 @@ from semispec.ideals import (
     nat_pair_tail_check,
     nat_pair_tail_start,
     nat_prime_residue_check,
-    nat_prime_subtractive_check,
     primes_containing,
     radical_equals_prime_intersection,
     radical_mask,
@@ -203,7 +202,6 @@ def test_criterion_1_fails_on_a_gap_both_routes_agree_on(monkeypatch):
 def test_nat_prime_checks():
     assert nat_prime_residue_check(7, 60)
     assert not nat_prime_residue_check(6, 60)
-    assert nat_prime_subtractive_check(5, 80)
 
 
 def test_all_ideals_match_subset_oracle(small_tables):
@@ -231,6 +229,17 @@ def test_closed_sets_detects_a_wrong_join(monkeypatch):
     monkeypatch.setattr(ideals, "_module_sum", lambda A, m1, m2: m1 | m2)
     with pytest.raises(InternalCheckError):
         all_ideals(corpus.get("boolpair"))
+
+
+def test_subtractive_closure_detects_a_pass_that_misses_a_witness(monkeypatch):
+    # planted defect: the pass adds nothing, so the witness 1 + 2 = 3 of
+    # satnat4's ideal {0, 2, 3} is missed and the result is no kernel
+    A = corpus.get("satnat4")
+    I = ideal_closure(A, [2])
+    assert subtractive_closure(I).mask == A.full_mask
+    monkeypatch.setattr(ideals, "_subtractive_pass", lambda A, mask: mask)
+    with pytest.raises(InternalCheckError, match="not a kernel"):
+        subtractive_closure(I)
 
 
 def test_a_blind_prime_test_fails_the_radical_check(monkeypatch):

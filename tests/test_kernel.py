@@ -176,6 +176,33 @@ def test_from_dict_rejects_garbage():
         })
 
 
+def _bool2_with(**changes):
+    d = semiring_to_dict(corpus.get("bool2"))
+    d.update(changes)
+    return d
+
+
+# JSON true and false are ints to Python: each index and each name must
+# refuse them, not read them as 1 and 0
+BOOL_TABLES = {
+    "size": {"size": True, "zero": 0, "one": 0, "add": [[0]], "mul": [[0]], "label": "t"},
+    "zero": _bool2_with(zero=False),
+    "one": _bool2_with(one=True),
+    "add": _bool2_with(add=[[0, 1], [True, 1]]),
+    "mul": _bool2_with(mul=[[0, 0], [0, True]]),
+    "names": _bool2_with(names=["0", True]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BOOL_TABLES))
+def test_from_dict_rejects_booleans(key):
+    body = json.dumps(BOOL_TABLES[key])
+    # the same table with 1 and 0 in place of true and false loads
+    semiring_from_dict(json.loads(body.replace("true", "1").replace("false", "0")))
+    with pytest.raises(FormatError):
+        semiring_from_dict(json.loads(body))
+
+
 def identity(A):
     return Homomorphism(A, A, tuple(A.elements))
 

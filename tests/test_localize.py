@@ -8,7 +8,7 @@ import pytest
 from semispec import accept, corpus
 from semispec import localize as loc_mod
 from semispec.errors import InternalCheckError, PreconditionError
-from semispec.kernel import find_iso, units
+from semispec.kernel import Homomorphism, find_iso, units
 from semispec.localize import (
     MINMAX_ZERO,
     BxFraction,
@@ -169,6 +169,23 @@ def test_localize_detects_a_corrupt_class_above_the_old_cap(monkeypatch):
     )
     with pytest.raises(InternalCheckError):
         localize(A, s_mask)
+
+
+def test_localize_detects_a_corrupted_canonical_map(monkeypatch):
+    # planted defect: phi sends 1 to the class of 0; the classes themselves
+    # are right, so only the hom check on phi can tell
+    A = corpus.get("chain3")
+    build = loc_mod._localization
+
+    def corrupt(A, s_mask, label=""):
+        L = build(A, s_mask, label)
+        images = list(L.phi.images)
+        images[A.one] = images[A.zero]
+        return replace(L, phi=Homomorphism(A, L.table, tuple(images)))
+
+    monkeypatch.setattr(loc_mod, "_localization", corrupt)
+    with pytest.raises(InternalCheckError, match="localization map is not a hom"):
+        localize(A, 1 << A.one)
 
 
 def test_localize_rejects_non_submonoid():

@@ -25,7 +25,12 @@ ENTRY_POINTS = {"cli.main"}  # [project.scripts] in pyproject.toml
 
 # Kept only as test oracles: the polynomial-level product that
 # test_bx_mul_matches_table_poly compares localize.bx_mul against.
-ORACLES = {"poly.bool_poly", "poly.bool_poly_mul", "poly.bool_poly_from_mask"}
+ORACLES = {
+    "poly.bool_poly",
+    "poly.bool_poly_mul",
+    "poly.bool_poly_from_mask",
+    "poly.bool_poly_to_mask",
+}
 
 DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 

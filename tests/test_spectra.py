@@ -104,6 +104,16 @@ def test_spec_cross_checks_the_saturation_route(monkeypatch):
         spec_enumerate(A)
 
 
+def test_a_point_that_is_not_prime_fails_the_basis_identity(monkeypatch):
+    # planted defect: {0} joins the primes of z4, though 2 * 2 = 0; at that
+    # point D(2 * 2) = D(0) is empty where D(2) & D(2) is not
+    A = corpus.get("z4")
+    real = spectra._prime_masks
+    monkeypatch.setattr(spectra, "_prime_masks", lambda B: real(B) + [1 << B.zero])
+    with pytest.raises(InternalCheckError, match=r"D\(ab\) != D\(a\) & D\(b\)"):
+        spec_enumerate(A)
+
+
 def test_valuation_search_needs_its_bottom_forcing_rule(monkeypatch):
     # a search that lets x + y take any value when x and y map to zero
     # finds maps that are no valuations: both spec and the valuations trip

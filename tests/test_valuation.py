@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from semispec import corpus, valuation
+from semispec import corpus, kernel, valuation
 from semispec.errors import InternalCheckError, PreconditionError, ResourceError
 from semispec.ideals import closure_mask
 from semispec.kernel import bits, find_iso, is_idempotent, leq, mask_of
@@ -147,6 +147,24 @@ def test_build_mra_resource_guard():
         build_mra(corpus.get("boolxy"))
 
 
+def test_build_mra_detects_a_table_out_of_step_with_its_modules(monkeypatch):
+    # planted defect: the table numbers {0} and the whole of chain3 in each
+    # other's places; it is still an idempotent semiring, so only the
+    # order-versus-inclusion scan can tell
+    A = corpus.get("chain3")
+    real = valuation.tabulate
+
+    def swapped(carrier, *rest):
+        carrier = list(carrier)
+        i, j = carrier.index(1 << A.zero), carrier.index(A.full_mask)
+        carrier[i], carrier[j] = carrier[j], carrier[i]
+        return real(carrier, *rest)
+
+    monkeypatch.setattr(valuation, "tabulate", swapped)
+    with pytest.raises(InternalCheckError, match="lattice order differs from inclusion"):
+        build_mra(A)
+
+
 def test_universal_valuation_boolx_frozen():
     lat = build_mra(corpus.get("boolx"))
     v = lat.valuation
@@ -166,6 +184,18 @@ def test_factoring_reproduces_valuations():
             assert all(
                 f.images[v.images[a]] == w.images[a] for a in A.elements
             ), name
+
+
+def test_factoring_detects_a_wrong_element_sum(monkeypatch):
+    # planted defect: the sum of a module's values drops its last term, so
+    # f({0, 1}) reads v(0) = 0 where v(1) = 1 is wanted
+    A = corpus.get("chain3")
+    lat = build_mra(A)
+    w = bool_valuations(A)[0]
+    real = kernel.FiniteSemiring.sum_of
+    monkeypatch.setattr(kernel.FiniteSemiring, "sum_of", lambda S, xs: real(S, list(xs)[:-1]))
+    with pytest.raises(InternalCheckError):
+        factor_through_universal(lat, w)
 
 
 def test_generator_sum_invariance():
