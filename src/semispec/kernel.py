@@ -355,11 +355,11 @@ def semiring_to_dict(A: FiniteSemiring) -> Dict:
 
 def read_json_object(path: str) -> Dict:
     """The JSON object in the file at path; FormatError when the file cannot
-    be read, is not JSON or holds something other than an object."""
+    be read, is not UTF-8 JSON or holds something other than an object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             d = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     if not isinstance(d, dict):
         raise FormatError(f"{path}: top level must be an object")

@@ -7,9 +7,12 @@ Sections are computed two independent ways and compared:
   alexandrov route   limits of the presheaf over minimal opens (finite
                      spectra are Alexandrov), which is the sheafified value
                      on any open.
-On the all-primes spectrum the canonical comparison from the target
-localization is asserted to be an isomorphism; on the subtractive-primes
-spectrum it is computed and reported, never assumed.
+Every map between two localizations of the base, the restrictions and
+the comparison from the target localization alike, is
+`localize.natural_map`, which checks that it is well defined on every
+fraction and a hom. On the all-primes spectrum the comparison is asserted
+to be an isomorphism; on the subtractive-primes spectrum it is computed
+and reported, never assumed.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .localize import (
     LocalizedSemiring,
     _powers_mask,
     localize,
+    natural_map,
     saturate,
     semi_invertibles_mask,
 )
@@ -107,22 +111,14 @@ class SheafContext:
 
     def restriction(self, big: int, small: int) -> Homomorphism:
         """Presheaf restriction between the localizations of two nested
-        opens (big contains small)."""
+        opens (big contains small): the natural map a/s |-> a/s, built
+        and checked once per pair of opens. S_big lies inside S_small."""
         if small & ~big:
             raise PreconditionError("restriction target is not contained")
         key = (big, small)
-        if key in self._restr:
-            return self._restr[key]
-        lu, lv = self.presheaf_at(big), self.presheaf_at(small)
-        images = []
-        for c in lu.table.elements:
-            a, s = lu.reps[c]
-            images.append(lv.class_of_pair(a, s))
-        h = Homomorphism(lu.table, lv.table, tuple(images))
-        if h.violation() is not None:
-            raise InternalCheckError(f"{self.A.label}: restriction is not a hom")
-        self._restr[key] = h
-        return h
+        if key not in self._restr:
+            self._restr[key] = natural_map(self.presheaf_at(big), self.presheaf_at(small))
+        return self._restr[key]
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +134,7 @@ class SectionSemiring:
     tuples: List[Tuple[int, ...]]
     table: FiniteSemiring
     from_base: Homomorphism  # A -> sections
-    compare: Optional[Homomorphism]  # L(target) -> sections
+    compare: Homomorphism  # L(target) -> sections
     compare_is_iso: bool
 
     @property
@@ -184,6 +180,15 @@ def equalizer_scan(
     return out
 
 
+def _agreeing(fi: Sequence[int], fj: Sequence[int]) -> List[int]:
+    """Compatibility rows of two sections' components: row u is the mask
+    of the v with fi[u] == fj[v], found by bucketing fj once."""
+    bucket: Dict[int, int] = {}
+    for v, y in enumerate(fj):
+        bucket[y] = bucket.get(y, 0) | 1 << v
+    return [bucket.get(x, 0) for x in fi]
+
+
 def _section_table(
     A: FiniteSemiring,
     locs: Sequence[LocalizedSemiring],
@@ -193,7 +198,10 @@ def _section_table(
     """The compatible families of local sections (one per entry of locs,
     pairwise constrained by compat) as a semiring under the componentwise
     operations, with their index and the map from the base: a hom, as
-    each component is a phi that `localize` checked."""
+    each component is a phi that `localize` checked. The image of a is a
+    compatible family with no test: phi_i(a) is the class of (a, 1), and
+    every restriction, a `natural_map`, sends each pair of a class to
+    that pair's class, so the components restrict to the same class."""
     tables = [l.table for l in locs]
     tuples = equalizer_scan([T.size for T in tables], compat)
 
@@ -216,20 +224,23 @@ def _section_table(
         names,
     )
     index = {t: i for i, t in enumerate(tuples)}
-    base_images = []
-    for a in A.elements:
-        t = tuple(l.phi(a) for l in locs)
-        if t not in index:
-            raise InternalCheckError("image of the base is not a compatible family")
-        base_images.append(index[t])
-    return tuples, index, table, Homomorphism(A, table, tuple(base_images))
+    base_images = tuple(index[tuple(l.phi(a) for l in locs)] for a in A.elements)
+    return tuples, index, table, Homomorphism(A, table, base_images)
 
 
 def equalizer_sections(
     ctx: SheafContext, cover: Sequence[int], target: Optional[int] = None
 ) -> SectionSemiring:
     """Sections over the open covered by the principal opens of `cover`,
-    computed as the equalizer of pairwise overlap restrictions."""
+    computed as the equalizer of pairwise overlap restrictions.
+
+    The comparison from the target localization sends x to the tuple of
+    its restrictions to the cover members. That tuple is always a
+    compatible family, since restricting on to an overlap sends x's
+    representative to its class there whichever member it passed through,
+    and the comparison is a hom, since the section operations are
+    componentwise and each restriction is a checked hom. Only its
+    bijectivity is left to decide."""
     A, space = ctx.A, ctx.space
     cover = tuple(cover)
     if not cover:
@@ -247,37 +258,20 @@ def equalizer_sections(
     for i in range(k):
         for j in range(i + 1, k):
             overlap = space.basis[cover[i]] & space.basis[cover[j]]
-            ri = ctx.restriction(space.basis[cover[i]], overlap)
-            rj = ctx.restriction(space.basis[cover[j]], overlap)
-            rows = []
-            for u in locs[i].table.elements:
-                m = 0
-                for v in locs[j].table.elements:
-                    if ri.images[u] == rj.images[v]:
-                        m |= 1 << v
-                rows.append(m)
-            compat[(i, j)] = rows
+            compat[(i, j)] = _agreeing(
+                ctx.restriction(space.basis[cover[i]], overlap).images,
+                ctx.restriction(space.basis[cover[j]], overlap).images,
+            )
     tuples, index, table, from_base = _section_table(
         A, locs, compat, f"{A.label}-sections"
     )
 
     ltgt = ctx.presheaf_at(want)
-    cmp_images = []
-    ok = True
-    for c in ltgt.table.elements:
-        x, s = ltgt.reps[c]
-        t = tuple(l.class_of_pair(x, s) for l in locs)
-        if t not in index:
-            ok = False
-            break
-        cmp_images.append(index[t])
-    compare = None
-    compare_is_iso = False
-    if ok:
-        compare = Homomorphism(ltgt.table, table, tuple(cmp_images))
-        if compare.violation() is not None:
-            raise InternalCheckError("comparison map is not a hom")
-        compare_is_iso = compare.is_bijective()
+    rs = [ctx.restriction(want, space.basis[c]).images for c in cover]
+    compare = Homomorphism(
+        ltgt.table, table, tuple(index[tuple(r[x] for r in rs)] for x in ltgt.table.elements)
+    )
+    compare_is_iso = compare.is_bijective()
     if ctx.kind == "spec" and not compare_is_iso:
         raise InternalCheckError(
             f"{A.label}: localization-to-equalizer comparison is not an isomorphism"
@@ -422,27 +416,20 @@ def alexandrov_sections(ctx: SheafContext, open_set: int) -> AlexandrovSections:
     minimal = [space.minimal_open(i) for i in pts]
     locs = [ctx.local(ctx.monoid_of(m)) for m in minimal]
     compat: Dict[Tuple[int, int], List[int]] = {}
-    for fi in range(len(pts)):
-        for fj in range(fi + 1, len(pts)):
-            pi, pj = pts[fi], pts[fj]
-            rows: Optional[List[int]] = None
-            if space.point_masks[pj] | space.point_masks[pi] == space.point_masks[pi]:
-                # pj contained in pi: value at pj determined by value at pi
-                rho = ctx.restriction(minimal[fi], minimal[fj])
-                rows = [1 << rho.images[u] for u in locs[fi].table.elements]
-            elif space.point_masks[pi] | space.point_masks[pj] == space.point_masks[pj]:
-                rho = ctx.restriction(minimal[fj], minimal[fi])
-                rows = []
-                for u in locs[fi].table.elements:
-                    rows.append(
-                        mask_of(
-                            v
-                            for v in locs[fj].table.elements
-                            if rho.images[v] == u
-                        )
-                    )
-            if rows is not None:
-                compat[(fi, fj)] = rows
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            pi, pj = space.point_masks[pts[i]], space.point_masks[pts[j]]
+            # the component at the smaller prime is the restriction of the
+            # one at the larger; the side not restricted passes the identity
+            if pj & ~pi == 0:
+                fi = ctx.restriction(minimal[i], minimal[j]).images
+                fj = range(locs[j].table.size)
+            elif pi & ~pj == 0:
+                fi = range(locs[i].table.size)
+                fj = ctx.restriction(minimal[j], minimal[i]).images
+            else:
+                continue
+            compat[(i, j)] = _agreeing(fi, fj)
     tuples, _index, table, from_base = _section_table(
         A, locs, compat, f"{A.label}-limit-sections"
     )

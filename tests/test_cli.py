@@ -71,6 +71,18 @@ def test_bad_json_exit_code(ws, tmp_path, capsys):
         assert cli.main(["load", str(bad), "--name", "x"]) == 3, body
 
 
+def test_a_file_that_is_not_utf8_exits_3(ws, tmp_path, capsys):
+    body = b'{"size": 1, "label": "\xff"}'
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(body)
+    assert cli.main(["load", str(bad), "--name", "x"]) == 3
+    # the same bytes in a workspace entry, read back by name
+    assert cli.main(["load", table_file(ws), "--name", "c3"]) == 0
+    (ws / "ws" / "c3.json").write_bytes(body)
+    assert cli.main(["spec", "c3"]) == 3
+    assert "cannot read" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(ws, capsys):
     assert cli.main(["load", "/nonexistent/q.json", "--name", "x"]) == 3
 

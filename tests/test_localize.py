@@ -25,6 +25,7 @@ from semispec.localize import (
     localize,
     minmax_add,
     minmax_mul,
+    natural_map,
     saturate,
     semi_invertible,
     semi_invertibles_mask,
@@ -188,6 +189,62 @@ def test_localize_detects_a_corrupted_canonical_map(monkeypatch):
         localize(A, 1 << A.one)
 
 
+def _satnat8_at_powers_of_2():
+    A = corpus.get("satnat8")
+    return A, loc_mod._localization(A, loc_mod._powers_mask(A, A.names.index("2")))
+
+
+def test_natural_map_into_the_saturation():
+    A, L = _satnat8_at_powers_of_2()
+    assert natural_map(L, L).images == tuple(L.table.elements)
+    sat = loc_mod._localization(A, loc_mod._saturation(A, L.s_mask))
+    assert natural_map(L, sat).is_bijective()
+
+
+def test_natural_map_detects_a_class_moved_in_the_target():
+    # planted defect: one fraction of the target lands in the wrong class
+    A, L = _satnat8_at_powers_of_2()
+    for a in A.elements:
+        for si in range(len(L.s_list)):
+            with pytest.raises(InternalCheckError, match="ill-defined"):
+                natural_map(L, _with_corrupt_cell(L, a, si))
+
+
+def test_natural_map_detects_a_target_table_with_a_wrong_sum():
+    # planted defect: one entry of the target's addition table is wrong
+    _A, L = _satnat8_at_powers_of_2()
+    T = L.table
+    add = [list(row) for row in T.add]
+    add[T.zero][T.one] = T.zero
+    bad = replace(L, table=replace(T, add=tuple(tuple(row) for row in add)))
+    with pytest.raises(InternalCheckError, match="not a hom"):
+        natural_map(L, bad)
+
+
+def test_localize_and_saturate_detect_a_saturation_that_is_too_large(monkeypatch):
+    # planted defect: the saturation takes in 0, so (S^sat)^-1 A collapses
+    # and 0 is no unit of S^-1 A
+    A, L = _satnat8_at_powers_of_2()
+    sat = loc_mod._saturation
+    monkeypatch.setattr(
+        loc_mod, "_saturation", lambda A, s_mask: sat(A, s_mask) | 1 << A.zero
+    )
+    with pytest.raises(InternalCheckError, match="not isomorphic"):
+        localize(A, L.s_mask)
+    with pytest.raises(InternalCheckError, match="characterizations disagree"):
+        saturate(A, L.s_mask)
+
+
+def test_natural_map_needs_nested_monoids_over_one_base():
+    A, L = _satnat8_at_powers_of_2()
+    sat = loc_mod._localization(A, loc_mod._saturation(A, L.s_mask))
+    with pytest.raises(PreconditionError):
+        natural_map(sat, L)  # S^sat is not inside S
+    B = corpus.get("chain3")
+    with pytest.raises(PreconditionError):
+        natural_map(L, loc_mod._localization(B, 1 << B.one))
+
+
 def test_localize_rejects_non_submonoid():
     A = corpus.get("boolx")
     with pytest.raises(PreconditionError):
@@ -264,6 +321,24 @@ def test_harden_fixes_hard_tables(corpus_tables):
     for name, A in corpus_tables.items():
         if FROZEN_HARD[name]:
             assert harden(A).phi.is_bijective(), name
+
+
+@pytest.mark.parametrize(
+    "plant,message",
+    [
+        (lambda A, m: m & ~(1 << A.one), "not a submonoid"),
+        (lambda A, m: m | 1 << A.zero, "not saturated"),
+        (lambda A, m: units(A) if A.label == "boolx" else m, "not hard"),
+    ],
+    ids=["without-1", "with-0", "units-only"],
+)
+def test_harden_detects_wrong_semi_invertibles(monkeypatch, plant, message):
+    # planted defect: boolx's semi-invertibles computed wrongly; "units-only"
+    # leaves the hardened copy's own mask right, so only its hardness fails
+    real = loc_mod.semi_invertibles_mask
+    monkeypatch.setattr(loc_mod, "semi_invertibles_mask", lambda A: plant(A, real(A)))
+    with pytest.raises(InternalCheckError, match=message):
+        harden(corpus.get("boolx"))
 
 
 def test_hardening_is_hard(corpus_tables):

@@ -60,6 +60,28 @@ def test_monoid_antitone(corpus_tables):
                     assert mv & mu == mv, name
 
 
+def test_restrictions_compose(corpus_tables):
+    # the restriction along U > V > W is the one along U > V, then V > W
+    triples = 0
+    for name, A in corpus_tables.items():
+        if A.size > 8:
+            continue
+        for kind in ("spec", "sp"):
+            ctx = SheafContext(A, kind)
+            basic = sorted(set(ctx.space.basis))
+            for u in basic:
+                for v in basic:
+                    for w in basic:
+                        if v & ~u or w & ~v:
+                            continue
+                        uv, vw = ctx.restriction(u, v), ctx.restriction(v, w)
+                        assert ctx.restriction(u, w).images == tuple(
+                            vw.images[x] for x in uv.images
+                        ), (name, kind, u, v, w)
+                        triples += 1
+    assert triples > 100
+
+
 def brute_equalizer(ctx, cover, target):
     """Direct product filter: tuples agreeing on every pairwise overlap."""
     space = ctx.space
@@ -118,6 +140,19 @@ def test_equalizer_detects_a_dropped_family(monkeypatch, kind, cover, target):
     )
     with pytest.raises(InternalCheckError):
         equalizer_sections(ctx, cover, target)
+
+
+def test_spec_comparison_detects_rows_that_allow_every_pair(monkeypatch):
+    # planted defect: the compatibility rows admit every pair of components,
+    # so the sections are the whole product and the comparison from the
+    # target localization misses some; Spec raises, Sp reports it
+    monkeypatch.setattr(
+        sheaf, "_agreeing", lambda fi, fj: [(1 << len(fj)) - 1] * len(fi)
+    )
+    A = corpus.get("boolx")
+    with pytest.raises(InternalCheckError, match="not an isomorphism"):
+        equalizer_sections(SheafContext(A, "spec"), (2, 3), 3)
+    assert not equalizer_sections(SheafContext(A, "sp"), (2, 3)).compare_is_iso
 
 
 def test_spec_comparison_always_iso(corpus_tables):
