@@ -207,17 +207,32 @@ def _rewrite(
 # finite models
 
 
+def _repeat(op: Callable, unit, x, n: int):
+    """x op x op ... op x with n operands, unit when n is 0, by square and
+    multiply: about 2 log2(n) applications of the associative op."""
+    acc = unit
+    while n:
+        if n & 1:
+            acc = op(acc, x)
+        n >>= 1
+        if n:
+            x = op(x, x)
+    return acc
+
+
 def _value(zero, one, plus: Callable, times: Callable, images: Sequence, t: Term):
     """The value of t with generator i sent to images[i], in the semiring
-    given by its 0, 1, + and *."""
+    given by its 0, 1, + and *. Powers and multiples are taken by
+    `_repeat`, so x^e costs log e products, not e; both operations are
+    associative in every table that passed the axiom scan and in both
+    infinite models. A value can still be large: 2^e in the naturals has
+    e bits."""
     acc = zero
     for m, c in t:
         v = one
         for g, e in zip(images, m):
-            for _ in range(e):
-                v = times(v, g)
-        for _ in range(c):
-            acc = plus(acc, v)
+            v = times(v, _repeat(times, one, g, e))
+        acc = plus(acc, _repeat(plus, zero, v, c))
     return acc
 
 

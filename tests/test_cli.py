@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -176,6 +177,19 @@ def test_presentation_enumeration_bound_exit_code(ws, capsys):
     assert "enumeration bound" in capsys.readouterr().err
 
 
+def test_a_large_exponent_is_refused_in_bounded_time(ws, capsys):
+    # x^1000000 is evaluated in the infinite models by square and multiply:
+    # 2^1000000 in the naturals takes about 20 products, not a million
+    pres = ws / "pres.json"
+    pres.write_text(json.dumps(
+        {"gens": ["x"], "rels": [["x^1000000", "x"]], "idempotent": True}
+    ))
+    start = time.perf_counter()
+    assert cli.main(["load", str(pres), "--name", "q"]) == 8
+    assert time.perf_counter() - start < 1.0
+    assert "outside degree" in capsys.readouterr().err
+
+
 class _RecordingEnviron(dict):
     """A copy of the environment that remembers every name looked up."""
 
@@ -277,10 +291,34 @@ def test_cover_names_may_hold_commas_inside_parentheses(ws, capsys):
     assert json.loads(by_name)["cover"] == ["(1,0)", "(h,1)"]
 
 
-def test_usage_error_exit_code(ws):
+def test_usage_error_exit_code(ws, capsys):
+    assert cli.main(["spec", "chain3xbool"]) == 0
+    before = capsys.readouterr().out
     with pytest.raises(SystemExit) as e:
         cli.main(["load"])  # missing required argument
     assert e.value.code == 2
+    # the parser the error went through serves the next call as before
+    capsys.readouterr()
+    assert cli.main(["spec", "chain3xbool"]) == 0
+    assert capsys.readouterr().out == before
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_the_shared_parser_prints_the_help_of_a_fresh_one(capsys):
+    cli.main(["spec", "bool2"])  # the shared parser has served a command
+    fresh = cli.build_parser.__wrapped__()
+    assert cli.build_parser().format_help() == fresh.format_help()
+    helps = []
+    for parse in (cli.main, fresh.parse_args):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as e:
+            parse(["sheaf", "--help"])
+        assert e.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert "--cover" in helps[0] and helps[0] == helps[1]
 
 
 def test_workspace_default_location(tmp_path, monkeypatch):

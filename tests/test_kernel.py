@@ -5,7 +5,7 @@ import operator
 
 import pytest
 
-from semispec import corpus
+from semispec import corpus, kernel
 from semispec.errors import FormatError, InternalCheckError, ResourceError
 from semispec.kernel import (
     FiniteSemiring,
@@ -248,6 +248,13 @@ def test_enumerate_homs_vs_brute(src, dst):
     assert len(got) == brute_hom_count(A, B)
     for h in got:
         assert h.violation() is None
+
+
+def test_enumerate_homs_rechecks_what_the_search_returns(monkeypatch):
+    # planted defect: the search hands back the constant map to 1
+    monkeypatch.setattr(kernel, "_maps", lambda A, B, *rest: [(B.one,) * A.size])
+    with pytest.raises(InternalCheckError, match="produced a non-hom"):
+        enumerate_homs(corpus.get("bool2"), corpus.get("bool2"))
 
 
 def test_find_iso_detects_relabeling():

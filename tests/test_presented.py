@@ -2,6 +2,7 @@
 system."""
 
 import itertools
+import random
 
 import pytest
 
@@ -518,6 +519,47 @@ def test_infinite_models_prove_infinite_quotients(data, found):
         assert model.startswith(found)
         with pytest.raises(PreconditionError, match="quotient is infinite"):
             finite_quotient(pres, degree=2, coeff=2)
+
+
+def _naive_value(zero, one, plus, times, images, t):
+    # the definition: e products for x^e, c sums for c*m
+    acc = zero
+    for m, c in t:
+        v = one
+        for g, e in zip(images, m):
+            for _ in range(e):
+                v = times(v, g)
+        for _ in range(c):
+            acc = plus(acc, v)
+    return acc
+
+
+def test_value_by_square_and_multiply_matches_repeated_operations(corpus_tables):
+    rng = random.Random(21)
+
+    def random_term(nvars):
+        monos = {
+            tuple(rng.randrange(20) for _ in range(nvars)): rng.randrange(1, 20)
+            for _ in range(rng.randrange(1, 4))
+        }
+        return tuple(sorted(monos.items()))
+
+    models = [
+        (ops, candidates) for _name, ops, candidates, _inf in presented._INFINITE_MODELS
+    ]
+    for A in corpus_tables.values():
+        if A.size <= 8:
+            ops = (A.zero, A.one, lambda a, b, A=A: A.add[a][b],
+                   lambda a, b, A=A: A.mul[a][b])
+            models.append((ops, A.elements))
+    assert len(models) > 2
+    for ops, candidates in models:
+        for _ in range(40):
+            nvars = rng.randrange(1, 4)
+            images = [rng.choice(candidates) for _ in range(nvars)]
+            t = random_term(nvars)
+            want = _naive_value(*ops, images, t)
+            assert presented._value(*ops, images, t) == want, (images, t)
 
 
 def test_a_quotient_over_the_table_cap_is_refused():

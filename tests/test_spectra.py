@@ -268,6 +268,30 @@ def test_cover_check_boolx():
     assert cover_check(space, (2,), 2)
 
 
+def test_a_cover_of_the_whole_space_is_checked_by_its_ideal(monkeypatch):
+    # planted defect: every family generates the whole ring, so {0} would
+    # cover Spec of chain3 x bool2, which D(0) = {} does not
+    A = corpus.get("chain3xbool")
+    real = spectra.ideal_closure
+    monkeypatch.setattr(spectra, "ideal_closure", lambda B, gens: real(B, B.elements))
+    with pytest.raises(InternalCheckError, match="cover criteria disagree"):
+        cover_check(spec_enumerate(A), [A.zero])
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("spec", "principal cover criteria disagree"),
+    ("sp", "radical cover missed by topology"),
+])
+def test_a_principal_cover_is_checked_by_the_radical(monkeypatch, kind, message):
+    # planted defect: every element lies in the radical of (0), so D(0)
+    # would cover D(1), the whole space
+    A = corpus.get("chain3xbool")
+    space = enumerate_space(A, kind)
+    monkeypatch.setattr(spectra, "radical_mask", lambda I: I.ambient.full_mask)
+    with pytest.raises(InternalCheckError, match=message):
+        cover_check(space, [A.zero], A.one)
+
+
 def test_induced_map_preimages():
     A, B = corpus.get("boolx"), corpus.get("bool2")
     h = Homomorphism(A, B, (0, 1, 1, 1))
