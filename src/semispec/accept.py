@@ -1,9 +1,12 @@
 """The ten headline checks, one callable per claim, shared by the test
 suite and the command-line `verify` subcommand.
 
-Each check recomputes its facts from scratch through the public modules
-and returns a result record; nothing here caches across calls. Randomized
-samples use fixed seeds so repeated runs are byte-identical.
+Each check computes its facts through the public modules and returns a
+result record. Criteria run in one process share each corpus object's
+memo (its axiom verdict, primes and product rows), so a fact one criterion
+derived is not derived again by the next; a fresh process derives
+everything again. Randomized samples use fixed seeds so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -427,20 +430,22 @@ def _suite_covers() -> Optional[str]:
 
 def _suite_preimages() -> Optional[str]:
     small = corpus.members(max_size=5, min_size=2)
+    # each B's ideals, with whether each is prime and subtractive, once
+    lattices = [
+        [(J.mask, is_prime(J), is_subtractive(J)) for J in all_ideals(B)] for B in small
+    ]
     for A in small:
-        for B in small:
+        for B, ideals in zip(small, lattices):
             homs = enumerate_homs(A, B)
             for f in homs[:50]:
-                for J in all_ideals(B):
-                    pre = mask_of(
-                        a for a in A.elements if (J.mask >> f.images[a]) & 1
-                    )
+                for J, prime, subtractive in ideals:
+                    pre = mask_of(a for a in A.elements if (J >> f.images[a]) & 1)
                     handle = ideal_closure(A, list(bits(pre)))
                     if handle.mask != pre:
                         return f"{A.label}->{B.label}: preimage not an ideal"
-                    if is_prime(J) and pre != A.full_mask and not is_prime(handle):
+                    if prime and pre != A.full_mask and not is_prime(handle):
                         return f"{A.label}->{B.label}: preimage not prime"
-                    if is_subtractive(J) and not is_subtractive(handle):
+                    if subtractive and not is_subtractive(handle):
                         return f"{A.label}->{B.label}: preimage not subtractive"
     return None
 

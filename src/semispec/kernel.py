@@ -7,7 +7,7 @@ tables; subsets are int bitmasks. All enumeration orders are deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -72,6 +72,12 @@ class FiniteSemiring:
     mul: Tuple[Tuple[int, ...], ...]
     label: str = ""
     names: Optional[Tuple[str, ...]] = None
+    # Facts derived from the tables once and read by later calls: the axiom
+    # verdict (`assert_valid`), the prime ideals (`spectra._prime_masks`)
+    # and the product rows (`localize._saturation`). The tables are
+    # immutable tuples, so no entry goes stale; the memo takes no part in
+    # eq, hash or repr, and `dataclasses.replace` gives the copy an empty one.
+    _memo: Dict[str, object] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def power(self, a: int, k: int) -> int:
         r = self.one
@@ -171,11 +177,13 @@ def tabulate(
     label: str = "",
     names: Optional[Sequence[str]] = None,
 ) -> FiniteSemiring:
-    """Table of a derived semiring (a quotient, localization, section or
-    module semiring) on a finite carrier, checked against every axiom.
+    """Table of a derived semiring (a presented quotient or a module
+    semiring) on a finite carrier, checked against every axiom.
 
     A result outside the carrier is a broken construction and raises
-    InternalCheckError; there is no size cap."""
+    InternalCheckError; there is no size cap. Localizations and section
+    tables are built by `_index_tables` alone: their construction decides
+    the axioms (see `localize.localize` and `sheaf._section_table`)."""
     return assert_valid(
         _index_tables(carrier, plus, times, zero, one, label, names, InternalCheckError)
     )
@@ -250,20 +258,28 @@ def verify_axioms(A: FiniteSemiring) -> List[AxiomViolation]:
 
 
 def assert_valid(A: FiniteSemiring) -> FiniteSemiring:
-    bad = verify_axioms(A)
-    if bad:
-        raise FormatError(
-            f"{A.label or 'semiring'}: axiom violations: "
-            + "; ".join(v.describe(A) for v in bad)
-        )
+    """A itself, once `verify_axioms` finds no violation; FormatError
+    otherwise. A given object is scanned at most once: a pass is kept in
+    its memo."""
+    if "valid" not in A._memo:
+        bad = verify_axioms(A)
+        if bad:
+            raise FormatError(
+                f"{A.label or 'semiring'}: axiom violations: "
+                + "; ".join(v.describe(A) for v in bad)
+            )
+        A._memo["valid"] = True
     return A
 
 
 def is_idempotent(A: FiniteSemiring) -> bool:
     """1+1=1. On a table that satisfies the axioms this is a+a=a for all
     a, since a + a = a(1 + 1) by distributivity and the unit law.
-    `tabulate`, `semiring_from_dict` and `corpus.get` check the axioms,
-    and products and permutations of checked tables keep them."""
+    `tabulate`, `semiring_from_dict`, `corpus.get` and `localize` (on its
+    base) check the axioms, and products and permutations of checked
+    tables keep them. A localization is the image of its checked base
+    under a hom that `localize` checks, and a section table is closed
+    inside a product of localizations, so both inherit them."""
     return A.add[A.one][A.one] == A.one
 
 

@@ -18,10 +18,11 @@ from .errors import InternalCheckError, PreconditionError
 from .kernel import (
     FiniteSemiring,
     Homomorphism,
+    _index_tables,
+    assert_valid,
     bits,
     mask_of,
     powers,
-    tabulate,
     units,
 )
 from . import poly
@@ -81,8 +82,11 @@ def _psi_values(A: FiniteSemiring, s_list: Sequence[int]) -> Tuple[List[List[int
 
 
 def _localization(A: FiniteSemiring, s_mask: int, label: str = "") -> LocalizedSemiring:
-    """S^-1 A as a finite table with the canonical map, unchecked beyond the
-    table's axioms; classes are numbered by their psi value."""
+    """S^-1 A as a finite table with the canonical map, unchecked; classes
+    are numbered by their psi value. `localize` decides its axioms. The
+    other callers, `saturate` and `_assert_saturation_iso`, need no scan:
+    they read only the units of the table, phi, and `natural_map`, which
+    checks its own map is a hom."""
     if not is_mult_submonoid(A, s_mask):
         raise PreconditionError(f"{A.label}: not a multiplicative submonoid")
     s_list = tuple(bits(s_mask))
@@ -114,9 +118,9 @@ def _localization(A: FiniteSemiring, s_mask: int, label: str = "") -> LocalizedS
     ]
     if len(set(names)) != len(names):  # name clashes possible after collapsing
         names = [f"{nm}#{i}" if names.count(nm) > 1 else nm for i, nm in enumerate(names)]
-    table = tabulate(
+    table = _index_tables(
         reps, plus, times, frac(A.zero, A.one), frac(A.one, A.one),
-        label or f"{A.label}[S^-1]", names,
+        label or f"{A.label}[S^-1]", names, InternalCheckError,
     )
     pos_one = s_pos[A.one]
     phi = Homomorphism(A, table, tuple(cls_grid[a][pos_one] for a in A.elements))
@@ -126,13 +130,23 @@ def _localization(A: FiniteSemiring, s_mask: int, label: str = "") -> LocalizedS
 def localize(A: FiniteSemiring, s_mask: int, label: str = "") -> LocalizedSemiring:
     """S^-1 A as a finite table with the canonical map.
 
-    Verifies on construction: S is a multiplicative submonoid; the table
-    satisfies the axioms; (S^sat)^-1 A is isomorphic over A; and canonical
-    equality agrees with the direct witness relation.
+    Verifies on construction: A satisfies the axioms (scanned once per
+    object); S is a multiplicative submonoid; phi is a hom onto the table;
+    (S^sat)^-1 A is isomorphic over A; and canonical equality agrees with
+    the direct witness relation.
+
+    The table's axioms are inherited, not scanned. Every law is an
+    equation, and equations pass from A to any image of A under a hom.
+    phi is always onto for finite A: each s in S has an idempotent power
+    e = s^k in S, e/1 is a unit with e*e = e and so equals 1, and then
+    a/s = a*s^(k-1)/1. A broken construction fails the onto check.
     """
+    assert_valid(A)
     loc = _localization(A, s_mask, label)
     if loc.phi.violation() is not None:
         raise InternalCheckError("localization map is not a hom")
+    if len(set(loc.phi.images)) != loc.table.size:
+        raise InternalCheckError(f"{A.label}: localization map is not onto")
     _assert_scan_agreement(A, loc)
     _assert_saturation_iso(A, loc)
     return loc
@@ -177,10 +191,12 @@ def _powers_mask(A: FiniteSemiring, a: int) -> int:
 
 
 def _saturation(A: FiniteSemiring, s_mask: int) -> int:
-    """{b : bc in S for some c}."""
-    return mask_of(
-        b for b in A.elements if any((s_mask >> A.mul[b][c]) & 1 for c in A.elements)
-    )
+    """{b : bc in S for some c}, read off the product rows {bc : c} as
+    masks, which A's memo keeps."""
+    rows = A._memo.get("mul_rows")
+    if rows is None:
+        rows = A._memo["mul_rows"] = tuple(mask_of(row) for row in A.mul)
+    return mask_of(b for b, row in enumerate(rows) if row & s_mask)
 
 
 def saturate(A: FiniteSemiring, s_mask: int) -> int:

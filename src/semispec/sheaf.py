@@ -24,10 +24,10 @@ from .errors import InternalCheckError, PreconditionError
 from .kernel import (
     FiniteSemiring,
     Homomorphism,
+    _index_tables,
     bits,
     mask_of,
     powers,
-    tabulate,
     units,
 )
 from .localize import (
@@ -201,7 +201,13 @@ def _section_table(
     each component is a phi that `localize` checked. The image of a is a
     compatible family with no test: phi_i(a) is the class of (a, 1), and
     every restriction, a `natural_map`, sends each pair of a class to
-    that pair's class, so the components restrict to the same class."""
+    that pair's class, so the components restrict to the same class.
+
+    The table gets no axiom scan. Its carrier lies in the product of the
+    component tables, which `localize` checked, its operations are
+    componentwise, and `_index_tables` raises if 0, 1, a sum or a product
+    leaves the carrier; so it is a subsemiring of a product of
+    semirings."""
     tables = [l.table for l in locs]
     tuples = equalizer_scan([T.size for T in tables], compat)
 
@@ -214,7 +220,7 @@ def _section_table(
     names = [
         "(" + ",".join(T.name_of(x) for T, x in zip(tables, t)) + ")" for t in tuples
     ]
-    table = tabulate(
+    table = _index_tables(
         tuples,
         plus,
         times,
@@ -222,6 +228,7 @@ def _section_table(
         tuple(T.one for T in tables),
         label,
         names,
+        InternalCheckError,
     )
     index = {t: i for i, t in enumerate(tuples)}
     base_images = tuple(index[tuple(l.phi(a) for l in locs)] for a in A.elements)

@@ -106,17 +106,21 @@ def _prime_masks(A: FiniteSemiring) -> List[int]:
     sat(s), s the product of A minus P), checked against the valuation
     kernels. Each point of either spectrum is prime by `_build_space`,
     whose D(ab) = D(a) & D(b) is primality at that point. A derived table
-    over the cap is refused."""
-    if A.size > MAX_SIZE:
-        raise ResourceError(f"{A.label}: size {A.size} over the table cap {MAX_SIZE}")
-    sats = {_saturation(A, _powers_mask(A, a)) for a in A.elements}
-    pts = sorted(
-        P for P in (A.full_mask & ~S for S in sats)
-        if (P >> A.zero) & 1 and _module_sum(A, P, P) == P
-    )
-    if pts != _bool2_kernels(A, homs=False):
-        raise InternalCheckError(f"{A.label}: valuation kernels disagree with saturations")
-    return pts
+    over the cap is refused. Computed and checked once per object: A's
+    memo keeps the primes, and each call gets its own list."""
+    pts = A._memo.get("primes")
+    if pts is None:
+        if A.size > MAX_SIZE:
+            raise ResourceError(f"{A.label}: size {A.size} over the table cap {MAX_SIZE}")
+        sats = {_saturation(A, _powers_mask(A, a)) for a in A.elements}
+        pts = sorted(
+            P for P in (A.full_mask & ~S for S in sats)
+            if (P >> A.zero) & 1 and _module_sum(A, P, P) == P
+        )
+        if pts != _bool2_kernels(A, homs=False):
+            raise InternalCheckError(f"{A.label}: valuation kernels disagree with saturations")
+        pts = A._memo["primes"] = tuple(pts)
+    return list(pts)
 
 
 def spec_enumerate(A: FiniteSemiring) -> SpectrumSpace:

@@ -2,12 +2,19 @@
 
 Each criterion prints its `[PASS]`/`[FAIL]` line (visible with `pytest -s`
 or on failure) and the test asserts the verdict, so a red line here is a
-red test.
+red test. Each line must also equal its line in data/verify_all.txt, the
+pinned output of `semispec verify all`.
 """
+
+from pathlib import Path
 
 import pytest
 
 from semispec import accept, presented
+
+PINNED = (
+    (Path(__file__).parent / "data" / "verify_all.txt").read_text(encoding="utf-8").splitlines()
+)
 
 
 @pytest.mark.parametrize(
@@ -21,6 +28,7 @@ def test_criterion(number, ident, fn):
     assert r.number == number
     assert r.ident == ident
     assert r.passed, r.line()
+    assert r.line() == PINNED[number - 1]
 
 
 def test_every_criterion_is_registered():

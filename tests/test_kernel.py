@@ -1,5 +1,6 @@
 """Table construction, axiom checking, and homomorphism machinery."""
 
+import dataclasses
 import json
 import operator
 
@@ -78,6 +79,27 @@ def test_tabulate_checks_axioms():
     # closed under both operations, but 1 + 0 = 0 breaks the additive identity
     with pytest.raises(FormatError, match="add-zero"):
         tabulate([0, 1], min, min, 0, 1, "minmin")
+
+
+def test_assert_valid_scans_an_object_once_and_a_replaced_copy_afresh(monkeypatch):
+    A = corpus.product_semiring(corpus.get("chain3"), corpus.get("z4"), "chain3*z4")
+    scans = []
+    scan = kernel.verify_axioms
+    monkeypatch.setattr(kernel, "verify_axioms", lambda B: scans.append(B) or scan(B))
+    assert kernel.assert_valid(A) is A
+    assert kernel.assert_valid(A) is A
+    assert len(scans) == 1
+    # the memo takes no part in equality or hashing, and a copy made by
+    # replace starts without the verdict
+    copy = dataclasses.replace(A)
+    assert copy == A and hash(copy) == hash(A)
+    kernel.assert_valid(copy)
+    assert len(scans) == 2
+    # a table altered by replace is scanned, not vouched for by its source
+    add = [list(row) for row in A.add]
+    add[A.one][A.one] = A.zero
+    with pytest.raises(FormatError, match="axiom violations"):
+        kernel.assert_valid(dataclasses.replace(A, add=tuple(map(tuple, add))))
 
 
 def test_corpus_tables_satisfy_axioms(corpus_tables):

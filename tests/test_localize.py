@@ -5,10 +5,10 @@ from dataclasses import replace
 
 import pytest
 
-from semispec import accept, corpus
+from semispec import accept, corpus, kernel
 from semispec import localize as loc_mod
-from semispec.errors import InternalCheckError, PreconditionError
-from semispec.kernel import Homomorphism, find_iso, units
+from semispec.errors import FormatError, InternalCheckError, PreconditionError
+from semispec.kernel import Homomorphism, find_iso, make_semiring, units
 from semispec.localize import (
     MINMAX_ZERO,
     BxFraction,
@@ -30,6 +30,7 @@ from semispec.localize import (
     semi_invertible,
     semi_invertibles_mask,
 )
+from semispec.sheaf import SheafContext, alexandrov_sections, equalizer_sections
 
 
 def submonoids(A):
@@ -187,6 +188,50 @@ def test_localize_detects_a_corrupted_canonical_map(monkeypatch):
     monkeypatch.setattr(loc_mod, "_localization", corrupt)
     with pytest.raises(InternalCheckError, match="localization map is not a hom"):
         localize(A, 1 << A.one)
+
+
+def test_localize_detects_a_map_that_is_not_onto(monkeypatch):
+    # planted defect: the table of chain3 at S = {1} gains a factor bool2,
+    # and phi sends a to (phi(a), [a != 0]); that is a hom, yet it hits
+    # only 3 of the 6 elements, so the table's axioms would go unproved
+    A = corpus.get("chain3")
+    build = loc_mod._localization
+
+    def widened(A, s_mask, label=""):
+        L = build(A, s_mask, label)
+        T = corpus.product_semiring(L.table, corpus.get("bool2"), "chain3*bool2")
+        images = tuple(2 * L.phi(a) + (a != A.zero) for a in A.elements)
+        return replace(L, table=T, phi=Homomorphism(A, T, images))
+
+    monkeypatch.setattr(loc_mod, "_localization", widened)
+    L = loc_mod._localization(A, 1 << A.one)
+    assert L.phi.violation() is None and len(set(L.phi.images)) == 3 < L.table.size
+    with pytest.raises(InternalCheckError, match="not onto"):
+        localize(A, 1 << A.one)
+
+
+def test_localize_refuses_a_base_that_breaks_the_axioms():
+    # make_semiring does not scan: here 1 + 1 = 1 but 2 + 2 = 0
+    add = ((0, 1, 2), (1, 1, 2), (2, 2, 0))
+    mul = ((0, 0, 0), (0, 1, 2), (0, 2, 2))
+    bad = make_semiring([0, 1, 2], lambda a, b: add[a][b], lambda a, b: mul[a][b], 0, 1, "bad")
+    with pytest.raises(FormatError, match="axiom violations"):
+        localize(bad, 1 << bad.one)
+
+
+def test_localize_scans_its_base_once_and_no_table(monkeypatch):
+    # however many localizations and sections are built over one base, the
+    # base is scanned once and their own tables never
+    A = replace(corpus.get("boolxy"))
+    scans = []
+    scan = kernel.verify_axioms
+    monkeypatch.setattr(kernel, "verify_axioms", lambda B: scans.append(B) or scan(B))
+    ctx = SheafContext(A, "spec")
+    for a in A.elements:
+        localize(A, ctx.principal_monoid(a))
+    equalizer_sections(ctx, [a for a in A.elements if ctx.space.basis[a]])
+    alexandrov_sections(ctx, ctx.space.full)
+    assert scans == [A]
 
 
 def _satnat8_at_powers_of_2():

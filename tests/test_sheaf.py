@@ -29,6 +29,27 @@ def test_whole_space_monoids(corpus_tables):
         assert sp_ctx.monoid_of(sp_ctx.space.full) == semi_invertibles_mask(A), name
 
 
+def test_the_monoid_of_the_whole_space_is_checked(monkeypatch):
+    # planted defects: no element is a unit, or none is semi-invertible
+    A = corpus.get("boolx")
+    monkeypatch.setattr(sheaf, "units", lambda B: 0)
+    monkeypatch.setattr(sheaf, "semi_invertibles_mask", lambda B: 0)
+    for kind in ("spec", "sp"):
+        ctx = SheafContext(A, kind)
+        with pytest.raises(InternalCheckError, match="S of the whole space"):
+            ctx.monoid_of(ctx.space.full)
+
+
+def test_a_principal_monoid_is_checked_against_the_saturated_powers(monkeypatch):
+    # planted defect: saturate returns the powers of x unsaturated, which
+    # lack 1+x, though x(1+x) = x
+    A = corpus.get("boolx")
+    monkeypatch.setattr(sheaf, "saturate", lambda B, s_mask: s_mask)
+    ctx = SheafContext(A, "spec")
+    with pytest.raises(InternalCheckError, match="not the saturation of the powers"):
+        ctx.principal_monoid(A.names.index("x"))
+
+
 def test_empty_open_monoid_is_everything(corpus_tables):
     for name in ("boolx", "chain3", "trop5"):
         A = corpus_tables[name]

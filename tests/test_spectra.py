@@ -1,5 +1,6 @@
 """Point spaces, their topology, induced maps, and the naturals model."""
 
+import dataclasses
 import json
 
 import pytest
@@ -13,6 +14,7 @@ from semispec import corpus, ideals, kernel, spectra
 from semispec.errors import InternalCheckError, PreconditionError
 from semispec.ideals import nat_point_not_subtractive, nat_point_prime_check
 from semispec.kernel import Homomorphism, make_semiring, mask_of
+from semispec.sheaf import SheafContext
 from semispec.spectra import (
     NatSpectrumModel,
     cover_check,
@@ -92,8 +94,9 @@ def test_sp_cross_checks_hom_kernels(monkeypatch):
 
 def test_spec_cross_checks_the_saturation_route(monkeypatch):
     # route 1 losing one candidate, the prime {0} of boolxy, must trip the
-    # valuation-kernel route
-    A = corpus.get("boolxy")
+    # valuation-kernel route; a fresh copy, since the shared corpus object
+    # keeps the primes an earlier call found
+    A = dataclasses.replace(corpus.get("boolxy"))
     real = spectra._saturation
     nonzero = A.full_mask & ~(1 << A.zero)
     monkeypatch.setattr(
@@ -102,6 +105,26 @@ def test_spec_cross_checks_the_saturation_route(monkeypatch):
     )
     with pytest.raises(InternalCheckError, match="valuation kernels"):
         spec_enumerate(A)
+
+
+def test_the_primes_of_one_object_are_found_once(monkeypatch):
+    # spec, sp and a sheaf context on one object share one prime search,
+    # and each caller gets a list of its own
+    A = dataclasses.replace(corpus.get("chain3xbool"))
+    searches = []
+    real = spectra._bool2_kernels
+    monkeypatch.setattr(
+        spectra, "_bool2_kernels",
+        lambda B, homs: searches.append(homs) or real(B, homs),
+    )
+    space = spec_enumerate(A)
+    sp_enumerate(A)
+    SheafContext(A, "spec")
+    assert searches.count(False) == 1
+    primes = spectra._prime_masks(A)
+    assert primes == sorted(space.point_masks)
+    primes.append(0)
+    assert spectra._prime_masks(A) == sorted(space.point_masks)
 
 
 def test_a_point_that_is_not_prime_fails_the_basis_identity(monkeypatch):
@@ -128,7 +151,7 @@ def test_valuation_search_needs_its_bottom_forcing_rule(monkeypatch):
         )
 
     monkeypatch.setattr(kernel, "_sum_rule", unforced)
-    A = corpus.get("boolxy")
+    A = dataclasses.replace(corpus.get("boolxy"))  # with no primes kept yet
     with pytest.raises(InternalCheckError):
         spec_enumerate(A)
     with pytest.raises(InternalCheckError):
