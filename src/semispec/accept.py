@@ -126,7 +126,7 @@ def criterion_2() -> CheckResult:
             zeros = frozenset(j for j in range(n) if not point[j])
             if van != poly.monomial_kernel_set(uni, zeros):
                 ok = False
-            kernels.add(van)
+            kernels.add(van.mask)  # one mask per kernel, read without its members
         counts.append(len(kernels))
         if len(kernels) != 2**n:
             ok = False

@@ -241,14 +241,22 @@ def _window_by_inverse(p: int, q: int, start: int) -> int:
 
 def _window_by_sieve(p: int, q: int, start: int) -> int:
     """Bit i set when start + i = a*p + b*q with a >= 0, b < p, by ORing the
-    multiples of p shifted by b*q, read from start: no inverse, no division.
-    Needs start >= (p - 1) * q, so that no shift is negative."""
-    row = 0  # the multiples of p below start + p
-    for k in range(0, start + p, p):
-        row |= 1 << k
+    multiples of p shifted by b*q, read from start: no inverse of q, so the
+    route stays independent of the certificates. Needs start >= (p - 1) * q,
+    so that every a is non-negative.
+
+    The window of p bits that the multiples of p show from a shift s
+    depends only on s mod p, so it is read from the 2p-bit row of 0 and p;
+    the shift start - b*q mod p falls by q mod p with each b."""
+    row = 1 | 1 << p  # the multiples of p below 2p
+    step = q % p
+    shift = start % p
     out = 0
-    for b in range(p):
-        out |= row >> (start - b * q)
+    for _ in range(p):
+        out |= row >> shift
+        shift -= step
+        if shift < 0:
+            shift += p
     return out & ((1 << p) - 1)
 
 
@@ -270,10 +278,18 @@ def nat_pair_tail_check(p: int, q: int) -> bool:
 
 
 def nat_prime_residue_check(p: int, bound: int) -> bool:
-    """pN is prime on [0,bound]^2: p | ab implies p | a or p | b."""
-    for a in range(bound + 1):
-        for b in range(a, bound + 1):
-            if (a * b) % p == 0 and a % p != 0 and b % p != 0:
+    """pN is prime on [0,bound]^2: p | ab implies p | a or p | b, for any
+    p >= 1, decided in one pass over a.
+
+    If p divides ab but neither a nor b, then g = gcd(a, p) > 1 (else p
+    would divide b), and p/g divides b, so p/g <= b <= bound. Conversely,
+    for a in the window with p not dividing a and g = gcd(a, p) > 1,
+    b = p/g lies in the window, is not a multiple of p (0 < b < p), and
+    p divides ab. So the check fails exactly at such an a with p/g <= bound."""
+    for a in range(1, bound + 1):
+        if a % p:
+            g = math.gcd(a, p)
+            if g > 1 and p // g <= bound:
                 return False
     return True
 

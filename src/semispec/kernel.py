@@ -73,8 +73,9 @@ class FiniteSemiring:
     label: str = ""
     names: Optional[Tuple[str, ...]] = None
     # Facts derived from the tables once and read by later calls: the axiom
-    # verdict (`assert_valid`), the prime ideals (`spectra._prime_masks`)
-    # and the product rows (`localize._saturation`). The tables are
+    # verdict (`assert_valid`), the prime ideals (`spectra._prime_masks`),
+    # the two spectra (`spectra.spec_enumerate`, `sp_enumerate`) and the
+    # product rows (`localize._saturation`). The tables are
     # immutable tuples, so no entry goes stale; the memo takes no part in
     # eq, hash or repr, and `dataclasses.replace` gives the copy an empty one.
     _memo: Dict[str, object] = field(default_factory=dict, init=False, repr=False, compare=False)

@@ -7,7 +7,7 @@ Two representations, one per job:
             polynomials whose degree-one coefficient vanishes.
 The squarefree-supported BoolPolys in n variables form a SquarefreeUniverse,
 indexed by bitmasks over the 2^n squarefree monomials; kernels on it are
-index sets computed from one mask of monomials per point.
+lazy sets of submasks, each held as one mask of monomials per point.
 
 Supports are never functionally normalized: two supports that induce the
 same tropical function stay distinct elements.
@@ -130,16 +130,48 @@ class SquarefreeUniverse(abc.Sequence):
             frozenset(m for k, m in enumerate(self.monomials) if (i >> k) & 1),
         )
 
-    def avoiding(self, mask: int) -> FrozenSet[int]:
+    def avoiding(self, mask: int) -> Submasks:
         """Indices of the members whose support misses every monomial in
         mask: the submasks of its complement."""
-        rest = (len(self) - 1) & ~mask
-        out = [rest]
-        sub = rest
-        while sub:
-            sub = (sub - 1) & rest
-            out.append(sub)
-        return frozenset(out)
+        return Submasks((len(self) - 1) & ~mask)
+
+
+class Submasks(abc.Set):
+    """The set of submasks of a mask, as member indices: i is a member when
+    its bits all lie in mask. Members are built only when read: the size
+    and membership are O(1), and iteration enumerates the submasks.
+
+    Distinct masks have distinct submask sets, so two of these are equal
+    exactly when their masks are; against any other set the comparison
+    reads the members, and the hash is that of the frozenset of them."""
+
+    def __init__(self, mask: int):
+        self.mask = mask
+
+    def __len__(self) -> int:
+        return 1 << self.mask.bit_count()
+
+    def __contains__(self, i: object) -> bool:
+        return isinstance(i, int) and i & ~self.mask == 0
+
+    def __iter__(self):
+        sub = self.mask
+        while True:
+            yield sub
+            if not sub:
+                return
+            sub = (sub - 1) & self.mask
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Submasks):
+            return self.mask == other.mask
+        return abc.Set.__eq__(self, other)
+
+    def __hash__(self) -> int:
+        return self._hash()
+
+    def __repr__(self) -> str:
+        return f"Submasks({self.mask:#b})"
 
 
 def squarefree_universe(nvars: int) -> SquarefreeUniverse:
@@ -150,7 +182,7 @@ def squarefree_universe(nvars: int) -> SquarefreeUniverse:
     return SquarefreeUniverse(nvars)
 
 
-def vanishing_set(universe: SquarefreeUniverse, point: Sequence[bool]) -> FrozenSet[int]:
+def vanishing_set(universe: SquarefreeUniverse, point: Sequence[bool]) -> Submasks:
     """Indices of universe members evaluating to 0 at the point: the kernel
     of the evaluation map, restricted to the universe. Each monomial is
     evaluated once; a member vanishes when it has no monomial that does not."""
@@ -171,7 +203,7 @@ def _free_monomials(universe: SquarefreeUniverse, zeros: Sequence[int]) -> int:
     return out
 
 
-def monomial_kernel_set(universe: SquarefreeUniverse, zeros: Sequence[int]) -> FrozenSet[int]:
+def monomial_kernel_set(universe: SquarefreeUniverse, zeros: Sequence[int]) -> Submasks:
     """Indices of universe members all of whose monomials mention some
     variable from `zeros`: the monomial ideal generated by those variables,
     restricted to the universe."""

@@ -124,18 +124,26 @@ def _prime_masks(A: FiniteSemiring) -> List[int]:
 
 
 def spec_enumerate(A: FiniteSemiring) -> SpectrumSpace:
-    """All prime ideals, from one saturation per element."""
-    return _build_space(A, "spec", _prime_masks(A))
+    """All prime ideals, from one saturation per element. Built once per
+    object: A's memo keeps the space, a frozen value every caller shares."""
+    space = A._memo.get("spec")
+    if space is None:
+        space = A._memo["spec"] = _build_space(A, "spec", _prime_masks(A))
+    return space
 
 
 def sp_enumerate(A: FiniteSemiring) -> SpectrumSpace:
     """All subtractive prime ideals (prime kernels): the subtractive points
     of spec. For idempotent semirings they are cross-checked against the
-    kernels of all homomorphisms into bool2, which must be the same masks."""
-    pts = [m for m in _prime_masks(A) if is_subtractive(IdealHandle(A, m))]
-    if is_idempotent(A) and _bool2_kernels(A, homs=True) != pts:
-        raise InternalCheckError(f"{A.label}: hom kernels disagree with subtractive primes")
-    return _build_space(A, "sp", pts)
+    kernels of all homomorphisms into bool2, which must be the same masks.
+    Built and checked once per object, as `spec_enumerate` is."""
+    space = A._memo.get("sp")
+    if space is None:
+        pts = [m for m in _prime_masks(A) if is_subtractive(IdealHandle(A, m))]
+        if is_idempotent(A) and _bool2_kernels(A, homs=True) != pts:
+            raise InternalCheckError(f"{A.label}: hom kernels disagree with subtractive primes")
+        space = A._memo["sp"] = _build_space(A, "sp", pts)
+    return space
 
 
 def enumerate_space(A: FiniteSemiring, kind: str) -> SpectrumSpace:

@@ -7,13 +7,13 @@ A submodule is taken over the two-element subsemiring {0, 1}, which exists
 exactly when 1 + 1 = 1: a subset holding 0 and closed under +. The lattice
 is built once per semiring. The construction enumerates every submodule as
 a sum of cyclic modules (finite base, so finitely generated is no
-restriction), checks the semiring axioms on the resulting tables, certifies
-that its natural order is set inclusion, and checks that a -> cyclic module
-of a is a valuation with an integral part. That map is verified to be
-initial among integral valuations by explicit factoring plus exhaustive
-uniqueness scans. The spectrum comparison pulls Sp of the lattice back
-along it by `spectra.pullback`, as for a homomorphism, and it and the
-localization check take the built lattice.
+restriction), checks the semiring axioms on the resulting tables, and
+certifies that its natural order is set inclusion; a -> cyclic module of a
+is then a valuation by construction. That map is verified to be initial
+among integral valuations by explicit factoring plus exhaustive uniqueness
+scans. The spectrum comparison pulls Sp of the lattice back along it by
+`spectra.pullback`, as for a homomorphism, and it and the localization
+check take the built lattice.
 """
 
 from __future__ import annotations
@@ -88,22 +88,6 @@ def bool_valuations(A: FiniteSemiring) -> List[GValuation]:
     return out
 
 
-def integral_part(v: GValuation) -> int:
-    """Elements whose value is below the target's 1; certified to be a
-    subsemiring of the source."""
-    A, B = v.source, v.target
-    m = mask_of(
-        a for a in A.elements if B.add[v.images[a]][B.one] == B.one
-    )
-    if not ((m >> A.zero) & 1 and (m >> A.one) & 1):
-        raise InternalCheckError("integral part misses 0 or 1")
-    for a in bits(m):
-        for b in bits(m):
-            if not (m >> A.add[a][b]) & 1 or not (m >> A.mul[a][b]) & 1:
-                raise InternalCheckError("integral part is not a subsemiring")
-    return m
-
-
 # ---------------------------------------------------------------------------
 # the submodule lattice
 
@@ -113,12 +97,8 @@ class SubmoduleLattice:
     base: FiniteSemiring
     table: FiniteSemiring  # lattice as a semiring
     modules: Tuple[int, ...]  # lattice element -> subset mask of the base
-    cyclic: Tuple[int, ...]  # base element -> lattice index of its module
-
-    @property
-    def valuation(self) -> GValuation:
-        """The universal valuation a -> cyclic module of a."""
-        return GValuation(self.base, self.table, self.cyclic)
+    # base element -> lattice index of its cyclic module: the universal valuation
+    cyclic: Tuple[int, ...]
 
     def index_of(self, module_mask: int) -> int:
         try:
@@ -136,9 +116,18 @@ def _module_closure(A: FiniteSemiring, seed: int) -> int:
 def build_mra(A: FiniteSemiring) -> SubmoduleLattice:
     """The idempotent semiring of all submodules of A over {0, 1}, with
     elementwise sum as addition and generated-product as multiplication,
-    and its universal valuation, checked to be a valuation with an
-    integral part. Its order must be inclusion, which at M = M says the
-    table is idempotent.
+    and its universal valuation (`cyclic`). Its order must be inclusion,
+    which at M = M says the table is idempotent.
+
+    The universal map a -> <a> = {0, a} (a + a = a, as 1 + 1 = 1) is a
+    valuation by construction, with no scan: <0> and <1> are the table's
+    zero and one; the product module of <a> and <b> is the closure of
+    {0, ab}, that is <ab>; and <a + b> lies inside <a> + <b> =
+    {0, a, b, a + b}, which in the table's order, checked to be
+    inclusion, is v(a + b) <= v(a) + v(b). Its integral part
+    {a : v(a) <= 1}, like that of any valuation into an idempotent
+    semiring, is a subsemiring: v(a + b) <= v(a) + v(b) <= 1 + 1 = 1, and
+    v(ab) = v(a)v(b) <= v(b) <= 1, since x <= 1 gives xy + y = (x + 1)y = y.
 
     Raises PreconditionError unless 1 + 1 = 1 in A, and ResourceError once
     more modules are found than a table may hold (`kernel.MAX_SIZE`)."""
@@ -168,13 +157,7 @@ def build_mra(A: FiniteSemiring) -> SubmoduleLattice:
             if below != (m1 | m2 == m2):
                 raise InternalCheckError("lattice order differs from inclusion")
     index = {m: i for i, m in enumerate(modules)}
-    lat = SubmoduleLattice(A, table, tuple(modules), tuple(index[m] for m in cyclic_masks))
-    v = lat.valuation
-    bad = g_valuation_violation(v)
-    if bad is not None:
-        raise InternalCheckError(f"{A.label}: universal map fails {bad}")
-    integral_part(v)
-    return lat
+    return SubmoduleLattice(A, table, tuple(modules), tuple(index[m] for m in cyclic_masks))
 
 
 def factor_through_universal(
@@ -191,7 +174,6 @@ def factor_through_universal(
     bad = g_valuation_violation(v)
     if bad is not None:
         raise PreconditionError(f"not a valuation ({bad})")
-    integral_part(v)
     S = v.target
     images = tuple(
         S.sum_of(v.images[a] for a in bits(m)) for m in lat.modules

@@ -204,6 +204,21 @@ def test_nat_prime_checks():
     assert not nat_prime_residue_check(6, 60)
 
 
+def test_nat_prime_residue_check_matches_the_pair_scan():
+    # the one-pass gcd route decides the pair predicate for every p,
+    # composites and p = 1 included, at every bound
+    def pair_scan(p, bound):
+        return not any(
+            a * b % p == 0 and a % p and b % p
+            for a in range(bound + 1)
+            for b in range(a, bound + 1)
+        )
+
+    for p in range(1, 41):
+        for bound in range(46):
+            assert nat_prime_residue_check(p, bound) == pair_scan(p, bound), (p, bound)
+
+
 def test_all_ideals_match_subset_oracle(small_tables):
     for name, A in small_tables.items():
         want = {m for m in range(1 << A.size) if brute_ideal_ok(A, m)}

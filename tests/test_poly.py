@@ -1,5 +1,7 @@
 """Polynomial layers: boolean and exact rational."""
 
+import tracemalloc
+
 import pytest
 
 from semispec import accept, poly
@@ -121,6 +123,41 @@ def test_mask_kernels_match_member_evaluation():
             zero_vars = [j for j in range(n) if not pt[j]]
             assert vanishing_set(U, pt) == want
             assert monomial_kernel_set(U, zero_vars) == want
+
+
+def test_lazy_kernels_match_their_enumerated_index_sets():
+    # each kernel is the frozenset of submasks that enumeration lists, in
+    # size, members, iteration, equality and hash
+    U = squarefree_universe(4)
+    for pt in all_points(4):
+        van = vanishing_set(U, pt)
+        rest = van.mask
+        subs, sub = [rest], rest
+        while sub:
+            sub = (sub - 1) & rest
+            subs.append(sub)
+        want = frozenset(subs)
+        assert len(van) == len(want)
+        assert set(van) == want
+        assert all(i in van for i in want)
+        outside = [rest | 1 << k for k in range(16) if not (rest >> k) & 1]
+        assert not any(i in van for i in outside + [-1, len(U), "0"])
+        assert van == want and want == van
+        assert hash(van) == hash(want)
+        other = vanishing_set(U, tuple(not x for x in pt))
+        assert van != other and set(other) != want
+
+
+def test_criterion_2_reads_no_kernel_member():
+    # the kernels are compared and counted by their masks: at n = 4 an
+    # enumerated kernel holds up to 2^15 indices
+    tracemalloc.start()
+    try:
+        assert accept.criterion_2().passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_criterion_2_detects_a_dropped_monomial(monkeypatch):

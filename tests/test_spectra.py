@@ -83,13 +83,14 @@ def test_sp_points_are_hom_kernels_when_idempotent(idempotent_tables):
 
 
 def test_sp_cross_checks_hom_kernels(monkeypatch):
-    # a planted missing kernel must trip the cross-check, which is always on
+    # a planted missing kernel must trip the cross-check, which is always on;
+    # a fresh copy, since the shared corpus object keeps its spaces
     real = spectra._bool2_kernels
     monkeypatch.setattr(
         spectra, "_bool2_kernels", lambda A, homs: real(A, homs)[1:] if homs else real(A, homs)
     )
     with pytest.raises(InternalCheckError, match="hom kernels"):
-        sp_enumerate(corpus.get("boolxy"))
+        sp_enumerate(dataclasses.replace(corpus.get("boolxy")))
 
 
 def test_spec_cross_checks_the_saturation_route(monkeypatch):
@@ -127,10 +128,31 @@ def test_the_primes_of_one_object_are_found_once(monkeypatch):
     assert spectra._prime_masks(A) == sorted(space.point_masks)
 
 
+def test_each_spectrum_of_one_object_is_built_once(monkeypatch):
+    # spec, sp and sheaf contexts of both kinds share one space per kind;
+    # a copy made by replace has an empty memo and builds its own
+    A = dataclasses.replace(corpus.get("chain3xbool"))
+    builds = []
+    real = spectra._build_space
+    monkeypatch.setattr(
+        spectra, "_build_space",
+        lambda B, kind, masks: builds.append((id(B), kind)) or real(B, kind, masks),
+    )
+    for kind in ("spec", "sp"):
+        space = enumerate_space(A, kind)
+        assert spec_enumerate(A) is enumerate_space(A, "spec")
+        assert sp_enumerate(A) is enumerate_space(A, "sp")
+        assert SheafContext(A, kind).space is space
+    assert sorted(builds) == [(id(A), "sp"), (id(A), "spec")]
+    B = dataclasses.replace(A)
+    assert spec_enumerate(B) == spec_enumerate(A)
+    assert builds[-1] == (id(B), "spec")
+
+
 def test_a_point_that_is_not_prime_fails_the_basis_identity(monkeypatch):
     # planted defect: {0} joins the primes of z4, though 2 * 2 = 0; at that
-    # point D(2 * 2) = D(0) is empty where D(2) & D(2) is not
-    A = corpus.get("z4")
+    # point D(2 * 2) = D(0) is empty where D(2) & D(2) is not; a fresh copy
+    A = dataclasses.replace(corpus.get("z4"))
     real = spectra._prime_masks
     monkeypatch.setattr(spectra, "_prime_masks", lambda B: real(B) + [1 << B.zero])
     with pytest.raises(InternalCheckError, match=r"D\(ab\) != D\(a\) & D\(b\)"):

@@ -17,12 +17,16 @@ from semispec.valuation import (
     build_mra,
     factor_through_universal,
     g_valuation_violation,
-    integral_part,
     mra_localization_iso_check,
     vstar_homeo_check,
 )
 
 BOOL2 = corpus.get("bool2")
+
+
+def universal(lat):
+    """The universal valuation a -> cyclic module of a."""
+    return GValuation(lat.base, lat.table, lat.cyclic)
 
 
 def test_identity_on_bool2_is_valuation():
@@ -92,11 +96,19 @@ def test_bool_valuations_of_a_32_element_product():
     assert kernels == sorted(spec_enumerate(A).point_masks)
 
 
-def test_integral_part_is_subsemiring():
-    A = corpus.get("boolx")
-    for v in bool_valuations(A):
-        part = integral_part(v)
-        assert (part >> A.zero) & 1 and (part >> A.one) & 1
+def test_integral_part_is_subsemiring(idempotent_tables):
+    # what `build_mra` does not scan, by brute force: each universal map
+    # is a valuation, and for it and every valuation into bool2 the
+    # integral part {a : v(a) <= 1} holds 0 and 1 and is closed under + and *
+    for name, A in idempotent_tables.items():
+        u = universal(build_mra(A))
+        assert g_valuation_violation(u) is None, name
+        for v in bool_valuations(A) + [u]:
+            part = mask_of(a for a in A.elements if leq(v.target, v(a), v.target.one))
+            assert (part >> A.zero) & 1 and (part >> A.one) & 1, name
+            for a in bits(part):
+                for b in bits(part):
+                    assert (part >> A.add[a][b]) & 1 and (part >> A.mul[a][b]) & 1, name
 
 
 FROZEN_LATTICE_SIZES = {
@@ -167,7 +179,7 @@ def test_build_mra_detects_a_table_out_of_step_with_its_modules(monkeypatch):
 
 def test_universal_valuation_boolx_frozen():
     lat = build_mra(corpus.get("boolx"))
-    v = lat.valuation
+    v = universal(lat)
     assert lat.table.size == 7
     names = [lat.table.name_of(v.images[a]) for a in range(4)]
     assert names == ["{0}", "{0,1}", "{0,x}", "{0,1+x}"]
@@ -178,7 +190,7 @@ def test_factoring_reproduces_valuations():
     for name in ("boolx", "chain3", "chain4", "boolpair"):
         A = corpus.get(name)
         lat = build_mra(A)
-        v = lat.valuation
+        v = universal(lat)
         for w in bool_valuations(A):
             f = factor_through_universal(lat, w)
             assert all(
@@ -204,7 +216,7 @@ def test_generator_sum_invariance():
     for name in ("boolx", "chain4"):
         A = corpus.get(name)
         lat = build_mra(A)
-        v = lat.valuation
+        v = universal(lat)
         S, scal = v.target, (1 << A.zero) | (1 << A.one)
         for idx, m in enumerate(lat.modules):
             elems = list(bits(m))
@@ -291,7 +303,7 @@ def test_mra_presheaf_gap_probe():
     # on boolx, inverting the cyclic module of x and localizing the lattice
     # at the sheaf monoid of its basic open give the same semiring
     lat = build_mra(corpus.get("boolx"))
-    vmod = lat.valuation.images[2]
+    vmod = lat.cyclic[2]
     left = localize(lat.table, _powers_mask(lat.table, vmod))
     ctx = SheafContext(lat.table, "sp")
     right = ctx.local(ctx.monoid_of(ctx.space.basis[vmod]))
