@@ -46,6 +46,7 @@ from .localize import (
     localize,
     minmax_add,
     minmax_mul,
+    natural_map,
 )
 from .presented import (
     Bound,
@@ -250,7 +251,7 @@ def criterion_4() -> CheckResult:
         al = alexandrov_sections(ctx, ctx.space.full)
         for i in al.points:
             fresh = localize(A, A.full_mask ^ ctx.space.point_masks[i])
-            if find_iso(al.stalk(i).table, fresh.table) is None:
+            if not natural_map(al.stalk(i), fresh).is_bijective():
                 stalk_notes.append(f"{A.label} point {i}")
     ok = not failures and not stalk_notes and nsemirings >= 6
     detail = (

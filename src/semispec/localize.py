@@ -6,13 +6,19 @@ tables this is canonicalized with the cofactor trick: let P be the product
 of all of S and c_s * s = P; then a/s = b/t iff a*c_s*P^3 = b*c_t*P^3 in A.
 The witness definition is kept and asserted against the canonical form on
 every instance, by bucketing the products b*x for x in S.
+
+Every map out of a localization is `map_classes`: it gives each class the
+value of its pairs and checks that every pair of the class agrees and that
+the result is a hom. `natural_map` is the case a/s |-> a/s into another
+localization of the base; the module-lattice localization check in
+`valuation` is another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError, PreconditionError
 from .kernel import (
@@ -215,28 +221,41 @@ def saturate(A: FiniteSemiring, s_mask: int) -> int:
     return out
 
 
-def natural_map(src: LocalizedSemiring, dst: LocalizedSemiring) -> Homomorphism:
-    """The natural map a/s |-> a/s from S^-1 A to T^-1 A, for S inside T:
-    the restriction of the structure sheaf and the comparison of a
-    localization with that at its saturation.
+def map_classes(
+    src: LocalizedSemiring, cod: FiniteSemiring, image: Callable[[int, int], int]
+) -> Homomorphism:
+    """The map from S^-1 A to cod sending the class of (a, s) to
+    image(a, s): the one routine that maps the classes of a localization.
 
-    Checked: every pair (a, s) of each class of src lands in one class of
-    dst, and the map is a hom. PreconditionError when the two do not
-    localize one base at nested monoids."""
+    Checked: every pair (a, s) of each class gives one value, and the map
+    is a hom."""
+    label = src.base.label
+    images: List[Optional[int]] = [None] * src.table.size
+    for si, s in enumerate(src.s_list):
+        for a, row in enumerate(src._psi_class):
+            c, v = row[si], image(a, s)
+            if images[c] is None:
+                images[c] = v
+            elif images[c] != v:
+                raise InternalCheckError(f"{label}: map of classes is ill-defined")
+    h = Homomorphism(src.table, cod, tuple(images))
+    if h.violation() is not None:
+        raise InternalCheckError(f"{label}: map of classes is not a hom")
+    return h
+
+
+def natural_map(src: LocalizedSemiring, dst: LocalizedSemiring) -> Homomorphism:
+    """The natural map a/s |-> a/s from S^-1 A to T^-1 A, for S inside T,
+    checked by `map_classes`: the restriction of the structure sheaf, the
+    comparison of a localization with that at its saturation, and that of
+    a stalk with a fresh localization at the same monoid.
+    PreconditionError when the two do not localize one base at nested
+    monoids."""
     A = src.base
     if dst.base != A or src.s_mask & ~dst.s_mask:
         raise PreconditionError(f"{A.label}: natural map needs one base and S inside T")
     pos = {t: i for i, t in enumerate(dst.s_list)}
-    images = tuple(dst._psi_class[a][pos[s]] for a, s in src.reps)
-    for si, s in enumerate(src.s_list):
-        ti = pos[s]
-        for row, drow in zip(src._psi_class, dst._psi_class):
-            if images[row[si]] != drow[ti]:
-                raise InternalCheckError(f"{A.label}: natural map is ill-defined")
-    h = Homomorphism(src.table, dst.table, images)
-    if h.violation() is not None:
-        raise InternalCheckError(f"{A.label}: natural map is not a hom")
-    return h
+    return map_classes(src, dst.table, lambda a, s: dst._psi_class[a][pos[s]])
 
 
 def _assert_saturation_iso(A: FiniteSemiring, loc: LocalizedSemiring) -> None:

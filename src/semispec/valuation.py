@@ -12,8 +12,10 @@ certifies that its natural order is set inclusion; a -> cyclic module of a
 is then a valuation by construction. That map is verified to be initial
 among integral valuations by explicit factoring plus exhaustive uniqueness
 scans. The spectrum comparison pulls Sp of the lattice back along it by
-`spectra.pullback`, as for a homomorphism, and it and the localization
-check take the built lattice.
+`spectra.pullback`, as for a homomorphism. The localization check,
+M(A_a) against M(A)_<a>, is one checked map of classes,
+`localize.map_classes`: a well-defined hom, and an isomorphism when it is
+bijective. Both take the built lattice.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .kernel import (
     tabulate,
 )
 from .ideals import _module_sum, closed_sets, closure_mask
-from .localize import _powers_mask, localize
+from .localize import _powers_mask, localize, map_classes
 from .spectra import pullback, sp_enumerate, spec_enumerate
 from . import corpus
 
@@ -243,64 +245,27 @@ def vstar_homeo_check(lat: SubmoduleLattice) -> HomeoReport:
 # localization of the lattice
 
 
-def _power_exponent(T: FiniteSemiring, x: int, s: int) -> int:
-    """Minimal k with x^k = s; s must be a power of x."""
-    ps = powers(T, x)
-    if s not in ps:
-        raise PreconditionError("element is not a power")
-    return ps.index(s)
-
-
 def mra_localization_iso_check(lat: SubmoduleLattice, a: int) -> bool:
-    """Lattice of the localization vs localization of the lattice at the
-    cyclic module of a: build both and check the two canonical maps are
-    mutually inverse homomorphisms. The first loop gives every class an
-    image: it visits the whole (element, s) grid that numbers them."""
+    """M(A_a) against M(A)_<a>: the lattice of the localization against
+    the localization of the lattice at the cyclic module of a. The class
+    of (M, <a>^k) goes to the module generated by the fractions m/a^k, m
+    in M, by `localize.map_classes`, which raises InternalCheckError
+    unless every pair of a class gives one module and the map is a hom. A
+    well-defined hom that is bijective is an isomorphism, and its inverse
+    is a hom with no further check, so the answer is whether it is
+    bijective."""
     A = lat.base
     la = localize(A, _powers_mask(A, a))
     lat2 = build_mra(la.table)
     vmod = lat.cyclic[a]
-    loc_m = localize(lat.table, _powers_mask(lat.table, vmod))
+    vpowers = powers(lat.table, vmod)  # <a>^k at position k
+    loc_m = localize(lat.table, mask_of(vpowers))
 
     def alpha_of_pair(mi: int, s: int) -> int:
-        k = _power_exponent(lat.table, vmod, s)
-        ak = A.power(a, k)
+        ak = A.power(a, vpowers.index(s))
         seed = 0
         for m_el in bits(lat.modules[mi]):
             seed |= 1 << la.class_of_pair(m_el, ak)
         return lat2.index_of(_module_closure(la.table, seed))
 
-    # well-definedness across every pair in each class, then the map itself
-    alpha = [None] * loc_m.table.size
-    for mi in lat.table.elements:
-        for s in loc_m.s_list:
-            c = loc_m.class_of_pair(mi, s)
-            val = alpha_of_pair(mi, s)
-            if alpha[c] is None:
-                alpha[c] = val
-            elif alpha[c] != val:
-                return False
-    h = Homomorphism(loc_m.table, lat2.table, tuple(alpha))
-    if h.violation() is not None:
-        return False
-
-    def beta_of_module(mask2: int) -> int:
-        ks = {}
-        for c in bits(mask2):
-            x, s = la.reps[c]
-            ks[c] = (x, _power_exponent(A, a, s))
-        big = max((k for _x, k in ks.values()), default=0)
-        seed = 0
-        for x, k in ks.values():
-            seed |= 1 << A.mul[x][A.power(a, big - k)]
-        m = _module_closure(A, seed)
-        return loc_m.class_of_pair(lat.index_of(m), lat.table.power(vmod, big))
-
-    for c in loc_m.table.elements:
-        if beta_of_module(lat2.modules[alpha[c]]) != c:
-            return False
-    for ni in lat2.table.elements:
-        if alpha[beta_of_module(lat2.modules[ni])] != ni:
-            return False
-    return True
-
+    return map_classes(loc_m, lat2.table, alpha_of_pair).is_bijective()

@@ -253,6 +253,9 @@ def test_natural_map_detects_a_class_moved_in_the_target():
         for si in range(len(L.s_list)):
             with pytest.raises(InternalCheckError, match="ill-defined"):
                 natural_map(L, _with_corrupt_cell(L, a, si))
+    # and a map that ignores s: a/s |-> a, the numerator in the base
+    with pytest.raises(InternalCheckError, match="ill-defined"):
+        loc_mod.map_classes(L, A, lambda a, s: a)
 
 
 def test_natural_map_detects_a_target_table_with_a_wrong_sum():

@@ -7,7 +7,7 @@ import pytest
 from semispec import accept, corpus, sheaf
 from semispec.errors import InternalCheckError, PreconditionError
 from semispec.kernel import find_iso, units
-from semispec.localize import localize, saturate, semi_invertibles_mask
+from semispec.localize import localize, natural_map, saturate, semi_invertibles_mask
 from semispec.sheaf import (
     SheafContext,
     alexandrov_sections,
@@ -243,6 +243,35 @@ def test_glue_round_trips(corpus_tables):
                     assert 0 <= g < L.table.size, name
 
 
+def _glue_with_planted_pairs(monkeypatch, plant):
+    """Glue every family of chain4's cover of D(b) by D(a) and D(b), with
+    each pair (x, s) of the common-denominator form replaced by plant."""
+    A = corpus.get("chain4")
+    secs = equalizer_sections(SheafContext(A, "spec"), (1, 2), 2)
+    real = sheaf.common_denominator_form
+
+    def planted(secs, tup):
+        pairs, e = real(secs, tup)
+        return [plant(A, x, s) for x, s in pairs], e
+
+    monkeypatch.setattr(sheaf, "common_denominator_form", planted)
+    for tup in secs.tuples:
+        glue_section(secs, tup)
+
+
+def test_glue_detects_denominators_that_generate_no_power_of_the_target(monkeypatch):
+    # planted defect: every denominator is 0, so they generate {0}, which
+    # holds no power of b
+    with pytest.raises(InternalCheckError, match="no power of the target"):
+        _glue_with_planted_pairs(monkeypatch, lambda A, x, s: (x, A.zero))
+
+
+def test_glue_detects_a_section_that_restricts_wrongly(monkeypatch):
+    # planted defect: every numerator is 0, so a nonzero family glues to 0
+    with pytest.raises(InternalCheckError, match="does not restrict correctly"):
+        _glue_with_planted_pairs(monkeypatch, lambda A, x, s: (A.zero, s))
+
+
 def test_alexandrov_stalks_are_localizations():
     for name in ("boolx", "chain3", "boolpair"):
         A = corpus.get(name)
@@ -251,7 +280,7 @@ def test_alexandrov_stalks_are_localizations():
         for i, pmask in enumerate(ctx.space.point_masks):
             st = al.stalk(i)
             direct = localize(A, A.full_mask ^ pmask)
-            assert find_iso(st.table, direct.table) is not None, name
+            assert natural_map(st, direct).is_bijective(), name
 
 
 def test_alexandrov_rejects_non_open():

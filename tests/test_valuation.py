@@ -7,8 +7,8 @@ import pytest
 from semispec import corpus, kernel, valuation
 from semispec.errors import InternalCheckError, PreconditionError, ResourceError
 from semispec.ideals import closure_mask
-from semispec.kernel import bits, find_iso, is_idempotent, leq, mask_of
-from semispec.localize import _powers_mask, localize
+from semispec.kernel import bits, is_idempotent, leq, mask_of
+from semispec.localize import _powers_mask, localize, natural_map
 from semispec.sheaf import SheafContext
 from semispec.spectra import sp_enumerate, spec_enumerate
 from semispec.valuation import (
@@ -299,6 +299,43 @@ def test_mra_localization_iso():
             assert mra_localization_iso_check(lat, a), (name, a)
 
 
+def test_mra_localization_iso_detects_a_lattice_out_of_step_with_its_modules(monkeypatch):
+    # planted defect: the lattice of each localization numbers {0} and the
+    # whole base in each other's places, so the map of classes lands on
+    # the wrong modules; at a = 0 the localization is trivial and the two
+    # coincide
+    A = corpus.get("chain3")
+    lat = build_mra(A)
+    real = valuation.build_mra
+
+    def swapped(B):
+        out = real(B)
+        modules = list(out.modules)
+        i, j = modules.index(1 << B.zero), modules.index(B.full_mask)
+        modules[i], modules[j] = modules[j], modules[i]
+        return dataclasses.replace(out, modules=tuple(modules))
+
+    monkeypatch.setattr(valuation, "build_mra", swapped)
+    assert mra_localization_iso_check(lat, A.zero)
+    for a in (1, 2):
+        with pytest.raises(InternalCheckError, match="not a hom"):
+            mra_localization_iso_check(lat, a)
+
+
+def test_mra_localization_iso_is_false_on_a_base_localized_too_far(monkeypatch):
+    # planted defect: chain3 is localized at {1, h} instead of the powers
+    # of 1, so its lattice is that of bool2 (2 modules); the map of classes
+    # from the 4 modules of chain3 is a well-defined hom, but no bijection
+    A = corpus.get("chain3")
+    lat = build_mra(A)
+    h = A.names.index("h")
+    real = valuation.localize
+    monkeypatch.setattr(
+        valuation, "localize", lambda B, s_mask: real(B, s_mask | (1 << h if B is A else 0))
+    )
+    assert not mra_localization_iso_check(lat, A.one)
+
+
 def test_mra_presheaf_gap_probe():
     # on boolx, inverting the cyclic module of x and localizing the lattice
     # at the sheaf monoid of its basic open give the same semiring
@@ -308,7 +345,7 @@ def test_mra_presheaf_gap_probe():
     ctx = SheafContext(lat.table, "sp")
     right = ctx.local(ctx.monoid_of(ctx.space.basis[vmod]))
     assert left.table.size == right.table.size == 2
-    assert find_iso(left.table, right.table) is not None
+    assert natural_map(left, right).is_bijective()
 
 
 def test_modules_match_subset_scan(idempotent_tables):
