@@ -19,6 +19,7 @@ from .kernel import (
     bits,
     joins,
     mask_of,
+    mul_rows,
     popcount,
     powers,
 )
@@ -42,27 +43,38 @@ class IdealHandle:
 def closure_mask(A: FiniteSemiring, seed: int, scalars: int) -> int:
     """Smallest subset containing seed, closed under + and scaling by the
     elements of the mask scalars: an ideal when scalars is every element
-    and seed holds 0."""
-    add, mul = A.add, A.mul
+    and seed holds 0.
+
+    A worklist, evaluated semi-naively: a member taken from the list is
+    summed once with itself and with each member taken before it, so every
+    pair of members is added once, and it is scaled once; what is new goes
+    on the list. When every element is a scalar, the multiples of x are
+    one OR of its product-row mask (`kernel.mul_rows`; A is commutative,
+    so row x of mul is x scaled by every element); otherwise each scalar's
+    row is read at x."""
+    add = A.add
+    every = scalars == A.full_mask
+    rows = mul_rows(A) if every else [A.mul[r] for r in bits(scalars)]
     cur = seed
-    while True:
-        nxt = cur
-        elems = [i for i in range(A.size) if (cur >> i) & 1]
-        for a in elems:
-            ra = add[a]
-            for b in elems:
-                nxt |= 1 << ra[b]
-        s = scalars
-        while s:
-            bit = s & -s
-            r = bit.bit_length() - 1
-            s ^= bit
-            mr = mul[r]
-            for a in elems:
-                nxt |= 1 << mr[a]
-        if nxt == cur:
-            return cur
-        cur = nxt
+    done: List[int] = []
+    todo = list(bits(seed))
+    while todo:
+        x = todo.pop()
+        done.append(x)
+        if every:
+            new = rows[x]
+        else:
+            new = 0
+            for row in rows:
+                new |= 1 << row[x]
+        ax = add[x]
+        for y in done:
+            new |= 1 << ax[y]
+        new &= ~cur
+        if new:
+            cur |= new
+            todo.extend(bits(new))
+    return cur
 
 
 def ideal_closure(A: FiniteSemiring, gens: Iterable[int]) -> IdealHandle:
@@ -83,9 +95,10 @@ _IDEAL_CAP = 200000
 def _module_sum(A: FiniteSemiring, m1: int, m2: int) -> int:
     """{a + b : a in m1, b in m2}: the join of two submodules (or ideals)."""
     out = 0
+    seconds = list(bits(m2))
     for a in bits(m1):
         ra = A.add[a]
-        for b in bits(m2):
+        for b in seconds:
             out |= 1 << ra[b]
     return out
 

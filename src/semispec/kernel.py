@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import FormatError, InternalCheckError, PreconditionError, ResourceError
@@ -36,6 +37,16 @@ def mask_of(idxs: Iterable[int]) -> int:
 
 def popcount(mask: int) -> int:
     return bin(mask).count("1")
+
+
+def row_picker(idx: Sequence[int]) -> Callable[[Sequence], Tuple]:
+    """row -> (row[i] for i in idx) as a tuple, by `operator.itemgetter`.
+    An itemgetter of one index returns the entry itself, not a 1-tuple, so
+    that case is wrapped; idx must not be empty."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda row: (row[i],)
+    return itemgetter(*idx)
 
 
 def joins(
@@ -75,7 +86,7 @@ class FiniteSemiring:
     # Facts derived from the tables once and read by later calls: the axiom
     # verdict (`assert_valid`), the prime ideals (`spectra._prime_masks`),
     # the two spectra (`spectra.spec_enumerate`, `sp_enumerate`) and the
-    # product rows (`localize._saturation`). The tables are
+    # product rows as masks (`mul_rows`). The tables are
     # immutable tuples, so no entry goes stale; the memo takes no part in
     # eq, hash or repr, and `dataclasses.replace` gives the copy an empty one.
     _memo: Dict[str, object] = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -107,6 +118,15 @@ class FiniteSemiring:
 
     def __repr__(self) -> str:  # keep pytest output readable
         return f"FiniteSemiring({self.label or self.size})"
+
+
+def mul_rows(A: FiniteSemiring) -> Tuple[int, ...]:
+    """The mask of each product row {ab : b}, kept in A's memo: the
+    multiples of a, read by ideal closure and saturation."""
+    rows = A._memo.get("mul_rows")
+    if rows is None:
+        rows = A._memo["mul_rows"] = tuple(mask_of(row) for row in A.mul)
+    return rows
 
 
 def powers(A: FiniteSemiring, a: int) -> List[int]:
@@ -183,8 +203,9 @@ def tabulate(
 
     A result outside the carrier is a broken construction and raises
     InternalCheckError; there is no size cap. Localizations and section
-    tables are built by `_index_tables` alone: their construction decides
-    the axioms (see `localize.localize` and `sheaf._section_table`)."""
+    tables are built without this function and without a scan: their
+    construction decides the axioms (see `localize.localize` and
+    `sheaf._section_table`)."""
     return assert_valid(
         _index_tables(carrier, plus, times, zero, one, label, names, InternalCheckError)
     )
@@ -200,28 +221,49 @@ class AxiomViolation:
         return f"{self.code}[{w}]"
 
 
+def _first_difference(x: Sequence, y: Sequence) -> int:
+    return next(i for i, (u, v) in enumerate(zip(x, y)) if u != v)
+
+
 def verify_axioms(A: FiniteSemiring) -> List[AxiomViolation]:
     """Exhaustive check of the commutative-semiring laws; empty if valid.
     One violation per broken law, with the first witness in lexicographic
-    order of the law's variables."""
-    n, add, mul, zero, one = A.size, A.add, A.mul, A.zero, A.one
+    order of the law's variables.
 
-    def first_assoc(t: Sequence[Sequence[int]]) -> Optional[Tuple[int, int, int]]:
+    The laws in three variables are compared a row at a time. For fixed a
+    and b, the row over c of (ab)c is row ab of the table, and that of
+    a(bc) is row a read at the entries of row b, one `row_picker`
+    composition; a(b + c) is row a of mul read at row b of add, and
+    ab + ac is row ab of add read at row a of mul. All b are compared at
+    once, and only at the first row that differs is the first c sought,
+    so the witness is the one the triple loop would meet first."""
+    n, zero, one = A.size, A.zero, A.one
+    # rows as tuples, so that a table row and a picked row compare equal
+    add, mul = tuple(map(tuple, A.add)), tuple(map(tuple, A.mul))
+    add_at = [row_picker(row) for row in add]
+    mul_at = [row_picker(row) for row in mul]
+
+    def first_row(lhs: List[Tuple[int, ...]], rhs: List[Tuple[int, ...]], a: int):
+        b = _first_difference(lhs, rhs)
+        return (a, b, _first_difference(lhs[b], rhs[b]))
+
+    def first_assoc(
+        t: Sequence[Sequence[int]], at: List[Callable]
+    ) -> Optional[Tuple[int, int, int]]:
         for a in range(n):
             ta = t[a]
-            for b in range(n):
-                tab = ta[b]
-                tb = t[b]
-                for c in range(n):
-                    if t[tab][c] != ta[tb[c]]:
-                        return (a, b, c)
+            lhs = list(at[a](t))  # row ab over c, for every b
+            rhs = [g(ta) for g in at]  # a(bc) over c, for every b
+            if lhs != rhs:
+                return first_row(lhs, rhs, a)
         return None
 
     def first_comm(t: Sequence[Sequence[int]]) -> Optional[Tuple[int, int]]:
-        for a in range(n):
-            for b in range(a + 1, n):
-                if t[a][b] != t[b][a]:
-                    return (a, b)
+        # a difference from column a before a would have shown in an
+        # earlier row, so the first difference of row a lies after a
+        for a, (row, col) in enumerate(zip(t, zip(*t))):
+            if row != col:
+                return (a, _first_difference(row, col))
         return None
 
     def first_unit(t: Sequence[Sequence[int]], e: int) -> Optional[Tuple[int]]:
@@ -232,11 +274,11 @@ def verify_axioms(A: FiniteSemiring) -> List[AxiomViolation]:
 
     def first_distrib() -> Optional[Tuple[int, int, int]]:
         for a in range(n):
-            ma = mul[a]
-            for b in range(n):
-                for c in range(n):
-                    if ma[add[b][c]] != add[ma[b]][ma[c]]:
-                        return (a, b, c)
+            ma, ga = mul[a], mul_at[a]
+            lhs = [g(ma) for g in add_at]  # a(b + c) over c, for every b
+            rhs = list(map(ga, ga(add)))  # ab + ac over c, for every b
+            if lhs != rhs:
+                return first_row(lhs, rhs, a)
         return None
 
     def first_not_absorbed() -> Optional[Tuple[int]]:
@@ -246,10 +288,10 @@ def verify_axioms(A: FiniteSemiring) -> List[AxiomViolation]:
         return None
 
     laws = (
-        ("add-assoc", first_assoc(add)),
+        ("add-assoc", first_assoc(add, add_at)),
         ("add-comm", first_comm(add)),
         ("add-zero", first_unit(add, zero)),
-        ("mul-assoc", first_assoc(mul)),
+        ("mul-assoc", first_assoc(mul, mul_at)),
         ("mul-comm", first_comm(mul)),
         ("mul-one", first_unit(mul, one)),
         ("distrib", first_distrib()),

@@ -5,7 +5,8 @@ Fraction equality a/s = b/t means a*t*u = b*s*u for some u in S. For finite
 tables this is canonicalized with the cofactor trick: let P be the product
 of all of S and c_s * s = P; then a/s = b/t iff a*c_s*P^3 = b*c_t*P^3 in A.
 The witness definition is kept and asserted against the canonical form on
-every instance, by bucketing the products b*x for x in S.
+every instance, through the equivalence E[x] = {y : x*u = y*u for some u
+in S}: a/s = b/t by witness iff b*s lies in E[a*t].
 
 Every map out of a localization is `map_classes`: it gives each class the
 value of its pairs and checks that every pair of the class agrees and that
@@ -18,16 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError, PreconditionError
 from .kernel import (
     FiniteSemiring,
     Homomorphism,
-    _index_tables,
     assert_valid,
     bits,
     mask_of,
+    mul_rows,
     powers,
     units,
 )
@@ -92,7 +93,13 @@ def _localization(A: FiniteSemiring, s_mask: int, label: str = "") -> LocalizedS
     are numbered by their psi value. `localize` decides its axioms. The
     other callers, `saturate` and `_assert_saturation_iso`, need no scan:
     they read only the units of the table, phi, and `natural_map`, which
-    checks its own map is a hom."""
+    checks its own map is a hom.
+
+    Each entry is read straight from the class grid: for representatives
+    (a, s) and (b, t), the sum is the class of (at + bs, st) and the
+    product that of (ab, st), both in the column of st, which lies in S
+    since S is a submonoid. Every entry is so a class index, and the table
+    needs no carrier check."""
     if not is_mult_submonoid(A, s_mask):
         raise PreconditionError(f"{A.label}: not a multiplicative submonoid")
     s_list = tuple(bits(s_mask))
@@ -107,29 +114,30 @@ def _localization(A: FiniteSemiring, s_mask: int, label: str = "") -> LocalizedS
             if reps[c] is None:
                 reps[c] = (a, s)
     s_pos = {s: i for i, s in enumerate(s_list)}
-
-    def frac(a: int, s: int) -> Tuple[int, int]:
-        return reps[cls_grid[a][s_pos[s]]]
-
-    def plus(x: Tuple[int, int], y: Tuple[int, int]) -> Tuple[int, int]:
-        (a, s), (b, t) = x, y
-        return frac(A.add[A.mul[a][t]][A.mul[b][s]], A.mul[s][t])
-
-    def times(x: Tuple[int, int], y: Tuple[int, int]) -> Tuple[int, int]:
-        (a, s), (b, t) = x, y
-        return frac(A.mul[a][b], A.mul[s][t])
+    columns = list(zip(*cls_grid))  # columns[si][a]: the class of (a, s)
+    add, mul = A.add, A.mul
+    sums, prods = [], []
+    for a, s in reps:
+        ma, ms = mul[a], mul[s]
+        srow, prow = [], []
+        for b, t in reps:
+            col = columns[s_pos[ms[t]]]
+            srow.append(col[add[ma[t]][mul[b][s]]])
+            prow.append(col[ma[b]])
+        sums.append(tuple(srow))
+        prods.append(tuple(prow))
 
     names = [
         A.name_of(a) if s == A.one else f"{A.name_of(a)}/{A.name_of(s)}" for a, s in reps
     ]
     if len(set(names)) != len(names):  # name clashes possible after collapsing
         names = [f"{nm}#{i}" if names.count(nm) > 1 else nm for i, nm in enumerate(names)]
-    table = _index_tables(
-        reps, plus, times, frac(A.zero, A.one), frac(A.one, A.one),
-        label or f"{A.label}[S^-1]", names, InternalCheckError,
+    on_one = columns[s_pos[A.one]]
+    table = FiniteSemiring(
+        size=len(reps), zero=on_one[A.zero], one=on_one[A.one], add=tuple(sums),
+        mul=tuple(prods), label=label or f"{A.label}[S^-1]", names=tuple(names),
     )
-    pos_one = s_pos[A.one]
-    phi = Homomorphism(A, table, tuple(cls_grid[a][pos_one] for a in A.elements))
+    phi = Homomorphism(A, table, on_one)
     return LocalizedSemiring(A, s_mask, table, phi, cls_grid, s_list, tuple(reps))
 
 
@@ -160,31 +168,45 @@ def localize(A: FiniteSemiring, s_mask: int, label: str = "") -> LocalizedSemiri
 
 def _assert_scan_agreement(A: FiniteSemiring, loc: LocalizedSemiring) -> None:
     """The witness relation, (a, s) ~ (b, t) iff a*t*u = b*s*u for some u in
-    S, must be equality of canonical classes.
+    S, must be equality of canonical classes. The relation is read from
+    mul and S alone, never from psi.
 
-    For each x in S, bucket[x][v] is the mask of the b with b*x = v, so the b
-    with (a, s) ~ (b, t) are the union over u of bucket[s*u][a*t*u]. Both
-    relations are symmetric, so only positions si <= ti are compared."""
+    Let E[x] = {y : x*u = y*u for some u in S}. E is an equivalence: it is
+    reflexive and symmetric, and x*u = y*u with y*v = z*v gives
+    x*(uv) = z*(uv), uv in S. By definition (a, s) ~ (b, t) iff
+    (a*t)*u = (b*s)*u for some u in S, that is, iff b*s lies in E[a*t].
+    So for each s, pre_s maps a class K of E to {b : b*s in K}, built in
+    one pass over b, and the b with (a, s) ~ (b, t) are pre_s[E[a*t]].
+    E[x] is the union over u of the b with b*u = x*u, so E and every
+    pre_s take O(|S|*n), and the comparison O(|S|^2*n). Both relations
+    are symmetric, so only positions si <= ti are compared."""
     mul = A.mul
     sl = loc.s_list
-    bucket = {}
-    for x in sl:
-        row = [0] * A.size
-        for b in A.elements:
-            row[mul[b][x]] |= 1 << b
-        bucket[x] = row
+    eq = [0] * A.size  # eq[x]: the mask of E[x]
+    for u in sl:
+        mu = mul[u]
+        bucket: Dict[int, int] = {}
+        for b, v in enumerate(mu):
+            bucket[v] = bucket.get(v, 0) | 1 << b
+        for x, v in enumerate(mu):
+            eq[x] |= bucket[v]
+    pre = []
+    for s in sl:
+        by_class: Dict[int, int] = {}
+        for b, v in enumerate(mul[s]):
+            k = eq[v]
+            by_class[k] = by_class.get(k, 0) | 1 << b
+        pre.append(by_class)
     classes = loc._psi_class
     for ti, t in enumerate(sl):
         same = [0] * len(loc.reps)
         for b in A.elements:
             same[classes[b][ti]] |= 1 << b
+        # A is commutative, so row t of mul lists a*t for every a.
+        at_classes = [eq[v] for v in mul[t]]
         for si in range(ti + 1):
-            s = sl[si]
-            # A is commutative, so row y of mul lists a*y for every a.
-            witness = [0] * A.size
-            for x, y in {(mul[s][u], mul[t][u]) for u in sl}:
-                bx = bucket[x]
-                witness = [w | bx[v] for w, v in zip(witness, mul[y])]
+            pre_s = pre[si]
+            witness = [pre_s.get(k, 0) for k in at_classes]
             if witness != [same[row[si]] for row in classes]:
                 raise InternalCheckError(
                     f"{A.label}: canonical fraction equality disagrees with witnesses"
@@ -198,11 +220,8 @@ def _powers_mask(A: FiniteSemiring, a: int) -> int:
 
 def _saturation(A: FiniteSemiring, s_mask: int) -> int:
     """{b : bc in S for some c}, read off the product rows {bc : c} as
-    masks, which A's memo keeps."""
-    rows = A._memo.get("mul_rows")
-    if rows is None:
-        rows = A._memo["mul_rows"] = tuple(mask_of(row) for row in A.mul)
-    return mask_of(b for b, row in enumerate(rows) if row & s_mask)
+    masks (`kernel.mul_rows`)."""
+    return mask_of(b for b, row in enumerate(mul_rows(A)) if row & s_mask)
 
 
 def saturate(A: FiniteSemiring, s_mask: int) -> int:

@@ -26,10 +26,10 @@ from .errors import InternalCheckError, PreconditionError
 from .kernel import (
     FiniteSemiring,
     Homomorphism,
-    _index_tables,
     bits,
     mask_of,
     powers,
+    row_picker,
     units,
 )
 from .localize import (
@@ -205,34 +205,51 @@ def _section_table(
     every restriction, a `natural_map`, sends each pair of a class to
     that pair's class, so the components restrict to the same class.
 
+    Each row of the sum (product) table is composed from component rows:
+    for the family f, component i of f + g over every family g is row f_i
+    of the i-th sum table read at column i of the carrier, one
+    `row_picker` per column. With no component, the empty open, the one
+    family () is the whole table.
+
     The table gets no axiom scan. Its carrier lies in the product of the
     component tables, which `localize` checked, its operations are
-    componentwise, and `_index_tables` raises if 0, 1, a sum or a product
-    leaves the carrier; so it is a subsemiring of a product of
+    componentwise, and InternalCheckError names any 0, 1, sum or product
+    that leaves the carrier; so it is a subsemiring of a product of
     semirings."""
     tables = [l.table for l in locs]
     tuples = equalizer_scan([T.size for T in tables], compat)
+    index = {t: i for i, t in enumerate(tuples)}
+    columns = [row_picker(col) for col in zip(*tuples)]
 
-    def plus(t1: Tuple[int, ...], t2: Tuple[int, ...]) -> Tuple[int, ...]:
-        return tuple(T.add[x][y] for T, x, y in zip(tables, t1, t2))
+    def entry(t: Tuple[int, ...]) -> int:
+        i = index.get(t)
+        if i is None:
+            raise InternalCheckError(f"{label}: value {t!r} is not in the carrier")
+        return i
 
-    def times(t1: Tuple[int, ...], t2: Tuple[int, ...]) -> Tuple[int, ...]:
-        return tuple(T.mul[x][y] for T, x, y in zip(tables, t1, t2))
+    def table_of(ops: List[Tuple[Tuple[int, ...], ...]]) -> Tuple[Tuple[int, ...], ...]:
+        out = []
+        for f in tuples:
+            parts = [get(op[x]) for get, op, x in zip(columns, ops, f)]
+            families = list(zip(*parts)) if parts else [()] * len(tuples)
+            row = tuple(map(index.get, families))
+            if None in row:
+                entry(families[row.index(None)])
+            out.append(row)
+        return tuple(out)
 
     names = [
         "(" + ",".join(T.name_of(x) for T, x in zip(tables, t)) + ")" for t in tuples
     ]
-    table = _index_tables(
-        tuples,
-        plus,
-        times,
-        tuple(T.zero for T in tables),
-        tuple(T.one for T in tables),
-        label,
-        names,
-        InternalCheckError,
+    table = FiniteSemiring(
+        size=len(tuples),
+        zero=entry(tuple(T.zero for T in tables)),
+        one=entry(tuple(T.one for T in tables)),
+        add=table_of([T.add for T in tables]),
+        mul=table_of([T.mul for T in tables]),
+        label=label,
+        names=tuple(names),
     )
-    index = {t: i for i, t in enumerate(tuples)}
     base_images = tuple(index[tuple(l.phi(a) for l in locs)] for a in A.elements)
     return tuples, index, table, Homomorphism(A, table, base_images)
 

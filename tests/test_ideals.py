@@ -1,6 +1,7 @@
 """Ideal closure, primality, subtractivity, radicals, and the naturals."""
 
 import math
+import random
 
 import pytest
 
@@ -44,6 +45,41 @@ def test_ideal_closure_matches_brute_fixpoint(small_tables):
                     break
                 cur = nxt
             assert got.mask == cur, name
+
+
+def _closure_by_rounds(A, seed, scalars):
+    """The round-by-round fixed point that the worklist replaced: every
+    round adds every sum of two members and every scaled member."""
+    cur = seed
+    while True:
+        nxt = cur
+        elems = [i for i in range(A.size) if (cur >> i) & 1]
+        for a in elems:
+            for b in elems:
+                nxt |= 1 << A.add[a][b]
+        for r in range(A.size):
+            if (scalars >> r) & 1:
+                for a in elems:
+                    nxt |= 1 << A.mul[r][a]
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def test_worklist_closure_matches_the_round_by_round_fixed_point(corpus_tables):
+    rng = random.Random(25)
+    checked = 0
+    for name, A in corpus_tables.items():
+        if A.size > 8:
+            continue
+        one_element = [1 << a for a in A.elements]
+        drawn = [rng.randrange(1, 1 << A.size) for _ in range(200)]
+        for scalars in (A.full_mask, 1 << A.zero | 1 << A.one):
+            for seed in one_element + drawn:
+                want = _closure_by_rounds(A, seed, scalars)
+                assert closure_mask(A, seed, scalars) == want, (name, seed, scalars)
+                checked += 1
+    assert checked > 5000
 
 
 def test_is_ideal_agrees_with_oracle(small_tables):

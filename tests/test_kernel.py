@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import operator
+import random
 
 import pytest
 
@@ -145,6 +146,61 @@ def test_each_broken_law_is_named_with_its_first_witness(law):
     add, mul, witness = ONE_BROKEN_LAW[law]
     broken = FiniteSemiring(len(add), 0, 1, add, mul, law)
     assert [(v.code, v.witness) for v in verify_axioms(broken)] == [(law, witness)]
+
+
+def _axioms_by_triple_loop(A):
+    """`verify_axioms` as it was before its rows were composed: each law
+    in three variables scanned entry by entry, a then b then c."""
+    n, add, mul = A.size, A.add, A.mul
+
+    def first(cells, holds):
+        return next((w for w in cells if not holds(*w)), None)
+
+    triples = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    singles = [(a,) for a in range(n)]
+    laws = (
+        ("add-assoc", first(triples, lambda a, b, c: add[add[a][b]][c] == add[a][add[b][c]])),
+        ("add-comm", first(pairs, lambda a, b: add[a][b] == add[b][a])),
+        ("add-zero", first(singles, lambda a: add[a][A.zero] == a)),
+        ("mul-assoc", first(triples, lambda a, b, c: mul[mul[a][b]][c] == mul[a][mul[b][c]])),
+        ("mul-comm", first(pairs, lambda a, b: mul[a][b] == mul[b][a])),
+        ("mul-one", first(singles, lambda a: mul[a][A.one] == a)),
+        ("distrib", first(triples, lambda a, b, c:
+                          mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]])),
+        ("zero-absorbs", first(singles, lambda a: mul[a][A.zero] == A.zero)),
+    )
+    return [(code, w) for code, w in laws if w is not None]
+
+
+def test_row_composed_scan_matches_the_triple_loop(corpus_tables):
+    rng = random.Random(25)
+    seen = set()
+    planted = [FiniteSemiring(len(add), 0, 1, add, mul, law)
+               for law, (add, mul, _w) in ONE_BROKEN_LAW.items()]
+    for name, A in corpus_tables.items():
+        if A.size > 8:
+            continue
+        for _ in range(30):
+            tables = [[list(row) for row in A.add], [list(row) for row in A.mul]]
+            t = rng.choice(tables)
+            t[rng.randrange(A.size)][rng.randrange(A.size)] = rng.randrange(A.size)
+            add, mul = (tuple(map(tuple, t)) for t in tables)
+            planted.append(FiniteSemiring(A.size, A.zero, A.one, add, mul, name))
+    for B in planted + list(corpus_tables.values()):
+        got = [(v.code, v.witness) for v in verify_axioms(B)]
+        assert got == _axioms_by_triple_loop(B), B.label
+        seen.update(code for code, _w in got)
+    assert seen == set(ONE_BROKEN_LAW)
+
+
+def test_a_one_element_table_is_scanned_by_rows():
+    # an itemgetter of one index returns the entry, not a 1-tuple
+    assert kernel.row_picker([0])((7,)) == (7,)
+    assert kernel.row_picker([1, 0])((7, 8)) == (8, 7)
+    one = FiniteSemiring(1, 0, 0, ((0,),), ((0,),), "one")
+    assert verify_axioms(one) == [] == _axioms_by_triple_loop(one)
+    assert verify_axioms(corpus.get("trivial1")) == []
 
 
 def test_leq_matches_definition(idempotent_tables):

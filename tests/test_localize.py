@@ -8,7 +8,7 @@ import pytest
 from semispec import accept, corpus, kernel
 from semispec import localize as loc_mod
 from semispec.errors import FormatError, InternalCheckError, PreconditionError
-from semispec.kernel import Homomorphism, find_iso, make_semiring, units
+from semispec.kernel import FiniteSemiring, Homomorphism, find_iso, make_semiring, units
 from semispec.localize import (
     MINMAX_ZERO,
     BxFraction,
@@ -153,6 +153,55 @@ def test_scan_agreement_raises_exactly_on_pairwise_disagreement(corpus_tables):
                 assert raised == _pairwise_disagreement(A, case), (name, s_mask)
             planted += 1
     assert planted > 20
+
+
+def _table_by_index_tables(A, L):
+    """The table of L as it was built before it was read from the class
+    grid: fractions as representative pairs, a sum or product looked up
+    through its class, and `_index_tables` numbering the pairs."""
+    pos = {s: i for i, s in enumerate(L.s_list)}
+
+    def frac(a, s):
+        return L.reps[L._psi_class[a][pos[s]]]
+
+    def plus(x, y):
+        (a, s), (b, t) = x, y
+        return frac(A.add[A.mul[a][t]][A.mul[b][s]], A.mul[s][t])
+
+    def times(x, y):
+        (a, s), (b, t) = x, y
+        return frac(A.mul[a][b], A.mul[s][t])
+
+    return kernel._index_tables(
+        L.reps, plus, times, frac(A.zero, A.one), frac(A.one, A.one),
+        L.table.label, L.table.names, InternalCheckError,
+    )
+
+
+def _reversed(A):
+    """A with its elements numbered backwards, so that 1 is no longer near
+    the front of S and a class's first pair can have a denominator other
+    than 1."""
+    n = A.size
+
+    def flip(t):
+        return tuple(tuple(n - 1 - t[n - 1 - a][n - 1 - b] for b in range(n)) for a in range(n))
+
+    return FiniteSemiring(n, n - 1 - A.zero, n - 1 - A.one, flip(A.add), flip(A.mul),
+                          A.label + "-reversed", A.names[::-1] if A.names else None)
+
+
+def test_grid_read_tables_match_an_index_tables_build(small_tables):
+    built = 0
+    for name, A in small_tables.items():
+        for B in (A, _reversed(A)):
+            for s_mask in submonoids(B):
+                L = loc_mod._localization(B, s_mask)
+                assert L.table == _table_by_index_tables(B, L), (B.label, s_mask)
+                pos_one = L.s_list.index(B.one)
+                assert L.phi.images == tuple(row[pos_one] for row in L._psi_class)
+                built += any(s != B.one for _a, s in L.reps)
+    assert built > 20  # tables whose representatives have denominators other than 1
 
 
 def test_localize_detects_a_corrupt_class_above_the_old_cap(monkeypatch):

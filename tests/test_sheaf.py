@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from semispec import accept, corpus, sheaf
+from semispec import accept, corpus, kernel, sheaf
 from semispec.errors import InternalCheckError, PreconditionError
 from semispec.kernel import find_iso, units
 from semispec.localize import localize, natural_map, saturate, semi_invertibles_mask
@@ -270,6 +270,74 @@ def test_glue_detects_a_section_that_restricts_wrongly(monkeypatch):
     # planted defect: every numerator is 0, so a nonzero family glues to 0
     with pytest.raises(InternalCheckError, match="does not restrict correctly"):
         _glue_with_planted_pairs(monkeypatch, lambda A, x, s: (A.zero, s))
+
+
+def _section_table_by_index_tables(tables, tuples, label):
+    """The section table as it was built before its rows were composed:
+    componentwise operations on the families, numbered by `_index_tables`."""
+
+    def plus(t1, t2):
+        return tuple(T.add[x][y] for T, x, y in zip(tables, t1, t2))
+
+    def times(t1, t2):
+        return tuple(T.mul[x][y] for T, x, y in zip(tables, t1, t2))
+
+    names = ["(" + ",".join(T.name_of(x) for T, x in zip(tables, t)) + ")" for t in tuples]
+    return kernel._index_tables(
+        tuples, plus, times, tuple(T.zero for T in tables),
+        tuple(T.one for T in tables), label, names, InternalCheckError,
+    )
+
+
+def test_composed_section_tables_match_an_index_tables_build(corpus_tables):
+    sizes = set()
+    for name, A in corpus_tables.items():
+        if A.size > 8:
+            continue
+        for kind in ("spec", "sp"):
+            ctx = SheafContext(A, kind)
+            for open_set in ctx.space.opens():
+                al = alexandrov_sections(ctx, open_set)
+                want = _section_table_by_index_tables(
+                    [l.table for l in al.locs], al.tuples, al.table.label
+                )
+                assert al.table == want, (name, kind, open_set)
+                sizes.add((len(al.locs), al.table.size))
+    assert (0, 1) in sizes  # the empty open: no component, one family
+
+
+def test_a_one_family_section_table_with_components():
+    # each column of the carrier has one entry, where an itemgetter of one
+    # index returns the entry itself: localized at every element, A
+    # collapses to one class
+    A = corpus.get("boolx")
+    L = localize(A, A.full_mask)
+    assert L.table.size == 1
+    for locs, compat in (([L], {}), ([L, L], {(0, 1): [0b1]})):
+        tuples, _index, table, _h = sheaf._section_table(A, locs, compat, "one")
+        assert tuples == [(0,) * len(locs)]
+        assert table == _section_table_by_index_tables([L.table] * len(locs), tuples, "one")
+
+
+def test_the_empty_open_has_a_one_element_section_table():
+    A = corpus.get("boolx")
+    for kind in ("spec", "sp"):
+        al = alexandrov_sections(SheafContext(A, kind), 0)
+        assert al.tuples == [()] and al.table.size == 1
+        assert al.table.add == al.table.mul == ((0,),)
+        assert al.from_base.images == (0,) * A.size
+    tuples, index, table, _h = sheaf._section_table(A, [], {}, "empty")
+    assert (tuples, index, table.size) == ([()], {(): 0}, 1)
+
+
+def test_section_table_detects_a_sum_outside_the_carrier():
+    # planted defect: over f2 twice, rows that admit (0,0), (0,1) and (1,1)
+    # but not their sum (0,1) + (1,1) = (1,0); 0 and 1 are in the carrier
+    A = corpus.get("f2")
+    L = localize(A, 1 << A.one)
+    rows = [0b11, 0b10]
+    with pytest.raises(InternalCheckError, match=r"value \(1, 0\) is not in the carrier"):
+        sheaf._section_table(A, [L, L], {(0, 1): rows}, "f2-sections")
 
 
 def test_alexandrov_stalks_are_localizations():
