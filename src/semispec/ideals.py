@@ -310,20 +310,23 @@ def nat_prime_residue_check(p: int, bound: int) -> bool:
 def nat_point_prime_check(point: Callable[[int], bool], bound: int) -> bool:
     """The point P (a membership predicate on N) is a prime ideal on
     [0,bound]^2: 1 is not in P, a+b and n*a are in P for all a, b in P,
-    and ab in P forces a or b in P."""
+    and ab in P forces a or b in P. Membership of 0..2*bound, which holds
+    every a, b and a+b, is read once; ab is asked of the predicate once
+    per pair."""
     if point(1):
         return False
+    inside = [point(n) for n in range(2 * bound + 1)]
     window = range(bound + 1)
     for a in window:
-        a_in = point(a)
+        a_in = inside[a]
         for b in window:
-            b_in = point(b)
+            b_in = inside[b]
             ab_in = point(a * b)
             if a_in and not ab_in:
                 return False
             if ab_in and not (a_in or b_in):
                 return False
-            if a_in and b_in and not point(a + b):
+            if a_in and b_in and not inside[a + b]:
                 return False
     return True
 

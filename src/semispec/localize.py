@@ -401,17 +401,16 @@ def _bx_slices(kmax: int) -> Tuple[int, ...]:
     )
 
 
-def bx_witness_exhaustive(a: int, b: int, kmax: int) -> int:
-    """Smallest witness u (encoded as a mask, constant bit set, deg<=kmax)
-    with a*u == b*u, or -1. Fully exhaustive scan.
+_LOW_DEGREE = 6  # bx_witness_exhaustive scans witnesses of degree <= 6 first
+
+
+def _bx_scan(a: int, b: int, kmax: int) -> int:
+    """The smallest odd u of degree <= kmax with a*u == b*u, or -1, a != b.
 
     Every u is evaluated at once, bit-sliced: bit t of the integer at
     position j of pa is bit j of a*u for u = 2t+1. Where a has x^i, the
     slices of x^0..x^kmax are ORed in at positions i..i+kmax, so position
-    i is complete once row i is in; likewise pb for b.
-    """
-    if a == b:
-        return 1
+    i is complete once row i is in; likewise pb for b."""
     slices = _bx_slices(kmax)
     top = max(a, b).bit_length() + kmax
     pa, pb = [0] * top, [0] * top
@@ -426,6 +425,27 @@ def bx_witness_exhaustive(a: int, b: int, kmax: int) -> int:
             return -1
     free = slices[0] & ~diff
     return 2 * (free & -free).bit_length() - 1
+
+
+def bx_witness_exhaustive(a: int, b: int, kmax: int) -> int:
+    """Smallest witness u (encoded as a mask, constant bit set, deg<=kmax)
+    with a*u == b*u, or -1. Fully exhaustive scan.
+
+    A witness u has constant term 1, so a*u and b*u have the lowest term
+    of a and of b, and the degrees of a and of b plus that of u: one can
+    exist only when a and b share their lowest and highest terms. Then the
+    witnesses of degree <= 6 (`_LOW_DEGREE`) are scanned first, 64 of them
+    in one word. Each is a smaller integer than any witness of higher
+    degree, so one found there is the smallest; otherwise the scan over
+    every degree up to kmax decides.
+    """
+    if a == b:
+        return 1
+    if kmax > _LOW_DEGREE and a & -a == b & -b and a.bit_length() == b.bit_length():
+        u = _bx_scan(a, b, _LOW_DEGREE)
+        if u != -1:
+            return u
+    return _bx_scan(a, b, kmax)
 
 
 def bx_witness_equal(u: BxFraction, v: BxFraction) -> bool:

@@ -1,20 +1,23 @@
 """Structure sheaves on finite spectra, plus the classical ring-side
 witness that the localization presheaf need not be a sheaf.
 
-Sections are computed two independent ways and compared:
+Sections are computed two ways:
   equalizer route    compatible fraction families over a principal cover,
                      the equalizer of the product of overlap restrictions;
   alexandrov route   limits of the presheaf over minimal opens (finite
                      spectra are Alexandrov), which is the sheafified value
                      on any open.
-Every map between two localizations of the base is
-`localize.natural_map`, which checks that it is well defined on every
-fraction and a hom: the restrictions, through which the comparison from
-the target localization is built, and criterion 4's comparison of each
-stalk with a fresh localization at the complement of its prime. On the
-all-primes spectrum the comparison is asserted to be an isomorphism; on
-the subtractive-primes spectrum it is computed and reported, never
-assumed.
+The two routes are not compared with each other. What is checked: each
+equalizer table against the localization at its target, through the
+comparison map, which on the all-primes spectrum is asserted to be an
+isomorphism and on the subtractive-primes spectrum is computed and
+reported, never assumed; each family glued over an all-primes cover,
+whose glued section must restrict to every component; and, in criterion
+4, each stalk of the alexandrov route against a fresh localization at
+the complement of its prime. Every map between two localizations of the
+base is `localize.natural_map`, which checks that it is well defined on
+every fraction and a hom: the restrictions, through which the comparison
+map is built, and the stalk comparison.
 """
 
 from __future__ import annotations
@@ -48,9 +51,14 @@ from . import poly
 # monoids of opens and the presheaf cache
 
 
+Certificate = Tuple[int, Tuple[Tuple[int, int], ...]]
+
+
 class SheafContext:
     """Caches the spectrum, the monoid of each open and of each principal
-    open, localizations and restriction maps for one (semiring, kind) pair."""
+    open, localizations and restriction maps for one (semiring, kind) pair,
+    and the arithmetic of gluing: each division of a power, and each
+    certificate that a power of a target is a combination of denominators."""
 
     def __init__(self, A: FiniteSemiring, kind: str):
         self.A = A
@@ -60,6 +68,8 @@ class SheafContext:
         self._principal: Dict[int, int] = {}
         self._locs: Dict[int, LocalizedSemiring] = {}
         self._restr: Dict[Tuple[int, int], Homomorphism] = {}
+        self._divisions: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        self._certificates: Dict[Tuple[Tuple[int, ...], int], Optional[Certificate]] = {}
 
     # -- opens ---------------------------------------------------------------
     def is_open(self, point_set: int) -> bool:
@@ -121,6 +131,48 @@ class SheafContext:
         if key not in self._restr:
             self._restr[key] = natural_map(self.presheaf_at(big), self.presheaf_at(small))
         return self._restr[key]
+
+    # -- gluing arithmetic ---------------------------------------------------
+    def divide_power(self, s: int, a: int) -> Tuple[int, int]:
+        """(v, n) with s*v = a^n and n minimal, kept per (s, a). The caller
+        knows that s divides a power of a."""
+        key = (s, a)
+        if key not in self._divisions:
+            A = self.A
+            self._divisions[key] = next(
+                (v, n) for n, x in enumerate(powers(A, a))
+                for v in A.elements if A.mul[s][v] == x
+            )
+        return self._divisions[key]
+
+    def certificate(self, dens: Tuple[int, ...], target: int) -> Optional[Certificate]:
+        """The first power x of target in the ideal generated by dens, with
+        a combination ((j, c), ...) whose terms c*dens[j] sum to x; None
+        when no power lies there. Kept per (dens, target): the families
+        glued over one cover mostly share their denominators.
+
+        A breadth-first closure from 0: combos[r] is built as combos[e]
+        plus (j, c) with r = e + c*dens[j], so by induction the
+        combination combos[r] sums to r, and needs no replay."""
+        key = (dens, target)
+        if key not in self._certificates:
+            A = self.A
+            combos: Dict[int, Tuple[Tuple[int, int], ...]] = {A.zero: ()}
+            frontier = [A.zero]
+            while frontier:
+                nxt = []
+                for e in frontier:
+                    add_e = A.add[e]
+                    for j, sj in enumerate(dens):
+                        for c in A.elements:
+                            r = add_e[A.mul[c][sj]]
+                            if r not in combos:
+                                combos[r] = combos[e] + ((j, c),)
+                                nxt.append(r)
+                frontier = nxt
+            x = next((x for x in powers(A, target) if x in combos), None)
+            self._certificates[key] = None if x is None else (x, combos[x])
+        return self._certificates[key]
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +397,9 @@ def common_denominator_form(
     if tup not in secs.tuples:
         raise PreconditionError("tuple is not a compatible family")
 
-    def divide_power(s: int, a: int) -> Tuple[int, int]:
-        # minimal n with s*v = a^n for some v
-        return next(
-            (v, n) for n, x in enumerate(powers(A, a)) for v in A.elements if A.mul[s][v] == x
-        )
-
     xs = [locs[i].reps[tup[i]][0] for i in range(k)]
     ss = [locs[i].reps[tup[i]][1] for i in range(k)]
-    vn = [divide_power(ss[i], cover[i]) for i in range(k)]
+    vn = [ctx.divide_power(ss[i], cover[i]) for i in range(k)]
     ys = [A.mul[xs[i]][vn[i][0]] for i in range(k)]
     ns = [vn[i][1] for i in range(k)]
     big_m = 0
@@ -366,7 +412,7 @@ def common_denominator_form(
                 w for w in bits(ctx.principal_monoid(aij))
                 if A.mul[lhs0][w] == A.mul[rhs0][w]
             )
-            big_m = max(big_m, divide_power(w, aij)[1])
+            big_m = max(big_m, ctx.divide_power(w, aij)[1])
     e = big_m + max(ns, default=0)
     xs2 = [A.mul[ys[i]][A.power(cover[i], e - ns[i])] for i in range(k)]
     return [(xs2[i], A.power(cover[i], e)) for i in range(k)], e
@@ -377,34 +423,22 @@ def glue_section(secs: SectionSemiring, tup: Tuple[int, ...]) -> int:
     sum(b_j*s_j') = a^N over the cover denominators, return the class of
     sum(b_j*x_j') / a^N in the target localization.
 
-    The certificate needs no replay over the denominators: combos[r] is
-    built as combos[e] + [(j, c)] with r = e + c*s_j', so by induction the
-    combination combos[r] of the denominators sums to r."""
+    The solution is the context's `certificate` for the denominators,
+    found once per (denominators, target) and shared by every family
+    that has them. Each family's glued section is checked: it must
+    restrict to the family's component on every cover member."""
     ctx = secs.ctx
     A = ctx.A
     pairs, _e = common_denominator_form(secs, tup)
     target = A.one if secs.target is None else secs.target
     want = ctx.space.full if secs.target is None else ctx.space.basis[secs.target]
     ltgt = ctx.presheaf_at(want)
-
-    # certificate-tracking closure of the ideal generated by the s_j'
-    combos: Dict[int, List[Tuple[int, int]]] = {A.zero: []}
-    frontier = [A.zero]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for j, (_xj, sj) in enumerate(pairs):
-                for c in A.elements:
-                    r = A.add[e][A.mul[c][sj]]
-                    if r not in combos:
-                        combos[r] = combos[e] + [(j, c)]
-                        nxt.append(r)
-        frontier = nxt
-    x = next((x for x in powers(A, target) if x in combos), None)
-    if x is None:
+    cert = ctx.certificate(tuple(s for _x, s in pairs), target)
+    if cert is None:
         raise InternalCheckError("no power of the target is a combination")
+    x, combo = cert
     num = A.zero
-    for j, c in combos[x]:
+    for j, c in combo:
         num = A.add[num][A.mul[c][pairs[j][0]]]
     result = ltgt.class_of_pair(num, x)
     for i, c in enumerate(secs.cover):

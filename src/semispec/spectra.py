@@ -31,7 +31,7 @@ from .ideals import (
     nat_point_not_subtractive,
     nat_point_prime_check,
     nat_prime_residue_check,
-    radical_mask,
+    radical_member,
     subtractive_closure,
 )
 from .kernel import (
@@ -165,7 +165,9 @@ def cover_check(
     (another principal open, or the whole space when omitted)?
 
     Verified topologically and by the matching ideal criterion; the two
-    must agree.
+    must agree. For a principal target only the target's own membership
+    in the radical of the generated ideal is read, by `radical_member`:
+    its powers, not those of every element.
     """
     A = space.base
     union = 0
@@ -183,13 +185,13 @@ def cover_check(
         if algebraic != topological:
             raise InternalCheckError(f"{A.label}: cover criteria disagree")
         return topological
+    algebraic = radical_member(gen, target)
     if space.kind == "spec":
-        algebraic = (radical_mask(gen) >> target) & 1 == 1
         if algebraic != topological:
             raise InternalCheckError(f"{A.label}: principal cover criteria disagree")
         return topological
     # sp: the radical criterion is sufficient but not definitional
-    if (radical_mask(gen) >> target) & 1 and not topological:
+    if algebraic and not topological:
         raise InternalCheckError(f"{A.label}: radical cover missed by topology")
     return topological
 

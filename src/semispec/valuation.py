@@ -21,7 +21,7 @@ bijective. Both take the built lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import InternalCheckError, PreconditionError
 from .kernel import (
@@ -115,11 +115,32 @@ def _module_closure(A: FiniteSemiring, seed: int) -> int:
     return closure_mask(A, seed | zero_bit, zero_bit | (1 << A.one))
 
 
+def _scaled(A: FiniteSemiring, m1: int, m2: int) -> List[int]:
+    """The submodules a*N = {ab : b in N} of N = m2, one for each a in m1.
+    Each is a submodule: a*0 = 0, and ab + ab' = a(b + b')."""
+    seconds = list(bits(m2))
+    out = []
+    for a in bits(m1):
+        ra = A.mul[a]
+        mask = 0
+        for b in seconds:
+            mask |= 1 << ra[b]
+        out.append(mask)
+    return out
+
+
 def build_mra(A: FiniteSemiring) -> SubmoduleLattice:
     """The idempotent semiring of all submodules of A over {0, 1}, with
     elementwise sum as addition and generated-product as multiplication,
     and its universal valuation (`cyclic`). Its order must be inclusion,
     which at M = M says the table is idempotent.
+
+    The product M*N, the submodule generated by {ab : a in M, b in N}, is
+    the join of the submodules a*N over a in M (`_scaled`): each product
+    ab lies in a*N, and a join of submodules is the set of their sums.
+    Every join is a module sum read from one memo, filled on demand by
+    both tables, so neither depends on which `tabulate` builds first; a
+    join with a*N inside the running one is skipped.
 
     The universal map a -> <a> = {0, a} (a + a = a, as 1 + 1 = 1) is a
     valuation by construction, with no scan: <0> and <1> are the table's
@@ -137,20 +158,26 @@ def build_mra(A: FiniteSemiring) -> SubmoduleLattice:
         raise PreconditionError(f"{A.label}: 1 + 1 != 1, so {{0, 1}} is no subsemiring")
     cyclic_masks, found = closed_sets(A, lambda seed: _module_closure(A, seed), MAX_SIZE)
     modules = sorted(found)
+    sums: Dict[Tuple[int, int], int] = {}
+
+    def module_sum(m1: int, m2: int) -> int:
+        out = sums.get((m1, m2))
+        if out is None:
+            out = sums[(m1, m2)] = _module_sum(A, m1, m2)
+        return out
 
     def product_module(m1: int, m2: int) -> int:
-        seed = 0
-        for a in bits(m1):
-            ra = A.mul[a]
-            for b in bits(m2):
-                seed |= 1 << ra[b]
-        return _module_closure(A, seed)
+        out = 1 << A.zero
+        for a_n in _scaled(A, m1, m2):
+            if a_n & ~out:
+                out = module_sum(out, a_n)
+        return out
 
     names = tuple(
         "{" + ",".join(A.name_of(a) for a in bits(m)) + "}" for m in modules
     )
     table = tabulate(
-        modules, lambda m1, m2: _module_sum(A, m1, m2), product_module,
+        modules, module_sum, product_module,
         1 << A.zero, cyclic_masks[A.one], f"M[{A.label}]", names,
     )
     for i, m1 in enumerate(modules):

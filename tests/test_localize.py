@@ -547,6 +547,29 @@ def test_bx_witness_exhaustive_matches_naive_scan_up_to_the_cap():
     assert -1 in seen and max(seen) > 1
 
 
+def test_bx_witness_exhaustive_finds_witnesses_above_the_low_block():
+    # 1 + x^8 and 1 + x + ... + x^8: the only witnesses of degree <= 7 are
+    # u = 1 + ... + x^7, above the block of degree <= 6 scanned first
+    assert bx_witness_exhaustive(0b100000001, 0b111111111, 7) == 0b11111111
+    assert bx_witness_exhaustive(0b100000001, 0b111111111, 6) == -1
+    rng = random.Random(26)
+    # 1 + x^n against every term up to x^n: the smallest witness has every
+    # term up to x^(n-1), degree 7 to 14 for n = 8..15, none for n = 16
+    cases = [(1 | 1 << n, (2 << n) - 1) for n in range(8, 17)]
+    for _ in range(12):
+        # both ends shared, the middle terms drawn at random
+        top = rng.randrange(9, 14)
+        cases.append(tuple(1 | 1 << top | rng.getrandbits(top) for _ in range(2)))
+    degrees = set()
+    for a, b in cases:
+        smallest = _naive_witness(a, b, 14)
+        degrees.add(smallest.bit_length() - 1 if smallest != -1 else -1)
+        for kmax in range(7, 15):
+            want = smallest if smallest < 2 << kmax else -1
+            assert bx_witness_exhaustive(a, b, kmax) == want, (a, b, kmax)
+    assert -1 in degrees and max(degrees) == 14 and min(d for d in degrees if d > 0) <= 6
+
+
 def test_criterion_10_detects_a_scan_that_tries_only_w_1(monkeypatch):
     # planted defect: equality of fractions by their cross-products alone
     monkeypatch.setattr(

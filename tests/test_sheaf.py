@@ -272,6 +272,62 @@ def test_glue_detects_a_section_that_restricts_wrongly(monkeypatch):
         _glue_with_planted_pairs(monkeypatch, lambda A, x, s: (A.zero, s))
 
 
+def _glue_by_search(secs, tup):
+    """The glued section as it was found before certificates were kept:
+    a breadth-first closure of the denominators' ideal for each family,
+    its combination replayed on the numerators."""
+    ctx, A = secs.ctx, secs.ctx.A
+    pairs, _e = common_denominator_form(secs, tup)
+    target = A.one if secs.target is None else secs.target
+    want = ctx.space.full if secs.target is None else ctx.space.basis[secs.target]
+    combos = {A.zero: []}
+    frontier = [A.zero]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for j, (_xj, sj) in enumerate(pairs):
+                for c in A.elements:
+                    r = A.add[e][A.mul[c][sj]]
+                    if r not in combos:
+                        combos[r] = combos[e] + [(j, c)]
+                        nxt.append(r)
+        frontier = nxt
+    x = next(x for x in kernel.powers(A, target) if x in combos)
+    num = A.zero
+    for j, c in combos[x]:
+        num = A.add[num][A.mul[c][pairs[j][0]]]
+    return ctx.presheaf_at(want).class_of_pair(num, x)
+
+
+def test_kept_certificates_glue_as_the_per_family_search():
+    families = 0
+    for A in corpus.members(max_size=8, min_size=2):
+        ctx = SheafContext(A, "spec")
+        for target in accept._distinct_open_reps(ctx):
+            for fam in accept._principal_covers(ctx, target):
+                secs = equalizer_sections(ctx, fam, target=target)
+                for tup in secs.tuples:
+                    assert glue_section(secs, tup) == _glue_by_search(secs, tup), A.label
+                    families += 1
+    assert families >= 614
+
+
+def test_glue_detects_a_corrupted_kept_certificate():
+    # planted defect: after one gluing pass, every kept combination is
+    # emptied, so each family glues to 0/x; a nonzero family then fails
+    A = corpus.get("chain4")
+    ctx = SheafContext(A, "spec")
+    secs = equalizer_sections(ctx, (1, 2), 2)
+    for tup in secs.tuples:
+        glue_section(secs, tup)
+    assert ctx._certificates
+    for key, (x, _combo) in ctx._certificates.items():
+        ctx._certificates[key] = (x, ())
+    with pytest.raises(InternalCheckError, match="glued section does not restrict correctly"):
+        for tup in secs.tuples:
+            glue_section(secs, tup)
+
+
 def _section_table_by_index_tables(tables, tuples, label):
     """The section table as it was built before its rows were composed:
     componentwise operations on the families, numbered by `_index_tables`."""

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from semispec import corpus, kernel, valuation
-from semispec.errors import InternalCheckError, PreconditionError, ResourceError
+from semispec.errors import FormatError, InternalCheckError, PreconditionError, ResourceError
 from semispec.ideals import closure_mask
 from semispec.kernel import bits, is_idempotent, leq, mask_of
 from semispec.localize import _powers_mask, localize, natural_map
@@ -393,3 +393,47 @@ def test_criterion_8_builds_each_lattice_once(monkeypatch):
     assert base_calls == [A.label for A in tried]
     assert len(built) < len(tried)  # boolxy is over the module cap
     assert len(local_calls) == sum(A.size for A in built)
+
+
+def _products_by_closure(lat):
+    """The product table of a lattice as it was built before products were
+    joins of the a*N: M*N is the submodule generated by every ab."""
+    A, modules = lat.base, lat.modules
+    index = {m: i for i, m in enumerate(modules)}
+    zero_bit = 1 << A.zero
+    rows = []
+    for m1 in modules:
+        row = []
+        for m2 in modules:
+            seed = mask_of(A.mul[a][b] for a in bits(m1) for b in bits(m2))
+            row.append(index[closure_mask(A, seed | zero_bit, zero_bit | 1 << A.one)])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_distributive_products_match_the_closure_of_products():
+    # every idempotent member whose lattice builds, and every localization
+    # at the powers of an element that criterion 8 builds a lattice of
+    checked = 0
+    for A in corpus.members(max_size=16, min_size=1, include_trivial=True):
+        if not is_idempotent(A):
+            continue
+        try:
+            lat = build_mra(A)
+        except ResourceError:
+            continue
+        bases = [A] + [localize(A, _powers_mask(A, a)).table for a in A.elements]
+        for B in bases:
+            lat_b = lat if B is A else build_mra(B)
+            assert tuple(map(tuple, lat_b.table.mul)) == _products_by_closure(lat_b), B.label
+            checked += 1
+    assert checked > 40
+
+
+def test_a_product_that_drops_one_scaled_module_is_refused(monkeypatch):
+    # planted defect: the a*N of the largest a in M is left out of every
+    # product, so {0,1}*N misses N itself and the lattice has no unit
+    real = valuation._scaled
+    monkeypatch.setattr(valuation, "_scaled", lambda A, m1, m2: real(A, m1, m2)[:-1])
+    with pytest.raises(FormatError, match="mul-one"):
+        build_mra(corpus.get("boolx"))
