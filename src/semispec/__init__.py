@@ -17,7 +17,6 @@ from .kernel import (
     Homomorphism,
     assert_valid,
     enumerate_homs,
-    find_iso,
     is_idempotent,
     make_semiring,
     verify_axioms,
@@ -49,7 +48,6 @@ __all__ = [
     "corpus",
     "dimension",
     "enumerate_homs",
-    "find_iso",
     "harden",
     "ideals",
     "is_hard",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import corpus, poly
 from .errors import ResourceError
@@ -29,7 +29,6 @@ from .kernel import (
     FiniteSemiring,
     bits,
     enumerate_homs,
-    find_iso,
     is_idempotent,
     mask_of,
 )
@@ -65,6 +64,7 @@ from .sheaf import (
     gamma,
     glue_section,
     ktt_counterexample_verify,
+    sections_along,
 )
 from .spectra import (
     NatSpectrumModel,
@@ -204,19 +204,21 @@ def _distinct_open_reps(ctx: SheafContext) -> List[int]:
     return sorted(reps.values())
 
 
-def _principal_covers(ctx: SheafContext, target: int) -> List[List[int]]:
-    space = ctx.space
-    want = space.basis[target]
-    inside = [c for c in _distinct_open_reps(ctx) if space.basis[c] & ~want == 0]
-    out = []
-    for code in range(1, 1 << len(inside)):
-        fam = [inside[i] for i in range(len(inside)) if (code >> i) & 1]
+def _families(ctx: SheafContext, reps: List[int]) -> Iterator[Tuple[List[int], int]]:
+    """Each nonempty subfamily of reps with the union of its basic opens."""
+    basis = ctx.space.basis
+    for code in range(1, 1 << len(reps)):
+        fam = [c for i, c in enumerate(reps) if (code >> i) & 1]
         union = 0
         for c in fam:
-            union |= space.basis[c]
-        if union == want:
-            out.append(fam)
-    return out
+            union |= basis[c]
+        yield fam, union
+
+
+def _principal_covers(ctx: SheafContext, target: int) -> List[List[int]]:
+    want = ctx.space.basis[target]
+    inside = [c for c in _distinct_open_reps(ctx) if ctx.space.basis[c] & ~want == 0]
+    return [fam for fam, union in _families(ctx, inside) if union == want]
 
 
 def _sheaf_sweep(kind: str) -> Tuple[int, int, List[FiniteSemiring], List[str]]:
@@ -366,10 +368,8 @@ def criterion_9() -> CheckResult:
         ctx_h = SheafContext(H.table, "sp")
         for a in _distinct_open_reps(ctx_a):
             sa = alexandrov_sections(ctx_a, ctx_a.space.basis[a])
-            sh = alexandrov_sections(
-                ctx_h, ctx_h.space.basis[H.phi.images[a]]
-            )
-            if find_iso(sa.table, sh.table) is None:
+            sh = alexandrov_sections(ctx_h, ctx_h.space.basis[H.phi(a)])
+            if not sections_along(H.phi, sa, sh).is_bijective():
                 match_notes.append(f"{A.label}: sections differ at {A.name_of(a)}")
     ok = not failures and not soft and gammas_hard and not match_notes
     detail = (
@@ -418,11 +418,7 @@ def _suite_covers() -> Optional[str]:
             reps = _distinct_open_reps(ctx)
             for target in [None] + reps:
                 want = space.full if target is None else space.basis[target]
-                for code in range(1, 1 << len(reps)):
-                    fam = [reps[i] for i in range(len(reps)) if (code >> i) & 1]
-                    union = 0
-                    for c in fam:
-                        union |= space.basis[c]
+                for fam, union in _families(ctx, reps):
                     got = cover_check(space, fam, target)
                     if got != (want & ~union == 0):
                         return f"{A.label}/{kind}: cover criteria mismatch"

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import islice
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -503,18 +502,14 @@ def _extend_partial(
     return trail
 
 
-def _maps(
-    A: FiniteSemiring, B: FiniteSemiring, bounded: bool,
-    injective: bool = False, limit: Optional[int] = None,
-) -> List[Tuple[int, ...]]:
+def _maps(A: FiniteSemiring, B: FiniteSemiring, bounded: bool) -> List[Tuple[int, ...]]:
     """Image tuples of the maps A -> B that keep 0, 1 and products and
     whose sums follow `_sum_rule(B, bounded)`, in lexicographic order.
 
     DFS that branches on the first unassigned element, with closure
     propagation after each choice. For homs the assigned set is the
     subsemiring generated so far; for valuations into a two-element B the
-    propagation is complete, so every leaf is a valuation. With
-    injective=True only injective maps are kept (pruned during search).
+    propagation is complete, so every leaf is a valuation.
     """
     rules = (_sum_rule(B, bounded), tuple(tuple(1 << w for w in row) for row in B.mul))
     val = [-1] * A.size
@@ -522,13 +517,8 @@ def _maps(
     if val[A.one] >= 0 and val[A.one] != B.one:
         return []  # collapsed domain cannot reach a nontrivial codomain
     val[A.one] = B.one
-    out: List[Tuple[int, ...]] = []
     if _extend_partial(A, val, [A.zero, A.one], rules) is None:
-        return out
-
-    def injective_ok() -> bool:
-        assigned = [v for v in val if v >= 0]
-        return len(assigned) == len(set(assigned))
+        return []
 
     def dfs(start: int) -> Iterator[Tuple[int, ...]]:
         g = next((a for a in range(start, A.size) if val[a] < 0), None)
@@ -539,37 +529,22 @@ def _maps(
             val[g] = w
             trail = _extend_partial(A, val, [g], rules)
             if trail is not None:
-                if not injective or injective_ok():
-                    yield from dfs(g + 1)
+                yield from dfs(g + 1)
                 for t in trail:
                     val[t] = -1
         val[g] = -1
 
-    return sorted(islice(dfs(0), limit))
+    return sorted(dfs(0))
 
 
-def enumerate_homs(
-    A: FiniteSemiring,
-    B: FiniteSemiring,
-    injective: bool = False,
-    limit: Optional[int] = None,
-) -> List[Homomorphism]:
+def enumerate_homs(A: FiniteSemiring, B: FiniteSemiring) -> List[Homomorphism]:
     """All homomorphisms A -> B, lexicographically ordered by image tuple.
 
     Found by `_maps` with sums kept equal; every hom is re-checked
-    pointwise before it is returned. With injective=True only injective
-    homs are returned (pruned during search).
+    pointwise before it is returned.
     """
-    homs = [Homomorphism(A, B, images) for images in _maps(A, B, False, injective, limit)]
+    homs = [Homomorphism(A, B, images) for images in _maps(A, B, False)]
     if any(h.violation() is not None for h in homs):
         raise InternalCheckError("hom DFS closure produced a non-hom")
     return homs
 
-
-def find_iso(A: FiniteSemiring, B: FiniteSemiring) -> Optional[Homomorphism]:
-    """A semiring isomorphism A -> B, or None."""
-    if A.size != B.size:
-        return None
-    # injective between equal sizes is bijective, and its inverse is a hom
-    homs = enumerate_homs(A, B, injective=True, limit=1)
-    return homs[0] if homs else None

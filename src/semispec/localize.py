@@ -433,15 +433,17 @@ def bx_witness_exhaustive(a: int, b: int, kmax: int) -> int:
 
     A witness u has constant term 1, so a*u and b*u have the lowest term
     of a and of b, and the degrees of a and of b plus that of u: one can
-    exist only when a and b share their lowest and highest terms. Then the
-    witnesses of degree <= 6 (`_LOW_DEGREE`) are scanned first, 64 of them
-    in one word. Each is a smaller integer than any witness of higher
-    degree, so one found there is the smallest; otherwise the scan over
-    every degree up to kmax decides.
+    exist only when a and b share their lowest and highest terms, else -1
+    is returned at once. Then the witnesses of degree <= 6 (`_LOW_DEGREE`)
+    are scanned first, 64 of them in one word. Each is a smaller integer
+    than any witness of higher degree, so one found there is the smallest;
+    otherwise the scan over every degree up to kmax decides.
     """
     if a == b:
         return 1
-    if kmax > _LOW_DEGREE and a & -a == b & -b and a.bit_length() == b.bit_length():
+    if a & -a != b & -b or a.bit_length() != b.bit_length():
+        return -1
+    if kmax > _LOW_DEGREE:
         u = _bx_scan(a, b, _LOW_DEGREE)
         if u != -1:
             return u

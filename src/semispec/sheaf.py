@@ -14,10 +14,11 @@ isomorphism and on the subtractive-primes spectrum is computed and
 reported, never assumed; each family glued over an all-primes cover,
 whose glued section must restrict to every component; and, in criterion
 4, each stalk of the alexandrov route against a fresh localization at
-the complement of its prime. Every map between two localizations of the
-base is `localize.natural_map`, which checks that it is well defined on
-every fraction and a hom: the restrictions, through which the comparison
-map is built, and the stalk comparison.
+the complement of its prime; in criterion 9, A's sections over each
+principal open against its hardening's, by `sections_along` phi. Every
+map out of a localization is `localize.map_classes`, which checks that
+it is well defined on every fraction and a hom: the restrictions, the
+stalk comparison, and each component of a map of sections.
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ from .localize import (
     LocalizedSemiring,
     _powers_mask,
     localize,
+    map_classes,
     natural_map,
     saturate,
     semi_invertibles_mask,
 )
-from .spectra import cover_check, enumerate_space
+from .spectra import cover_check, enumerate_space, pullback
 from . import poly
 
 
@@ -186,6 +188,7 @@ class SectionSemiring:
     target: Optional[int]  # element whose principal open is covered; None = whole
     locs: List[LocalizedSemiring]
     tuples: List[Tuple[int, ...]]
+    index: Dict[Tuple[int, ...], int]  # family -> its element of table
     table: FiniteSemiring
     from_base: Homomorphism  # A -> sections
     compare: Homomorphism  # L(target) -> sections
@@ -355,7 +358,7 @@ def equalizer_sections(
             f"{A.label}: localization-to-equalizer comparison is not an isomorphism"
         )
     return SectionSemiring(
-        ctx, cover, target, locs, tuples, table, from_base, compare, compare_is_iso
+        ctx, cover, target, locs, tuples, index, table, from_base, compare, compare_is_iso
     )
 
 
@@ -394,7 +397,7 @@ def common_denominator_form(
     A = ctx.A
     cover, locs = secs.cover, secs.locs
     k = len(cover)
-    if tup not in secs.tuples:
+    if tup not in secs.index:
         raise PreconditionError("tuple is not a compatible family")
 
     xs = [locs[i].reps[tup[i]][0] for i in range(k)]
@@ -459,6 +462,7 @@ class AlexandrovSections:
     points: List[int]  # point indices inside the open
     locs: List[LocalizedSemiring]  # presheaf values at minimal opens
     tuples: List[Tuple[int, ...]]
+    index: Dict[Tuple[int, ...], int]  # family -> its element of table
     table: FiniteSemiring
     from_base: Homomorphism
 
@@ -494,10 +498,33 @@ def alexandrov_sections(ctx: SheafContext, open_set: int) -> AlexandrovSections:
             else:
                 continue
             compat[(i, j)] = _agreeing(fi, fj)
-    tuples, _index, table, from_base = _section_table(
+    tuples, index, table, from_base = _section_table(
         A, locs, compat, f"{A.label}-limit-sections"
     )
-    return AlexandrovSections(ctx, open_set, pts, locs, tuples, table, from_base)
+    return AlexandrovSections(ctx, open_set, pts, locs, tuples, index, table, from_base)
+
+
+def sections_along(
+    f: Homomorphism, src: AlexandrovSections, dst: AlexandrovSections
+) -> Homomorphism:
+    """The map of sections along f: A -> B, from A's over U (src) to B's
+    over V (dst). Each point q of V is matched with f^-1(q) by `pullback`,
+    and the component at q is a/s |-> f(a)/f(s), checked by `map_classes`.
+    The operations of both section tables are componentwise, so the map
+    is a hom once each family lands in dst's carrier. PreconditionError
+    when some f^-1(q) lies outside U."""
+    point_map = pullback(f.images, dst.ctx.space, src.ctx.space).point_map
+    comps = []
+    for q, loc in zip(dst.points, dst.locs):
+        if not (src.open_set >> point_map[q]) & 1:
+            raise PreconditionError(f"{f.cod.label}: f^-1 of point {q} is not in U")
+        i = src.points.index(point_map[q])
+        h = map_classes(src.locs[i], loc.table, lambda a, s: loc.class_of_pair(f(a), f(s)))
+        comps.append((i, h.images))
+    images = tuple(dst.index.get(tuple(img[t[j]] for j, img in comps)) for t in src.tuples)
+    if None in images:
+        raise InternalCheckError(f"{f.cod.label}: a family maps outside the sections")
+    return Homomorphism(src.table, dst.table, images)
 
 
 # ---------------------------------------------------------------------------

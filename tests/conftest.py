@@ -3,7 +3,7 @@
 import pytest
 
 from semispec import corpus
-from semispec.kernel import FiniteSemiring
+from semispec.kernel import FiniteSemiring, enumerate_homs
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +24,11 @@ def idempotent_tables(corpus_tables):
         for n, A in corpus_tables.items()
         if A.add[A.one][A.one] == A.one and A.size <= 8
     }
+
+
+def isomorphic(A: FiniteSemiring, B: FiniteSemiring) -> bool:
+    """Some hom A -> B is bijective; its inverse is then a hom too."""
+    return A.size == B.size and any(h.is_bijective() for h in enumerate_homs(A, B))
 
 
 def brute_ideal_ok(A: FiniteSemiring, mask: int) -> bool:

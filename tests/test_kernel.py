@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from conftest import isomorphic
 from semispec import corpus, kernel
 from semispec.errors import FormatError, InternalCheckError, ResourceError
 from semispec.kernel import (
@@ -14,7 +15,6 @@ from semispec.kernel import (
     Homomorphism,
     bits,
     enumerate_homs,
-    find_iso,
     is_idempotent,
     joins,
     leq,
@@ -335,7 +335,7 @@ def test_enumerate_homs_rechecks_what_the_search_returns(monkeypatch):
         enumerate_homs(corpus.get("bool2"), corpus.get("bool2"))
 
 
-def test_find_iso_detects_relabeling():
+def test_isomorphic_detects_relabeling_and_refuses_collapsing_homs():
     A = corpus.get("chain4")
     perm = (3, 2, 1, 0)
     inv = tuple(perm.index(i) for i in range(4))
@@ -344,9 +344,12 @@ def test_find_iso_detects_relabeling():
         tuple(tuple(perm[A.add[inv[i]][inv[j]]] for j in range(4)) for i in range(4)),
         tuple(tuple(perm[A.mul[inv[i]][inv[j]]] for j in range(4)) for i in range(4)),
         "relabel", None)
-    iso = find_iso(A, B)
-    assert iso is not None and iso.is_bijective()
-    assert find_iso(A, corpus.get("boolx")) is None  # same size, different law
+    assert isomorphic(A, B)
+    assert not isomorphic(A, corpus.get("boolx"))  # same size, different law
+    # 0 and 1 generate satnat4, so each hom out of it is fixed before any
+    # choice; into these four every one collapses, and none is bijective
+    for name in ("boolnil", "boolpair", "boolx", "chain4"):
+        assert not isomorphic(corpus.get("satnat4"), corpus.get(name)), name
 
 
 def test_joins_are_all_unions():

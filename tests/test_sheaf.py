@@ -1,13 +1,15 @@
 """Section semirings: equalizers, gluing, stalks, and global sections."""
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
+from conftest import isomorphic
 from semispec import accept, corpus, kernel, sheaf
 from semispec.errors import InternalCheckError, PreconditionError
-from semispec.kernel import find_iso, units
-from semispec.localize import localize, natural_map, saturate, semi_invertibles_mask
+from semispec.kernel import Homomorphism, units
+from semispec.localize import harden, localize, natural_map, saturate, semi_invertibles_mask
 from semispec.sheaf import (
     SheafContext,
     alexandrov_sections,
@@ -16,6 +18,7 @@ from semispec.sheaf import (
     gamma,
     glue_section,
     ktt_counterexample_verify,
+    sections_along,
 )
 
 
@@ -148,7 +151,7 @@ def test_boolx_principal_cover_sections_frozen():
     assert secs.table.size == 3
     assert secs.compare_is_iso
     assert not secs.base_injective
-    assert find_iso(secs.table, corpus.get("chain3")) is not None
+    assert isomorphic(secs.table, corpus.get("chain3"))
 
 
 @pytest.mark.parametrize("kind,cover,target", [("spec", (2, 3), 3), ("sp", (2, 3), None)])
@@ -421,6 +424,65 @@ def test_alexandrov_rejects_non_open():
         alexandrov_sections(ctx, non_open)
 
 
+def test_sections_along_the_identity_are_the_identity(corpus_tables):
+    for name in ("boolx", "chain3", "boolpair"):
+        A = corpus_tables[name]
+        ctx = SheafContext(A, "sp")
+        identity = Homomorphism(A, A, tuple(A.elements))
+        for U in ctx.space.opens():
+            al = alexandrov_sections(ctx, U)
+            assert sections_along(identity, al, al).images == tuple(al.table.elements)
+
+
+def _boolx_and_its_hardening():
+    """boolx's hardening H, with the sections of boolx and of H over all of Sp."""
+    A = corpus.get("boolx")
+    H = harden(A)
+    ctx_a, ctx_h = SheafContext(A, "sp"), SheafContext(H.table, "sp")
+    sa = alexandrov_sections(ctx_a, ctx_a.space.full)
+    return H, sa, alexandrov_sections(ctx_h, ctx_h.space.full)
+
+
+def test_sections_along_refuses_an_open_whose_preimage_leaves_u():
+    H, sa, sh = _boolx_and_its_hardening()
+    assert sections_along(H.phi, sa, sh).is_bijective()
+    ctx_a = sa.ctx
+    on_dx = alexandrov_sections(ctx_a, ctx_a.space.basis[ctx_a.A.names.index("x")])
+    with pytest.raises(PreconditionError, match="not in U"):
+        sections_along(H.phi, on_dx, sh)  # a point of Sp H pulls back to a prime with x
+
+
+def test_sections_along_detects_a_component_that_is_not_well_defined():
+    # planted defect: in one stalk of A's sections one fraction is moved to
+    # the next class, so that class has two images
+    H, sa, sh = _boolx_and_its_hardening()
+    for i, L in enumerate(sa.locs):
+        for a in sa.ctx.A.elements:
+            for si in range(len(L.s_list)):
+                grid = [list(row) for row in L._psi_class]
+                grid[a][si] = (grid[a][si] + 1) % len(L.reps)
+                bad = replace(L, _psi_class=tuple(map(tuple, grid)))
+                locs = sa.locs[:i] + [bad] + sa.locs[i + 1 :]
+                with pytest.raises(InternalCheckError, match="map of classes is ill-defined"):
+                    sections_along(H.phi, replace(sa, locs=locs), sh)
+
+
+def test_criterion_9_detects_a_hardened_section_table_missing_a_family(monkeypatch):
+    # planted defect: each section table over a hardening loses its last
+    # family from the carrier, so some section of A maps outside it
+    sections = accept.alexandrov_sections
+
+    def dropping(ctx, open_set):
+        al = sections(ctx, open_set)
+        if ctx.A.label.endswith("^"):
+            del al.index[al.tuples[-1]]
+        return al
+
+    monkeypatch.setattr(accept, "alexandrov_sections", dropping)
+    with pytest.raises(InternalCheckError, match="maps outside the sections"):
+        accept.criterion_9()
+
+
 FROZEN_GLOBAL = {
     "bool2": True, "boolnil": False, "boolx": False, "boolpair": True,
     "chain3": True, "chain4": True, "satnat4": False, "trop5": True,
@@ -449,14 +511,14 @@ def globalize(A, max_iter=5):
 def test_gamma_boolx():
     g = gamma(corpus.get("boolx"))
     assert g.table.size == 3
-    assert find_iso(g.table, corpus.get("chain3")) is not None
+    assert isomorphic(g.table, corpus.get("chain3"))
 
 
 def test_globalize_frozen():
     assert globalize(corpus.get("boolx"))[1] == [4, 3]
     table, sizes = globalize(corpus.get("satnat4"))
     assert sizes == [4, 2]
-    assert find_iso(table, corpus.get("bool2")) is not None
+    assert isomorphic(table, corpus.get("bool2"))
     assert globalize(corpus.get("chain3"))[1] == [3]
 
 
