@@ -2,7 +2,8 @@
 by a closure (ideals, submodules), primality, subtractivity, radicals,
 and checks of the classification of the ideals of N.
 
-Finite-semiring ideals are bitmasks over element indices. N-ideals are
+Finite-semiring ideals are bitmasks over element indices; those of a
+table that splits (`kernel.split`) come from its factors. N-ideals are
 membership predicates and generator pairs: the tail of <p, q> is certified
 by the closed form for two coprime generators and re-checked by a sieve.
 """
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, ResourceError
 from .kernel import (
     FiniteSemiring,
     bits,
@@ -22,6 +23,7 @@ from .kernel import (
     mul_rows,
     popcount,
     powers,
+    split,
 )
 
 
@@ -136,13 +138,20 @@ def closed_sets(
 
 def all_ideals(A: FiniteSemiring) -> List[IdealHandle]:
     """Every ideal, ordered by size then mask: each is a sum of principal
-    ideals."""
-    zero_bit, full = 1 << A.zero, A.full_mask
-
-    def close(seed: int) -> int:
-        return closure_mask(A, seed | zero_bit, full)
-
-    _principal, found = closed_sets(A, close, _IDEAL_CAP)
+    ideals. On a table that splits as eA x fA (`kernel.split`) they are
+    {a : ea in I and fa in J} for the ideals I of eA and J of fA, as an
+    ideal holds a = ea + fa exactly when it holds ea and fa; the factors
+    split in turn, and the cap is charged with the count first."""
+    s = split(A)
+    if s is None:
+        zero_bit, full = 1 << A.zero, A.full_mask
+        _principal, found = closed_sets(A, lambda m: closure_mask(A, m | zero_bit, full), _IDEAL_CAP)
+    else:
+        left, right = ([I.mask for I in all_ideals(B)] for B in s.factors)
+        if len(left) * len(right) > _IDEAL_CAP:
+            raise ResourceError(f"{A.label}: over the cap of {_IDEAL_CAP} lattice elements")
+        right = [s.preimage(1, m) for m in right]
+        found = [x & y for x in (s.preimage(0, m) for m in left) for y in right]
     return [IdealHandle(A, m) for m in sorted(found, key=lambda m: (popcount(m), m))]
 
 

@@ -84,8 +84,8 @@ class FiniteSemiring:
     names: Optional[Tuple[str, ...]] = None
     # Facts derived from the tables once and read by later calls: the axiom
     # verdict (`assert_valid`), the prime ideals (`spectra._prime_masks`),
-    # the two spectra (`spectra.spec_enumerate`, `sp_enumerate`) and the
-    # product rows as masks (`mul_rows`). The tables are
+    # the two spectra (`spectra.spec_enumerate`, `sp_enumerate`), the
+    # product rows as masks (`mul_rows`) and the split (`split`). The tables are
     # immutable tuples, so no entry goes stale; the memo takes no part in
     # eq, hash or repr, and `dataclasses.replace` gives the copy an empty one.
     _memo: Dict[str, object] = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -340,6 +340,61 @@ def units(A: FiniteSemiring) -> int:
         if one in ma:
             out |= 1 << a
     return out
+
+
+@dataclass(frozen=True)
+class Split:
+    """A as eA x fA by a |-> (ea, fa): fibres[i][x] is the mask of the a
+    whose component in factors[i] is x."""
+
+    factors: Tuple[FiniteSemiring, FiniteSemiring]
+    fibres: Tuple[Tuple[int, ...], ...]
+
+    def preimage(self, i: int, mask: int) -> int:
+        """{a : the component of a in factor i lies in mask}."""
+        out, fibre = 0, self.fibres[i]
+        for x in bits(mask):
+            out |= fibre[x]
+        return out
+
+    def lift(self, of: Callable[[FiniteSemiring], Iterable[int]]) -> List[int]:
+        """The preimages of the masks of(B) of both factors B, sorted."""
+        return sorted(self.preimage(i, m) for i, B in enumerate(self.factors) for m in of(B))
+
+
+def _factor(A: FiniteSemiring, e: int) -> Tuple[FiniteSemiring, Tuple[int, ...]]:
+    """eA with unit e, closed in A under its operations and so keeping A's
+    axioms, and the index in it of each ea; a value outside it raises
+    InternalCheckError."""
+    carrier = sorted(set(A.mul[e]))
+    E = _index_tables(carrier, lambda a, b: A.add[a][b], lambda a, b: A.mul[a][b], A.zero, e,
+                      f"{A.name_of(e)}*{A.label}", None, InternalCheckError)
+    return E, tuple(map(carrier.index, A.mul[e]))
+
+
+def split(A: FiniteSemiring) -> Optional[Split]:
+    """A as eA x fA for the first e other than 0 and 1 with ee = e, e + f = 1
+    and ef = 0 for some f, or None; a |-> (ea, fa) is certified a bijective
+    hom by one scan of the pairs. Found on first use, kept in A's memo."""
+    if "split" not in A._memo:
+        add, mul, els, out = A.add, A.mul, A.elements, None
+        pick = ((e, f) for e in els if e not in (A.zero, A.one) and mul[e][e] == e
+                for f in els if add[e][f] == A.one and mul[e][f] == A.zero)
+        e, f = next(pick, (None, None))
+        if e is not None:
+            (E, pe), (F, pf) = _factor(A, e), _factor(A, f)
+            hom = all(
+                pe[t[a][b]] == te[pe[a]][pe[b]] and pf[t[a][b]] == tf[pf[a]][pf[b]]
+                for t, te, tf in ((add, E.add, F.add), (mul, E.mul, F.mul))
+                for a in els for b in els
+            )
+            if not hom or len(set(zip(pe, pf))) != A.size or A.size != E.size * F.size:
+                raise InternalCheckError(f"{A.label}: a -> (ea, fa) is no isomorphism onto eA x fA")
+            fibres = (tuple(mask_of(a for a in els if pos[a] == i) for i in range(B.size))
+                      for pos, B in ((pe, E), (pf, F)))
+            out = Split((E, F), tuple(fibres))
+        A._memo["split"] = out
+    return A._memo["split"]
 
 
 # ---------------------------------------------------------------------------

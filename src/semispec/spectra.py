@@ -5,12 +5,14 @@ A spectrum is a finite list of prime ideal masks with the topology
 generated by principal opens D(a) = {p : a not in p}. The kind selects
 which primes count as points: every prime ideal (spec) or only the
 subtractive ones (sp). Primes come from saturations of single elements,
-checked against the kernels of the valuations into bool2. One pullback,
-q |-> {a : f(a) in q}, serves every map of tables: the spectrum map of a
-homomorphism and the comparison of Sp of the submodule lattice with Spec
-along the universal valuation. Dimension is computed from irreducible
-closed sets directly, then cross-checked against longest specialization
-chains; the two must agree on finite spaces.
+checked against the kernels of the valuations into bool2; on a table
+that splits as eA x fA (`kernel.split`) both are found, with their
+cross-checks, on the factors. One pullback, q |-> {a : f(a) in q},
+serves every map of tables: the spectrum map of a homomorphism and the
+comparison of Sp of the submodule lattice with Spec along the universal
+valuation. Dimension is computed from irreducible closed sets directly,
+then cross-checked against longest specialization chains; the two must
+agree on finite spaces.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .kernel import (
     joins,
     mask_of,
     popcount,
+    split,
 )
 from .localize import _powers_mask, _saturation, localize, semi_invertibles_mask
 
@@ -104,23 +107,35 @@ def _prime_masks(A: FiniteSemiring) -> List[int]:
     """Every prime ideal, sorted: the complements of the saturations sat(a)
     that hold 0 and are closed under + (the complement of a prime P is
     sat(s), s the product of A minus P), checked against the valuation
-    kernels. Each point of either spectrum is prime by `_build_space`,
-    whose D(ab) = D(a) & D(b) is primality at that point. A derived table
-    over the cap is refused. Computed and checked once per object: A's
-    memo keeps the primes, and each call gets its own list."""
+    kernels; on a table that splits, {a : ea in P} and {a : fa in Q} for the
+    primes P of eA and Q of fA (a prime holds e or f, as ef = 0). Each point
+    of either spectrum is prime by `_build_space`, whose D(ab) = D(a) & D(b)
+    is primality at that point. A derived table over the cap is refused.
+    Computed and checked once per object: A's memo keeps the primes, and
+    each call gets its own list."""
     pts = A._memo.get("primes")
     if pts is None:
         if A.size > MAX_SIZE:
             raise ResourceError(f"{A.label}: size {A.size} over the table cap {MAX_SIZE}")
-        sats = {_saturation(A, _powers_mask(A, a)) for a in A.elements}
-        pts = sorted(
-            P for P in (A.full_mask & ~S for S in sats)
-            if (P >> A.zero) & 1 and _module_sum(A, P, P) == P
-        )
-        if pts != _bool2_kernels(A, homs=False):
-            raise InternalCheckError(f"{A.label}: valuation kernels disagree with saturations")
+        s = split(A)
+        if s:
+            pts = s.lift(_prime_masks)
+        else:
+            sats = {_saturation(A, _powers_mask(A, a)) for a in A.elements}
+            pts = sorted(
+                P for P in (A.full_mask & ~S for S in sats)
+                if (P >> A.zero) & 1 and _module_sum(A, P, P) == P
+            )
+            if pts != _bool2_kernels(A, homs=False):
+                raise InternalCheckError(f"{A.label}: valuation kernels disagree with saturations")
         pts = A._memo["primes"] = tuple(pts)
     return list(pts)
+
+
+def _hom_kernels(A: FiniteSemiring) -> List[int]:
+    """Kernels of the homs into bool2; each sends e or f to 1, so factors through eA or fA."""
+    s = split(A)
+    return s.lift(_hom_kernels) if s else _bool2_kernels(A, homs=True)
 
 
 def spec_enumerate(A: FiniteSemiring) -> SpectrumSpace:
@@ -140,7 +155,7 @@ def sp_enumerate(A: FiniteSemiring) -> SpectrumSpace:
     space = A._memo.get("sp")
     if space is None:
         pts = [m for m in _prime_masks(A) if is_subtractive(IdealHandle(A, m))]
-        if is_idempotent(A) and _bool2_kernels(A, homs=True) != pts:
+        if is_idempotent(A) and _hom_kernels(A) != pts:
             raise InternalCheckError(f"{A.label}: hom kernels disagree with subtractive primes")
         space = A._memo["sp"] = _build_space(A, "sp", pts)
     return space

@@ -2,8 +2,9 @@
 
 import pytest
 
-from semispec import corpus
-from semispec.kernel import FiniteSemiring, enumerate_homs
+from semispec import corpus, spectra
+from semispec.ideals import IdealHandle, all_ideals, closed_sets, closure_mask, is_subtractive
+from semispec.kernel import FiniteSemiring, enumerate_homs, is_idempotent, popcount
 
 
 @pytest.fixture(scope="session")
@@ -96,3 +97,31 @@ def brute_subtractive_prime_masks(A: FiniteSemiring):
         if sub:
             out.append(mask)
     return sorted(out)
+
+
+def ideal_close(A: FiniteSemiring):
+    """The ideal closure of a seed, the `close` that `all_ideals` gives
+    `closed_sets`."""
+    return lambda seed: closure_mask(A, seed | 1 << A.zero, A.full_mask)
+
+
+def direct_routes(A: FiniteSemiring):
+    """The ideals, spec points and sp points of A by the routes that never
+    split: the lattice by `closed_sets` on A, the primes as the valuation
+    kernels and, when 1 + 1 = 1, the prime kernels as the hom kernels."""
+    _principal, found = closed_sets(A, ideal_close(A))
+    primes = spectra._bool2_kernels(A, homs=False)
+    kernels = [m for m in primes if is_subtractive(IdealHandle(A, m))]
+    if is_idempotent(A):
+        assert spectra._bool2_kernels(A, homs=True) == kernels, A.label
+    return sorted(found, key=lambda m: (popcount(m), m)), primes, kernels
+
+
+def public_routes(A: FiniteSemiring):
+    """The same three lists from `all_ideals` and the two spectra, which
+    read the factors of a table that splits."""
+    return (
+        [I.mask for I in all_ideals(A)],
+        sorted(spectra.spec_enumerate(A).point_masks),
+        sorted(spectra.sp_enumerate(A).point_masks),
+    )

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import brute_ideal_ok, brute_prime_ideal_masks
+from conftest import brute_ideal_ok, brute_prime_ideal_masks, ideal_close
 from semispec import accept, corpus, ideals
 from semispec.errors import InternalCheckError
 from semispec.ideals import (
@@ -276,10 +276,13 @@ def test_closed_sets_finds_every_boolxy_module():
 
 
 def test_closed_sets_detects_a_wrong_join(monkeypatch):
-    # planted defect: the join of two ideals taken as their union
+    # planted defect: the join of two ideals taken as their union; boolpair
+    # splits, so `all_ideals` would read its factors: the lattice is built
+    # on boolpair itself
+    A = corpus.get("boolpair")
     monkeypatch.setattr(ideals, "_module_sum", lambda A, m1, m2: m1 | m2)
     with pytest.raises(InternalCheckError):
-        all_ideals(corpus.get("boolpair"))
+        closed_sets(A, ideal_close(A))
 
 
 def test_subtractive_closure_detects_a_pass_that_misses_a_witness(monkeypatch):

@@ -110,8 +110,9 @@ def test_spec_cross_checks_the_saturation_route(monkeypatch):
 
 def test_the_primes_of_one_object_are_found_once(monkeypatch):
     # spec, sp and a sheaf context on one object share one prime search,
-    # and each caller gets a list of its own
-    A = dataclasses.replace(corpus.get("chain3xbool"))
+    # and each caller gets a list of its own; chain4 does not split, so the
+    # search runs on the object itself
+    A = dataclasses.replace(corpus.get("chain4"))
     searches = []
     real = spectra._bool2_kernels
     monkeypatch.setattr(

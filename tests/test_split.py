@@ -1,0 +1,131 @@
+"""Products by their factors: `kernel.split`, and the ideals and both
+spectra of a table that splits, against the routes that never split."""
+
+import dataclasses
+import random
+
+import pytest
+
+from conftest import direct_routes, ideal_close, isomorphic, public_routes
+from semispec import corpus, ideals, kernel
+from semispec.errors import InternalCheckError, ResourceError
+from semispec.ideals import all_ideals, closed_sets
+from semispec.kernel import FiniteSemiring, make_semiring, split
+from semispec.spectra import sp_enumerate, spec_enumerate
+
+PRODUCTS = {"boolpair": ("bool2", "bool2"), "chain3xbool": ("chain3", "bool2")}
+
+# the products of the benchmark's size-scaling workload
+LADDER_PRODUCTS = [
+    ("boolxy", "bool2"), ("satnat8", "bool2"), ("z4", "satnat8"), ("satnat8", "chain4"),
+]
+
+
+def permuted(A: FiniteSemiring, rng: random.Random) -> FiniteSemiring:
+    """A copy of A whose elements are listed in a random order."""
+    order = list(A.elements)
+    rng.shuffle(order)
+    return make_semiring(
+        order, lambda a, b: A.add[a][b], lambda a, b: A.mul[a][b], A.zero, A.one, A.label
+    )
+
+
+def test_only_the_products_of_the_corpus_split(corpus_tables):
+    for name, A in corpus_tables.items():
+        s = split(A)
+        if name not in PRODUCTS:
+            assert s is None, name
+            continue
+        want = [corpus.get(n) for n in PRODUCTS[name]]
+        assert any(
+            isomorphic(s.factors[0], B) and isomorphic(s.factors[1], C)
+            for B, C in (want, want[::-1])
+        ), name
+
+
+def test_split_runs_on_first_use_and_is_kept():
+    A = corpus.product_semiring(corpus.get("satnat8"), corpus.get("bool2"), "satnat8*bool2")
+    assert "split" not in A._memo
+    s = split(A)
+    assert s is not None and split(A) is s
+    assert sorted(B.size for B in s.factors) == [2, 8]
+    B = dataclasses.replace(corpus.get("boolxy"))
+    assert split(B) is None and B._memo["split"] is None
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_split_and_direct_routes_agree_on_the_corpus_products(name):
+    A = dataclasses.replace(corpus.get(name))
+    assert public_routes(A) == direct_routes(A)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_split_and_direct_routes_agree_on_the_permuted_ladder_products(seed):
+    rng = random.Random(seed)
+    for a, b in LADDER_PRODUCTS:
+        A = permuted(corpus.product_semiring(corpus.get(a), corpus.get(b), f"{a}*{b}"), rng)
+        assert split(A) is not None, A.label
+        assert public_routes(A) == direct_routes(A), A.label
+
+
+def test_a_three_factor_product_splits_twice():
+    A = corpus.product_semiring(corpus.get("boolpair"), corpus.get("chain3"), "bool2^2*chain3")
+    s = split(A)
+    assert sum(split(B) is not None for B in s.factors) == 1
+    assert public_routes(A) == direct_routes(A)
+
+
+def test_split_detects_a_corrupted_factor_index(monkeypatch):
+    # planted defect: the one of A is given the index of eA's zero, so
+    # a -> (ea, fa) is neither injective nor a hom; a fresh copy, with no
+    # split kept yet
+    real = kernel._factor
+
+    def corrupt(A, e):
+        E, pos = real(A, e)
+        return E, pos[: A.one] + (E.zero,) + pos[A.one + 1 :]
+
+    monkeypatch.setattr(kernel, "_factor", corrupt)
+    with pytest.raises(InternalCheckError, match="no isomorphism"):
+        split(dataclasses.replace(corpus.get("chain3xbool")))
+
+
+def test_the_ideal_cap_is_charged_with_the_product_count(monkeypatch):
+    # boolxy x bool2 has 220 ideals, 110 from boolxy times 2 from bool2;
+    # under a cap of 150 both routes refuse, and the split route does so
+    # from the count, after building only the factors' lattices
+    A = corpus.product_semiring(corpus.get("boolxy"), corpus.get("bool2"), "boolxy*bool2")
+    assert len(all_ideals(A)) == 220
+    monkeypatch.setattr(ideals, "_IDEAL_CAP", 150)
+    with pytest.raises(ResourceError, match="over the cap of 150"):
+        closed_sets(A, ideal_close(A), ideals._IDEAL_CAP)
+    built = []
+    real = ideals.closed_sets
+    monkeypatch.setattr(
+        ideals, "closed_sets",
+        lambda B, close, cap=None: built.append(B.size) or real(B, close, cap),
+    )
+    with pytest.raises(ResourceError, match=r"boolxy\*bool2: over the cap of 150"):
+        all_ideals(A)
+    assert sorted(built) == [2, 16]
+
+
+def test_a_table_over_the_size_cap_is_refused_before_any_split():
+    # bool2 x a 33-element chain: 66 elements, built without make_semiring,
+    # which refuses it
+    B, C = corpus.get("bool2"), make_semiring(list(range(33)), max, min, 0, 32, "chain33")
+    pairs = [(b, c) for b in B.elements for c in C.elements]
+
+    def table(tb, tc):
+        return tuple(
+            tuple(tb[b][b2] * C.size + tc[c][c2] for b2, c2 in pairs) for b, c in pairs
+        )
+
+    A = FiniteSemiring(
+        len(pairs), B.zero * C.size + C.zero, B.one * C.size + C.one,
+        table(B.add, C.add), table(B.mul, C.mul), "bool2*chain33",
+    )
+    for enumerate_points in (spec_enumerate, sp_enumerate):
+        with pytest.raises(ResourceError, match="over the table cap 64"):
+            enumerate_points(A)
+    assert "split" not in A._memo
