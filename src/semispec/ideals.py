@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import InternalCheckError, ResourceError
@@ -23,6 +25,7 @@ from .kernel import (
     mul_rows,
     popcount,
     powers,
+    row_picker,
     split,
 )
 
@@ -111,10 +114,13 @@ def closed_sets(
     """Every subset fixed by close, a closure under + and some scaling that
     adds 0: the sums of the principal sets close({a}), found by
     `kernel.joins`. Returns the principal set of each element and all the
-    fixed sets; each found set is re-closed and must be fixed.
+    fixed sets.
 
     The join with a generator g reads the rows {a + b : b in g}, built by
-    `_module_sum` once per generator."""
+    `_module_sum` once per generator. Each found set m is re-checked from
+    the tables, as fixed by close: it holds 0 and every scaling of each
+    member a (the principal set of a), and m + m lies in m (row a of add
+    at the members, for each member a: one `row_picker` over m)."""
     principal = [close(1 << a) for a in A.elements]
     rows: Dict[int, List[int]] = {}
 
@@ -131,7 +137,10 @@ def closed_sets(
 
     found = joins(sorted(set(principal)), join, close(0), cap, A.label)
     for m in found:
-        if close(m) != m:
+        members = list(bits(m))
+        pick = row_picker(members)
+        inside = set(members).issuperset
+        if reduce(or_, pick(principal)) & ~m or not all(map(inside, map(pick, pick(A.add)))):
             raise InternalCheckError(f"{A.label}: a join {m:b} is not closed")
     return principal, found
 
@@ -249,15 +258,21 @@ def nat_pair_tail_start(p: int, q: int) -> int:
 def _window_by_inverse(p: int, q: int, start: int) -> int:
     """Bit i set when start + i = a*p + b*q with a >= 0, b < p: b is
     n*q^-1 mod p (the only candidate below p), and each certificate is
-    replayed. p and q are coprime."""
+    replayed. p and q are coprime. From n to n + 1, b steps by q^-1 (less
+    p past p) and a by (1 - q*q^-1)/p (plus q when b wraps)."""
     inv = pow(q, -1, p)
+    b = start * inv % p
+    a = (start - b * q) // p
+    step = (1 - q * inv) // p
     out = 0
     for i in range(p):
-        n = start + i
-        b = n * inv % p
-        a = (n - b * q) // p
-        if a >= 0 and a * p + b * q == n:
+        if a >= 0 and a * p + b * q == start + i:
             out |= 1 << i
+        b += inv
+        a += step
+        if b >= p:
+            b -= p
+            a += q
     return out
 
 

@@ -180,12 +180,12 @@ def make_semiring(
     label: str = "",
     names: Optional[Sequence[str]] = None,
 ) -> FiniteSemiring:
-    """Tabulate a semiring from concrete values and binary operations.
-
-    No axiom scan; at most MAX_SIZE values."""
+    """Tabulate a semiring from concrete values and binary operations,
+    checked against every axiom by `assert_valid` (FormatError, like a
+    value outside the carrier); at most MAX_SIZE values."""
     if len(values) > MAX_SIZE:
         raise PreconditionError(f"{label}: size {len(values)} exceeds cap {MAX_SIZE}")
-    return _index_tables(values, plus, times, zero, one, label, names, FormatError)
+    return assert_valid(_index_tables(values, plus, times, zero, one, label, names, FormatError))
 
 
 def tabulate(
@@ -301,10 +301,24 @@ def verify_axioms(A: FiniteSemiring) -> List[AxiomViolation]:
 
 def assert_valid(A: FiniteSemiring) -> FiniteSemiring:
     """A itself, once `verify_axioms` finds no violation; FormatError
-    otherwise. A given object is scanned at most once: a pass is kept in
-    its memo."""
+    otherwise. A given object is checked at most once: a pass is kept in
+    its memo.
+
+    A table that splits (`split`) is checked by its factors eA and fA,
+    recursively: a |-> (ea, fa) is certified a bijection onto eA x fA that
+    keeps 0, 1, + and x, so it carries every equational law between A and
+    eA x fA, and a law holds in a product iff it holds in both factors.
+    When a factor fails, or the split of an unchecked table cannot be
+    built or certified, A itself is scanned and its violations named."""
     if "valid" not in A._memo:
-        bad = verify_axioms(A)
+        try:
+            s = split(A)
+            if s is not None:
+                for B in s.factors:
+                    assert_valid(B)
+        except (FormatError, InternalCheckError):
+            s = None
+        bad = verify_axioms(A) if s is None else []
         if bad:
             raise FormatError(
                 f"{A.label or 'semiring'}: axiom violations: "
@@ -317,11 +331,11 @@ def assert_valid(A: FiniteSemiring) -> FiniteSemiring:
 def is_idempotent(A: FiniteSemiring) -> bool:
     """1+1=1. On a table that satisfies the axioms this is a+a=a for all
     a, since a + a = a(1 + 1) by distributivity and the unit law.
-    `tabulate`, `semiring_from_dict`, `corpus.get` and `localize` (on its
-    base) check the axioms, and products and permutations of checked
-    tables keep them. A localization is the image of its checked base
-    under a hom that `localize` checks, and a section table is closed
-    inside a product of localizations, so both inherit them."""
+    `make_semiring`, `tabulate` and `semiring_from_dict` check the axioms
+    of every table they build, and `localize` those of its base. A
+    localization is the image of its checked base under a hom that
+    `localize` checks, and a section table is closed inside a product of
+    localizations, so both inherit them."""
     return A.add[A.one][A.one] == A.one
 
 
@@ -375,7 +389,9 @@ def _factor(A: FiniteSemiring, e: int) -> Tuple[FiniteSemiring, Tuple[int, ...]]
 def split(A: FiniteSemiring) -> Optional[Split]:
     """A as eA x fA for the first e other than 0 and 1 with ee = e, e + f = 1
     and ef = 0 for some f, or None; a |-> (ea, fa) is certified a bijective
-    hom by one scan of the pairs. Found on first use, kept in A's memo."""
+    hom that sends 0 and 1 to the factors' 0 and 1, by one scan of the
+    pairs. Found when `assert_valid` checks A or on first use; kept in
+    A's memo."""
     if "split" not in A._memo:
         add, mul, els, out = A.add, A.mul, A.elements, None
         pick = ((e, f) for e in els if e not in (A.zero, A.one) and mul[e][e] == e
@@ -388,7 +404,8 @@ def split(A: FiniteSemiring) -> Optional[Split]:
                 for t, te, tf in ((add, E.add, F.add), (mul, E.mul, F.mul))
                 for a in els for b in els
             )
-            if not hom or len(set(zip(pe, pf))) != A.size or A.size != E.size * F.size:
+            unital = (pe[A.zero], pe[A.one], pf[A.zero], pf[A.one]) == (E.zero, E.one, F.zero, F.one)
+            if not (hom and unital) or len(set(zip(pe, pf))) != A.size or A.size != E.size * F.size:
                 raise InternalCheckError(f"{A.label}: a -> (ea, fa) is no isomorphism onto eA x fA")
             fibres = (tuple(mask_of(a for a in els if pos[a] == i) for i in range(B.size))
                       for pos, B in ((pe, E), (pf, F)))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import InternalCheckError, PreconditionError
 from .kernel import (
@@ -67,8 +67,12 @@ class LocalizedSemiring:
         return self._psi_class[a][self.s_list.index(s)]
 
 
-def _psi_values(A: FiniteSemiring, s_list: Sequence[int]) -> Tuple[List[List[int]], int]:
-    """psi(a, s) = a*c_s*P^3 for every pair; returns value grid and P."""
+def _psi_values(A: FiniteSemiring, s_mask: int) -> Tuple[Tuple[int, ...], List[List[int]]]:
+    """S as a list, and psi(a, s) = a*c_s*P^3 as grid[a][s_pos];
+    PreconditionError unless S is a multiplicative submonoid."""
+    if not is_mult_submonoid(A, s_mask):
+        raise PreconditionError(f"{A.label}: not a multiplicative submonoid")
+    s_list = tuple(bits(s_mask))
     k = len(s_list)
     pref = [A.one] * (k + 1)
     for i, s in enumerate(s_list):
@@ -85,25 +89,21 @@ def _psi_values(A: FiniteSemiring, s_list: Sequence[int]) -> Tuple[List[List[int
             cof = A.mul[pref[i]][suf[i + 1]]
             row.append(A.mul[A.mul[a][cof]][P3])
         grid.append(row)
-    return grid, P
+    return s_list, grid
 
 
 def _localization(A: FiniteSemiring, s_mask: int, label: str = "") -> LocalizedSemiring:
     """S^-1 A as a finite table with the canonical map, unchecked; classes
     are numbered by their psi value. `localize` decides its axioms. The
-    other callers, `saturate` and `_assert_saturation_iso`, need no scan:
-    they read only the units of the table, phi, and `natural_map`, which
-    checks its own map is a hom.
+    other caller, `_assert_saturation_iso`, needs no scan: it reads only
+    `natural_map`, which checks its own map is a hom.
 
     Each entry is read straight from the class grid: for representatives
     (a, s) and (b, t), the sum is the class of (at + bs, st) and the
     product that of (ab, st), both in the column of st, which lies in S
     since S is a submonoid. Every entry is so a class index, and the table
     needs no carrier check."""
-    if not is_mult_submonoid(A, s_mask):
-        raise PreconditionError(f"{A.label}: not a multiplicative submonoid")
-    s_list = tuple(bits(s_mask))
-    grid, _P = _psi_values(A, s_list)
+    s_list, grid = _psi_values(A, s_mask)
     values = sorted({v for row in grid for v in row})
     v_index = {v: i for i, v in enumerate(values)}
     cls_grid = tuple(tuple(v_index[v] for v in row) for row in grid)
@@ -144,7 +144,7 @@ def _localization(A: FiniteSemiring, s_mask: int, label: str = "") -> LocalizedS
 def localize(A: FiniteSemiring, s_mask: int, label: str = "") -> LocalizedSemiring:
     """S^-1 A as a finite table with the canonical map.
 
-    Verifies on construction: A satisfies the axioms (scanned once per
+    Verifies on construction: A satisfies the axioms (checked once per
     object); S is a multiplicative submonoid; phi is a hom onto the table;
     (S^sat)^-1 A is isomorphic over A; and canonical equality agrees with
     the direct witness relation.
@@ -177,9 +177,13 @@ def _assert_scan_agreement(A: FiniteSemiring, loc: LocalizedSemiring) -> None:
     (a*t)*u = (b*s)*u for some u in S, that is, iff b*s lies in E[a*t].
     So for each s, pre_s maps a class K of E to {b : b*s in K}, built in
     one pass over b, and the b with (a, s) ~ (b, t) are pre_s[E[a*t]].
-    E[x] is the union over u of the b with b*u = x*u, so E and every
-    pre_s take O(|S|*n), and the comparison O(|S|^2*n). Both relations
-    are symmetric, so only positions si <= ti are compared."""
+
+    ~ is an equivalence too: a*t*u = b*s*u and b*r*v = c*t*v give
+    a*r*(tuv) = c*s*(tuv), tuv in S. Two equivalences agree once each
+    class K is exactly the set of pairs related to its representative
+    (a, s), that is, pre_s[E[a*t]] = {b : class(b, t) = K} for every t;
+    at t = s this also puts (a, s) in K. E and every pre_s take
+    O(|S|*n), and the comparison O(|S|*(n + classes))."""
     mul = A.mul
     sl = loc.s_list
     eq = [0] * A.size  # eq[x]: the mask of E[x]
@@ -190,27 +194,24 @@ def _assert_scan_agreement(A: FiniteSemiring, loc: LocalizedSemiring) -> None:
             bucket[v] = bucket.get(v, 0) | 1 << b
         for x, v in enumerate(mu):
             eq[x] |= bucket[v]
-    pre = []
+    pre = {}
     for s in sl:
         by_class: Dict[int, int] = {}
         for b, v in enumerate(mul[s]):
             k = eq[v]
             by_class[k] = by_class.get(k, 0) | 1 << b
-        pre.append(by_class)
+        pre[s] = by_class
     classes = loc._psi_class
     for ti, t in enumerate(sl):
         same = [0] * len(loc.reps)
         for b in A.elements:
             same[classes[b][ti]] |= 1 << b
         # A is commutative, so row t of mul lists a*t for every a.
-        at_classes = [eq[v] for v in mul[t]]
-        for si in range(ti + 1):
-            pre_s = pre[si]
-            witness = [pre_s.get(k, 0) for k in at_classes]
-            if witness != [same[row[si]] for row in classes]:
-                raise InternalCheckError(
-                    f"{A.label}: canonical fraction equality disagrees with witnesses"
-                )
+        mt = mul[t]
+        if [pre[s].get(eq[mt[a]], 0) for a, s in loc.reps] != same:
+            raise InternalCheckError(
+                f"{A.label}: canonical fraction equality disagrees with witnesses"
+            )
 
 
 def _powers_mask(A: FiniteSemiring, a: int) -> int:
@@ -226,15 +227,18 @@ def _saturation(A: FiniteSemiring, s_mask: int) -> int:
 
 def saturate(A: FiniteSemiring, s_mask: int) -> int:
     """S^sat = {b : bc in S for some c}; asserted equal to the set of
-    elements mapping to units of S^-1 A. It needs no check that it is a
-    saturated submonoid: `_localization` has checked that S is a
-    submonoid, so 1 is in S^sat, b, b' in S^sat with bc, b'c' in S give
-    bb'(cc') in S, and xy in S^sat with xyc in S puts x (cofactor yc) and
-    y (cofactor xc) in S^sat."""
-    loc = _localization(A, s_mask)
+    elements mapping to units of S^-1 A, read from psi without building
+    the table: b/1 is a unit iff b*c/t = 1/1 for some c in A and t in S,
+    that is, iff the product row of b meets the x with x/t = 1/1 for some
+    t. It needs no check that it is a saturated submonoid: `_psi_values`
+    has checked that S is a submonoid, so 1 is in S^sat, b, b' in S^sat
+    with bc, b'c' in S give bb'(cc') in S, and xy in S^sat with xyc in S
+    puts x (cofactor yc) and y (cofactor xc) in S^sat."""
+    s_list, grid = _psi_values(A, s_mask)
+    one = grid[A.one][s_list.index(A.one)]
+    over_one = mask_of(x for x, row in enumerate(grid) if one in row)
     out = _saturation(A, s_mask)
-    um = units(loc.table)
-    via_units = mask_of(b for b in A.elements if (um >> loc.phi(b)) & 1)
+    via_units = mask_of(b for b, row in enumerate(mul_rows(A)) if row & over_one)
     if via_units != out:
         raise InternalCheckError(f"{A.label}: saturation characterizations disagree")
     return out

@@ -1,8 +1,12 @@
 """Shared fixtures: the built-in table corpus at various size cuts."""
 
+import dataclasses
+from unittest import mock
+
 import pytest
 
-from semispec import corpus, spectra
+from semispec import corpus, kernel, spectra
+from semispec.errors import FormatError
 from semispec.ideals import IdealHandle, all_ideals, closed_sets, closure_mask, is_subtractive
 from semispec.kernel import FiniteSemiring, enumerate_homs, is_idempotent, popcount
 
@@ -125,3 +129,21 @@ def public_routes(A: FiniteSemiring):
         sorted(spectra.spec_enumerate(A).point_masks),
         sorted(spectra.sp_enumerate(A).point_masks),
     )
+
+
+def axiom_verdicts(A: FiniteSemiring):
+    """What `kernel.assert_valid` says of two fresh copies of A: as it
+    runs, reading the factors of a table that splits, and with the split
+    turned off, so that A itself is scanned. Each verdict is None on a
+    pass, else the FormatError text."""
+
+    def verdict() -> object:
+        try:
+            kernel.assert_valid(dataclasses.replace(A))
+        except FormatError as exc:
+            return str(exc)
+        return None
+
+    by_factors = verdict()
+    with mock.patch.object(kernel, "split", lambda B: None):
+        return by_factors, verdict()

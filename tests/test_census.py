@@ -1,6 +1,6 @@
 """Every commutative semiring of order at most 4, one per isomorphism
 class, as inputs nobody chose: the counts, the members that split, and the
-split and direct routes to ideals and primes on each.
+split and direct routes to ideals, primes and the axiom verdict on each.
 
 The tables are enumerated on {0, ..., n-1} with 0 the zero and 1 the one
 (they differ once n > 1, as a = a 1 = a 0 = 0 otherwise): every
@@ -13,7 +13,7 @@ from itertools import permutations, product
 
 import pytest
 
-from conftest import direct_routes, isomorphic, public_routes
+from conftest import axiom_verdicts, direct_routes, isomorphic, public_routes
 from semispec.kernel import FiniteSemiring, assert_valid, split
 
 
@@ -94,3 +94,4 @@ def test_exactly_the_three_products_of_order_4_split():
 @pytest.mark.parametrize("A", MEMBERS, ids=lambda A: A.label)
 def test_split_and_direct_routes_agree_on_every_member(A):
     assert public_routes(A) == direct_routes(A)
+    assert axiom_verdicts(A) == (None, None)

@@ -1,16 +1,20 @@
-"""Products by their factors: `kernel.split`, and the ideals and both
-spectra of a table that splits, against the routes that never split."""
+"""Products by their factors: `kernel.split`, and the ideals, both
+spectra and the axiom verdict of a table that splits, against the routes
+that never split."""
 
 import dataclasses
+import json
 import random
+from itertools import product
+from unittest import mock
 
 import pytest
 
-from conftest import direct_routes, ideal_close, isomorphic, public_routes
-from semispec import corpus, ideals, kernel
-from semispec.errors import InternalCheckError, ResourceError
+from conftest import axiom_verdicts, direct_routes, ideal_close, isomorphic, public_routes
+from semispec import cli, corpus, ideals, kernel
+from semispec.errors import FormatError, InternalCheckError, ResourceError
 from semispec.ideals import all_ideals, closed_sets
-from semispec.kernel import FiniteSemiring, make_semiring, split
+from semispec.kernel import FiniteSemiring, make_semiring, semiring_to_dict, split
 from semispec.spectra import sp_enumerate, spec_enumerate
 
 PRODUCTS = {"boolpair": ("bool2", "bool2"), "chain3xbool": ("chain3", "bool2")}
@@ -44,11 +48,16 @@ def test_only_the_products_of_the_corpus_split(corpus_tables):
 
 
 def test_split_runs_on_first_use_and_is_kept():
+    # make_semiring checks the axioms, so the table it builds splits at
+    # construction; a copy made by replace splits on first use
     A = corpus.product_semiring(corpus.get("satnat8"), corpus.get("bool2"), "satnat8*bool2")
+    s = A._memo["split"]
+    assert s is not None and split(A) is s
+    assert sorted(B.size for B in s.factors) == [2, 8]
+    A = dataclasses.replace(A)
     assert "split" not in A._memo
     s = split(A)
     assert s is not None and split(A) is s
-    assert sorted(B.size for B in s.factors) == [2, 8]
     B = dataclasses.replace(corpus.get("boolxy"))
     assert split(B) is None and B._memo["split"] is None
 
@@ -57,6 +66,7 @@ def test_split_runs_on_first_use_and_is_kept():
 def test_split_and_direct_routes_agree_on_the_corpus_products(name):
     A = dataclasses.replace(corpus.get(name))
     assert public_routes(A) == direct_routes(A)
+    assert axiom_verdicts(A) == (None, None)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -66,6 +76,7 @@ def test_split_and_direct_routes_agree_on_the_permuted_ladder_products(seed):
         A = permuted(corpus.product_semiring(corpus.get(a), corpus.get(b), f"{a}*{b}"), rng)
         assert split(A) is not None, A.label
         assert public_routes(A) == direct_routes(A), A.label
+        assert axiom_verdicts(A) == (None, None), A.label
 
 
 def test_a_three_factor_product_splits_twice():
@@ -88,6 +99,95 @@ def test_split_detects_a_corrupted_factor_index(monkeypatch):
     monkeypatch.setattr(kernel, "_factor", corrupt)
     with pytest.raises(InternalCheckError, match="no isomorphism"):
         split(dataclasses.replace(corpus.get("chain3xbool")))
+
+
+def test_split_detects_factors_whose_units_are_not_the_images_of_0_and_1(monkeypatch):
+    # planted defect: eA is handed its zero as its one; its tables and the
+    # index of each ea are right, so a -> (ea, fa) is still a bijective hom
+    # onto eA x fA, and only the conjunct on 0 and 1 can tell
+    real = kernel._factor
+
+    def wrong_unit(A, e):
+        E, pos = real(A, e)
+        return dataclasses.replace(E, one=E.zero), pos
+
+    monkeypatch.setattr(kernel, "_factor", wrong_unit)
+    with pytest.raises(InternalCheckError, match="no isomorphism"):
+        split(dataclasses.replace(corpus.get("chain3xbool")))
+
+
+def one_changes(A: FiniteSemiring):
+    """Every table one entry or one constant away from A."""
+    els = A.elements
+    out = [dataclasses.replace(A, zero=z, one=o) for z, o in product(els, els)]
+    for key in ("add", "mul"):
+        table = getattr(A, key)
+        for a, b, v in product(els, els, els):
+            if table[a][b] != v:
+                rows = [list(row) for row in table]
+                rows[a][b] = v
+                out.append(dataclasses.replace(A, **{key: tuple(map(tuple, rows))}))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_the_factor_verdict_is_the_direct_scan_after_any_one_change(name):
+    # both verdicts agree, to the byte, whether or not the changed table
+    # still splits, certifies or keeps the laws
+    variants = one_changes(corpus.get(name))
+    verdicts = [axiom_verdicts(B) for B in variants]
+    assert all(by_factors == direct for by_factors, direct in verdicts)
+    assert sum(direct is not None for _f, direct in verdicts) > len(variants) // 2
+
+
+@pytest.mark.parametrize("name", ["bool2", "chain3", "z4"])
+def test_the_factor_verdict_is_the_direct_scan_on_products_of_changed_tables(name):
+    # each table one change away from a corpus member, times bool2 and
+    # tabulated without the check: where it splits and certifies, a
+    # changed factor that breaks a law must fail A with A's own text
+    verdicts = []
+    for X in one_changes(corpus.get(name)):
+        with mock.patch.object(kernel, "assert_valid", lambda A: A):
+            A = corpus.product_semiring(X, corpus.get("bool2"), f"{name}'*bool2")
+        verdicts.append(axiom_verdicts(A))
+    assert all(by_factors == direct for by_factors, direct in verdicts)
+    assert sum(direct is not None for _f, direct in verdicts) > len(verdicts) // 2
+
+
+def test_a_law_broken_in_one_factor_fails_with_the_direct_scan_s_text():
+    # the table of 1 + 1 = 1 but 2 + 2 = 0, times bool2, tabulated without
+    # the check: it splits and certifies, and its 3-element factor fails
+    bad = FiniteSemiring(3, 0, 1, ((0, 1, 2), (1, 1, 2), (2, 2, 0)),
+                         ((0, 0, 0), (0, 1, 2), (0, 2, 2)), "bad")
+    with mock.patch.object(kernel, "assert_valid", lambda A: A):
+        A = corpus.product_semiring(bad, corpus.get("bool2"), "bad*bool2")
+    s = split(A)
+    assert sorted(B.size for B in s.factors) == [2, 3]
+    by_factors, direct = axiom_verdicts(A)
+    assert direct.startswith("bad*bool2: axiom violations: add-assoc[")
+    assert by_factors == direct
+    with pytest.raises(FormatError) as exc:
+        corpus.product_semiring(bad, corpus.get("bool2"), "bad*bool2")
+    assert str(exc.value) == direct
+
+
+def test_a_split_that_cannot_be_built_is_a_format_error(tmp_path, monkeypatch):
+    # boolpair with e + e = 1 for e = (0,1): e still looks complemented, but
+    # eA = {0, e} is not closed under +, so the factor cannot be built
+    A = corpus.get("boolpair")
+    e = A.names.index("(0,1)")
+    add = [list(row) for row in A.add]
+    add[e][e] = A.one
+    B = dataclasses.replace(A, add=tuple(map(tuple, add)))
+    with pytest.raises(InternalCheckError, match="not in the carrier"):
+        split(dataclasses.replace(B))
+    by_factors, direct = axiom_verdicts(B)
+    assert direct is not None and by_factors == direct
+    # through the command line: exit 3 (malformed input), never 7
+    monkeypatch.setenv("SEMISPEC_WORKSPACE", str(tmp_path / "ws"))
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(semiring_to_dict(B)))
+    assert cli.main(["load", str(path), "--name", "b"]) == 3
 
 
 def test_the_ideal_cap_is_charged_with_the_product_count(monkeypatch):
