@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import corpus, poly
 from .errors import ResourceError
@@ -81,8 +80,7 @@ from .valuation import (
 )
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     number: int
     ident: str
     passed: bool

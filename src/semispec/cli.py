@@ -14,7 +14,6 @@ reader (128 + SIGPIPE), with no message.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -121,7 +120,7 @@ def cmd_load(args: argparse.Namespace) -> int:
         A = semiring_from_dict(d)
         default = A.label or default
     name = default if args.name is None else args.name
-    A = dataclasses.replace(A, label=name)
+    A = A.replace(label=name)
     _store(name, A)
     print(f"loaded {name}: {A.size} elements")
     return 0

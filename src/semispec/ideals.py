@@ -11,10 +11,9 @@ by the closed form for two coprime generators and re-checked by a sieve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import InternalCheckError, ResourceError
 from .kernel import (
@@ -30,8 +29,7 @@ from .kernel import (
 )
 
 
-@dataclass(frozen=True)
-class IdealHandle:
+class IdealHandle(NamedTuple):
     ambient: FiniteSemiring
     mask: int
 

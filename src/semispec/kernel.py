@@ -7,9 +7,8 @@ tables; subsets are int bitmasks. All enumeration orders are deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import FormatError, InternalCheckError, PreconditionError, ResourceError
 
@@ -73,22 +72,58 @@ def joins(
 # finite semirings
 
 
-@dataclass(frozen=True)
-class FiniteSemiring:
-    size: int
-    zero: int
-    one: int
-    add: Tuple[Tuple[int, ...], ...]
-    mul: Tuple[Tuple[int, ...], ...]
-    label: str = ""
-    names: Optional[Tuple[str, ...]] = None
-    # Facts derived from the tables once and read by later calls: the axiom
-    # verdict (`assert_valid`), the prime ideals (`spectra._prime_masks`),
-    # the two spectra (`spectra.spec_enumerate`, `sp_enumerate`), the
-    # product rows as masks (`mul_rows`) and the split (`split`). The tables are
-    # immutable tuples, so no entry goes stale; the memo takes no part in
-    # eq, hash or repr, and `dataclasses.replace` gives the copy an empty one.
-    _memo: Dict[str, object] = field(default_factory=dict, init=False, repr=False, compare=False)
+class Record:
+    """A value record in slots, for what a NamedTuple cannot hold: a memo,
+    checks at construction, a field named with an underscore. Equality,
+    hashing and repr read the fields named in `_fields`; `replace` copies
+    through `__init__`, so its checks run again and a memo starts empty."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class FiniteSemiring(Record):
+    __slots__ = ("size", "zero", "one", "add", "mul", "label", "names", "_memo")
+    _fields = __slots__[:-1]
+
+    def __init__(
+        self,
+        size: int,
+        zero: int,
+        one: int,
+        add: Tuple[Tuple[int, ...], ...],
+        mul: Tuple[Tuple[int, ...], ...],
+        label: str = "",
+        names: Optional[Tuple[str, ...]] = None,
+    ):
+        self.size, self.zero, self.one, self.add, self.mul = size, zero, one, add, mul
+        self.label, self.names = label, names
+        # Facts derived from the tables once and read by later calls: the
+        # axiom verdict (`assert_valid`), the prime ideals
+        # (`spectra._prime_masks`), the two spectra (`spectra.spec_enumerate`,
+        # `sp_enumerate`), the product rows as masks (`mul_rows`) and the
+        # split (`split`). The tables are immutable tuples, so no entry goes
+        # stale. The memo is no field: it takes no part in eq, hash or repr,
+        # and a copy made by `replace` starts with an empty one.
+        self._memo: Dict[str, object] = {}
 
     def power(self, a: int, k: int) -> int:
         r = self.one
@@ -179,39 +214,25 @@ def make_semiring(
     one,
     label: str = "",
     names: Optional[Sequence[str]] = None,
+    error: type = FormatError,
 ) -> FiniteSemiring:
-    """Tabulate a semiring from concrete values and binary operations,
-    checked against every axiom by `assert_valid` (FormatError, like a
-    value outside the carrier); at most MAX_SIZE values."""
+    """Tabulate a semiring from at most MAX_SIZE values and binary
+    operations, checked against every axiom by `assert_valid`.
+
+    The caller names the error class raised for a value outside the
+    carrier and for a broken axiom: FormatError (the default) for
+    operations given from outside, InternalCheckError for a derived table
+    that its construction must keep a semiring (a module semiring), and
+    ResourceError where a bound may leave it unfinished (a presented
+    quotient). Localizations and section tables are built without this
+    function and without a scan: their construction decides the axioms
+    (see `localize.localize` and `sheaf._section_table`)."""
     if len(values) > MAX_SIZE:
         raise PreconditionError(f"{label}: size {len(values)} exceeds cap {MAX_SIZE}")
-    return assert_valid(_index_tables(values, plus, times, zero, one, label, names, FormatError))
+    return assert_valid(_index_tables(values, plus, times, zero, one, label, names, error), error)
 
 
-def tabulate(
-    carrier: Sequence,
-    plus: Callable,
-    times: Callable,
-    zero,
-    one,
-    label: str = "",
-    names: Optional[Sequence[str]] = None,
-) -> FiniteSemiring:
-    """Table of a derived semiring (a presented quotient or a module
-    semiring) on a finite carrier, checked against every axiom.
-
-    A result outside the carrier is a broken construction and raises
-    InternalCheckError; there is no size cap. Localizations and section
-    tables are built without this function and without a scan: their
-    construction decides the axioms (see `localize.localize` and
-    `sheaf._section_table`)."""
-    return assert_valid(
-        _index_tables(carrier, plus, times, zero, one, label, names, InternalCheckError)
-    )
-
-
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     code: str
     witness: Tuple[int, ...]
 
@@ -299,15 +320,15 @@ def verify_axioms(A: FiniteSemiring) -> List[AxiomViolation]:
     return [AxiomViolation(code, w) for code, w in laws if w is not None]
 
 
-def assert_valid(A: FiniteSemiring) -> FiniteSemiring:
-    """A itself, once `verify_axioms` finds no violation; FormatError
-    otherwise. A given object is checked at most once: a pass is kept in
-    its memo.
+def assert_valid(A: FiniteSemiring, error: type = FormatError) -> FiniteSemiring:
+    """A itself, once `verify_axioms` finds no violation; `error` otherwise
+    (FormatError by default). A given object is checked at most once: a
+    pass is kept in its memo.
 
     A table that splits (`split`) is checked by its factors eA and fA,
-    recursively: a |-> (ea, fa) is certified a bijection onto eA x fA that
-    keeps 0, 1, + and x, so it carries every equational law between A and
-    eA x fA, and a law holds in a product iff it holds in both factors.
+    recursively: a |-> (ea, fa) is certified injective and to keep 0, 1, +
+    and x, so A is a copy of a subsemiring of eA x fA, and a law that holds
+    in both factors holds in their product and in each of its subsemirings.
     When a factor fails, or the split of an unchecked table cannot be
     built or certified, A itself is scanned and its violations named."""
     if "valid" not in A._memo:
@@ -320,7 +341,7 @@ def assert_valid(A: FiniteSemiring) -> FiniteSemiring:
             s = None
         bad = verify_axioms(A) if s is None else []
         if bad:
-            raise FormatError(
+            raise error(
                 f"{A.label or 'semiring'}: axiom violations: "
                 + "; ".join(v.describe(A) for v in bad)
             )
@@ -331,8 +352,8 @@ def assert_valid(A: FiniteSemiring) -> FiniteSemiring:
 def is_idempotent(A: FiniteSemiring) -> bool:
     """1+1=1. On a table that satisfies the axioms this is a+a=a for all
     a, since a + a = a(1 + 1) by distributivity and the unit law.
-    `make_semiring`, `tabulate` and `semiring_from_dict` check the axioms
-    of every table they build, and `localize` those of its base. A
+    `make_semiring` and `semiring_from_dict` check the axioms of every
+    table they build, and `localize` those of its base. A
     localization is the image of its checked base under a hom that
     `localize` checks, and a section table is closed inside a product of
     localizations, so both inherit them."""
@@ -356,8 +377,7 @@ def units(A: FiniteSemiring) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(NamedTuple):
     """A as eA x fA by a |-> (ea, fa): fibres[i][x] is the mask of the a
     whose component in factors[i] is x."""
 
@@ -388,10 +408,13 @@ def _factor(A: FiniteSemiring, e: int) -> Tuple[FiniteSemiring, Tuple[int, ...]]
 
 def split(A: FiniteSemiring) -> Optional[Split]:
     """A as eA x fA for the first e other than 0 and 1 with ee = e, e + f = 1
-    and ef = 0 for some f, or None; a |-> (ea, fa) is certified a bijective
+    and ef = 0 for some f, or None; a |-> (ea, fa) is certified an injective
     hom that sends 0 and 1 to the factors' 0 and 1, by one scan of the
-    pairs. Found when `assert_valid` checks A or on first use; kept in
-    A's memo."""
+    pairs. It is onto once A keeps the axioms, with no count to compare:
+    for x in eA and y in fA, e(x + y) = x and f(x + y) = y, as ee = e and
+    ef = 0. Before that is known, `assert_valid` needs no more than the
+    injective hom. Found when `assert_valid` checks A or on first use;
+    kept in A's memo."""
     if "split" not in A._memo:
         add, mul, els, out = A.add, A.mul, A.elements, None
         pick = ((e, f) for e in els if e not in (A.zero, A.one) and mul[e][e] == e
@@ -405,7 +428,7 @@ def split(A: FiniteSemiring) -> Optional[Split]:
                 for a in els for b in els
             )
             unital = (pe[A.zero], pe[A.one], pf[A.zero], pf[A.one]) == (E.zero, E.one, F.zero, F.one)
-            if not (hom and unital) or len(set(zip(pe, pf))) != A.size or A.size != E.size * F.size:
+            if not (hom and unital) or len(set(zip(pe, pf))) != A.size:
                 raise InternalCheckError(f"{A.label}: a -> (ea, fa) is no isomorphism onto eA x fA")
             fibres = (tuple(mask_of(a for a in els if pos[a] == i) for i in range(B.size))
                       for pos, B in ((pe, E), (pf, F)))
@@ -504,8 +527,7 @@ def load_semiring(path: str) -> FiniteSemiring:
 # homomorphisms
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(NamedTuple):
     dom: FiniteSemiring
     cod: FiniteSemiring
     images: Tuple[int, ...]

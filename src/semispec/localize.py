@@ -17,7 +17,6 @@ localization of the base; the module-lattice localization check in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -25,6 +24,7 @@ from .errors import InternalCheckError, PreconditionError
 from .kernel import (
     FiniteSemiring,
     Homomorphism,
+    Record,
     assert_valid,
     bits,
     mask_of,
@@ -53,15 +53,21 @@ def is_saturated(A: FiniteSemiring, s_mask: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LocalizedSemiring:
-    base: FiniteSemiring
-    s_mask: int
-    table: FiniteSemiring
-    phi: Homomorphism  # base -> table
-    _psi_class: Tuple[Tuple[int, ...], ...]  # [a][s_pos] -> class index
-    s_list: Tuple[int, ...]
-    reps: Tuple[Tuple[int, int], ...]  # class -> canonical (a, s)
+class LocalizedSemiring(Record):
+    __slots__ = _fields = ("base", "s_mask", "table", "phi", "_psi_class", "s_list", "reps")
+
+    def __init__(
+        self,
+        base: FiniteSemiring,
+        s_mask: int,
+        table: FiniteSemiring,
+        phi: Homomorphism,  # base -> table
+        _psi_class: Tuple[Tuple[int, ...], ...],  # [a][s_pos] -> class index
+        s_list: Tuple[int, ...],
+        reps: Tuple[Tuple[int, int], ...],  # class -> canonical (a, s)
+    ):
+        self.base, self.s_mask, self.table, self.phi = base, s_mask, table, phi
+        self._psi_class, self.s_list, self.reps = _psi_class, s_list, reps
 
     def class_of_pair(self, a: int, s: int) -> int:
         return self._psi_class[a][self.s_list.index(s)]
@@ -326,17 +332,16 @@ def harden(A: FiniteSemiring) -> LocalizedSemiring:
 # hardening of B[x]
 
 
-@dataclass(frozen=True)
-class BxFraction:
+class BxFraction(Record):
     """f/g with f,g boolean polynomials in one variable (bitmask encoding),
     g semi-invertible (constant term 1)."""
 
-    num: int
-    den: int
+    __slots__ = _fields = ("num", "den")
 
-    def __post_init__(self):
-        if self.den & 1 == 0:
+    def __init__(self, num: int, den: int):
+        if den & 1 == 0:
             raise PreconditionError("denominator must have constant term 1")
+        self.num, self.den = num, den
 
 
 def bx_mul(a: int, b: int) -> int:

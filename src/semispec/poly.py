@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import re
 from collections import abc
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import FormatError, PreconditionError
+from .kernel import Record
+
+if TYPE_CHECKING:  # imported where used: only criterion 5 reaches it
+    from fractions import Fraction
 
 INF = float("inf")
 NEG_INF = float("-inf")
@@ -34,15 +36,14 @@ Expt = Tuple[int, ...]
 # BoolPoly
 
 
-@dataclass(frozen=True)
-class BoolPoly:
-    nvars: int
-    support: FrozenSet[Expt]
+class BoolPoly(Record):
+    __slots__ = _fields = ("nvars", "support")
 
-    def __post_init__(self):
-        for e in self.support:
-            if len(e) != self.nvars or any(k < 0 for k in e):
+    def __init__(self, nvars: int, support: FrozenSet[Expt]):
+        for e in support:
+            if len(e) != nvars or any(k < 0 for k in e):
                 raise FormatError(f"bad exponent vector {e}")
+        self.nvars, self.support = nvars, support
 
 
 # bool_poly, bool_poly_mul, bool_poly_from_mask and bool_poly_to_mask spell
@@ -214,21 +215,23 @@ def monomial_kernel_set(universe: SquarefreeUniverse, zeros: Sequence[int]) -> S
 # RatPoly
 
 
-@dataclass(frozen=True)
-class RatPoly:
+class RatPoly(Record):
     """Univariate polynomial with exact rational coefficients, stored as
     sorted (degree, coefficient) pairs with no zero coefficients."""
 
-    coeffs: Tuple[Tuple[int, Fraction], ...]
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self):
-        degs = [d for d, _ in self.coeffs]
+    def __init__(self, coeffs: Tuple[Tuple[int, Fraction], ...]):
+        degs = [d for d, _ in coeffs]
         if degs != sorted(set(degs)) or any(d < 0 for d in degs):
             raise FormatError("coefficients must be sorted by distinct degree")
-        if any(c == 0 for _, c in self.coeffs):
+        if any(c == 0 for _, c in coeffs):
             raise FormatError("stored zero coefficient")
+        self.coeffs = coeffs
 
     def coeff(self, d: int) -> Fraction:
+        from fractions import Fraction
+
         for dd, c in self.coeffs:
             if dd == d:
                 return c
@@ -244,6 +247,8 @@ class RatPoly:
 
 
 def rat_poly(items: Iterable[Tuple[int, Fraction]]) -> RatPoly:
+    from fractions import Fraction
+
     acc: Dict[int, Fraction] = {}
     for d, c in items:
         acc[d] = acc.get(d, Fraction(0)) + Fraction(c)
@@ -318,6 +323,8 @@ def _split_terms(text: str) -> List[str]:
 
 def parse_rat_poly(text: str, var: str = "t") -> RatPoly:
     """Parse sums of "c*t^k" terms with integer or a/b rational c."""
+    from fractions import Fraction
+
     items = []
     for term in _split_terms(text):
         term = term.strip()

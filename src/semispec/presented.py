@@ -25,12 +25,11 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from operator import add, ge, sub
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import FormatError, InternalCheckError, PreconditionError, ResourceError
-from .kernel import MAX_SIZE, FiniteSemiring, tabulate
+from .kernel import MAX_SIZE, FiniteSemiring, make_semiring
 
 Mono = Tuple[int, ...]
 Term = Tuple[Tuple[Mono, int], ...]  # sorted by monomial, coefficients >= 1
@@ -114,8 +113,7 @@ def fmt_term(t: Term, gens: Sequence[str]) -> str:
     return "+".join(parts)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     gens: Tuple[str, ...]
     rels: Tuple[Tuple[Term, Term], ...]
     idempotent: bool = False
@@ -169,8 +167,7 @@ def counterexample_presentation() -> Presentation:
 # bounds
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(NamedTuple):
     degree: int = 6
     coeff: int = 6
     nodes: int = 200000
@@ -343,8 +340,7 @@ def _overlaps(r1: Rule, r2: Rule) -> Iterator[Tuple[Term, Mono, Mono]]:
             yield term_from_items(list(acc.items())), m1, m2
 
 
-@dataclass
-class Answer:
+class Answer(NamedTuple):
     verdict: str  # "yes" | "no-at-bound", a proof that the terms differ
     chain: Optional[List[Term]] = None  # s, rewrites down to one normal form, up to t
 
@@ -525,7 +521,7 @@ class _Closure:
                 mul_t[k, j] = mul_t[j, k] = rep_of(term_mul(reps[k], reps[j]))
             k += 1
         try:
-            A = tabulate(
+            A = make_semiring(
                 range(len(reps)),
                 lambda a, b: add_t[a, b],
                 lambda a, b: mul_t[a, b],
@@ -533,8 +529,9 @@ class _Closure:
                 one,
                 label="presented-quotient",
                 names=[fmt_term(r, self.pres.gens) for r in reps],
+                error=ResourceError,
             )
-        except FormatError as exc:
+        except ResourceError as exc:
             raise ResourceError(f"closure table is no semiring ({exc}): could not close")
         if not is_model(A, images, self.pres):
             raise ResourceError("closure table breaks a relation: could not close")
@@ -579,7 +576,7 @@ def finite_quotient(
     of a relation by the same multiple of the other and lowers the order,
     so every term is congruent to a representative, and every table entry
     to the sum or product it stands for. The table must then pass a model
-    check: the axiom check of `tabulate`, and every relation with each
+    check: the axiom check of `make_semiring`, and every relation with each
     generator sent to its representative. A model is generated by the
     generators, and in it the representatives are distinct, so it is the
     quotient, and a term's class is its value in it. No table that fails

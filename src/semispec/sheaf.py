@@ -23,8 +23,7 @@ stalk comparison, and each component of a map of sections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError, PreconditionError
 from .kernel import (
@@ -181,8 +180,7 @@ class SheafContext:
 # equalizer sections
 
 
-@dataclass
-class SectionSemiring:
+class SectionSemiring(NamedTuple):
     ctx: SheafContext
     cover: Tuple[int, ...]
     target: Optional[int]  # element whose principal open is covered; None = whole
@@ -455,8 +453,7 @@ def glue_section(secs: SectionSemiring, tup: Tuple[int, ...]) -> int:
 # alexandrov sections
 
 
-@dataclass
-class AlexandrovSections:
+class AlexandrovSections(NamedTuple):
     ctx: SheafContext
     open_set: int
     points: List[int]  # point indices inside the open

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import InternalCheckError, PreconditionError, ResourceError
 from . import corpus
@@ -51,8 +50,7 @@ from .kernel import (
 from .localize import _powers_mask, _saturation, localize, semi_invertibles_mask
 
 
-@dataclass(frozen=True)
-class SpectrumSpace:
+class SpectrumSpace(NamedTuple):
     base: FiniteSemiring
     kind: str  # "spec" | "sp"
     point_masks: Tuple[int, ...]  # prime ideal masks, sorted (popcount, mask)
@@ -215,8 +213,7 @@ def cover_check(
 # induced maps
 
 
-@dataclass(frozen=True)
-class InducedMap:
+class InducedMap(NamedTuple):
     """Point map q |-> f^-1(q) from the spectrum of f's codomain (source)
     to that of its domain (target).
 

@@ -20,8 +20,7 @@ bijective. Both take the built lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import InternalCheckError, PreconditionError
 from .kernel import (
@@ -32,9 +31,9 @@ from .kernel import (
     bits,
     enumerate_homs,
     is_idempotent,
+    make_semiring,
     mask_of,
     powers,
-    tabulate,
 )
 from .ideals import _module_sum, closed_sets, closure_mask
 from .localize import _powers_mask, localize, map_classes
@@ -46,8 +45,7 @@ from . import corpus
 # valuations
 
 
-@dataclass(frozen=True)
-class GValuation:
+class GValuation(NamedTuple):
     source: FiniteSemiring
     target: FiniteSemiring
     images: Tuple[int, ...]
@@ -94,8 +92,7 @@ def bool_valuations(A: FiniteSemiring) -> List[GValuation]:
 # the submodule lattice
 
 
-@dataclass(frozen=True)
-class SubmoduleLattice:
+class SubmoduleLattice(NamedTuple):
     base: FiniteSemiring
     table: FiniteSemiring  # lattice as a semiring
     modules: Tuple[int, ...]  # lattice element -> subset mask of the base
@@ -139,7 +136,7 @@ def build_mra(A: FiniteSemiring) -> SubmoduleLattice:
     the join of the submodules a*N over a in M (`_scaled`): each product
     ab lies in a*N, and a join of submodules is the set of their sums.
     Every join is a module sum read from one memo, filled on demand by
-    both tables, so neither depends on which `tabulate` builds first; a
+    both tables, so neither depends on which table is built first; a
     join with a*N inside the running one is skipped.
 
     The universal map a -> <a> = {0, a} (a + a = a, as 1 + 1 = 1) is a
@@ -153,7 +150,9 @@ def build_mra(A: FiniteSemiring) -> SubmoduleLattice:
     v(ab) = v(a)v(b) <= v(b) <= 1, since x <= 1 gives xy + y = (x + 1)y = y.
 
     Raises PreconditionError unless 1 + 1 = 1 in A, and ResourceError once
-    more modules are found than a table may hold (`kernel.MAX_SIZE`)."""
+    more modules are found than a table may hold (`kernel.MAX_SIZE`). A
+    sum or product outside the modules, or a table that breaks an axiom,
+    is a broken construction: InternalCheckError."""
     if not is_idempotent(A):
         raise PreconditionError(f"{A.label}: 1 + 1 != 1, so {{0, 1}} is no subsemiring")
     cyclic_masks, found = closed_sets(A, lambda seed: _module_closure(A, seed), MAX_SIZE)
@@ -176,9 +175,9 @@ def build_mra(A: FiniteSemiring) -> SubmoduleLattice:
     names = tuple(
         "{" + ",".join(A.name_of(a) for a in bits(m)) + "}" for m in modules
     )
-    table = tabulate(
+    table = make_semiring(
         modules, module_sum, product_module,
-        1 << A.zero, cyclic_masks[A.one], f"M[{A.label}]", names,
+        1 << A.zero, cyclic_masks[A.one], f"M[{A.label}]", names, InternalCheckError,
     )
     for i, m1 in enumerate(modules):
         for j, m2 in enumerate(modules):
@@ -223,8 +222,7 @@ def factor_through_universal(
 # the pullback and the homeomorphism
 
 
-@dataclass
-class HomeoReport:
+class HomeoReport(NamedTuple):
     bijective: bool
     openness: bool
     basis: bool

@@ -1,6 +1,5 @@
 """Shared fixtures: the built-in table corpus at various size cuts."""
 
-import dataclasses
 from unittest import mock
 
 import pytest
@@ -139,7 +138,7 @@ def axiom_verdicts(A: FiniteSemiring):
 
     def verdict() -> object:
         try:
-            kernel.assert_valid(dataclasses.replace(A))
+            kernel.assert_valid(A.replace())
         except FormatError as exc:
             return str(exc)
         return None

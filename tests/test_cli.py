@@ -400,3 +400,25 @@ def test_presentation_idempotent_must_be_a_boolean(ws, capsys, flag):
         {"gens": ["x"], "rels": [["x*x", "x"]], "idempotent": False}
     ))
     assert cli.main(["load", str(pres), "--name", "q"]) == 5
+
+
+def test_import_loads_no_module_it_does_not_use(ws):
+    # start-up: records are NamedTuples or slotted classes, not dataclasses,
+    # and fractions is imported only by the rational polynomials that
+    # criterion 5 (KTT) reaches; a fresh process shows what import loads
+    probe = (
+        "import sys\n"
+        "import semispec.cli as cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))\n"
+        "code = cli.main(['verify', 'ktt'])\n"
+        "print(code, 'fractions' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, verdict, after = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert verdict.startswith("[PASS]  5 ktt:")
+    assert after == "0 True"

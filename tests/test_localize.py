@@ -1,7 +1,6 @@
 """Localization: fraction classes, saturation, semi-invertibility, hardening."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -116,7 +115,7 @@ def _with_corrupt_cell(L, a, si):
     """L with the class of (a, s_list[si]) moved to the next class."""
     grid = [list(row) for row in L._psi_class]
     grid[a][si] = (grid[a][si] + 1) % len(L.reps)
-    return replace(L, _psi_class=tuple(tuple(row) for row in grid))
+    return L.replace(_psi_class=tuple(tuple(row) for row in grid))
 
 
 def _pairwise_disagreement(A, L) -> bool:
@@ -233,7 +232,7 @@ def test_localize_detects_a_corrupted_canonical_map(monkeypatch):
         L = build(A, s_mask, label)
         images = list(L.phi.images)
         images[A.one] = images[A.zero]
-        return replace(L, phi=Homomorphism(A, L.table, tuple(images)))
+        return L.replace(phi=Homomorphism(A, L.table, tuple(images)))
 
     monkeypatch.setattr(loc_mod, "_localization", corrupt)
     with pytest.raises(InternalCheckError, match="localization map is not a hom"):
@@ -251,7 +250,7 @@ def test_localize_detects_a_map_that_is_not_onto(monkeypatch):
         L = build(A, s_mask, label)
         T = corpus.product_semiring(L.table, corpus.get("bool2"), "chain3*bool2")
         images = tuple(2 * L.phi(a) + (a != A.zero) for a in A.elements)
-        return replace(L, table=T, phi=Homomorphism(A, T, images))
+        return L.replace(table=T, phi=Homomorphism(A, T, images))
 
     monkeypatch.setattr(loc_mod, "_localization", widened)
     L = loc_mod._localization(A, 1 << A.one)
@@ -273,7 +272,7 @@ def test_localize_refuses_a_base_that_breaks_the_axioms():
 def test_localize_scans_its_base_once_and_no_table(monkeypatch):
     # however many localizations and sections are built over one base, the
     # base is scanned once and their own tables never
-    A = replace(corpus.get("boolxy"))
+    A = corpus.get("boolxy").replace()
     scans = []
     scan = kernel.verify_axioms
     monkeypatch.setattr(kernel, "verify_axioms", lambda B: scans.append(B) or scan(B))
@@ -315,7 +314,7 @@ def test_natural_map_detects_a_target_table_with_a_wrong_sum():
     T = L.table
     add = [list(row) for row in T.add]
     add[T.zero][T.one] = T.zero
-    bad = replace(L, table=replace(T, add=tuple(tuple(row) for row in add)))
+    bad = L.replace(table=T.replace(add=tuple(tuple(row) for row in add)))
     with pytest.raises(InternalCheckError, match="not a hom"):
         natural_map(L, bad)
 

@@ -1,6 +1,5 @@
 """Section semirings: equalizers, gluing, stalks, and global sections."""
 
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -461,10 +460,10 @@ def test_sections_along_detects_a_component_that_is_not_well_defined():
             for si in range(len(L.s_list)):
                 grid = [list(row) for row in L._psi_class]
                 grid[a][si] = (grid[a][si] + 1) % len(L.reps)
-                bad = replace(L, _psi_class=tuple(map(tuple, grid)))
+                bad = L.replace(_psi_class=tuple(map(tuple, grid)))
                 locs = sa.locs[:i] + [bad] + sa.locs[i + 1 :]
                 with pytest.raises(InternalCheckError, match="map of classes is ill-defined"):
-                    sections_along(H.phi, replace(sa, locs=locs), sh)
+                    sections_along(H.phi, sa._replace(locs=locs), sh)
 
 
 def test_criterion_9_detects_a_hardened_section_table_missing_a_family(monkeypatch):

@@ -1,6 +1,5 @@
 """Point spaces, their topology, induced maps, and the naturals model."""
 
-import dataclasses
 import json
 
 import pytest
@@ -90,14 +89,14 @@ def test_sp_cross_checks_hom_kernels(monkeypatch):
         spectra, "_bool2_kernels", lambda A, homs: real(A, homs)[1:] if homs else real(A, homs)
     )
     with pytest.raises(InternalCheckError, match="hom kernels"):
-        sp_enumerate(dataclasses.replace(corpus.get("boolxy")))
+        sp_enumerate(corpus.get("boolxy").replace())
 
 
 def test_spec_cross_checks_the_saturation_route(monkeypatch):
     # route 1 losing one candidate, the prime {0} of boolxy, must trip the
     # valuation-kernel route; a fresh copy, since the shared corpus object
     # keeps the primes an earlier call found
-    A = dataclasses.replace(corpus.get("boolxy"))
+    A = corpus.get("boolxy").replace()
     real = spectra._saturation
     nonzero = A.full_mask & ~(1 << A.zero)
     monkeypatch.setattr(
@@ -112,7 +111,7 @@ def test_the_primes_of_one_object_are_found_once(monkeypatch):
     # spec, sp and a sheaf context on one object share one prime search,
     # and each caller gets a list of its own; chain4 does not split, so the
     # search runs on the object itself
-    A = dataclasses.replace(corpus.get("chain4"))
+    A = corpus.get("chain4").replace()
     searches = []
     real = spectra._bool2_kernels
     monkeypatch.setattr(
@@ -132,7 +131,7 @@ def test_the_primes_of_one_object_are_found_once(monkeypatch):
 def test_each_spectrum_of_one_object_is_built_once(monkeypatch):
     # spec, sp and sheaf contexts of both kinds share one space per kind;
     # a copy made by replace has an empty memo and builds its own
-    A = dataclasses.replace(corpus.get("chain3xbool"))
+    A = corpus.get("chain3xbool").replace()
     builds = []
     real = spectra._build_space
     monkeypatch.setattr(
@@ -145,7 +144,7 @@ def test_each_spectrum_of_one_object_is_built_once(monkeypatch):
         assert sp_enumerate(A) is enumerate_space(A, "sp")
         assert SheafContext(A, kind).space is space
     assert sorted(builds) == [(id(A), "sp"), (id(A), "spec")]
-    B = dataclasses.replace(A)
+    B = A.replace()
     assert spec_enumerate(B) == spec_enumerate(A)
     assert builds[-1] == (id(B), "spec")
 
@@ -153,7 +152,7 @@ def test_each_spectrum_of_one_object_is_built_once(monkeypatch):
 def test_a_point_that_is_not_prime_fails_the_basis_identity(monkeypatch):
     # planted defect: {0} joins the primes of z4, though 2 * 2 = 0; at that
     # point D(2 * 2) = D(0) is empty where D(2) & D(2) is not; a fresh copy
-    A = dataclasses.replace(corpus.get("z4"))
+    A = corpus.get("z4").replace()
     real = spectra._prime_masks
     monkeypatch.setattr(spectra, "_prime_masks", lambda B: real(B) + [1 << B.zero])
     with pytest.raises(InternalCheckError, match=r"D\(ab\) != D\(a\) & D\(b\)"):
@@ -174,7 +173,7 @@ def test_valuation_search_needs_its_bottom_forcing_rule(monkeypatch):
         )
 
     monkeypatch.setattr(kernel, "_sum_rule", unforced)
-    A = dataclasses.replace(corpus.get("boolxy"))  # with no primes kept yet
+    A = corpus.get("boolxy").replace()  # with no primes kept yet
     with pytest.raises(InternalCheckError):
         spec_enumerate(A)
     with pytest.raises(InternalCheckError):

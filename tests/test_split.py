@@ -2,7 +2,6 @@
 spectra and the axiom verdict of a table that splits, against the routes
 that never split."""
 
-import dataclasses
 import json
 import random
 from itertools import product
@@ -54,17 +53,17 @@ def test_split_runs_on_first_use_and_is_kept():
     s = A._memo["split"]
     assert s is not None and split(A) is s
     assert sorted(B.size for B in s.factors) == [2, 8]
-    A = dataclasses.replace(A)
+    A = A.replace()
     assert "split" not in A._memo
     s = split(A)
     assert s is not None and split(A) is s
-    B = dataclasses.replace(corpus.get("boolxy"))
+    B = corpus.get("boolxy").replace()
     assert split(B) is None and B._memo["split"] is None
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCTS))
 def test_split_and_direct_routes_agree_on_the_corpus_products(name):
-    A = dataclasses.replace(corpus.get(name))
+    A = corpus.get(name).replace()
     assert public_routes(A) == direct_routes(A)
     assert axiom_verdicts(A) == (None, None)
 
@@ -98,7 +97,7 @@ def test_split_detects_a_corrupted_factor_index(monkeypatch):
 
     monkeypatch.setattr(kernel, "_factor", corrupt)
     with pytest.raises(InternalCheckError, match="no isomorphism"):
-        split(dataclasses.replace(corpus.get("chain3xbool")))
+        split(corpus.get("chain3xbool").replace())
 
 
 def test_split_detects_factors_whose_units_are_not_the_images_of_0_and_1(monkeypatch):
@@ -109,24 +108,43 @@ def test_split_detects_factors_whose_units_are_not_the_images_of_0_and_1(monkeyp
 
     def wrong_unit(A, e):
         E, pos = real(A, e)
-        return dataclasses.replace(E, one=E.zero), pos
+        return E.replace(one=E.zero), pos
 
     monkeypatch.setattr(kernel, "_factor", wrong_unit)
     with pytest.raises(InternalCheckError, match="no isomorphism"):
-        split(dataclasses.replace(corpus.get("chain3xbool")))
+        split(corpus.get("chain3xbool").replace())
+
+
+def test_split_detects_a_map_that_is_not_injective():
+    # planted defect: boolpair with a fifth element u that copies 0 in both
+    # tables (u + a = a, ua = 0, and no sum or product is u); a -> (ea, fa)
+    # is still a hom that keeps 0 and 1, but it sends 0 and u to one pair,
+    # so only the injectivity conjunct can tell. Were the split accepted,
+    # the factors would pass this table, which breaks both unit laws at u
+    A = corpus.get("boolpair")
+
+    def with_u(t):
+        return tuple(row + (row[A.zero],) for row in t + (t[A.zero],))
+
+    B = FiniteSemiring(5, A.zero, A.one, with_u(A.add), with_u(A.mul), "boolpair+u")
+    with pytest.raises(InternalCheckError, match="no isomorphism"):
+        split(B)
+    by_factors, direct = axiom_verdicts(B)
+    assert direct == "boolpair+u: axiom violations: add-zero[4]; mul-one[4]"
+    assert by_factors == direct
 
 
 def one_changes(A: FiniteSemiring):
     """Every table one entry or one constant away from A."""
     els = A.elements
-    out = [dataclasses.replace(A, zero=z, one=o) for z, o in product(els, els)]
+    out = [A.replace(zero=z, one=o) for z, o in product(els, els)]
     for key in ("add", "mul"):
         table = getattr(A, key)
         for a, b, v in product(els, els, els):
             if table[a][b] != v:
                 rows = [list(row) for row in table]
                 rows[a][b] = v
-                out.append(dataclasses.replace(A, **{key: tuple(map(tuple, rows))}))
+                out.append(A.replace(**{key: tuple(map(tuple, rows))}))
     return out
 
 
@@ -147,7 +165,7 @@ def test_the_factor_verdict_is_the_direct_scan_on_products_of_changed_tables(nam
     # changed factor that breaks a law must fail A with A's own text
     verdicts = []
     for X in one_changes(corpus.get(name)):
-        with mock.patch.object(kernel, "assert_valid", lambda A: A):
+        with mock.patch.object(kernel, "assert_valid", lambda A, error=None: A):
             A = corpus.product_semiring(X, corpus.get("bool2"), f"{name}'*bool2")
         verdicts.append(axiom_verdicts(A))
     assert all(by_factors == direct for by_factors, direct in verdicts)
@@ -159,7 +177,7 @@ def test_a_law_broken_in_one_factor_fails_with_the_direct_scan_s_text():
     # the check: it splits and certifies, and its 3-element factor fails
     bad = FiniteSemiring(3, 0, 1, ((0, 1, 2), (1, 1, 2), (2, 2, 0)),
                          ((0, 0, 0), (0, 1, 2), (0, 2, 2)), "bad")
-    with mock.patch.object(kernel, "assert_valid", lambda A: A):
+    with mock.patch.object(kernel, "assert_valid", lambda A, error=None: A):
         A = corpus.product_semiring(bad, corpus.get("bool2"), "bad*bool2")
     s = split(A)
     assert sorted(B.size for B in s.factors) == [2, 3]
@@ -178,9 +196,9 @@ def test_a_split_that_cannot_be_built_is_a_format_error(tmp_path, monkeypatch):
     e = A.names.index("(0,1)")
     add = [list(row) for row in A.add]
     add[e][e] = A.one
-    B = dataclasses.replace(A, add=tuple(map(tuple, add)))
+    B = A.replace(add=tuple(map(tuple, add)))
     with pytest.raises(InternalCheckError, match="not in the carrier"):
-        split(dataclasses.replace(B))
+        split(B.replace())
     by_factors, direct = axiom_verdicts(B)
     assert direct is not None and by_factors == direct
     # through the command line: exit 3 (malformed input), never 7

@@ -1,11 +1,10 @@
 """Boolean valuations, submodule lattices, and the universal factoring."""
 
-import dataclasses
 
 import pytest
 
-from semispec import corpus, kernel, valuation
-from semispec.errors import FormatError, InternalCheckError, PreconditionError, ResourceError
+from semispec import cli, corpus, kernel, valuation
+from semispec.errors import InternalCheckError, PreconditionError, ResourceError
 from semispec.ideals import closure_mask
 from semispec.kernel import bits, is_idempotent, leq, mask_of
 from semispec.localize import _powers_mask, localize, natural_map
@@ -164,7 +163,7 @@ def test_build_mra_detects_a_table_out_of_step_with_its_modules(monkeypatch):
     # other's places; it is still an idempotent semiring, so only the
     # order-versus-inclusion scan can tell
     A = corpus.get("chain3")
-    real = valuation.tabulate
+    real = valuation.make_semiring
 
     def swapped(carrier, *rest):
         carrier = list(carrier)
@@ -172,7 +171,7 @@ def test_build_mra_detects_a_table_out_of_step_with_its_modules(monkeypatch):
         carrier[i], carrier[j] = carrier[j], carrier[i]
         return real(carrier, *rest)
 
-    monkeypatch.setattr(valuation, "tabulate", swapped)
+    monkeypatch.setattr(valuation, "make_semiring", swapped)
     with pytest.raises(InternalCheckError, match="lattice order differs from inclusion"):
         build_mra(A)
 
@@ -258,7 +257,7 @@ def test_vstar_homeo_refuses_a_pullback_that_is_not_a_point():
     # pulled-back point of Sp is then no prime of boolx
     lat = build_mra(corpus.get("boolx"))
     c = lat.cyclic
-    swapped = dataclasses.replace(lat, cyclic=(c[0], c[1], c[3], c[2]))
+    swapped = lat._replace(cyclic=(c[0], c[1], c[3], c[2]))
     with pytest.raises(InternalCheckError):
         vstar_homeo_check(swapped)
 
@@ -271,7 +270,7 @@ def test_vstar_homeo_openness_reads_the_base_basis(monkeypatch):
     space = spec_enumerate(A)
     b = list(space.basis)
     b[A.zero], b[A.one] = b[A.one], b[A.zero]
-    bad = dataclasses.replace(space, basis=tuple(b))
+    bad = space._replace(basis=tuple(b))
     monkeypatch.setattr(valuation, "spec_enumerate", lambda B: bad if B is A else spec_enumerate(B))
     rep = vstar_homeo_check(build_mra(A))
     assert rep.bijective and rep.basis
@@ -285,7 +284,7 @@ def test_vstar_homeo_needs_the_explicit_inverse():
     A = corpus.get("boolx")
     lat = build_mra(A)
     top = lat.modules.index(A.full_mask)
-    collapsed = dataclasses.replace(lat, cyclic=(lat.cyclic[0],) + (top,) * (A.size - 1))
+    collapsed = lat._replace(cyclic=(lat.cyclic[0],) + (top,) * (A.size - 1))
     rep = vstar_homeo_check(collapsed)
     assert rep.points == 3
     assert not rep.bijective and not rep.openness and not rep.ok
@@ -313,7 +312,7 @@ def test_mra_localization_iso_detects_a_lattice_out_of_step_with_its_modules(mon
         modules = list(out.modules)
         i, j = modules.index(1 << B.zero), modules.index(B.full_mask)
         modules[i], modules[j] = modules[j], modules[i]
-        return dataclasses.replace(out, modules=tuple(modules))
+        return out._replace(modules=tuple(modules))
 
     monkeypatch.setattr(valuation, "build_mra", swapped)
     assert mra_localization_iso_check(lat, A.zero)
@@ -435,5 +434,17 @@ def test_a_product_that_drops_one_scaled_module_is_refused(monkeypatch):
     # product, so {0,1}*N misses N itself and the lattice has no unit
     real = valuation._scaled
     monkeypatch.setattr(valuation, "_scaled", lambda A, m1, m2: real(A, m1, m2)[:-1])
-    with pytest.raises(FormatError, match="mul-one"):
+    with pytest.raises(InternalCheckError, match="mul-one"):
         build_mra(corpus.get("boolx"))
+
+
+def test_a_broken_module_table_exits_7_not_3(monkeypatch, tmp_path, capsys):
+    # the same planted defect through the command line: the input is a
+    # checked table, so a module table that breaks an axiom is an internal
+    # check failure (7), not malformed input (3)
+    monkeypatch.setenv("SEMISPEC_WORKSPACE", str(tmp_path))
+    real = valuation._scaled
+    monkeypatch.setattr(valuation, "_scaled", lambda A, m1, m2: real(A, m1, m2)[:-1])
+    assert cli.main(["mra", "boolx"]) == 7
+    err = capsys.readouterr().err
+    assert err.startswith("error: M[boolx]: axiom violations: ") and "mul-one" in err
