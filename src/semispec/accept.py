@@ -118,14 +118,14 @@ def criterion_2() -> CheckResult:
     ok = True
     counts = []
     for n in range(1, 5):
-        uni = poly.squarefree_universe(n)
+        monomials = poly.squarefree_monomials(n)
         kernels = set()
         for point in itertools.product((0, 1), repeat=n):
-            van = poly.vanishing_set(uni, point)
+            van = poly.vanishing_set(monomials, point)
             zeros = frozenset(j for j in range(n) if not point[j])
-            if van != poly.monomial_kernel_set(uni, zeros):
+            if van != poly.monomial_kernel_set(monomials, zeros):
                 ok = False
-            kernels.add(van.mask)  # one mask per kernel, read without its members
+            kernels.add(van)
         counts.append(len(kernels))
         if len(kernels) != 2**n:
             ok = False
@@ -226,7 +226,7 @@ def _sheaf_sweep(kind: str) -> Tuple[int, int, List[FiniteSemiring], List[str]]:
     failures: List[str] = []
     tables: List[FiniteSemiring] = []
     covers = 0
-    members = corpus.members(max_size=8, min_size=2)
+    members = corpus.members(max_size=8)
     for A in members:
         ctx = SheafContext(A, kind)
         for target in _distinct_open_reps(ctx):
@@ -246,7 +246,7 @@ def _sheaf_sweep(kind: str) -> Tuple[int, int, List[FiniteSemiring], List[str]]:
 def criterion_4() -> CheckResult:
     covers, nsemirings, _tables, failures = _sheaf_sweep("spec")
     stalk_notes = []
-    for A in corpus.members(max_size=8, min_size=2):
+    for A in corpus.members(max_size=8):
         ctx = SheafContext(A, "spec")
         al = alexandrov_sections(ctx, ctx.space.full)
         for i in al.points:
@@ -308,13 +308,13 @@ def criterion_6() -> CheckResult:
 def criterion_7() -> CheckResult:
     checked = 0
     bad = []
-    for A in corpus.members(max_size=8, min_size=1, include_trivial=True):
+    for A in corpus.members(max_size=8, include_trivial=True):
         ideals = all_ideals(A)
-        primes = [I for I in ideals if is_prime(I)]
+        primes = [I for I in ideals if is_prime(A, I)]
         for I in ideals:
             checked += 1
-            if not radical_equals_prime_intersection(I, primes):
-                bad.append(f"{A.label}:{I.mask:b}")
+            if not radical_equals_prime_intersection(A, I, primes):
+                bad.append(f"{A.label}:{I:b}")
     ok = not bad and checked > 0
     detail = f"{checked} ideals, radical = prime intersection everywhere"
     if bad:
@@ -325,7 +325,7 @@ def criterion_7() -> CheckResult:
 def criterion_8() -> CheckResult:
     visited = []
     bad = []
-    for A in corpus.members(max_size=16, min_size=1, include_trivial=True):
+    for A in corpus.members(max_size=16, include_trivial=True):
         if A.add[A.one][A.one] != A.one:
             continue  # {0, 1} is no subsemiring, so no submodule lattice
         try:
@@ -354,7 +354,7 @@ def criterion_9() -> CheckResult:
     soft = [t for t in tables if not is_hard(t)]
     gammas_hard = True
     match_notes = []
-    for A in corpus.members(max_size=8, min_size=2):
+    for A in corpus.members(max_size=8):
         g = gamma(A)
         if not is_hard(g.table):
             gammas_hard = False
@@ -385,7 +385,7 @@ def criterion_9() -> CheckResult:
 
 
 def _suite_closed_sets() -> Optional[str]:
-    for A in corpus.members(max_size=8, min_size=2):
+    for A in corpus.members(max_size=8):
         for kind in ("spec", "sp"):
             ctx = SheafContext(A, kind)
             space = ctx.space
@@ -409,7 +409,7 @@ def _suite_closed_sets() -> Optional[str]:
 
 
 def _suite_covers() -> Optional[str]:
-    for A in corpus.members(max_size=6, min_size=2):
+    for A in corpus.members(max_size=6):
         for kind in ("spec", "sp"):
             ctx = SheafContext(A, kind)
             space = ctx.space
@@ -424,10 +424,10 @@ def _suite_covers() -> Optional[str]:
 
 
 def _suite_preimages() -> Optional[str]:
-    small = corpus.members(max_size=5, min_size=2)
+    small = corpus.members(max_size=5)
     # each B's ideals, with whether each is prime and subtractive, once
     lattices = [
-        [(J.mask, is_prime(J), is_subtractive(J)) for J in all_ideals(B)] for B in small
+        [(J, is_prime(B, J), is_subtractive(B, J)) for J in all_ideals(B)] for B in small
     ]
     for A in small:
         for B, ideals in zip(small, lattices):
@@ -435,12 +435,11 @@ def _suite_preimages() -> Optional[str]:
             for f in homs[:50]:
                 for J, prime, subtractive in ideals:
                     pre = mask_of(a for a in A.elements if (J >> f.images[a]) & 1)
-                    handle = ideal_closure(A, list(bits(pre)))
-                    if handle.mask != pre:
+                    if ideal_closure(A, bits(pre)) != pre:
                         return f"{A.label}->{B.label}: preimage not an ideal"
-                    if prime and pre != A.full_mask and not is_prime(handle):
+                    if prime and pre != A.full_mask and not is_prime(A, pre):
                         return f"{A.label}->{B.label}: preimage not prime"
-                    if subtractive and not is_subtractive(handle):
+                    if subtractive and not is_subtractive(A, pre):
                         return f"{A.label}->{B.label}: preimage not subtractive"
     return None
 
@@ -449,7 +448,7 @@ def _suite_witness_transitivity() -> Optional[str]:
     # finite side: the canonical-class relation is checked against the raw
     # witness scan inside localize for every multiplicative submonoid
     count = 0
-    for A in corpus.members(max_size=6, min_size=2):
+    for A in corpus.members(max_size=6):
         for code in range(1 << A.size):
             if not (code >> A.one) & 1:
                 continue

@@ -175,21 +175,15 @@ def get(name: str) -> FiniteSemiring:
     return _CACHE[name]
 
 
-def members(
-    max_size: Optional[int] = None,
-    min_size: int = 1,
-    include_trivial: bool = False,
-) -> List[FiniteSemiring]:
-    """Corpus members filtered by size, in name order; trivial1 only
-    when asked for."""
+def members(max_size: Optional[int] = None, include_trivial: bool = False) -> List[FiniteSemiring]:
+    """Corpus members of at most max_size elements, in name order;
+    trivial1, the one member of one element, only when asked for."""
     out = []
     for name in corpus_names():
         A = get(name)
         if name == "trivial1" and not include_trivial:
             continue
         if max_size is not None and A.size > max_size:
-            continue
-        if A.size < min_size:
             continue
         out.append(A)
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from operator import or_
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import InternalCheckError, ResourceError
 from .kernel import (
@@ -27,20 +27,6 @@ from .kernel import (
     row_picker,
     split,
 )
-
-
-class IdealHandle(NamedTuple):
-    ambient: FiniteSemiring
-    mask: int
-
-    def members(self) -> List[int]:
-        return list(bits(self.mask))
-
-    def is_proper(self) -> bool:
-        return self.mask != self.ambient.full_mask
-
-    def __contains__(self, a: int) -> bool:
-        return bool((self.mask >> a) & 1)
 
 
 def closure_mask(A: FiniteSemiring, seed: int, scalars: int) -> int:
@@ -80,10 +66,9 @@ def closure_mask(A: FiniteSemiring, seed: int, scalars: int) -> int:
     return cur
 
 
-def ideal_closure(A: FiniteSemiring, gens: Iterable[int]) -> IdealHandle:
+def ideal_closure(A: FiniteSemiring, gens: Iterable[int]) -> int:
     """Smallest ideal containing gens: fixed point under + and scaling."""
-    seed = mask_of(gens) | 1 << A.zero
-    return IdealHandle(A, closure_mask(A, seed, A.full_mask))
+    return closure_mask(A, mask_of(gens) | 1 << A.zero, A.full_mask)
 
 
 def is_ideal(A: FiniteSemiring, mask: int) -> bool:
@@ -143,7 +128,7 @@ def closed_sets(
     return principal, found
 
 
-def all_ideals(A: FiniteSemiring) -> List[IdealHandle]:
+def all_ideals(A: FiniteSemiring) -> List[int]:
     """Every ideal, ordered by size then mask: each is a sum of principal
     ideals. On a table that splits as eA x fA (`kernel.split`) they are
     {a : ea in I and fa in J} for the ideals I of eA and J of fA, as an
@@ -154,21 +139,21 @@ def all_ideals(A: FiniteSemiring) -> List[IdealHandle]:
         zero_bit, full = 1 << A.zero, A.full_mask
         _principal, found = closed_sets(A, lambda m: closure_mask(A, m | zero_bit, full), _IDEAL_CAP)
     else:
-        left, right = ([I.mask for I in all_ideals(B)] for B in s.factors)
+        left, right = (all_ideals(B) for B in s.factors)
         if len(left) * len(right) > _IDEAL_CAP:
             raise ResourceError(f"{A.label}: over the cap of {_IDEAL_CAP} lattice elements")
         right = [s.preimage(1, m) for m in right]
         found = [x & y for x in (s.preimage(0, m) for m in left) for y in right]
-    return [IdealHandle(A, m) for m in sorted(found, key=lambda m: (popcount(m), m))]
+    return sorted(found, key=lambda m: (popcount(m), m))
 
 
-def is_prime(I: IdealHandle) -> bool:
-    """Proper, and ab in I implies a in I or b in I: the complement is
-    closed under multiplication."""
-    if not I.is_proper():
+def is_prime(A: FiniteSemiring, mask: int) -> bool:
+    """The ideal mask is proper, and ab in it implies a or b in it: the
+    complement is closed under multiplication."""
+    if mask == A.full_mask:
         return False
-    mask, mul = I.mask, I.ambient.mul
-    outside = [a for a in I.ambient.elements if not (mask >> a) & 1]
+    mul = A.mul
+    outside = [a for a in A.elements if not (mask >> a) & 1]
     for a in outside:
         ma = mul[a]
         for b in outside:
@@ -177,13 +162,13 @@ def is_prime(I: IdealHandle) -> bool:
     return True
 
 
-def is_subtractive(I: IdealHandle) -> bool:
-    """a+b=c with b,c in I forces a in I. On idempotent ambients this is
-    down-closedness in the natural order, so that test would only repeat
+def is_subtractive(A: FiniteSemiring, mask: int) -> bool:
+    """a+b=c with b,c in mask forces a in mask. On idempotent ambients this
+    is down-closedness in the natural order, so that test would only repeat
     this one: a <= a + b, and a <= b means a + b = b."""
-    mask, add = I.mask, I.ambient.add
-    inside = I.members()
-    for a in I.ambient.elements:
+    add = A.add
+    inside = list(bits(mask))
+    for a in A.elements:
         if not (mask >> a) & 1 and any((mask >> add[a][b]) & 1 for b in inside):
             return False
     return True
@@ -205,43 +190,39 @@ def _subtractive_pass(A: FiniteSemiring, mask: int) -> int:
     return out
 
 
-def subtractive_closure(I: IdealHandle) -> IdealHandle:
-    """Smallest subtractive ideal containing I: {a : a+b=c for some b,c in I}.
+def subtractive_closure(A: FiniteSemiring, mask: int) -> int:
+    """Smallest subtractive ideal containing the ideal mask:
+    {a : a+b=c for some b,c in mask}.
 
     One pass suffices by theory, and the result must be a subtractive
     ideal; a second pass would add exactly the violations that
     `is_subtractive` scans for.
     """
-    A = I.ambient
-    m1 = _subtractive_pass(A, I.mask)
-    out = IdealHandle(A, m1)
-    if not is_ideal(A, m1) or not is_subtractive(out):
+    out = _subtractive_pass(A, mask)
+    if not is_ideal(A, out) or not is_subtractive(A, out):
         raise InternalCheckError(f"{A.label}: subtractive closure is not a kernel")
     return out
 
 
-def radical_member(I: IdealHandle, a: int) -> bool:
-    """Some power a^n (n>=0) lies in I; the power sequence is cycle-finite."""
-    return any((I.mask >> x) & 1 for x in powers(I.ambient, a))
+def radical_member(A: FiniteSemiring, mask: int, a: int) -> bool:
+    """Some power a^n (n>=0) lies in mask; the power sequence is cycle-finite."""
+    return any((mask >> x) & 1 for x in powers(A, a))
 
 
-def radical_mask(I: IdealHandle) -> int:
-    return mask_of(a for a in I.ambient.elements if radical_member(I, a))
+def radical_mask(A: FiniteSemiring, mask: int) -> int:
+    return mask_of(a for a in A.elements if radical_member(A, mask, a))
 
 
-def primes_containing(mask: int, primes: Sequence[IdealHandle]) -> List[IdealHandle]:
-    return [p for p in primes if p.mask & mask == mask]
+def primes_containing(mask: int, primes: Sequence[int]) -> List[int]:
+    return [p for p in primes if p & mask == mask]
 
 
-def radical_equals_prime_intersection(
-    I: IdealHandle, primes: Sequence[IdealHandle]
-) -> bool:
-    """rad(I) == intersection of primes containing I (empty intersection = A)."""
-    A = I.ambient
+def radical_equals_prime_intersection(A: FiniteSemiring, mask: int, primes: Sequence[int]) -> bool:
+    """rad(mask) == intersection of primes containing it (empty intersection = A)."""
     inter = A.full_mask
-    for p in primes_containing(I.mask, primes):
-        inter &= p.mask
-    return radical_mask(I) == inter
+    for p in primes_containing(mask, primes):
+        inter &= p
+    return radical_mask(A, mask) == inter
 
 
 # ---------------------------------------------------------------------------

@@ -409,12 +409,11 @@ def _factor(A: FiniteSemiring, e: int) -> Tuple[FiniteSemiring, Tuple[int, ...]]
 def split(A: FiniteSemiring) -> Optional[Split]:
     """A as eA x fA for the first e other than 0 and 1 with ee = e, e + f = 1
     and ef = 0 for some f, or None; a |-> (ea, fa) is certified an injective
-    hom that sends 0 and 1 to the factors' 0 and 1, by one scan of the
-    pairs. It is onto once A keeps the axioms, with no count to compare:
-    for x in eA and y in fA, e(x + y) = x and f(x + y) = y, as ee = e and
-    ef = 0. Before that is known, `assert_valid` needs no more than the
-    injective hom. Found when `assert_valid` checks A or on first use;
-    kept in A's memo."""
+    hom, a -> ea and a -> fa each by `Homomorphism.violation`. It is onto
+    once A keeps the axioms, with no count to compare: for x in eA and y in
+    fA, e(x + y) = x and f(x + y) = y, as ee = e and ef = 0. Before that is
+    known, `assert_valid` needs no more than the injective hom. Found when
+    `assert_valid` checks A or on first use; kept in A's memo."""
     if "split" not in A._memo:
         add, mul, els, out = A.add, A.mul, A.elements, None
         pick = ((e, f) for e in els if e not in (A.zero, A.one) and mul[e][e] == e
@@ -422,13 +421,8 @@ def split(A: FiniteSemiring) -> Optional[Split]:
         e, f = next(pick, (None, None))
         if e is not None:
             (E, pe), (F, pf) = _factor(A, e), _factor(A, f)
-            hom = all(
-                pe[t[a][b]] == te[pe[a]][pe[b]] and pf[t[a][b]] == tf[pf[a]][pf[b]]
-                for t, te, tf in ((add, E.add, F.add), (mul, E.mul, F.mul))
-                for a in els for b in els
-            )
-            unital = (pe[A.zero], pe[A.one], pf[A.zero], pf[A.one]) == (E.zero, E.one, F.zero, F.one)
-            if not (hom and unital) or len(set(zip(pe, pf))) != A.size:
+            maps = (Homomorphism(A, E, pe), Homomorphism(A, F, pf))
+            if any(h.violation() for h in maps) or len(set(zip(pe, pf))) != A.size:
                 raise InternalCheckError(f"{A.label}: a -> (ea, fa) is no isomorphism onto eA x fA")
             fibres = (tuple(mask_of(a for a in els if pos[a] == i) for i in range(B.size))
                       for pos, B in ((pe, E), (pf, F)))

@@ -5,9 +5,9 @@ Two representations, one per job:
             with a bitmask form for one variable;
   RatPoly   exact rational univariate polynomials for the subring of
             polynomials whose degree-one coefficient vanishes.
-The squarefree-supported BoolPolys in n variables form a SquarefreeUniverse,
-indexed by bitmasks over the 2^n squarefree monomials; kernels on it are
-lazy sets of submasks, each held as one mask of monomials per point.
+A squarefree-supported BoolPoly in n variables is a bitmask over the 2^n
+squarefree monomials, and a kernel of evaluation on them is the set of
+submasks of one mask of monomials.
 
 Supports are never functionally normalized: two supports that induce the
 same tropical function stay distinct elements.
@@ -16,7 +16,6 @@ same tropical function stay distinct elements.
 from __future__ import annotations
 
 import re
-from collections import abc
 from itertools import combinations
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
@@ -103,112 +102,47 @@ def bool_poly_deg(m: int):
     return bool_poly_ord_deg(m)[1]
 
 
-class SquarefreeUniverse(abc.Sequence):
-    """All boolean polynomials in nvars variables supported on squarefree
-    monomials, 2^(2^nvars) of them: member i has as support the monomials
-    at the set bits of i. Members are built only when read."""
-
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-        self.monomials: Tuple[Expt, ...] = tuple(
-            sorted(
-                tuple(1 if i in s else 0 for i in range(nvars))
-                for r in range(nvars + 1)
-                for s in combinations(range(nvars), r)
-            )
-        )
-
-    def __len__(self) -> int:
-        return 1 << len(self.monomials)
-
-    def __getitem__(self, i: int) -> BoolPoly:
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("universe index out of range")
-        return BoolPoly(
-            self.nvars,
-            frozenset(m for k, m in enumerate(self.monomials) if (i >> k) & 1),
-        )
-
-    def avoiding(self, mask: int) -> Submasks:
-        """Indices of the members whose support misses every monomial in
-        mask: the submasks of its complement."""
-        return Submasks((len(self) - 1) & ~mask)
-
-
-class Submasks(abc.Set):
-    """The set of submasks of a mask, as member indices: i is a member when
-    its bits all lie in mask. Members are built only when read: the size
-    and membership are O(1), and iteration enumerates the submasks.
-
-    Distinct masks have distinct submask sets, so two of these are equal
-    exactly when their masks are; against any other set the comparison
-    reads the members, and the hash is that of the frozenset of them."""
-
-    def __init__(self, mask: int):
-        self.mask = mask
-
-    def __len__(self) -> int:
-        return 1 << self.mask.bit_count()
-
-    def __contains__(self, i: object) -> bool:
-        return isinstance(i, int) and i & ~self.mask == 0
-
-    def __iter__(self):
-        sub = self.mask
-        while True:
-            yield sub
-            if not sub:
-                return
-            sub = (sub - 1) & self.mask
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Submasks):
-            return self.mask == other.mask
-        return abc.Set.__eq__(self, other)
-
-    def __hash__(self) -> int:
-        return self._hash()
-
-    def __repr__(self) -> str:
-        return f"Submasks({self.mask:#b})"
-
-
-def squarefree_universe(nvars: int) -> SquarefreeUniverse:
-    """All boolean polynomials supported on squarefree monomials, in a
-    deterministic order. 2^(2^nvars) polynomials."""
+def squarefree_monomials(nvars: int) -> Tuple[Expt, ...]:
+    """The 2^nvars squarefree monomials in nvars variables, sorted. A mask
+    over them names a boolean polynomial, the one supported on the
+    monomials at its set bits; there are 2^(2^nvars) such masks."""
     if nvars > 4:
         raise PreconditionError("universe too large")
-    return SquarefreeUniverse(nvars)
+    return tuple(
+        sorted(
+            tuple(1 if i in s else 0 for i in range(nvars))
+            for r in range(nvars + 1)
+            for s in combinations(range(nvars), r)
+        )
+    )
 
 
-def vanishing_set(universe: SquarefreeUniverse, point: Sequence[bool]) -> Submasks:
-    """Indices of universe members evaluating to 0 at the point: the kernel
-    of the evaluation map, restricted to the universe. Each monomial is
-    evaluated once; a member vanishes when it has no monomial that does not."""
-    n = universe.nvars
+def vanishing_set(monomials: Sequence[Expt], point: Sequence[bool]) -> int:
+    """Mask of the monomials that evaluate to 0 at the point: the kernel of
+    the evaluation map on squarefree supports is the set of its submasks.
+    Each monomial is evaluated once; a polynomial vanishes when it has no
+    monomial that does not."""
     alive = 0
-    for k, m in enumerate(universe.monomials):
-        if bool_eval(BoolPoly(n, frozenset((m,))), point):
+    for k, m in enumerate(monomials):
+        if bool_eval(BoolPoly(len(m), frozenset((m,))), point):
             alive |= 1 << k
-    return universe.avoiding(alive)
+    return ((1 << len(monomials)) - 1) & ~alive
 
 
-def _free_monomials(universe: SquarefreeUniverse, zeros: Sequence[int]) -> int:
+def _free_monomials(monomials: Sequence[Expt], zeros: Sequence[int]) -> int:
     """Mask of the monomials that mention no variable from zeros."""
     out = 0
-    for k, e in enumerate(universe.monomials):
+    for k, e in enumerate(monomials):
         if not any(e[j] > 0 for j in zeros):
             out |= 1 << k
     return out
 
 
-def monomial_kernel_set(universe: SquarefreeUniverse, zeros: Sequence[int]) -> Submasks:
-    """Indices of universe members all of whose monomials mention some
-    variable from `zeros`: the monomial ideal generated by those variables,
-    restricted to the universe."""
-    return universe.avoiding(_free_monomials(universe, zeros))
+def monomial_kernel_set(monomials: Sequence[Expt], zeros: Sequence[int]) -> int:
+    """Mask of the monomials that mention some variable from `zeros`: the
+    monomial ideal generated by those variables, on squarefree supports,
+    is the set of its submasks."""
+    return ((1 << len(monomials)) - 1) & ~_free_monomials(monomials, zeros)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,8 @@ def term_mul(s: Term, t: Term) -> Term:
     )
 
 
-_MONO_RE = re.compile(r"^(?P<var>[a-zA-Z]\w*)(?:\^(?P<exp>\d+))?$")
+_VAR = r"[a-zA-Z]\w*"  # a generator's name
+_MONO_RE = re.compile(rf"^(?P<var>{_VAR})(?:\^(?P<exp>\d+))?$")
 
 
 def parse_term(text: str, gens: Sequence[str]) -> Term:
@@ -140,7 +141,10 @@ def presentation_from_json(data: dict) -> Presentation:
         raise FormatError("idempotent must be true or false")
     if not isinstance(gens_raw, list):
         raise FormatError("gens must be a list of names")
-    gens = tuple(str(g) for g in gens_raw)
+    for g in gens_raw:
+        if not (isinstance(g, str) and re.fullmatch(_VAR, g)):
+            raise FormatError(f"generator {g!r} is not a variable name {_VAR}")
+    gens = tuple(gens_raw)
     if len(set(gens)) != len(gens):
         raise FormatError("duplicate generators")
     if not isinstance(rels_raw, list) or not all(
@@ -562,7 +566,6 @@ def finite_quotient(
     pres: Presentation,
     degree: int = 4,
     coeff: int = 4,
-    bound: Optional[Bound] = None,
 ) -> Tuple[FiniteSemiring, Callable[[Term], int]]:
     """The presented semiring as a finite table, built by closure from the
     generators (Froidure and Pin, 1997), with the class of every term.
@@ -585,12 +588,12 @@ def finite_quotient(
     A presentation that `infinite_model` proves infinite raises
     PreconditionError before the closure starts. A closure that does not
     end in a checked table raises ResourceError: a normal form outside
-    `bound`, more than MAX_SIZE representatives, a failed model check, or
-    the node budget spent. `bound` confines both the rewriting and the
-    representatives, and every rewrite examined counts against its node
-    budget. By default it allows twice `degree`, and coefficients large
-    enough for every sum and product of two terms of degree up to `degree`
-    and coefficients up to `coeff`. A relation may reach past `bound`: it
+    the bound, more than MAX_SIZE representatives, a failed model check,
+    or the node budget spent. The bound confines both the rewriting and
+    the representatives, and every rewrite examined counts against its
+    node budget. It allows twice `degree`, and coefficients large enough
+    for every sum and product of two terms of degree up to `degree` and
+    coefficients up to `coeff`. A relation may reach past the bound: it
     then rewrites only where its result stays within. A (degree, coeff)
     region of more than 100,000 terms is refused up front. The bounds must
     hold 0 and 1: coeff >= 1 and degree >= 0."""
@@ -599,8 +602,7 @@ def finite_quotient(
     monos = math.comb(pres.nvars + degree, degree)  # monomials of degree <= degree
     if (coeff + 1) ** monos > 100000:
         raise ResourceError("enumeration bound too large")
-    if bound is None:
-        bound = Bound(degree=2 * degree, coeff=2 * coeff * coeff * monos)
+    bound = Bound(degree=2 * degree, coeff=2 * coeff * coeff * monos)
     model = infinite_model(pres)
     if model is not None:
         raise PreconditionError(f"the quotient is infinite: {model} satisfy every relation")

@@ -24,7 +24,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 from .errors import InternalCheckError, PreconditionError, ResourceError
 from . import corpus
 from .ideals import (
-    IdealHandle,
     _module_sum,
     ideal_closure,
     is_subtractive,
@@ -152,7 +151,7 @@ def sp_enumerate(A: FiniteSemiring) -> SpectrumSpace:
     Built and checked once per object, as `spec_enumerate` is."""
     space = A._memo.get("sp")
     if space is None:
-        pts = [m for m in _prime_masks(A) if is_subtractive(IdealHandle(A, m))]
+        pts = [m for m in _prime_masks(A) if is_subtractive(A, m)]
         if is_idempotent(A) and _hom_kernels(A) != pts:
             raise InternalCheckError(f"{A.label}: hom kernels disagree with subtractive primes")
         space = A._memo["sp"] = _build_space(A, "sp", pts)
@@ -191,14 +190,14 @@ def cover_check(
     gen = ideal_closure(A, elems)
     if target is None:
         if space.kind == "spec":
-            algebraic = gen.mask == A.full_mask
+            algebraic = gen == A.full_mask
         else:
-            algebraic = subtractive_closure(gen).mask == A.full_mask
+            algebraic = subtractive_closure(A, gen) == A.full_mask
         # a cover of the whole space is exactly a generating family
         if algebraic != topological:
             raise InternalCheckError(f"{A.label}: cover criteria disagree")
         return topological
-    algebraic = radical_member(gen, target)
+    algebraic = radical_member(A, gen, target)
     if space.kind == "spec":
         if algebraic != topological:
             raise InternalCheckError(f"{A.label}: principal cover criteria disagree")
@@ -418,7 +417,7 @@ def space_to_json(space: SpectrumSpace) -> str:
         points.append(
             {
                 "subset": [space.base.name_of(a) for a in bits(m)],
-                "subtractive": is_subtractive(IdealHandle(space.base, m)),
+                "subtractive": is_subtractive(space.base, m),
             }
         )
     basis = {

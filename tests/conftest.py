@@ -6,7 +6,7 @@ import pytest
 
 from semispec import corpus, kernel, spectra
 from semispec.errors import FormatError
-from semispec.ideals import IdealHandle, all_ideals, closed_sets, closure_mask, is_subtractive
+from semispec.ideals import all_ideals, closed_sets, closure_mask, is_subtractive
 from semispec.kernel import FiniteSemiring, enumerate_homs, is_idempotent, popcount
 
 
@@ -114,7 +114,7 @@ def direct_routes(A: FiniteSemiring):
     kernels and, when 1 + 1 = 1, the prime kernels as the hom kernels."""
     _principal, found = closed_sets(A, ideal_close(A))
     primes = spectra._bool2_kernels(A, homs=False)
-    kernels = [m for m in primes if is_subtractive(IdealHandle(A, m))]
+    kernels = [m for m in primes if is_subtractive(A, m)]
     if is_idempotent(A):
         assert spectra._bool2_kernels(A, homs=True) == kernels, A.label
     return sorted(found, key=lambda m: (popcount(m), m)), primes, kernels
@@ -124,7 +124,7 @@ def public_routes(A: FiniteSemiring):
     """The same three lists from `all_ideals` and the two spectra, which
     read the factors of a table that splits."""
     return (
-        [I.mask for I in all_ideals(A)],
+        all_ideals(A),
         sorted(spectra.spec_enumerate(A).point_masks),
         sorted(spectra.sp_enumerate(A).point_masks),
     )

@@ -44,7 +44,7 @@ def test_ideal_closure_matches_brute_fixpoint(small_tables):
                 if nxt == cur:
                     break
                 cur = nxt
-            assert got.mask == cur, name
+            assert got == cur, name
 
 
 def _closure_by_rounds(A, seed, scalars):
@@ -101,12 +101,12 @@ def test_ideal_and_prime_counts_frozen(corpus_tables):
         A = corpus_tables[name]
         ideals = all_ideals(A)
         assert len(ideals) == n_ideals, name
-        assert sum(1 for I in ideals if is_prime(I)) == n_primes, name
+        assert sum(1 for I in ideals if is_prime(A, I)) == n_primes, name
 
 
 def test_prime_masks_match_brute(small_tables):
     for name, A in small_tables.items():
-        got = sorted(I.mask for I in all_ideals(A) if is_prime(I) and I.is_proper())
+        got = sorted(I for I in all_ideals(A) if is_prime(A, I))
         assert got == brute_prime_ideal_masks(A), name
 
 
@@ -119,18 +119,18 @@ def test_radical_member_oracle(small_tables):
                 for _ in range(A.size + 1):
                     p = A.mul[p][a]
                     powers.append(p)
-                want = any((I.mask >> q) & 1 for q in powers)
-                assert radical_member(I, a) == want, name
+                want = any((I >> q) & 1 for q in powers)
+                assert radical_member(A, I, a) == want, name
 
 
 def test_radical_mask_is_radical_ideal(small_tables):
     for name, A in small_tables.items():
         for I in all_ideals(A):
-            rad = radical_mask(I)
+            rad = radical_mask(A, I)
             assert is_ideal(A, rad), name
-            assert rad & I.mask == I.mask  # contains I
-            again = radical_mask(ideal_closure(A, [a for a in A.elements
-                                                   if (rad >> a) & 1]))
+            assert rad & I == I  # contains I
+            again = radical_mask(A, ideal_closure(A, [a for a in A.elements
+                                                      if (rad >> a) & 1]))
             assert again == rad, name
 
 
@@ -139,40 +139,38 @@ def test_radical_equals_prime_intersection(corpus_tables):
         if A.size > 8:
             continue
         ideals = all_ideals(A)
-        primes = [I for I in ideals if is_prime(I)]
+        primes = [I for I in ideals if is_prime(A, I)]
         for I in ideals:
-            assert radical_equals_prime_intersection(I, primes), name
+            assert radical_equals_prime_intersection(A, I, primes), name
 
 
 def test_primes_containing():
     A = corpus.get("boolx")
-    primes = [I for I in all_ideals(A) if is_prime(I)]
-    over_zero = primes_containing(1, primes)
-    assert sorted(I.mask for I in over_zero) == [1, 5, 13]
-    over_x = primes_containing(0b101, primes)
-    assert sorted(I.mask for I in over_x) == [5, 13]
+    primes = [I for I in all_ideals(A) if is_prime(A, I)]
+    assert sorted(primes_containing(1, primes)) == [1, 5, 13]
+    assert sorted(primes_containing(0b101, primes)) == [5, 13]
 
 
 def test_subtractive_detection():
     A = corpus.get("boolnil")  # 0,1,x,1+x with x^2 = 0
-    ideals = {I.mask: I for I in all_ideals(A)}
+    assert 0b101 in all_ideals(A)
     # {0,x} is subtractive: a+b in it with b in it forces a in it
-    assert is_subtractive(ideals[0b101])
+    assert is_subtractive(A, 0b101)
     sat = corpus.get("satnat4")
     # saturating arithmetic: 1+3 = 3 lands in {0,3} although 1 is outside
-    assert any(not is_subtractive(I) for I in all_ideals(sat))
+    assert any(not is_subtractive(sat, I) for I in all_ideals(sat))
 
 
 def test_subtractive_closure_minimal(small_tables):
     for name, A in small_tables.items():
         for I in all_ideals(A):
-            J = subtractive_closure(I)
-            assert is_subtractive(J), name
-            assert J.mask & I.mask == I.mask, name
+            J = subtractive_closure(A, I)
+            assert is_subtractive(A, J), name
+            assert J & I == I, name
             # no smaller subtractive ideal sits between them
             for K in all_ideals(A):
-                if is_subtractive(K) and K.mask & I.mask == I.mask:
-                    assert K.mask & J.mask == J.mask, name
+                if is_subtractive(A, K) and K & I == I:
+                    assert K & J == J, name
 
 
 def test_nat_pair_tail():
@@ -258,7 +256,7 @@ def test_nat_prime_residue_check_matches_the_pair_scan():
 def test_all_ideals_match_subset_oracle(small_tables):
     for name, A in small_tables.items():
         want = {m for m in range(1 << A.size) if brute_ideal_ok(A, m)}
-        assert [I.mask for I in all_ideals(A)] == sorted(
+        assert all_ideals(A) == sorted(
             want, key=lambda m: (bin(m).count("1"), m)
         ), name
 
@@ -290,19 +288,18 @@ def test_subtractive_closure_detects_a_pass_that_misses_a_witness(monkeypatch):
     # satnat4's ideal {0, 2, 3} is missed and the result is no kernel
     A = corpus.get("satnat4")
     I = ideal_closure(A, [2])
-    assert subtractive_closure(I).mask == A.full_mask
+    assert subtractive_closure(A, I) == A.full_mask
     monkeypatch.setattr(ideals, "_subtractive_pass", lambda A, mask: mask)
     with pytest.raises(InternalCheckError, match="not a kernel"):
-        subtractive_closure(I)
+        subtractive_closure(A, I)
 
 
 def test_a_blind_prime_test_fails_the_radical_check(monkeypatch):
     # planted defect: the prime test accepts every proper ideal, so the
     # "primes" over {0} in z4 meet in {0}, not in its radical {0, 2}
     for module in (ideals, accept):
-        monkeypatch.setattr(module, "is_prime", lambda I: I.is_proper())
+        monkeypatch.setattr(module, "is_prime", lambda A, I: I != A.full_mask)
     z4 = corpus.get("z4")
-    zero = next(I for I in all_ideals(z4) if I.mask == 1 << z4.zero)
-    primes = [I for I in all_ideals(z4) if ideals.is_prime(I)]
-    assert not radical_equals_prime_intersection(zero, primes)
+    primes = [I for I in all_ideals(z4) if ideals.is_prime(z4, I)]
+    assert not radical_equals_prime_intersection(z4, 1 << z4.zero, primes)
     assert not accept.criterion_7().passed

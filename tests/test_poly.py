@@ -24,7 +24,7 @@ from semispec.poly import (
     rat_mul,
     rat_poly,
     rat_sub,
-    squarefree_universe,
+    squarefree_monomials,
     vanishing_set,
 )
 
@@ -81,71 +81,41 @@ def test_ord_deg():
 
 
 def test_squarefree_universe_sizes():
-    assert len(squarefree_universe(1)) == 4
-    assert len(squarefree_universe(2)) == 16
-    assert len(squarefree_universe(3)) == 256
-    assert len(squarefree_universe(4)) == 65536
+    # a polynomial is a mask over the monomials: 2^(2^n) of them
+    assert [1 << len(squarefree_monomials(n)) for n in range(1, 5)] == [4, 16, 256, 65536]
+    assert squarefree_monomials(2) == ((0, 0), (0, 1), (1, 0), (1, 1))  # bit k is monomial k
+    with pytest.raises(PreconditionError):
+        squarefree_monomials(5)
 
 
 @pytest.mark.parametrize("n,count", [(1, 2), (2, 4), (3, 8), (4, 16)])
 def test_distinct_vanishing_sets(n, count):
-    U = squarefree_universe(n)
-    vs = {vanishing_set(U, p) for p in all_points(n)}
+    monomials = squarefree_monomials(n)
+    vs = {vanishing_set(monomials, p) for p in all_points(n)}
     assert len(vs) == count
 
 
 def test_monomial_kernel_recovers_vanishing():
     # vanishing at a 0/1 point = monomial ideal of the false coordinates
     for n in (1, 2, 3):
-        U = squarefree_universe(n)
+        monomials = squarefree_monomials(n)
         for pt in all_points(n):
             zero_vars = [j for j in range(n) if not pt[j]]
-            assert vanishing_set(U, pt) == monomial_kernel_set(U, zero_vars)
-
-
-def test_universe_members_follow_their_index_bits():
-    U = squarefree_universe(2)
-    assert U.monomials == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert U[0] == bool_poly(2, [])
-    assert U[0b1010] == bool_poly(2, [(0, 1), (1, 1)])
-    assert U[-1] == bool_poly(2, U.monomials)
-    assert list(U)[5] == U[5]
-    with pytest.raises(IndexError):
-        U[16]
+            assert vanishing_set(monomials, pt) == monomial_kernel_set(monomials, zero_vars)
 
 
 def test_mask_kernels_match_member_evaluation():
+    # mask i is the polynomial on the monomials at its set bits; the kernel
+    # is the set of submasks of the returned mask
     for n in (1, 2, 3):
-        U = squarefree_universe(n)
-        members = list(U)
+        monomials = squarefree_monomials(n)
+        masks = range(1 << len(monomials))
+        members = [bool_poly(n, [m for k, m in enumerate(monomials) if (i >> k) & 1]) for i in masks]
         for pt in all_points(n):
-            want = frozenset(i for i, f in enumerate(members) if not bool_eval(f, pt))
+            want = [i for i, f in enumerate(members) if not bool_eval(f, pt)]
             zero_vars = [j for j in range(n) if not pt[j]]
-            assert vanishing_set(U, pt) == want
-            assert monomial_kernel_set(U, zero_vars) == want
-
-
-def test_lazy_kernels_match_their_enumerated_index_sets():
-    # each kernel is the frozenset of submasks that enumeration lists, in
-    # size, members, iteration, equality and hash
-    U = squarefree_universe(4)
-    for pt in all_points(4):
-        van = vanishing_set(U, pt)
-        rest = van.mask
-        subs, sub = [rest], rest
-        while sub:
-            sub = (sub - 1) & rest
-            subs.append(sub)
-        want = frozenset(subs)
-        assert len(van) == len(want)
-        assert set(van) == want
-        assert all(i in van for i in want)
-        outside = [rest | 1 << k for k in range(16) if not (rest >> k) & 1]
-        assert not any(i in van for i in outside + [-1, len(U), "0"])
-        assert van == want and want == van
-        assert hash(van) == hash(want)
-        other = vanishing_set(U, tuple(not x for x in pt))
-        assert van != other and set(other) != want
+            for got in (vanishing_set(monomials, pt), monomial_kernel_set(monomials, zero_vars)):
+                assert [i for i in masks if i & ~got == 0] == want
 
 
 def test_criterion_2_reads_no_kernel_member():
@@ -164,8 +134,8 @@ def test_criterion_2_detects_a_dropped_monomial(monkeypatch):
     # planted defect: the support route forgets the last monomial it keeps
     real = poly._free_monomials
 
-    def drop_one(universe, zeros):
-        m = real(universe, zeros)
+    def drop_one(monomials, zeros):
+        m = real(monomials, zeros)
         return m & ~(1 << (m.bit_length() - 1))
 
     monkeypatch.setattr(poly, "_free_monomials", drop_one)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import isomorphic
 from semispec import accept, corpus, presented
-from semispec.errors import InternalCheckError, PreconditionError, ResourceError
+from semispec.errors import FormatError, InternalCheckError, PreconditionError, ResourceError
 from semispec.kernel import semiring_from_dict, verify_axioms
 from semispec.presented import (
     Bound,
@@ -144,11 +144,17 @@ def test_finite_quotient_budget_refusal():
     # the closure examines 45 rewrites here; a budget of 20 refuses
     pres = idem_square_presentation()
     with pytest.raises(ResourceError, match="node budget of 20"):
-        finite_quotient(
-            pres, degree=4, coeff=4,
-            bound=Bound(degree=8, coeff=8, nodes=20),
-        )
+        _Closure(pres, Bound(degree=8, coeff=8, nodes=20)).table()
     assert finite_quotient(pres, degree=4, coeff=4)[0].size == 4
+
+
+@pytest.mark.parametrize("gen", ["2", None, 1, "x^2", "x y", "", "_x"])
+def test_a_generator_that_is_no_variable_name_is_refused(gen):
+    # "2" would be read as the number 2, so 2*2 = 2 would say 4 = 2; null
+    # would become the generator "None"
+    with pytest.raises(FormatError, match="not a variable name"):
+        presentation_from_json({"gens": ["x", gen], "rels": [["2*2", "2"]], "idempotent": True})
+    assert presentation_from_json({"gens": ["x", "y1"], "rels": []}).gens == ("x", "y1")
 
 
 ZERO_PRODUCT = {"gens": ["x", "y"], "rels": [["x*y", "0"], ["x^2", "x"], ["y^2", "y"]]}

@@ -303,7 +303,7 @@ def _glue_by_search(secs, tup):
 
 def test_kept_certificates_glue_as_the_per_family_search():
     families = 0
-    for A in corpus.members(max_size=8, min_size=2):
+    for A in corpus.members(max_size=8):
         ctx = SheafContext(A, "spec")
         for target in accept._distinct_open_reps(ctx):
             for fam in accept._principal_covers(ctx, target):

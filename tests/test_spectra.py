@@ -332,7 +332,7 @@ def test_a_principal_cover_is_checked_by_the_radical(monkeypatch, kind, message)
     # would cover D(1), the whole space
     A = corpus.get("chain3xbool")
     space = enumerate_space(A, kind)
-    monkeypatch.setattr(spectra, "radical_member", lambda I, a: True)
+    monkeypatch.setattr(spectra, "radical_member", lambda A, I, a: True)
     with pytest.raises(InternalCheckError, match=message):
         cover_check(space, [A.zero], A.one)
 

@@ -374,7 +374,7 @@ def test_criterion_8_builds_each_lattice_once(monkeypatch):
     base_calls, local_calls, built = [], [], []
     tried = [
         A
-        for A in corpus.members(max_size=16, min_size=1, include_trivial=True)
+        for A in corpus.members(max_size=16, include_trivial=True)
         if is_idempotent(A)
     ]
 
@@ -414,7 +414,7 @@ def test_distributive_products_match_the_closure_of_products():
     # every idempotent member whose lattice builds, and every localization
     # at the powers of an element that criterion 8 builds a lattice of
     checked = 0
-    for A in corpus.members(max_size=16, min_size=1, include_trivial=True):
+    for A in corpus.members(max_size=16, include_trivial=True):
         if not is_idempotent(A):
             continue
         try:
