@@ -7,7 +7,7 @@ sizes 2..16. Every member is checked against the axioms by `make_semiring`.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from typing import Dict, List, Optional
 
 from .errors import UnknownNameError
@@ -86,8 +86,8 @@ def _bool_monomial_quotient(nvars: int, square: str, label: str) -> FiniteSemiri
     a product of monomials sharing a variable either collapsing (keep) or
     vanishing (drop).
     """
-    monos = [frozenset(s) for k in range(nvars + 1) for s in _subsets(range(nvars), k)]
-    els = [frozenset(s) for k in range(len(monos) + 1) for s in _subsets(monos, k)]
+    monos = [frozenset(s) for k in range(nvars + 1) for s in combinations(range(nvars), k)]
+    els = [frozenset(s) for k in range(len(monos) + 1) for s in combinations(monos, k)]
     els = sorted(set(els), key=lambda e: (len(e), sorted(tuple(sorted(m)) for m in e)))
 
     def times(u, v):
@@ -114,16 +114,6 @@ def _bool_monomial_quotient(nvars: int, square: str, label: str) -> FiniteSemiri
 
 
 _VARS = "xyzw"
-
-
-def _subsets(pool, k):
-    pool = list(pool)
-    if k == 0:
-        yield ()
-        return
-    for i in range(len(pool)):
-        for rest in _subsets(pool[i + 1 :], k - 1):
-            yield (pool[i],) + tuple(rest)
 
 
 def product_semiring(A: FiniteSemiring, B: FiniteSemiring, label: str) -> FiniteSemiring:

@@ -3,8 +3,9 @@
 Two representations, one per job:
   BoolPoly  bare supports (all coefficients 1), evaluated at boolean points,
             with a bitmask form for one variable;
-  RatPoly   exact rational univariate polynomials for the subring of
-            polynomials whose degree-one coefficient vanishes.
+  Coeffs    integer univariate polynomials as coefficient tuples, degree 0
+            first with no trailing zero, for the subring of polynomials
+            whose degree-one coefficient vanishes.
 A squarefree-supported BoolPoly in n variables is a bitmask over the 2^n
 squarefree monomials, and a kernel of evaluation on them is the set of
 submasks of one mask of monomials.
@@ -15,20 +16,17 @@ same tropical function stay distinct elements.
 
 from __future__ import annotations
 
-import re
 from itertools import combinations
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, Sequence, Tuple
 
 from .errors import FormatError, PreconditionError
 from .kernel import Record
-
-if TYPE_CHECKING:  # imported where used: only criterion 5 reaches it
-    from fractions import Fraction
 
 INF = float("inf")
 NEG_INF = float("-inf")
 
 Expt = Tuple[int, ...]
+Coeffs = Tuple[int, ...]  # c0 + c1 t + c2 t^2 + ... as (c0, c1, c2, ...)
 
 
 # ---------------------------------------------------------------------------
@@ -146,140 +144,36 @@ def monomial_kernel_set(monomials: Sequence[Expt], zeros: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# RatPoly
+# integer polynomials in one variable
 
 
-class RatPoly(Record):
-    """Univariate polynomial with exact rational coefficients, stored as
-    sorted (degree, coefficient) pairs with no zero coefficients."""
-
-    __slots__ = _fields = ("coeffs",)
-
-    def __init__(self, coeffs: Tuple[Tuple[int, Fraction], ...]):
-        degs = [d for d, _ in coeffs]
-        if degs != sorted(set(degs)) or any(d < 0 for d in degs):
-            raise FormatError("coefficients must be sorted by distinct degree")
-        if any(c == 0 for _, c in coeffs):
-            raise FormatError("stored zero coefficient")
-        self.coeffs = coeffs
-
-    def coeff(self, d: int) -> Fraction:
-        from fractions import Fraction
-
-        for dd, c in self.coeffs:
-            if dd == d:
-                return c
-        return Fraction(0)
-
-    def degree(self) -> int:
-        if not self.coeffs:
-            return -1
-        return self.coeffs[-1][0]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+def int_mul(f: Coeffs, g: Coeffs) -> Coeffs:
+    """Product of two coefficient tuples; with no trailing zero in f and g
+    there is none in the product, as Z has no zero divisors."""
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return tuple(out)
 
 
-def rat_poly(items: Iterable[Tuple[int, Fraction]]) -> RatPoly:
-    from fractions import Fraction
-
-    acc: Dict[int, Fraction] = {}
-    for d, c in items:
-        acc[d] = acc.get(d, Fraction(0)) + Fraction(c)
-    return RatPoly(tuple((d, acc[d]) for d in sorted(acc) if acc[d] != 0))
-
-
-def rat_add(f: RatPoly, g: RatPoly) -> RatPoly:
-    return rat_poly(list(f.coeffs) + list(g.coeffs))
-
-
-def rat_neg(f: RatPoly) -> RatPoly:
-    return RatPoly(tuple((d, -c) for d, c in f.coeffs))
-
-
-def rat_sub(f: RatPoly, g: RatPoly) -> RatPoly:
-    return rat_add(f, rat_neg(g))
+def int_rem(f: Coeffs, g: Coeffs) -> Coeffs:
+    """Remainder of f by a monic g. Long division by a monic divisor never
+    divides a coefficient, so this remainder in Z[t] is the one in Q[t]."""
+    if not g or g[-1] != 1:
+        raise PreconditionError(f"divisor {g} is not monic")
+    r, n = list(f), len(g) - 1
+    for k in range(len(r) - 1, n - 1, -1):
+        c = r[k]
+        for i, b in enumerate(g):
+            r[k - n + i] -= c * b
+    del r[n:]
+    while r and r[-1] == 0:
+        r.pop()
+    return tuple(r)
 
 
-def rat_mul(f: RatPoly, g: RatPoly) -> RatPoly:
-    return rat_poly(
-        (d1 + d2, c1 * c2) for d1, c1 in f.coeffs for d2, c2 in g.coeffs
-    )
-
-
-def rat_divmod(f: RatPoly, g: RatPoly) -> Tuple[RatPoly, RatPoly]:
-    """Exact euclidean division in Q[t]."""
-    if g.is_zero():
-        raise PreconditionError("division by the zero polynomial")
-    q = rat_poly([])
-    r = f
-    gd, gl = g.degree(), g.coeffs[-1][1]
-    while not r.is_zero() and r.degree() >= gd:
-        d = r.degree() - gd
-        c = r.coeffs[-1][1] / gl
-        term = RatPoly(((d, c),))
-        q = rat_add(q, term)
-        r = rat_sub(r, rat_mul(term, g))
-    return q, r
-
-
-def ktt_member(f: RatPoly) -> bool:
+def ktt_member(f: Coeffs) -> bool:
     """Membership in the subring of polynomials with vanishing degree-one
     coefficient."""
-    return f.coeff(1) == 0
-
-
-# ---------------------------------------------------------------------------
-# parsers
-
-_TERM_RE = re.compile(r"^\s*(?:(?P<coeff>-?\d+(?:/\d+)?)\s*[*⊙]?\s*)?(?P<mono>[a-zA-Z(].*)?$")
-_FACTOR_RE = re.compile(r"^(?P<var>[a-zA-Z]\w*)(?:\^(?P<exp>\d+))?$")
-
-
-def _split_terms(text: str) -> List[str]:
-    # split on + and on binary - (keeping the sign with the term)
-    out: List[str] = []
-    cur = ""
-    for ch in text:
-        if ch == "+":
-            if cur.strip():
-                out.append(cur)
-            cur = ""
-        elif ch == "-" and cur.strip():
-            out.append(cur)
-            cur = "-"
-        else:
-            cur += ch
-    if cur.strip():
-        out.append(cur)
-    return out
-
-
-def parse_rat_poly(text: str, var: str = "t") -> RatPoly:
-    """Parse sums of "c*t^k" terms with integer or a/b rational c."""
-    from fractions import Fraction
-
-    items = []
-    for term in _split_terms(text):
-        term = term.strip()
-        if term in ("0", "-0"):
-            continue
-        sign = Fraction(1)
-        if term.startswith("-"):
-            sign = Fraction(-1)
-            term = term[1:].strip()
-        m = _TERM_RE.match(term)
-        if m is None:
-            raise FormatError(f"cannot parse term {term!r}")
-        ctext, mono = m.group("coeff"), (m.group("mono") or "").strip()
-        coeff = sign * (Fraction(ctext) if ctext else Fraction(1))
-        if not mono or mono == "1":
-            deg = 0
-        else:
-            fm = _FACTOR_RE.match(mono)
-            if not fm or fm.group("var") != var:
-                raise FormatError(f"cannot parse term {term!r}")
-            deg = int(fm.group("exp") or 1)
-        items.append((deg, coeff))
-    return rat_poly(items)
-
+    return len(f) < 2 or f[1] == 0

@@ -72,7 +72,7 @@ def term_mul(s: Term, t: Term) -> Term:
 
 
 _VAR = r"[a-zA-Z]\w*"  # a generator's name
-_MONO_RE = re.compile(rf"^(?P<var>{_VAR})(?:\^(?P<exp>\d+))?$")
+_MONO_RE = re.compile(rf"^(?P<var>{_VAR})(?:\^(?P<exp>[0-9]+))?$")
 
 
 def parse_term(text: str, gens: Sequence[str]) -> Term:
@@ -86,7 +86,7 @@ def parse_term(text: str, gens: Sequence[str]) -> Term:
         e = [0] * len(gens)
         for f in factors:
             f = f.strip()
-            if f.isdigit():
+            if f.isascii() and f.isdigit():
                 coeff *= int(f)
                 continue
             m = _MONO_RE.match(f)

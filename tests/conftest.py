@@ -7,7 +7,7 @@ import pytest
 from semispec import corpus, kernel, spectra
 from semispec.errors import FormatError
 from semispec.ideals import all_ideals, closed_sets, closure_mask, is_subtractive
-from semispec.kernel import FiniteSemiring, enumerate_homs, is_idempotent, popcount
+from semispec.kernel import FiniteSemiring, bits, enumerate_homs, is_idempotent, popcount
 
 
 @pytest.fixture(scope="session")
@@ -100,6 +100,15 @@ def brute_subtractive_prime_masks(A: FiniteSemiring):
         if sub:
             out.append(mask)
     return sorted(out)
+
+
+def submonoids(A: FiniteSemiring):
+    """Every multiplicative submonoid, by ascending mask, written out
+    longhand, used as an oracle."""
+    return [
+        m for m in range(1 << A.size)
+        if (m >> A.one) & 1 and all((m >> A.mul[a][b]) & 1 for a in bits(m) for b in bits(m))
+    ]
 
 
 def ideal_close(A: FiniteSemiring):

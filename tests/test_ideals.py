@@ -294,6 +294,16 @@ def test_subtractive_closure_detects_a_pass_that_misses_a_witness(monkeypatch):
         subtractive_closure(A, I)
 
 
+def test_subtractive_closure_detects_a_subtractive_set_that_is_no_ideal(monkeypatch):
+    # planted defect: the pass returns boolpair's down-set {(0,0), (0,1),
+    # (1,0)}, subtractive but not closed under +: only the ideal half fires
+    A, down = corpus.get("boolpair"), 0b0111
+    assert is_subtractive(A, down) and not is_ideal(A, down)
+    monkeypatch.setattr(ideals, "_subtractive_pass", lambda A, mask: down)
+    with pytest.raises(InternalCheckError, match="not a kernel"):
+        subtractive_closure(A, 1 << A.zero)
+
+
 def test_a_blind_prime_test_fails_the_radical_check(monkeypatch):
     # planted defect: the prime test accepts every proper ideal, so the
     # "primes" over {0} in z4 meet in {0}, not in its radical {0, 2}

@@ -1,6 +1,7 @@
-"""Polynomial layers: boolean and exact rational."""
+"""Polynomial layers: boolean and integer coefficient tuples."""
 
 import tracemalloc
+from itertools import product, zip_longest
 
 import pytest
 
@@ -11,26 +12,18 @@ from semispec.poly import (
     BoolPoly,
     bool_eval,
     bool_poly,
-    rat_add,
     bool_poly_deg,
     bool_poly_from_mask,
     bool_poly_mul,
     bool_poly_ord_deg,
     bool_poly_to_mask,
+    int_mul,
+    int_rem,
     ktt_member,
     monomial_kernel_set,
-    parse_rat_poly,
-    rat_divmod,
-    rat_mul,
-    rat_poly,
-    rat_sub,
     squarefree_monomials,
     vanishing_set,
 )
-
-
-def all_points(n):
-    return [tuple(bool((v >> i) & 1) for i in range(n)) for v in range(1 << n)]
 
 
 def test_bool_ops_match_pointwise_semantics():
@@ -46,7 +39,7 @@ def test_bool_ops_match_pointwise_semantics():
     for f in polys:
         for g in polys:
             s, p = BoolPoly(n, f.support | g.support), bool_poly_mul(f, g)
-            for pt in all_points(n):
+            for pt in product((False, True), repeat=n):
                 assert bool_eval(s, pt) == (bool_eval(f, pt) or bool_eval(g, pt))
                 assert bool_eval(p, pt) == (bool_eval(f, pt) and bool_eval(g, pt))
 
@@ -75,8 +68,7 @@ def test_bx_mul_matches_table_poly():
 def test_ord_deg():
     assert bool_poly_ord_deg(0b110) == (1, 2)
     assert bool_poly_deg(0b1) == 0
-    ordz, degz = bool_poly_ord_deg(0)
-    assert ordz > 10**6 or ordz == float("inf") or str(ordz) == "inf"
+    assert bool_poly_ord_deg(0) == (float("inf"), float("-inf"))
     assert bool_poly_ord_deg(0b10) == (1, 1)
 
 
@@ -91,7 +83,7 @@ def test_squarefree_universe_sizes():
 @pytest.mark.parametrize("n,count", [(1, 2), (2, 4), (3, 8), (4, 16)])
 def test_distinct_vanishing_sets(n, count):
     monomials = squarefree_monomials(n)
-    vs = {vanishing_set(monomials, p) for p in all_points(n)}
+    vs = {vanishing_set(monomials, p) for p in product((False, True), repeat=n)}
     assert len(vs) == count
 
 
@@ -99,7 +91,7 @@ def test_monomial_kernel_recovers_vanishing():
     # vanishing at a 0/1 point = monomial ideal of the false coordinates
     for n in (1, 2, 3):
         monomials = squarefree_monomials(n)
-        for pt in all_points(n):
+        for pt in product((False, True), repeat=n):
             zero_vars = [j for j in range(n) if not pt[j]]
             assert vanishing_set(monomials, pt) == monomial_kernel_set(monomials, zero_vars)
 
@@ -111,7 +103,7 @@ def test_mask_kernels_match_member_evaluation():
         monomials = squarefree_monomials(n)
         masks = range(1 << len(monomials))
         members = [bool_poly(n, [m for k, m in enumerate(monomials) if (i >> k) & 1]) for i in masks]
-        for pt in all_points(n):
+        for pt in product((False, True), repeat=n):
             want = [i for i, f in enumerate(members) if not bool_eval(f, pt)]
             zero_vars = [j for j in range(n) if not pt[j]]
             for got in (vanishing_set(monomials, pt), monomial_kernel_set(monomials, zero_vars)):
@@ -142,43 +134,54 @@ def test_criterion_2_detects_a_dropped_monomial(monkeypatch):
     assert not accept.criterion_2().passed
 
 
-def test_rat_poly_divmod():
-    f = parse_rat_poly("t^4+t^3+t^2")
-    g = parse_rat_poly("t^2-1")
-    q, r = rat_divmod(f, g)
-    back = rat_sub(f, rat_mul(q, g))
-    assert back.coeffs == r.coeffs
-    assert r.degree() < g.degree()
-    assert not r.is_zero()
-    assert rat_divmod(parse_rat_poly("t^3"), parse_rat_poly("t"))[1].is_zero()
+def test_int_rem_by_a_monic_divisor():
+    f = (0, 0, 1, 1, 1)  # t^4+t^3+t^2
+    r = int_rem(f, (-1, 0, 1))  # by t^2-1
+    assert r == (2, 1)  # t+2
+    q_times_g = int_mul((2, 1, 1), (-1, 0, 1))  # (t^2+t+2)(t^2-1)
+    assert tuple(map(sum, zip_longest(q_times_g, r, fillvalue=0))) == f
+    assert int_rem((0, 0, 0, 1), (0, 1)) == ()  # t^3 by t
 
 
-def test_rat_poly_zero_division():
-    with pytest.raises(PreconditionError):
-        rat_divmod(parse_rat_poly("t"), rat_poly([]))
+def test_int_rem_refuses_a_divisor_that_is_not_monic():
+    for g in [(), (0,), (0, 2), (1, -1)]:  # 0, 0, 2t, 1-t
+        with pytest.raises(PreconditionError, match="not monic"):
+            int_rem((0, 1), g)
 
 
-KTT_FROZEN = [
-    ("1", True),
-    ("t", False),
-    ("t^2", True),
-    ("t^3", True),
-    ("t^3+t^2", True),
-    ("t^4+t^3+t^2", True),
-    ("t+1", False),
-    ("t^2+t", False),
-    ("5", True),
+KTT_FROZEN = [  # the polynomial, its coefficients from degree 0, membership
+    ("1", (1,), True),
+    ("t", (0, 1), False),
+    ("t^2", (0, 0, 1), True),
+    ("t^3", (0, 0, 0, 1), True),
+    ("t^3+t^2", (0, 0, 1, 1), True),
+    ("t^4+t^3+t^2", (0, 0, 1, 1, 1), True),
+    ("t+1", (1, 1), False),
+    ("t^2+t", (0, 1, 1), False),
+    ("5", (5,), True),
 ]
 
 
-@pytest.mark.parametrize("text,member", KTT_FROZEN)
-def test_ktt_membership_frozen(text, member):
-    assert ktt_member(parse_rat_poly(text)) == member
+@pytest.mark.parametrize(
+    "f,member", [k[1:] for k in KTT_FROZEN], ids=[f"{k[0]}-{k[2]}" for k in KTT_FROZEN]
+)
+def test_ktt_membership_frozen(f, member):
+    assert ktt_member(f) == member
 
 
 def test_ktt_closed_under_ops():
-    members = [parse_rat_poly(t) for t, m in KTT_FROZEN if m]
+    members = [f for _, f, m in KTT_FROZEN if m]
     for f in members:
         for g in members:
-            assert ktt_member(rat_add(f, g))
-            assert ktt_member(rat_mul(f, g))
+            assert ktt_member(tuple(map(sum, zip_longest(f, g, fillvalue=0))))
+            assert ktt_member(int_mul(f, g))
+
+
+@pytest.mark.parametrize("name,planted", [("int_rem", lambda f, g: ()), ("ktt_member", lambda f: True)],
+                         ids=["int_rem", "ktt_member"])
+def test_criterion_5_detects_a_planted_defect(monkeypatch, name, planted):
+    # a remainder that is always 0 makes t^3+t^2 divisible by t^2-1; a
+    # membership test that accepts everything keeps (t-1)^2 in the subring
+    assert accept.criterion_5().passed
+    monkeypatch.setattr(poly, name, planted)
+    assert not accept.criterion_5().passed

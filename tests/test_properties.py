@@ -1,6 +1,7 @@
 """Law-level properties of ten corpus semirings and of every semiring of
 order at most 4, checked on every seed mask."""
 
+from conftest import submonoids
 from semispec import corpus
 from semispec.ideals import all_ideals, ideal_closure, radical_mask
 from semispec.kernel import bits, is_idempotent, leq
@@ -10,23 +11,6 @@ from test_census import MEMBERS
 SMALL = [corpus.get(name) for name in ["bool2", "boolnil", "boolpair", "boolx", "chain3",
                                        "chain4", "satnat4", "trop5", "f2", "z4"]] + MEMBERS
 IDEM = [A for A in SMALL if is_idempotent(A)]
-
-
-def submonoids(A):
-    """The multiplicative submonoid generated by each seed mask, once each."""
-    out = set()
-    for seed in range(1 << A.size):
-        m = seed | (1 << A.one)
-        while True:
-            nxt = m
-            for a in bits(m):
-                for b in bits(m):
-                    nxt |= 1 << A.mul[a][b]
-            if nxt == m:
-                break
-            m = nxt
-        out.add(m)
-    return sorted(out)
 
 
 def test_closure_is_a_closure_operator():
