@@ -1,11 +1,13 @@
-"""Ideals of finite semirings and of N: closure, the lattice of sets fixed
-by a closure (ideals, submodules), primality, subtractivity, radicals,
-and checks of the classification of the ideals of N.
+"""Ideals of finite semirings and of N: closure under sums, the lattice
+of sums of principal sets (ideals, submodules), primality, subtractivity,
+radicals, and checks of the classification of the ideals of N.
 
-Finite-semiring ideals are bitmasks over element indices; those of a
-table that splits (`kernel.split`) come from its factors. N-ideals are
-membership predicates and generator pairs: the tail of <p, q> is certified
-by the closed form for two coprime generators and re-checked by a sieve.
+Finite-semiring ideals are bitmasks over element indices. The principal
+ideal aA is the product row of a, so an ideal is a sum closure of product
+rows; the ideals of a table that splits (`kernel.split`) come from its
+factors. N-ideals are membership predicates and generator pairs: the tail
+of <p, q> is certified by the closed form for two coprime generators and
+re-checked by a sieve.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from operator import or_
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from .errors import InternalCheckError, ResourceError
 from .kernel import (
@@ -29,34 +31,23 @@ from .kernel import (
 )
 
 
-def closure_mask(A: FiniteSemiring, seed: int, scalars: int) -> int:
-    """Smallest subset containing seed, closed under + and scaling by the
-    elements of the mask scalars: an ideal when scalars is every element
-    and seed holds 0.
+def sum_closure(A: FiniteSemiring, seed: int) -> int:
+    """Smallest superset of seed closed under +. It adds no 0: a submodule
+    over {0, 1} is the sum closure of a seed holding 0, and an ideal that
+    of 0 and the principal ideals of its generators (`ideal_closure`).
 
     A worklist, evaluated semi-naively: a member taken from the list is
     summed once with itself and with each member taken before it, so every
-    pair of members is added once, and it is scaled once; what is new goes
-    on the list. When every element is a scalar, the multiples of x are
-    one OR of its product-row mask (`kernel.mul_rows`; A is commutative,
-    so row x of mul is x scaled by every element); otherwise each scalar's
-    row is read at x."""
+    pair of members is added once; what is new goes on the list."""
     add = A.add
-    every = scalars == A.full_mask
-    rows = mul_rows(A) if every else [A.mul[r] for r in bits(scalars)]
     cur = seed
     done: List[int] = []
     todo = list(bits(seed))
     while todo:
         x = todo.pop()
         done.append(x)
-        if every:
-            new = rows[x]
-        else:
-            new = 0
-            for row in rows:
-                new |= 1 << row[x]
         ax = add[x]
+        new = 0
         for y in done:
             new |= 1 << ax[y]
         new &= ~cur
@@ -67,14 +58,16 @@ def closure_mask(A: FiniteSemiring, seed: int, scalars: int) -> int:
 
 
 def ideal_closure(A: FiniteSemiring, gens: Iterable[int]) -> int:
-    """Smallest ideal containing gens: fixed point under + and scaling."""
-    return closure_mask(A, mask_of(gens) | 1 << A.zero, A.full_mask)
+    """Smallest ideal containing gens: the sums of multiples of gens. The
+    multiples of g are the principal ideal gA, row g of `kernel.mul_rows`
+    (A is commutative with 1), and the sums are closed under scaling, as
+    c(a1 g1 + a2 g2) = (c a1) g1 + (c a2) g2."""
+    rows = mul_rows(A)
+    return sum_closure(A, reduce(or_, (rows[g] for g in gens), 1 << A.zero))
 
 
 def is_ideal(A: FiniteSemiring, mask: int) -> bool:
-    if not (mask >> A.zero) & 1:
-        return False
-    return closure_mask(A, mask, A.full_mask) == mask
+    return ideal_closure(A, bits(mask)) == mask
 
 
 _IDEAL_CAP = 200000
@@ -92,19 +85,18 @@ def _module_sum(A: FiniteSemiring, m1: int, m2: int) -> int:
 
 
 def closed_sets(
-    A: FiniteSemiring, close: Callable[[int], int], cap: Optional[int] = None
-) -> Tuple[List[int], Set[int]]:
-    """Every subset fixed by close, a closure under + and some scaling that
-    adds 0: the sums of the principal sets close({a}), found by
-    `kernel.joins`. Returns the principal set of each element and all the
-    fixed sets.
+    A: FiniteSemiring, principal: Sequence[int], cap: Optional[int] = None
+) -> Set[int]:
+    """Every sum of principal sets, found by `kernel.joins` from {0}: the
+    ideals when principal[a] is the product row aA, the submodules over
+    {0, 1} when it is the sum closure of {0, a}. Each principal set holds
+    0 and a and is closed under +.
 
     The join with a generator g reads the rows {a + b : b in g}, built by
     `_module_sum` once per generator. Each found set m is re-checked from
-    the tables, as fixed by close: it holds 0 and every scaling of each
-    member a (the principal set of a), and m + m lies in m (row a of add
-    at the members, for each member a: one `row_picker` over m)."""
-    principal = [close(1 << a) for a in A.elements]
+    the tables: it holds the principal set of each member, and m + m lies
+    in m (row a of add at the members, for each member a: one
+    `row_picker` over m)."""
     rows: Dict[int, List[int]] = {}
 
     def join(m: int, g: int) -> int:
@@ -118,26 +110,26 @@ def closed_sets(
             m ^= low
         return out
 
-    found = joins(sorted(set(principal)), join, close(0), cap, A.label)
+    found = joins(sorted(set(principal)), join, 1 << A.zero, cap, A.label)
     for m in found:
         members = list(bits(m))
         pick = row_picker(members)
         inside = set(members).issuperset
         if reduce(or_, pick(principal)) & ~m or not all(map(inside, map(pick, pick(A.add)))):
             raise InternalCheckError(f"{A.label}: a join {m:b} is not closed")
-    return principal, found
+    return found
 
 
 def all_ideals(A: FiniteSemiring) -> List[int]:
     """Every ideal, ordered by size then mask: each is a sum of principal
-    ideals. On a table that splits as eA x fA (`kernel.split`) they are
-    {a : ea in I and fa in J} for the ideals I of eA and J of fA, as an
-    ideal holds a = ea + fa exactly when it holds ea and fa; the factors
-    split in turn, and the cap is charged with the count first."""
+    ideals, the product rows (`kernel.mul_rows`). On a table that splits
+    as eA x fA (`kernel.split`) they are {a : ea in I and fa in J} for the
+    ideals I of eA and J of fA, as an ideal holds a = ea + fa exactly when
+    it holds ea and fa; the factors split in turn, and the cap is charged
+    with the count first."""
     s = split(A)
     if s is None:
-        zero_bit, full = 1 << A.zero, A.full_mask
-        _principal, found = closed_sets(A, lambda m: closure_mask(A, m | zero_bit, full), _IDEAL_CAP)
+        found = closed_sets(A, mul_rows(A), _IDEAL_CAP)
     else:
         left, right = (all_ideals(B) for B in s.factors)
         if len(left) * len(right) > _IDEAL_CAP:

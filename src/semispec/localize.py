@@ -44,13 +44,9 @@ def is_mult_submonoid(A: FiniteSemiring, s_mask: int) -> bool:
 
 
 def is_saturated(A: FiniteSemiring, s_mask: int) -> bool:
-    """ab in S implies a,b in S."""
-    for a in A.elements:
-        for b in A.elements:
-            if (s_mask >> A.mul[a][b]) & 1:
-                if not ((s_mask >> a) & 1 and (s_mask >> b) & 1):
-                    return False
-    return True
+    """ab in S implies a,b in S: S holds its saturation, since ab in S puts
+    a (cofactor b) and b (cofactor a) in it, A being commutative."""
+    return _saturation(A, s_mask) & ~s_mask == 0
 
 
 class LocalizedSemiring(Record):

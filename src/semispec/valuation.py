@@ -4,9 +4,11 @@ bounded, whose kernels are the prime ideals, and the submodule lattice
 of an idempotent semiring with its universal valuation.
 
 A submodule is taken over the two-element subsemiring {0, 1}, which exists
-exactly when 1 + 1 = 1: a subset holding 0 and closed under +. The lattice
-is built once per semiring. The construction enumerates every submodule as
-a sum of cyclic modules (finite base, so finitely generated is no
+exactly when 1 + 1 = 1: a subset holding 0 and closed under +, the sum
+closure (`ideals.sum_closure`) of a seed holding 0, as scaling by 0 and 1
+adds only 0 and the element itself. The lattice is built once per
+semiring. The construction enumerates every submodule as a sum of cyclic
+modules (`ideals.closed_sets`; finite base, so finitely generated is no
 restriction), checks the semiring axioms on the resulting tables, and
 certifies that its natural order is set inclusion; a -> cyclic module of a
 is then a valuation by construction. That map is verified to be initial
@@ -35,7 +37,7 @@ from .kernel import (
     mask_of,
     powers,
 )
-from .ideals import _module_sum, closed_sets, closure_mask
+from .ideals import _module_sum, closed_sets, sum_closure
 from .localize import _powers_mask, localize, map_classes
 from .spectra import pullback, sp_enumerate, spec_enumerate
 from . import corpus
@@ -106,12 +108,6 @@ class SubmoduleLattice(NamedTuple):
             raise PreconditionError("subset is not a submodule")
 
 
-def _module_closure(A: FiniteSemiring, seed: int) -> int:
-    """Smallest submodule of A over {0, 1} containing seed."""
-    zero_bit = 1 << A.zero
-    return closure_mask(A, seed | zero_bit, zero_bit | (1 << A.one))
-
-
 def _scaled(A: FiniteSemiring, m1: int, m2: int) -> List[int]:
     """The submodules a*N = {ab : b in N} of N = m2, one for each a in m1.
     Each is a submodule: a*0 = 0, and ab + ab' = a(b + b')."""
@@ -155,8 +151,9 @@ def build_mra(A: FiniteSemiring) -> SubmoduleLattice:
     is a broken construction: InternalCheckError."""
     if not is_idempotent(A):
         raise PreconditionError(f"{A.label}: 1 + 1 != 1, so {{0, 1}} is no subsemiring")
-    cyclic_masks, found = closed_sets(A, lambda seed: _module_closure(A, seed), MAX_SIZE)
-    modules = sorted(found)
+    zero_bit = 1 << A.zero
+    cyclic_masks = [sum_closure(A, zero_bit | 1 << a) for a in A.elements]
+    modules = sorted(closed_sets(A, cyclic_masks, MAX_SIZE))
     sums: Dict[Tuple[int, int], int] = {}
 
     def module_sum(m1: int, m2: int) -> int:
@@ -166,7 +163,7 @@ def build_mra(A: FiniteSemiring) -> SubmoduleLattice:
         return out
 
     def product_module(m1: int, m2: int) -> int:
-        out = 1 << A.zero
+        out = zero_bit
         for a_n in _scaled(A, m1, m2):
             if a_n & ~out:
                 out = module_sum(out, a_n)
@@ -177,7 +174,7 @@ def build_mra(A: FiniteSemiring) -> SubmoduleLattice:
     )
     table = make_semiring(
         modules, module_sum, product_module,
-        1 << A.zero, cyclic_masks[A.one], f"M[{A.label}]", names, InternalCheckError,
+        zero_bit, cyclic_masks[A.one], f"M[{A.label}]", names, InternalCheckError,
     )
     for i, m1 in enumerate(modules):
         for j, m2 in enumerate(modules):
@@ -288,9 +285,9 @@ def mra_localization_iso_check(lat: SubmoduleLattice, a: int) -> bool:
 
     def alpha_of_pair(mi: int, s: int) -> int:
         ak = A.power(a, vpowers.index(s))
-        seed = 0
+        seed = 1 << la.table.zero
         for m_el in bits(lat.modules[mi]):
             seed |= 1 << la.class_of_pair(m_el, ak)
-        return lat2.index_of(_module_closure(la.table, seed))
+        return lat2.index_of(sum_closure(la.table, seed))
 
     return map_classes(loc_m, lat2.table, alpha_of_pair).is_bijective()

@@ -6,8 +6,8 @@ import pytest
 
 from semispec import corpus, kernel, spectra
 from semispec.errors import FormatError
-from semispec.ideals import all_ideals, closed_sets, closure_mask, is_subtractive
-from semispec.kernel import FiniteSemiring, bits, enumerate_homs, is_idempotent, popcount
+from semispec.ideals import all_ideals, closed_sets, is_subtractive
+from semispec.kernel import FiniteSemiring, bits, enumerate_homs, is_idempotent, mul_rows, popcount
 
 
 @pytest.fixture(scope="session")
@@ -111,17 +111,11 @@ def submonoids(A: FiniteSemiring):
     ]
 
 
-def ideal_close(A: FiniteSemiring):
-    """The ideal closure of a seed, the `close` that `all_ideals` gives
-    `closed_sets`."""
-    return lambda seed: closure_mask(A, seed | 1 << A.zero, A.full_mask)
-
-
 def direct_routes(A: FiniteSemiring):
     """The ideals, spec points and sp points of A by the routes that never
     split: the lattice by `closed_sets` on A, the primes as the valuation
     kernels and, when 1 + 1 = 1, the prime kernels as the hom kernels."""
-    _principal, found = closed_sets(A, ideal_close(A))
+    found = closed_sets(A, mul_rows(A))
     primes = spectra._bool2_kernels(A, homs=False)
     kernels = [m for m in primes if is_subtractive(A, m)]
     if is_idempotent(A):

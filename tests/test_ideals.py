@@ -5,13 +5,12 @@ import random
 
 import pytest
 
-from conftest import brute_ideal_ok, brute_prime_ideal_masks, ideal_close
+from conftest import brute_ideal_ok, brute_prime_ideal_masks
 from semispec import accept, corpus, ideals
 from semispec.errors import InternalCheckError
 from semispec.ideals import (
     all_ideals,
     closed_sets,
-    closure_mask,
     ideal_closure,
     is_ideal,
     is_prime,
@@ -24,7 +23,9 @@ from semispec.ideals import (
     radical_mask,
     radical_member,
     subtractive_closure,
+    sum_closure,
 )
+from semispec.kernel import mul_rows
 
 
 def test_ideal_closure_matches_brute_fixpoint(small_tables):
@@ -47,9 +48,9 @@ def test_ideal_closure_matches_brute_fixpoint(small_tables):
             assert got == cur, name
 
 
-def _closure_by_rounds(A, seed, scalars):
+def _closure_by_rounds(A, seed):
     """The round-by-round fixed point that the worklist replaced: every
-    round adds every sum of two members and every scaled member."""
+    round adds every sum of two members."""
     cur = seed
     while True:
         nxt = cur
@@ -57,10 +58,6 @@ def _closure_by_rounds(A, seed, scalars):
         for a in elems:
             for b in elems:
                 nxt |= 1 << A.add[a][b]
-        for r in range(A.size):
-            if (scalars >> r) & 1:
-                for a in elems:
-                    nxt |= 1 << A.mul[r][a]
         if nxt == cur:
             return cur
         cur = nxt
@@ -74,10 +71,10 @@ def test_worklist_closure_matches_the_round_by_round_fixed_point(corpus_tables):
             continue
         one_element = [1 << a for a in A.elements]
         drawn = [rng.randrange(1, 1 << A.size) for _ in range(200)]
-        for scalars in (A.full_mask, 1 << A.zero | 1 << A.one):
+        for zero in (0, 1 << A.zero):
             for seed in one_element + drawn:
-                want = _closure_by_rounds(A, seed, scalars)
-                assert closure_mask(A, seed, scalars) == want, (name, seed, scalars)
+                want = _closure_by_rounds(A, seed | zero)
+                assert sum_closure(A, seed | zero) == want, (name, seed, zero)
                 checked += 1
     assert checked > 5000
 
@@ -263,14 +260,8 @@ def test_all_ideals_match_subset_oracle(small_tables):
 
 def test_closed_sets_finds_every_boolxy_module():
     A = corpus.get("boolxy")
-    bool_scalars = (1 << A.zero) | (1 << A.one)
-
-    def close(seed):
-        return closure_mask(A, seed | (1 << A.zero), bool_scalars)
-
-    principal, found = closed_sets(A, close)
-    assert len(found) == 2480
-    assert principal == [close(1 << a) for a in A.elements]
+    cyclic = [sum_closure(A, 1 << A.zero | 1 << a) for a in A.elements]
+    assert len(closed_sets(A, cyclic)) == 2480
 
 
 def test_closed_sets_detects_a_wrong_join(monkeypatch):
@@ -280,7 +271,17 @@ def test_closed_sets_detects_a_wrong_join(monkeypatch):
     A = corpus.get("boolpair")
     monkeypatch.setattr(ideals, "_module_sum", lambda A, m1, m2: m1 | m2)
     with pytest.raises(InternalCheckError):
-        closed_sets(A, ideal_close(A))
+        closed_sets(A, mul_rows(A))
+
+
+def test_closed_sets_detects_a_join_missing_a_principal_set(monkeypatch):
+    # planted defect: every join takes in the top 1 of chain4, whose
+    # principal ideal is all of chain4; any subset of a chain is closed
+    # under max, so only the principal-set half fires
+    A = corpus.get("chain4")
+    monkeypatch.setattr(ideals, "_module_sum", lambda A, m1, m2: m1 | m2 | 1 << A.one)
+    with pytest.raises(InternalCheckError, match="not closed"):
+        closed_sets(A, mul_rows(A))
 
 
 def test_subtractive_closure_detects_a_pass_that_misses_a_witness(monkeypatch):

@@ -115,11 +115,13 @@ def test_tampered_move_fails_the_replay(monkeypatch):
             return terms, moves, blocked
         return altered
 
-    # x^3 -> x^2 -> x; the rule x -> x^2 does not rewrite x^3 to x^2, and
-    # x^3 -> x^2 does, but it is none of the closure's rules
+    # x^3 -> x^2 -> x; the rule x -> x^2 does not rewrite x^3 to x^2,
+    # x^3 -> x^2 does, but it is none of the closure's rules, and the
+    # closure's own rule x^2 -> x at multiplier 1 gives x, not x^2
     for alter in (
         lambda rule, mult: (rule[::-1], mult),
         lambda rule, mult: ((x3, x2), (0,)),
+        lambda rule, mult: (rule, (0,)),
     ):
         closure = _Closure(pres, Bound(degree=3, coeff=3))
         monkeypatch.setattr(_Closure, "_reduce", altering_first_move(alter))

@@ -9,11 +9,11 @@ from unittest import mock
 
 import pytest
 
-from conftest import axiom_verdicts, direct_routes, ideal_close, isomorphic, public_routes
+from conftest import axiom_verdicts, direct_routes, isomorphic, public_routes
 from semispec import cli, corpus, ideals, kernel
 from semispec.errors import FormatError, InternalCheckError, ResourceError
 from semispec.ideals import all_ideals, closed_sets
-from semispec.kernel import FiniteSemiring, make_semiring, semiring_to_dict, split
+from semispec.kernel import FiniteSemiring, make_semiring, mul_rows, semiring_to_dict, split
 from semispec.spectra import sp_enumerate, spec_enumerate
 
 PRODUCTS = {"boolpair": ("bool2", "bool2"), "chain3xbool": ("chain3", "bool2")}
@@ -216,12 +216,12 @@ def test_the_ideal_cap_is_charged_with_the_product_count(monkeypatch):
     assert len(all_ideals(A)) == 220
     monkeypatch.setattr(ideals, "_IDEAL_CAP", 150)
     with pytest.raises(ResourceError, match="over the cap of 150"):
-        closed_sets(A, ideal_close(A), ideals._IDEAL_CAP)
+        closed_sets(A, mul_rows(A), ideals._IDEAL_CAP)
     built = []
     real = ideals.closed_sets
     monkeypatch.setattr(
         ideals, "closed_sets",
-        lambda B, close, cap=None: built.append(B.size) or real(B, close, cap),
+        lambda B, principal, cap=None: built.append(B.size) or real(B, principal, cap),
     )
     with pytest.raises(ResourceError, match=r"boolxy\*bool2: over the cap of 150"):
         all_ideals(A)

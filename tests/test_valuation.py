@@ -5,7 +5,7 @@ import pytest
 
 from semispec import cli, corpus, kernel, valuation
 from semispec.errors import InternalCheckError, PreconditionError, ResourceError
-from semispec.ideals import closure_mask
+from semispec.ideals import sum_closure
 from semispec.kernel import bits, is_idempotent, leq, mask_of
 from semispec.localize import _powers_mask, localize, natural_map
 from semispec.sheaf import SheafContext
@@ -209,6 +209,17 @@ def test_factoring_detects_a_wrong_element_sum(monkeypatch):
         factor_through_universal(lat, w)
 
 
+def test_factoring_detects_a_second_match(monkeypatch):
+    # planted defect: the hom search yields every hom twice, so the right
+    # factoring is found twice and only the uniqueness half fires
+    A = corpus.get("chain3")
+    lat, w = build_mra(A), bool_valuations(A)[0]
+    real = valuation.enumerate_homs
+    monkeypatch.setattr(valuation, "enumerate_homs", lambda A, B: 2 * real(A, B))
+    with pytest.raises(InternalCheckError, match=r"\(2 matches\)"):
+        factor_through_universal(lat, w)
+
+
 def test_generator_sum_invariance():
     # the sum of the values is the same over every generating subset of a
     # module
@@ -216,7 +227,7 @@ def test_generator_sum_invariance():
         A = corpus.get(name)
         lat = build_mra(A)
         v = universal(lat)
-        S, scal = v.target, (1 << A.zero) | (1 << A.one)
+        S = v.target
         for idx, m in enumerate(lat.modules):
             elems = list(bits(m))
             want = S.sum_of(v.images[a] for a in elems)
@@ -224,7 +235,7 @@ def test_generator_sum_invariance():
                 seed = (1 << A.zero) | mask_of(
                     e for i, e in enumerate(elems) if (code >> i) & 1
                 )
-                if closure_mask(A, seed, scal) == m:
+                if sum_closure(A, seed) == m:
                     got = S.sum_of(v.images[a] for a in bits(seed))
                     assert got == want, (name, idx)
 
@@ -405,7 +416,7 @@ def _products_by_closure(lat):
         row = []
         for m2 in modules:
             seed = mask_of(A.mul[a][b] for a in bits(m1) for b in bits(m2))
-            row.append(index[closure_mask(A, seed | zero_bit, zero_bit | 1 << A.one)])
+            row.append(index[sum_closure(A, seed | zero_bit)])
         rows.append(tuple(row))
     return tuple(rows)
 
