@@ -24,9 +24,9 @@ from .kernel import (
 from . import corpus, ideals, localize, poly, presented, sheaf, spectra, valuation
 from .localize import harden, is_hard, localize as localize_at, saturate
 from .spectra import (
-    NatSpectrumModel,
     dimension,
     nat_model_verify,
+    nat_spectrum,
     sp_enumerate,
     spec_enumerate,
 )
@@ -38,7 +38,6 @@ __all__ = [
     "Homomorphism",
     "FormatError",
     "InternalCheckError",
-    "NatSpectrumModel",
     "PreconditionError",
     "ResourceError",
     "SemispecError",
@@ -56,6 +55,7 @@ __all__ = [
     "localize_at",
     "make_semiring",
     "nat_model_verify",
+    "nat_spectrum",
     "poly",
     "presented",
     "saturate",

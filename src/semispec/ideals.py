@@ -33,7 +33,7 @@ from .kernel import (
 
 def sum_closure(A: FiniteSemiring, seed: int) -> int:
     """Smallest superset of seed closed under +. It adds no 0: a submodule
-    over {0, 1} is the sum closure of a seed holding 0, and an ideal that
+    over N is the sum closure of a seed holding 0, and an ideal that
     of 0 and the principal ideals of its generators (`ideal_closure`).
 
     A worklist, evaluated semi-naively: a member taken from the list is
@@ -89,7 +89,7 @@ def closed_sets(
 ) -> Set[int]:
     """Every sum of principal sets, found by `kernel.joins` from {0}: the
     ideals when principal[a] is the product row aA, the submodules over
-    {0, 1} when it is the sum closure of {0, a}. Each principal set holds
+    N when it is the sum closure N*a of {0, a}. Each principal set holds
     0 and a and is closed under +.
 
     The join with a generator g reads the rows {a + b : b in g}, built by

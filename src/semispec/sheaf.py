@@ -189,8 +189,7 @@ class SectionSemiring(NamedTuple):
     index: Dict[Tuple[int, ...], int]  # family -> its element of table
     table: FiniteSemiring
     from_base: Homomorphism  # A -> sections
-    compare: Homomorphism  # L(target) -> sections
-    compare_is_iso: bool
+    compare_is_iso: bool  # L(target) -> sections is bijective
 
     @property
     def base_injective(self) -> bool:
@@ -347,16 +346,15 @@ def equalizer_sections(
 
     ltgt = ctx.presheaf_at(want)
     rs = [ctx.restriction(want, space.basis[c]).images for c in cover]
-    compare = Homomorphism(
+    compare_is_iso = Homomorphism(
         ltgt.table, table, tuple(index[tuple(r[x] for r in rs)] for x in ltgt.table.elements)
-    )
-    compare_is_iso = compare.is_bijective()
+    ).is_bijective()
     if ctx.kind == "spec" and not compare_is_iso:
         raise InternalCheckError(
             f"{A.label}: localization-to-equalizer comparison is not an isomorphism"
         )
     return SectionSemiring(
-        ctx, cover, target, locs, tuples, index, table, from_base, compare, compare_is_iso
+        ctx, cover, target, locs, tuples, index, table, from_base, compare_is_iso
     )
 
 
@@ -510,7 +508,7 @@ def sections_along(
     The operations of both section tables are componentwise, so the map
     is a hom once each family lands in dst's carrier. PreconditionError
     when some f^-1(q) lies outside U."""
-    point_map = pullback(f.images, dst.ctx.space, src.ctx.space).point_map
+    point_map = pullback(f.images, dst.ctx.space, src.ctx.space)
     comps = []
     for q, loc in zip(dst.points, dst.locs):
         if not (src.open_set >> point_map[q]) & 1:

@@ -1,5 +1,5 @@
-"""Prime spectra of finite semirings and the symbolic model for the
-naturals.
+"""Prime spectra of finite semirings and the finite model of the
+naturals, all as one space type, `SpectrumSpace`.
 
 A spectrum is a finite list of prime ideal masks with the topology
 generated by principal opens D(a) = {p : a not in p}. The kind selects
@@ -7,8 +7,10 @@ which primes count as points: every prime ideal (spec) or only the
 subtractive ones (sp). Primes come from saturations of single elements,
 checked against the kernels of the valuations into bool2; on a table
 that splits as eA x fA (`kernel.split`) both are found, with their
-cross-checks, on the factors. One pullback, q |-> {a : f(a) in q},
-serves every map of tables: the spectrum map of a homomorphism and the
+cross-checks, on the factors. The naturals' model is a space on the
+window 0..bound, with no table. One pullback, q |-> {a : f(a) in q},
+serves every map of tables and returns the point map as a tuple of
+indices: the spectrum map of a homomorphism or a localization, and the
 comparison of Sp of the submodule lattice with Spec along the universal
 valuation. Dimension is computed from irreducible closed sets directly,
 then cross-checked against longest specialization chains; the two must
@@ -37,7 +39,6 @@ from .ideals import (
 from .kernel import (
     MAX_SIZE,
     FiniteSemiring,
-    Homomorphism,
     _maps,
     bits,
     is_idempotent,
@@ -46,11 +47,11 @@ from .kernel import (
     popcount,
     split,
 )
-from .localize import _powers_mask, _saturation, localize, semi_invertibles_mask
+from .localize import LocalizedSemiring, _powers_mask, _saturation
 
 
 class SpectrumSpace(NamedTuple):
-    base: FiniteSemiring
+    base: Optional[FiniteSemiring]  # None for the naturals, which have no table
     kind: str  # "spec" | "sp"
     point_masks: Tuple[int, ...]  # prime ideal masks, sorted (popcount, mask)
     basis: Tuple[int, ...]  # element a -> bitmask over point indices
@@ -74,18 +75,23 @@ class SpectrumSpace(NamedTuple):
     def minimal_open(self, i: int) -> int:
         """Smallest open containing point i (finite spaces are Alexandrov)."""
         out = self.full
-        for a in self.base.elements:
-            if (self.basis[a] >> i) & 1:
-                out &= self.basis[a]
+        for d in self.basis:
+            if (d >> i) & 1:
+                out &= d
         return out
 
 
-def _build_space(A: FiniteSemiring, kind: str, masks: Sequence[int]) -> SpectrumSpace:
+def _space(
+    base: Optional[FiniteSemiring], kind: str, masks: Sequence[int], elements: Sequence[int]
+) -> SpectrumSpace:
+    """The points sorted by (popcount, mask), and D(a) = {p : a not in p}."""
     masks = tuple(sorted(masks, key=lambda m: (popcount(m), m)))
-    basis = []
-    for a in A.elements:
-        basis.append(mask_of(i for i, p in enumerate(masks) if not (p >> a) & 1))
-    space = SpectrumSpace(A, kind, masks, tuple(basis))
+    basis = tuple(mask_of(i for i, p in enumerate(masks) if not (p >> a) & 1) for a in elements)
+    return SpectrumSpace(base, kind, masks, basis)
+
+
+def _build_space(A: FiniteSemiring, kind: str, masks: Sequence[int]) -> SpectrumSpace:
+    space = _space(A, kind, masks, A.elements)
     for a in A.elements:
         for b in A.elements:
             if space.basis[A.mul[a][b]] != space.basis[a] & space.basis[b]:
@@ -209,30 +215,21 @@ def cover_check(
 
 
 # ---------------------------------------------------------------------------
-# induced maps
-
-
-class InducedMap(NamedTuple):
-    """Point map q |-> f^-1(q) from the spectrum of f's codomain (source)
-    to that of its domain (target).
-
-    It is continuous on every space `_build_space` makes, with no
-    certificate to compute: there D(a) is read from the same point masks
-    as the preimages, so the point map sends q into D(a) exactly when f(a)
-    is outside q, that is when q lies in D(f(a))."""
-
-    source: SpectrumSpace
-    target: SpectrumSpace
-    point_map: Tuple[int, ...]
+# point maps
 
 
 def pullback(
     images: Sequence[int], source: SpectrumSpace, target: SpectrumSpace
-) -> InducedMap:
+) -> Tuple[int, ...]:
     """q |-> {a : f(a) in q} for f(a) = images[a], from the points of
     `source` (over f's codomain) to those of `target` (over its domain),
-    for a homomorphism and a valuation alike; a preimage that is no point
-    raises InternalCheckError."""
+    for a homomorphism and a valuation alike, as a tuple of target point
+    indices; a preimage that is no point raises InternalCheckError.
+
+    The point map is continuous on every space `_build_space` makes, with
+    no certificate to compute: there D(a) is read from the same point masks
+    as the preimages, so the point map sends q into D(a) exactly when f(a)
+    is outside q, that is when q lies in D(f(a))."""
     A = target.base
     index = {p: i for i, p in enumerate(target.point_masks)}
     pm = []
@@ -241,42 +238,33 @@ def pullback(
         if pre not in index:
             raise InternalCheckError(f"{A.label}: a preimage is no point of {target.kind}")
         pm.append(index[pre])
-    return InducedMap(source, target, tuple(pm))
+    return tuple(pm)
 
 
-def induced_map(f: Homomorphism, kind: str) -> InducedMap:
-    """Spec(f) or Sp(f): the `pullback` along f."""
-    return pullback(f.images, enumerate_space(f.cod, kind), enumerate_space(f.dom, kind))
-
-
-def localization_point_report(A: FiniteSemiring, s_mask: int, kind: str) -> dict:
-    """The spectrum map of the canonical hom to S^-1 A: injective, image
-    exactly the primes missing S, and whether it is every point. Openness
-    follows: D(a/s) = D(a/1) as s is a unit, and the image of D(a/1) is
-    D(a) & D(P) = D(aP) for P the product of S, by D(ab) = D(a) & D(b),
-    which `_build_space` asserts."""
-    loc = localize(A, s_mask)
-    m = induced_map(loc.phi, kind)
-    image = mask_of(sorted(set(m.point_map)))
-    injective = len(set(m.point_map)) == m.source.npoints
-    expected = mask_of(
-        i
-        for i, p in enumerate(m.target.point_masks)
-        if p & s_mask == 0
+def localization_point_report(loc: LocalizedSemiring, kind: str) -> dict:
+    """The spectrum map of the canonical hom A -> S^-1 A of `loc`:
+    injective, image exactly the primes missing S, and whether it is every
+    point. Openness follows: D(a/s) = D(a/1) as s is a unit, and the image
+    of D(a/1) is D(a) & D(P) = D(aP) for P the product of S, by
+    D(ab) = D(a) & D(b), which `_build_space` asserts."""
+    target = enumerate_space(loc.base, kind)
+    point_map = pullback(loc.phi.images, enumerate_space(loc.table, kind), target)
+    image = mask_of(set(point_map))
+    injective = len(set(point_map)) == len(point_map)
+    image_ok = image == mask_of(
+        i for i, p in enumerate(target.point_masks) if p & loc.s_mask == 0
     )
-    image_ok = image == expected
     return {
-        "kind": kind,
         "injective": injective,
         "image_matches": image_ok,
-        "onto": image == m.target.full,
+        "onto": image == target.full,
         "pass": injective and image_ok,
     }
 
 
-def hardening_sp_homeo_check(A: FiniteSemiring) -> bool:
-    """Sp of the hardening map is a homeomorphism onto all of Sp A."""
-    rep = localization_point_report(A, semi_invertibles_mask(A), "sp")
+def hardening_sp_homeo_check(H: LocalizedSemiring) -> bool:
+    """Sp of the hardening map A -> H is a homeomorphism onto all of Sp A."""
+    rep = localization_point_report(H, "sp")
     return rep["pass"] and rep["onto"]
 
 
@@ -321,7 +309,7 @@ def dimension(space: SpectrumSpace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# symbolic model for the naturals
+# finite model of the naturals
 
 
 def _primes_upto(bound: int) -> List[int]:
@@ -335,45 +323,21 @@ def _primes_upto(bound: int) -> List[int]:
     return out
 
 
-class NatSpectrumModel:
-    """Finite stand-in for the spectrum of the naturals: the zero prime,
-    one point per explicit prime up to the bound, and (spec kind only) the
-    maximal point of everything-but-one. Principal opens follow divisibility."""
-
-    def __init__(self, prime_bound: int, kind: str):
-        if prime_bound < 7:
-            raise PreconditionError("prime bound must be at least 7")
-        if kind not in ("spec", "sp"):
-            raise PreconditionError(f"unknown spectrum kind {kind!r}")
-        self.kind = kind
-        self.prime_bound = prime_bound
-        self.primes = _primes_upto(prime_bound)
-        self.labels = ["zero"] + [f"prime{p}" for p in self.primes]
-        if kind == "spec":
-            self.labels.append("max")
-        self.npoints = len(self.labels)
-        self._max_index = self.npoints - 1 if kind == "spec" else None
-
-    def d_open(self, n: int) -> int:
-        if n < 0:
-            raise PreconditionError("negative element")
-        if n == 0:
-            return 0
-        out = 1  # the zero prime misses every n >= 1
-        for i, p in enumerate(self.primes):
-            if n % p != 0:
-                out |= 1 << (i + 1)
-        if n == 1 and self._max_index is not None:
-            out |= 1 << self._max_index
-        return out
-
-    def opens(self) -> List[int]:
-        """Unions of the principal opens and the whole space."""
-        gens = [self.d_open(n) for n in range(2, self.prime_bound + 1)]
-        return sorted(joins(gens + [(1 << self.npoints) - 1], operator.or_, 0))
-
-    def dimension(self) -> int:
-        return dimension_of_opens(self.npoints, self.opens())
+def nat_spectrum(bound: int, kind: str) -> SpectrumSpace:
+    """Finite stand-in for the spectrum of the naturals on the window
+    0..bound: the zero prime, pN for every prime p up to the bound, and
+    (spec kind only) the maximal point of everything-but-one, each point
+    the mask of its members in the window. The basis is indexed by n, so
+    D(n) follows divisibility; there is no table, so `base` is None."""
+    if bound < 7:
+        raise PreconditionError("prime bound must be at least 7")
+    if kind not in ("spec", "sp"):
+        raise PreconditionError(f"unknown spectrum kind {kind!r}")
+    window = range(bound + 1)
+    points = [1] + [mask_of(window[::p]) for p in _primes_upto(bound)]
+    if kind == "spec":
+        points.append(mask_of(window) & ~2)
+    return _space(None, kind, points, window)
 
 
 def nat_model_verify(bound: int = 200) -> dict:

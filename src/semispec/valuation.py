@@ -1,13 +1,11 @@
 """Order-subadditive multiplicative valuations into idempotent semirings,
 those into the two-element target found by the hom search with sums
 bounded, whose kernels are the prime ideals, and the submodule lattice
-of an idempotent semiring with its universal valuation.
+of any semiring with its universal valuation.
 
-A submodule is taken over the two-element subsemiring {0, 1}, which exists
-exactly when 1 + 1 = 1: a subset holding 0 and closed under +, the sum
-closure (`ideals.sum_closure`) of a seed holding 0, as scaling by 0 and 1
-adds only 0 and the element itself. The lattice is built once per
-semiring. The construction enumerates every submodule as a sum of cyclic
+A submodule is taken over the naturals N: a subset holding 0 and closed
+under +, the sum closure (`ideals.sum_closure`) of a seed holding 0, as
+scaling by n is an n-fold sum. The lattice is built once per semiring. The construction enumerates every submodule as a sum of cyclic
 modules (`ideals.closed_sets`; finite base, so finitely generated is no
 restriction), checks the semiring axioms on the resulting tables, and
 certifies that its natural order is set inclusion; a -> cyclic module of a
@@ -123,7 +121,7 @@ def _scaled(A: FiniteSemiring, m1: int, m2: int) -> List[int]:
 
 
 def build_mra(A: FiniteSemiring) -> SubmoduleLattice:
-    """The idempotent semiring of all submodules of A over {0, 1}, with
+    """The idempotent semiring of all N-submodules of A, with
     elementwise sum as addition and generated-product as multiplication,
     and its universal valuation (`cyclic`). Its order must be inclusion,
     which at M = M says the table is idempotent.
@@ -135,22 +133,20 @@ def build_mra(A: FiniteSemiring) -> SubmoduleLattice:
     both tables, so neither depends on which table is built first; a
     join with a*N inside the running one is skipped.
 
-    The universal map a -> <a> = {0, a} (a + a = a, as 1 + 1 = 1) is a
+    The universal map a -> <a> = N*a, the sum closure of {0, a}, is a
     valuation by construction, with no scan: <0> and <1> are the table's
-    zero and one; the product module of <a> and <b> is the closure of
-    {0, ab}, that is <ab>; and <a + b> lies inside <a> + <b> =
-    {0, a, b, a + b}, which in the table's order, checked to be
+    zero and one; the product module of <a> and <b> is generated by the
+    products (ma)(nb) = (mn)ab, that is <ab>; and a + b lies in
+    <a> + <b>, so <a + b> does, which in the table's order, checked to be
     inclusion, is v(a + b) <= v(a) + v(b). Its integral part
     {a : v(a) <= 1}, like that of any valuation into an idempotent
     semiring, is a subsemiring: v(a + b) <= v(a) + v(b) <= 1 + 1 = 1, and
     v(ab) = v(a)v(b) <= v(b) <= 1, since x <= 1 gives xy + y = (x + 1)y = y.
 
-    Raises PreconditionError unless 1 + 1 = 1 in A, and ResourceError once
-    more modules are found than a table may hold (`kernel.MAX_SIZE`). A
-    sum or product outside the modules, or a table that breaks an axiom,
-    is a broken construction: InternalCheckError."""
-    if not is_idempotent(A):
-        raise PreconditionError(f"{A.label}: 1 + 1 != 1, so {{0, 1}} is no subsemiring")
+    Raises ResourceError once more modules are found than a table may
+    hold (`kernel.MAX_SIZE`). A sum or product outside the modules, or a
+    table that breaks an axiom, is a broken construction:
+    InternalCheckError."""
     zero_bit = 1 << A.zero
     cyclic_masks = [sum_closure(A, zero_bit | 1 << a) for a in A.elements]
     modules = sorted(closed_sets(A, cyclic_masks, MAX_SIZE))
@@ -249,7 +245,7 @@ def vstar_homeo_check(lat: SubmoduleLattice) -> HomeoReport:
         for q in spec_a.point_masks
     ]
     bijective = sp_m.npoints == spec_a.npoints and all(
-        j is not None and f.point_map[j] == qi for qi, j in enumerate(inverse)
+        j is not None and f[j] == qi for qi, j in enumerate(inverse)
     )
     basis = openness = True
     for mi, m in enumerate(lat.modules):
@@ -257,7 +253,7 @@ def vstar_homeo_check(lat: SubmoduleLattice) -> HomeoReport:
         for a in bits(m):
             union_m |= sp_m.basis[lat.cyclic[a]]
             union_a |= spec_a.basis[a]
-        image = mask_of(f.point_map[i] for i in bits(sp_m.basis[mi]))
+        image = mask_of(f[i] for i in bits(sp_m.basis[mi]))
         basis = basis and union_m == sp_m.basis[mi]
         openness = openness and image == union_a
     return HomeoReport(bijective, openness, basis, spec_a.npoints)

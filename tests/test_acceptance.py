@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from semispec import accept, presented
+from semispec import accept, presented, spectra
 
 PINNED = (
     (Path(__file__).parent / "data" / "verify_all.txt").read_text(encoding="utf-8").splitlines()
@@ -46,3 +46,30 @@ def test_criterion_6_rechecks_its_separating_model(monkeypatch):
 
     monkeypatch.setattr(accept, "separating_model", search_without_last_relation)
     assert not accept.criterion_6().passed
+
+
+def _plant_point(monkeypatch, label, kind, mask):
+    real = accept.enumerate_space
+
+    def planted(A, k):
+        space = real(A, k)
+        if (A.label, k) != (label, kind):
+            return space
+        return spectra._build_space(A, k, space.point_masks + (mask,))
+
+    monkeypatch.setattr(accept, "enumerate_space", planted)
+
+
+def test_closed_sets_suite_detects_a_sum_outside_the_union(monkeypatch):
+    # planted defect: boolpair's spec gains {(0,0), (0,1), (1,0)}, closed
+    # under products, so `_build_space` accepts it; it holds (0,1) and
+    # (1,0) but not their sum (1,1)
+    _plant_point(monkeypatch, "boolpair", "spec", 0b0111)
+    assert accept._suite_closed_sets() == "boolpair/spec: sum identity fails"
+
+
+def test_closed_sets_suite_detects_a_non_subtractive_point_of_sp(monkeypatch):
+    # planted defect: boolx's sp gains its spec point {0, x, 1+x}, prime
+    # but not subtractive: it holds 1 + x and x but not 1
+    _plant_point(monkeypatch, "boolx", "sp", 13)
+    assert accept._suite_closed_sets() == "boolx/sp: idempotent sum identity fails"

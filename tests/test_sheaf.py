@@ -305,8 +305,8 @@ def test_kept_certificates_glue_as_the_per_family_search():
     families = 0
     for A in corpus.members(max_size=8):
         ctx = SheafContext(A, "spec")
-        for target in accept._distinct_open_reps(ctx):
-            for fam in accept._principal_covers(ctx, target):
+        for target in accept._distinct_open_reps(ctx.space):
+            for fam in accept._principal_covers(ctx.space, target):
                 secs = equalizer_sections(ctx, fam, target=target)
                 for tup in secs.tuples:
                     assert glue_section(secs, tup) == _glue_by_search(secs, tup), A.label

@@ -1,4 +1,5 @@
-"""Point spaces, their topology, induced maps, and the naturals model."""
+"""Point spaces, their topology, the point map of a homomorphism or a
+localization, and the naturals' model on a window."""
 
 import json
 
@@ -13,17 +14,18 @@ from semispec import corpus, ideals, kernel, spectra
 from semispec.errors import InternalCheckError, PreconditionError
 from semispec.ideals import nat_point_not_subtractive, nat_point_prime_check
 from semispec.kernel import Homomorphism, make_semiring, mask_of
+from semispec.localize import harden, localize, saturate
 from semispec.sheaf import SheafContext
 from semispec.spectra import (
-    NatSpectrumModel,
     cover_check,
     dimension,
     dimension_of_opens,
     enumerate_space,
     hardening_sp_homeo_check,
-    induced_map,
     localization_point_report,
     nat_model_verify,
+    nat_spectrum,
+    pullback,
     sp_enumerate,
     spec_enumerate,
     space_to_dot,
@@ -341,22 +343,19 @@ def test_induced_map_preimages():
     A, B = corpus.get("boolx"), corpus.get("bool2")
     h = Homomorphism(A, B, (0, 1, 1, 1))
     assert h.violation() is None
-    f = induced_map(h, "spec")
     src, dst = spec_enumerate(B), spec_enumerate(A)
-    for i in range(src.npoints):
-        j = f.point_map[i]
-        assert 0 <= j < dst.npoints
+    f = pullback(h.images, src, dst)
+    assert len(f) == src.npoints and all(0 <= j < dst.npoints for j in f)
     # preimage of an open is an open
     for u in dst.opens():
-        pre = mask_of(i for i in range(src.npoints) if (u >> f.point_map[i]) & 1)
+        pre = mask_of(i for i in range(src.npoints) if (u >> f[i]) & 1)
         assert pre in src.opens()
 
 
 def test_induced_identity_is_identity():
     A = corpus.get("chain4")
-    f = induced_map(Homomorphism(A, A, tuple(A.elements)), "spec")
     space = spec_enumerate(A)
-    assert f.point_map == tuple(range(space.npoints))
+    assert pullback(A.elements, space, space) == tuple(range(space.npoints))
 
 
 FROZEN_DIMS = {
@@ -403,52 +402,69 @@ def test_dimension_of_opens_refuses_a_non_topology():
 
 def test_localization_point_report():
     A = corpus.get("boolx")
-    rep = localization_point_report(A, 0b1110, "spec")
+    rep = localization_point_report(localize(A, 0b1110), "spec")
     assert rep["pass"] and rep["injective"] and rep["image_matches"]
+
+
+def test_localization_point_report_detects_a_map_that_is_not_injective():
+    # planted defect: bool2's localization at {1} given boolpair as its
+    # table and the diagonal hom; both points of boolpair pull back to {0}
+    B2, BP = corpus.get("bool2"), corpus.get("boolpair")
+    diag = Homomorphism(B2, BP, (BP.zero, BP.one))
+    assert diag.violation() is None
+    loc = localize(B2, 1 << B2.one)
+    rep = localization_point_report(loc.replace(table=BP, phi=diag), "spec")
+    assert not rep["injective"] and rep["image_matches"] and not rep["pass"]
+
+
+def test_localization_point_report_detects_an_image_that_is_not_the_primes_missing_s():
+    # planted defect: boolx's localization at {1} reporting S = {1, x}; the
+    # map is the identity on points, but the points holding x meet S
+    A = corpus.get("boolx")
+    loc = localize(A, 1 << A.one)
+    rep = localization_point_report(loc.replace(s_mask=loc.s_mask | 1 << A.names.index("x")), "sp")
+    assert rep["injective"] and not rep["image_matches"] and not rep["pass"]
 
 
 def test_localization_homeo_small(corpus_tables):
     for name in ("boolx", "chain3", "chain4", "trop5"):
         A = corpus_tables[name]
-        from semispec.localize import saturate
         for a in A.elements:
             powers, p = 1 << A.one, A.one
             for _ in range(A.size + 1):
                 p = A.mul[p][a]
                 powers |= 1 << p
             for kind in ("spec", "sp"):
-                rep = localization_point_report(A, saturate(A, powers), kind)
+                rep = localization_point_report(localize(A, saturate(A, powers)), kind)
                 assert rep["pass"], (name, a, kind)
 
 
 def test_hardening_sp_homeo_all(corpus_tables):
     for name, A in corpus_tables.items():
         if A.size <= 8:
-            assert hardening_sp_homeo_check(A), name
+            assert hardening_sp_homeo_check(harden(A)), name
 
 
-def test_hardening_check_reads_its_own_localization(monkeypatch):
-    # with the semi-invertibles replaced by the powers of x, the
-    # localization misses the points holding x, so Sp is not onto
+def test_hardening_check_reads_its_own_localization():
+    # given the localization at the powers of x in place of the
+    # hardening, the check misses the points holding x, so Sp is not onto
     A = corpus.get("boolx")
-    x = A.names.index("x")
-    monkeypatch.setattr(spectra, "semi_invertibles_mask", lambda B: (1 << B.one) | (1 << x))
-    assert not hardening_sp_homeo_check(A)
+    assert not hardening_sp_homeo_check(localize(A, (1 << A.one) | (1 << A.names.index("x"))))
 
 
 def test_nat_model():
-    spec = NatSpectrumModel(200, "spec")
-    sp = NatSpectrumModel(200, "sp")
-    assert spec.dimension() == 2
-    assert sp.dimension() == 1
-    for model in (spec, sp):
+    primes = [p for p in range(2, 201) if all(p % q for q in range(2, p))]
+    for kind, dim in (("spec", 2), ("sp", 1)):
+        space = nat_spectrum(200, kind)
+        assert space.base is None and dimension(space) == dim
         # D(n) holds the zero prime and the primes not dividing n, and
         # never the maximal point once n >= 2
-        assert model.d_open(0) == 0
-        assert model.d_open(1) == (1 << model.npoints) - 1
+        assert space.basis[0] == 0 and space.basis[1] == space.full
+        index = {m: i for i, m in enumerate(space.point_masks)}
+        assert (mask_of(range(201)) & ~2 in index) == (kind == "spec")
         for n in range(2, 201):
-            want = 1 | sum(1 << (i + 1) for i, p in enumerate(model.primes) if n % p)
-            assert model.d_open(n) == want, (model.kind, n)
+            want = [1] + [mask_of(range(0, 201, p)) for p in primes if n % p]
+            assert space.basis[n] == mask_of(index[m] for m in want), (kind, n)
     report = nat_model_verify(bound=200)
     assert report["pass"]
 
@@ -473,7 +489,9 @@ def test_nat_point_checks_can_fail():
 
 def test_nat_model_rejects_small_bound():
     with pytest.raises(PreconditionError):
-        NatSpectrumModel(5, "spec")
+        nat_spectrum(5, "spec")
+    with pytest.raises(PreconditionError):
+        nat_spectrum(200, "both")
 
 
 def test_space_serialization():

@@ -143,13 +143,19 @@ def test_lattice_modules_closed(corpus_tables):
                 for b in A.elements:
                     if (m >> a) & 1 and (m >> b) & 1:
                         assert (m >> A.add[a][b]) & 1, name
-            # boolean scalars act as 0 and identity, nothing to add
+            # a scalar n acts as an n-fold sum, nothing to add
 
 
 def test_build_mra_rejects_non_bool_algebra():
-    for name in ("f2", "z4", "satnat4"):
-        with pytest.raises(PreconditionError):
-            build_mra(corpus.get(name))
+    # a table without 1 + 1 = 1 has its lattice too, as submodules are
+    # taken over N with <a> = N*a, and every check passes on it
+    for name, size in (("f2", 2), ("z4", 3), ("satnat4", 4), ("satnat8", 17)):
+        A = corpus.get(name)
+        lat = build_mra(A)
+        assert lat.table.size == size and vstar_homeo_check(lat).ok, name
+        for v in bool_valuations(A):
+            factor_through_universal(lat, v)
+        assert all(mra_localization_iso_check(lat, a) for a in A.elements), name
 
 
 def test_build_mra_resource_guard():
