@@ -59,7 +59,6 @@ from .sheaf import (
     SheafContext,
     alexandrov_sections,
     equalizer_sections,
-    gamma,
     glue_section,
     ktt_counterexample_verify,
     sections_along,
@@ -69,7 +68,7 @@ from .spectra import (
     cover_check,
     dimension,
     enumerate_space,
-    hardening_sp_homeo_check,
+    localization_point_report,
     nat_model_verify,
     nat_spectrum,
 )
@@ -218,43 +217,42 @@ def _principal_covers(space: SpectrumSpace, target: int) -> List[List[int]]:
     return [fam for fam, union in _families(space, inside) if union == want]
 
 
-def _sheaf_sweep(kind: str) -> Tuple[int, int, List[FiniteSemiring], List[str]]:
-    """Runs every principal cover of every principal open over the small
-    corpus; returns (covers run, semirings visited, section tables,
-    failure notes)."""
+def _sheaf_sweep(ctx: SheafContext) -> Tuple[List[FiniteSemiring], List[str]]:
+    """Runs every principal cover of every principal open of one context;
+    returns the section tables, one per cover, and the failure notes."""
+    space = ctx.space
     failures: List[str] = []
     tables: List[FiniteSemiring] = []
-    covers = 0
-    members = corpus.members(max_size=8)
-    for A in members:
-        ctx = SheafContext(A, kind)
-        for target in _distinct_open_reps(ctx.space):
-            for fam in _principal_covers(ctx.space, target):
-                secs = equalizer_sections(ctx, fam, target=target)
-                covers += 1
-                tables.append(secs.table)
-                if kind == "spec":
-                    if ctx.space.basis[target] == ctx.space.full:
-                        if not secs.from_base.is_bijective():
-                            failures.append(f"{A.label}: global sections differ")
-                    for tup in secs.tuples:
-                        glue_section(secs, tup)
-    return covers, len(members), tables, failures
+    for target in _distinct_open_reps(space):
+        for fam in _principal_covers(space, target):
+            secs = equalizer_sections(ctx, fam, target=target)
+            tables.append(secs.table)
+            if ctx.kind == "spec":
+                if space.basis[target] == space.full and not secs.from_base.is_bijective():
+                    failures.append(f"{ctx.A.label}: global sections differ")
+                for tup in secs.tuples:
+                    glue_section(secs, tup)
+    return tables, failures
 
 
 def criterion_4() -> CheckResult:
-    covers, nsemirings, _tables, failures = _sheaf_sweep("spec")
+    members = corpus.members(max_size=8)
+    covers = 0
+    failures: List[str] = []
     stalk_notes = []
-    for A in corpus.members(max_size=8):
+    for A in members:
         ctx = SheafContext(A, "spec")
+        tables, notes = _sheaf_sweep(ctx)
+        covers += len(tables)
+        failures += notes
         al = alexandrov_sections(ctx, ctx.space.full)
         for i in al.points:
             fresh = localize(A, A.full_mask ^ ctx.space.point_masks[i])
             if not natural_map(al.stalk(i), fresh).is_bijective():
                 stalk_notes.append(f"{A.label} point {i}")
-    ok = not failures and not stalk_notes and nsemirings >= 6
+    ok = not failures and not stalk_notes and len(members) >= 6
     detail = (
-        f"{covers} principal covers over {nsemirings} semirings, "
+        f"{covers} principal covers over {len(members)} semirings, "
         f"all comparisons isomorphisms, stalks match localizations"
     )
     if failures or stalk_notes:
@@ -349,32 +347,34 @@ def criterion_8() -> CheckResult:
 
 
 def criterion_9() -> CheckResult:
-    covers, _n, tables, failures = _sheaf_sweep("sp")
-    soft = [t for t in tables if not is_hard(t)]
+    # the sweep notes failures on spec only
+    tables: List[FiniteSemiring] = []
     gammas_hard = True
     match_notes = []
     for A in corpus.members(max_size=8):
-        g = gamma(A)
-        if not is_hard(g.table):
-            gammas_hard = False
+        ctx_a = SheafContext(A, "sp")
+        tables += _sheaf_sweep(ctx_a)[0]
         H = harden(A)
-        if not hardening_sp_homeo_check(H):
+        rep = localization_point_report(H, "sp")
+        if not (rep["pass"] and rep["onto"]):
             match_notes.append(f"{A.label}: point homeo fails")
             continue
-        ctx_a = SheafContext(A, "sp")
         ctx_h = SheafContext(H.table, "sp")
         for a in _distinct_open_reps(ctx_a.space):
             sa = alexandrov_sections(ctx_a, ctx_a.space.basis[a])
+            if ctx_a.space.basis[a] == ctx_a.space.full and not is_hard(sa.table):
+                gammas_hard = False
             sh = alexandrov_sections(ctx_h, ctx_h.space.basis[H.phi(a)])
             if not sections_along(H.phi, sa, sh).is_bijective():
                 match_notes.append(f"{A.label}: sections differ at {A.name_of(a)}")
-    ok = not failures and not soft and gammas_hard and not match_notes
+    soft = [t for t in tables if not is_hard(t)]
+    ok = not soft and gammas_hard and not match_notes
     detail = (
-        f"{covers} sp covers, {len(tables)} section semirings all hard, "
+        f"{len(tables)} sp covers, {len(tables)} section semirings all hard, "
         f"hardening preserves the space and every principal-open section semiring"
     )
     if not ok:
-        notes = failures + [f"{t.label} not hard" for t in soft[:3]] + match_notes
+        notes = [f"{t.label} not hard" for t in soft[:3]] + match_notes
         detail = "; ".join(notes[:6])
     return CheckResult(9, "hardness", ok, detail)
 

@@ -24,7 +24,6 @@ from .kernel import (
     joins,
     mask_of,
     mul_rows,
-    popcount,
     powers,
     row_picker,
     split,
@@ -136,7 +135,7 @@ def all_ideals(A: FiniteSemiring) -> List[int]:
             raise ResourceError(f"{A.label}: over the cap of {_IDEAL_CAP} lattice elements")
         right = [s.preimage(1, m) for m in right]
         found = [x & y for x in (s.preimage(0, m) for m in left) for y in right]
-    return sorted(found, key=lambda m: (popcount(m), m))
+    return sorted(found, key=lambda m: (m.bit_count(), m))
 
 
 def is_prime(A: FiniteSemiring, mask: int) -> bool:

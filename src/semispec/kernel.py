@@ -33,10 +33,6 @@ def mask_of(idxs: Iterable[int]) -> int:
     return m
 
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def row_picker(idx: Sequence[int]) -> Callable[[Sequence], Tuple]:
     """row -> (row[i] for i in idx) as a tuple, by `operator.itemgetter`.
     An itemgetter of one index returns the entry itself, not a 1-tuple, so

@@ -600,7 +600,8 @@ def finite_quotient(
     if coeff < 1 or degree < 0:
         raise PreconditionError("presentation bounds need coeff >= 1 and degree >= 0")
     monos = math.comb(pres.nvars + degree, degree)  # monomials of degree <= degree
-    if (coeff + 1) ** monos > 100000:
+    # coeff + 1 >= 2 and 2^17 > 100,000: the power is taken only below that
+    if monos > 16 or (coeff + 1) ** monos > 100000:
         raise ResourceError("enumeration bound too large")
     bound = Bound(degree=2 * degree, coeff=2 * coeff * coeff * monos)
     model = infinite_model(pres)

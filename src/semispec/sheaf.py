@@ -7,6 +7,8 @@ Sections are computed two ways:
   alexandrov route   limits of the presheaf over minimal opens (finite
                      spectra are Alexandrov), which is the sheafified value
                      on any open.
+Both build their rows by one rule, `_overlap_rows`: two components are
+compatible when they restrict to one class on the overlap of their opens.
 The two routes are not compared with each other. What is checked: each
 equalizer table against the localization at its target, through the
 comparison map, which on the all-primes spectrum is asserted to be an
@@ -243,6 +245,23 @@ def _agreeing(fi: Sequence[int], fj: Sequence[int]) -> List[int]:
     return [bucket.get(x, 0) for x in fi]
 
 
+def _overlap_rows(
+    ctx: SheafContext, opens: Sequence[int], nested_only: bool
+) -> Dict[Tuple[int, int], List[int]]:
+    """Compatibility rows of components over `opens`: for each pair i < j,
+    row u is the mask of the v whose restrictions to w = opens[i] & opens[j]
+    agree. With nested_only, a pair counts only when w is one of its opens,
+    whose restriction to itself is the identity, a checked `natural_map`."""
+    compat: Dict[Tuple[int, int], List[int]] = {}
+    for j, oj in enumerate(opens):
+        for i, oi in enumerate(opens[:j]):
+            w = oi & oj
+            if not nested_only or w in (oi, oj):
+                rows = ctx.restriction(oi, w).images, ctx.restriction(oj, w).images
+                compat[(i, j)] = _agreeing(*rows)
+    return compat
+
+
 def _section_table(
     A: FiniteSemiring,
     locs: Sequence[LocalizedSemiring],
@@ -331,18 +350,8 @@ def equalizer_sections(
         raise PreconditionError("family does not cover the target open")
 
     locs = [ctx.local(ctx.principal_monoid(c)) for c in cover]
-    k = len(cover)
-    compat: Dict[Tuple[int, int], List[int]] = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            overlap = space.basis[cover[i]] & space.basis[cover[j]]
-            compat[(i, j)] = _agreeing(
-                ctx.restriction(space.basis[cover[i]], overlap).images,
-                ctx.restriction(space.basis[cover[j]], overlap).images,
-            )
-    tuples, index, table, from_base = _section_table(
-        A, locs, compat, f"{A.label}-sections"
-    )
+    compat = _overlap_rows(ctx, [space.basis[c] for c in cover], nested_only=False)
+    tuples, index, table, from_base = _section_table(A, locs, compat, f"{A.label}-sections")
 
     ltgt = ctx.presheaf_at(want)
     rs = [ctx.restriction(want, space.basis[c]).images for c in cover]
@@ -471,31 +480,17 @@ def alexandrov_sections(ctx: SheafContext, open_set: int) -> AlexandrovSections:
     value; on covered opens it must agree with the equalizer route. The
     monoid of the minimal open of a point p is A minus p on either
     spectrum: b outside p has D(b) among the opens intersected, and b in p
-    has p in the minimal open but not in D(b)."""
+    has p in the minimal open but not in D(b). That open is the primes
+    inside p, so two are nested exactly when their points are comparable,
+    the only pairs `_overlap_rows` constrains here."""
     A, space = ctx.A, ctx.space
     if not ctx.is_open(open_set):
         raise PreconditionError("not an open set of this spectrum")
     pts = list(bits(open_set))
     minimal = [space.minimal_open(i) for i in pts]
-    locs = [ctx.local(ctx.monoid_of(m)) for m in minimal]
-    compat: Dict[Tuple[int, int], List[int]] = {}
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            pi, pj = space.point_masks[pts[i]], space.point_masks[pts[j]]
-            # the component at the smaller prime is the restriction of the
-            # one at the larger; the side not restricted passes the identity
-            if pj & ~pi == 0:
-                fi = ctx.restriction(minimal[i], minimal[j]).images
-                fj = range(locs[j].table.size)
-            elif pi & ~pj == 0:
-                fi = range(locs[i].table.size)
-                fj = ctx.restriction(minimal[j], minimal[i]).images
-            else:
-                continue
-            compat[(i, j)] = _agreeing(fi, fj)
-    tuples, index, table, from_base = _section_table(
-        A, locs, compat, f"{A.label}-limit-sections"
-    )
+    locs = [ctx.presheaf_at(m) for m in minimal]
+    compat = _overlap_rows(ctx, minimal, nested_only=True)
+    tuples, index, table, from_base = _section_table(A, locs, compat, f"{A.label}-limit-sections")
     return AlexandrovSections(ctx, open_set, pts, locs, tuples, index, table, from_base)
 
 
@@ -520,16 +515,6 @@ def sections_along(
     if None in images:
         raise InternalCheckError(f"{f.cod.label}: a family maps outside the sections")
     return Homomorphism(src.table, dst.table, images)
-
-
-# ---------------------------------------------------------------------------
-# global sections
-
-
-def gamma(A: FiniteSemiring) -> AlexandrovSections:
-    """Global sections of the sheaf on the subtractive-primes spectrum."""
-    ctx = SheafContext(A, "sp")
-    return alexandrov_sections(ctx, ctx.space.full)
 
 
 # ---------------------------------------------------------------------------

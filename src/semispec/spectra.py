@@ -12,9 +12,9 @@ window 0..bound, with no table. One pullback, q |-> {a : f(a) in q},
 serves every map of tables and returns the point map as a tuple of
 indices: the spectrum map of a homomorphism or a localization, and the
 comparison of Sp of the submodule lattice with Spec along the universal
-valuation. Dimension is computed from irreducible closed sets directly,
-then cross-checked against longest specialization chains; the two must
-agree on finite spaces.
+valuation. Dimension is the longest chain of irreducible closed sets,
+found exhaustively and checked against the point closures, which on a
+finite space are exactly the irreducible closed sets.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .kernel import (
     is_idempotent,
     joins,
     mask_of,
-    popcount,
     split,
 )
 from .localize import LocalizedSemiring, _powers_mask, _saturation
@@ -53,7 +52,7 @@ from .localize import LocalizedSemiring, _powers_mask, _saturation
 class SpectrumSpace(NamedTuple):
     base: Optional[FiniteSemiring]  # None for the naturals, which have no table
     kind: str  # "spec" | "sp"
-    point_masks: Tuple[int, ...]  # prime ideal masks, sorted (popcount, mask)
+    point_masks: Tuple[int, ...]  # prime ideal masks, sorted (bit count, mask)
     basis: Tuple[int, ...]  # element a -> bitmask over point indices
 
     @property
@@ -84,8 +83,8 @@ class SpectrumSpace(NamedTuple):
 def _space(
     base: Optional[FiniteSemiring], kind: str, masks: Sequence[int], elements: Sequence[int]
 ) -> SpectrumSpace:
-    """The points sorted by (popcount, mask), and D(a) = {p : a not in p}."""
-    masks = tuple(sorted(masks, key=lambda m: (popcount(m), m)))
+    """The points sorted by (bit count, mask), and D(a) = {p : a not in p}."""
+    masks = tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
     basis = tuple(mask_of(i for i, p in enumerate(masks) if not (p >> a) & 1) for a in elements)
     return SpectrumSpace(base, kind, masks, basis)
 
@@ -262,12 +261,6 @@ def localization_point_report(loc: LocalizedSemiring, kind: str) -> dict:
     }
 
 
-def hardening_sp_homeo_check(H: LocalizedSemiring) -> bool:
-    """Sp of the hardening map A -> H is a homeomorphism onto all of Sp A."""
-    rep = localization_point_report(H, "sp")
-    return rep["pass"] and rep["onto"]
-
-
 # ---------------------------------------------------------------------------
 # dimension
 
@@ -277,7 +270,7 @@ def dimension_of_opens(npoints: int, opens: Sequence[int]) -> int:
     irreducibles enumerated exhaustively; cross-checked against the point
     closures, which on a finite space are exactly the irreducibles."""
     full = (1 << npoints) - 1
-    closeds = sorted({full ^ o for o in opens}, key=popcount)
+    closeds = sorted({full ^ o for o in opens}, key=int.bit_count)
     irr: Set[int] = set()
     for C in closeds:
         if C == 0:
@@ -299,7 +292,7 @@ def dimension_of_opens(npoints: int, opens: Sequence[int]) -> int:
         raise InternalCheckError("irreducible closed sets are not the point closures")
     # longest chain in the containment order on irreducibles
     best: Dict[int, int] = {}
-    for C in sorted(irr, key=popcount):
+    for C in sorted(irr, key=int.bit_count):
         best[C] = max((best[D] + 1 for D in best if D != C and D | C == C), default=0)
     return max(best.values(), default=0)
 

@@ -7,7 +7,7 @@ import pytest
 from semispec import corpus, kernel, spectra
 from semispec.errors import FormatError
 from semispec.ideals import all_ideals, closed_sets, is_subtractive
-from semispec.kernel import FiniteSemiring, bits, enumerate_homs, is_idempotent, mul_rows, popcount
+from semispec.kernel import FiniteSemiring, bits, enumerate_homs, is_idempotent, mul_rows
 
 
 @pytest.fixture(scope="session")
@@ -120,7 +120,7 @@ def direct_routes(A: FiniteSemiring):
     kernels = [m for m in primes if is_subtractive(A, m)]
     if is_idempotent(A):
         assert spectra._bool2_kernels(A, homs=True) == kernels, A.label
-    return sorted(found, key=lambda m: (popcount(m), m)), primes, kernels
+    return sorted(found, key=lambda m: (m.bit_count(), m)), primes, kernels
 
 
 def public_routes(A: FiniteSemiring):

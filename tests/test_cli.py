@@ -166,15 +166,22 @@ def test_presentation_bounds_that_cannot_hold_0_and_1_exit_5(ws, capsys, bounds)
 
 
 def test_presentation_enumeration_bound_exit_code(ws, capsys):
-    # 11^11 candidate terms: refused before any congruence search
+    cases = [
+        # 11^11 candidate terms: refused before any congruence search
+        ({"gens": ["x"], "rels": [["x*x", "x"]]}, "10", "10"),
+        # 3^(about 5 * 10^17) terms: refused without computing that power
+        ({"gens": ["x", "y"], "rels": [["x*y", "0"], ["x^2", "x"], ["y^2", "y"]]},
+         "1000000000", "2"),
+    ]
     pres = ws / "pres.json"
-    pres.write_text(json.dumps(
-        {"gens": ["x"], "rels": [["x*x", "x"]], "idempotent": True}
-    ))
-    code = cli.main(["load", str(pres), "--name", "q", "--degree", "10",
-                     "--coeff", "10"])
-    assert code == 8
-    assert "enumeration bound" in capsys.readouterr().err
+    for spec, degree, coeff in cases:
+        pres.write_text(json.dumps(dict(spec, idempotent=True)))
+        start = time.perf_counter()
+        code = cli.main(["load", str(pres), "--name", "q", "--degree", degree,
+                         "--coeff", coeff])
+        assert code == 8
+        assert time.perf_counter() - start < 1.0
+        assert "enumeration bound" in capsys.readouterr().err
 
 
 def test_a_large_exponent_is_refused_in_bounded_time(ws, capsys):

@@ -19,7 +19,6 @@ from semispec.kernel import (
     leq,
     make_semiring,
     mask_of,
-    popcount,
     powers,
     semiring_from_dict,
     semiring_to_dict,
@@ -31,7 +30,6 @@ from semispec.kernel import (
 def test_mask_helpers():
     assert list(bits(0b1011)) == [0, 1, 3]
     assert mask_of([0, 1, 3]) == 0b1011
-    assert popcount(0b1011) == 3
     assert list(bits(0)) == []
 
 

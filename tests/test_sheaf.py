@@ -14,7 +14,6 @@ from semispec.sheaf import (
     alexandrov_sections,
     common_denominator_form,
     equalizer_sections,
-    gamma,
     glue_section,
     ktt_counterexample_verify,
     sections_along,
@@ -489,6 +488,11 @@ FROZEN_GLOBAL = {
 }
 
 
+def gamma(A):
+    ctx = SheafContext(A, "sp")
+    return alexandrov_sections(ctx, ctx.space.full)
+
+
 def test_is_global_frozen(corpus_tables):
     for name, want in FROZEN_GLOBAL.items():
         assert gamma(corpus_tables[name]).from_base.is_bijective() == want, name
@@ -547,3 +551,19 @@ def test_criterion_4_saturates_each_principal_monoid_once(monkeypatch):
     monkeypatch.setattr(sheaf, "saturate", counting)
     assert accept.criterion_4().passed
     assert calls and len(calls) == len(set(calls))
+
+
+def test_criteria_4_and_9_build_one_context_per_member_and_kind(monkeypatch):
+    # criterion 9 builds one for each member and one for its hardening
+    built = []
+    init = SheafContext.__init__
+
+    def counting(self, A, kind):
+        built.append(kind)
+        init(self, A, kind)
+
+    monkeypatch.setattr(SheafContext, "__init__", counting)
+    n = len(corpus.members(max_size=8))
+    assert accept.criterion_4().passed and built == ["spec"] * n
+    built.clear()
+    assert accept.criterion_9().passed and built == ["sp"] * (2 * n)

@@ -21,7 +21,6 @@ from semispec.spectra import (
     dimension,
     dimension_of_opens,
     enumerate_space,
-    hardening_sp_homeo_check,
     localization_point_report,
     nat_model_verify,
     nat_spectrum,
@@ -442,14 +441,16 @@ def test_localization_homeo_small(corpus_tables):
 def test_hardening_sp_homeo_all(corpus_tables):
     for name, A in corpus_tables.items():
         if A.size <= 8:
-            assert hardening_sp_homeo_check(harden(A)), name
+            rep = localization_point_report(harden(A), "sp")
+            assert rep["pass"] and rep["onto"], name
 
 
 def test_hardening_check_reads_its_own_localization():
     # given the localization at the powers of x in place of the
-    # hardening, the check misses the points holding x, so Sp is not onto
+    # hardening, the report misses the points holding x, so Sp is not onto
     A = corpus.get("boolx")
-    assert not hardening_sp_homeo_check(localize(A, (1 << A.one) | (1 << A.names.index("x"))))
+    rep = localization_point_report(localize(A, (1 << A.one) | (1 << A.names.index("x"))), "sp")
+    assert rep["pass"] and not rep["onto"]
 
 
 def test_nat_model():
