@@ -1,4 +1,5 @@
-"""Finite semiring tables, their JSON form, and homomorphisms.
+"""Finite semiring tables, their JSON form, and the maps between them:
+homomorphisms, and valuations, whose sums may fall below.
 
 Elements of a finite semiring are indices 0..size-1 into its operation
 tables; subsets are int bitmasks. All enumeration orders are deterministic.
@@ -518,24 +519,41 @@ def load_semiring(path: str) -> FiniteSemiring:
 
 
 class Homomorphism(NamedTuple):
+    """A map of finite semirings by its images. It keeps 0, 1 and products,
+    and sums exactly or, when bounded (a valuation), from above:
+    f(a + b) <= f(a) + f(b) in the order of its idempotent codomain."""
+
     dom: FiniteSemiring
     cod: FiniteSemiring
     images: Tuple[int, ...]
+    bounded: bool = False
 
     def __call__(self, a: int) -> int:
         return self.images[a]
 
     def violation(self) -> Optional[str]:
+        """None when every law holds, else the first failure: "zero", "one",
+        or "add@(a,b)" or "mul@(a,b)" at the first pair, a sum before a
+        product. Rows a and f(a) of both tables are read once per a.
+        PreconditionError when the image list does not match the domain, or
+        when a bounded map's codomain is not idempotent."""
         A, B, f = self.dom, self.cod, self.images
+        if self.bounded and not is_idempotent(B):
+            raise PreconditionError(f"{B.label}: valuation target must be idempotent")
+        if len(f) != A.size:
+            raise PreconditionError("image list does not match the domain")
         if f[A.zero] != B.zero:
             return "zero"
         if f[A.one] != B.one:
             return "one"
-        for a in A.elements:
-            for b in A.elements:
-                if f[A.add[a][b]] != B.add[f[a]][f[b]]:
+        add, bounded = B.add, self.bounded
+        for a, (sums, prods, fa) in enumerate(zip(A.add, A.mul, f)):
+            add_fa, mul_fa = add[fa], B.mul[fa]
+            for b, fb in enumerate(f):
+                bound, fs = add_fa[fb], f[sums[b]]
+                if (add[fs][bound] if bounded else fs) != bound:
                     return f"add@({a},{b})"
-                if f[A.mul[a][b]] != B.mul[f[a]][f[b]]:
+                if f[prods[b]] != mul_fa[fb]:
                     return f"mul@({a},{b})"
         return None
 
@@ -621,14 +639,16 @@ def _maps(A: FiniteSemiring, B: FiniteSemiring, bounded: bool) -> List[Tuple[int
     return sorted(dfs(0))
 
 
-def enumerate_homs(A: FiniteSemiring, B: FiniteSemiring) -> List[Homomorphism]:
-    """All homomorphisms A -> B, lexicographically ordered by image tuple.
+def enumerate_homs(
+    A: FiniteSemiring, B: FiniteSemiring, bounded: bool = False
+) -> List[Homomorphism]:
+    """All homomorphisms A -> B, or with bounded all valuations A -> B,
+    lexicographically ordered by image tuple.
 
-    Found by `_maps` with sums kept equal; every hom is re-checked
-    pointwise before it is returned.
+    Found by `_maps` under that sum law; every map is re-checked
+    pointwise by `Homomorphism.violation` before it is returned.
     """
-    homs = [Homomorphism(A, B, images) for images in _maps(A, B, False)]
-    if any(h.violation() is not None for h in homs):
-        raise InternalCheckError("hom DFS closure produced a non-hom")
-    return homs
-
+    maps = [Homomorphism(A, B, images, bounded) for images in _maps(A, B, bounded)]
+    if any(h.violation() is not None for h in maps):
+        raise InternalCheckError("map search produced a map that breaks its laws")
+    return maps

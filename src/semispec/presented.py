@@ -425,9 +425,11 @@ class _Closure:
         """Knuth-Bendix completion within the bound: each critical pair is
         rewritten both ways, and two different normal forms, congruent
         through the term they share, join the relations, oriented. A
-        critical term outside the bound, or one whose two rewrites are not
-        both within it, is skipped, and the first such term is kept in
-        `cut`. When none is, every critical pair joins, so the rules are
+        critical term whose two rewrites are not both within the bound is
+        skipped, and so is one outside the bound whose normal forms differ;
+        the first such term is kept in `cut`. Normal forms that meet join
+        the pair whatever the bound, as each rewrite is a congruence step.
+        When nothing is skipped, every critical pair joins, so the rules are
         confluent on all terms, not only within the bound (the critical
         pair lemma: Knuth and Bendix, 1970; Huet, 1980; for congruences of
         commutative monoids, Buchberger's criterion for binomial ideals:
@@ -441,11 +443,14 @@ class _Closure:
                     # s holds both multiples, so both rewrites match
                     p, p_fits = _rewrite(s, *rule, m1, self.bound)
                     q, q_fits = _rewrite(s, *other, m2, self.bound)
-                    if term_within(s, self.bound) and p_fits and q_fits:
+                    if p_fits and q_fits:
                         p, q = self.normal_form(p), self.normal_form(q)
-                        if p != q:
+                        if p == q:
+                            continue
+                        if term_within(s, self.bound):
                             self._orient((p, q))
-                    elif self.cut is None:
+                            continue
+                    if self.cut is None:
                         self.cut = s
             done += 1
 

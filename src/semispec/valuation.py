@@ -1,7 +1,9 @@
-"""Order-subadditive multiplicative valuations into idempotent semirings,
-those into the two-element target found by the hom search with sums
-bounded, whose kernels are the prime ideals, and the submodule lattice
-of any semiring with its universal valuation.
+"""The submodule lattice of any semiring, with its universal valuation.
+
+A valuation is a `kernel.Homomorphism` with its sums bounded: it keeps
+0, 1 and products, and v(a + b) <= v(a) + v(b) in its idempotent
+codomain. Those into bool2, found by `kernel.enumerate_homs` with sums
+bounded, have the prime ideals as their kernels.
 
 A submodule is taken over the naturals N: a subset holding 0 and closed
 under +, the sum closure (`ideals.sum_closure`) of a seed holding 0, as
@@ -20,17 +22,15 @@ bijective. Both take the built lattice.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import InternalCheckError, PreconditionError
 from .kernel import (
     MAX_SIZE,
     FiniteSemiring,
     Homomorphism,
-    _maps,
     bits,
     enumerate_homs,
-    is_idempotent,
     make_semiring,
     mask_of,
     powers,
@@ -38,54 +38,6 @@ from .kernel import (
 from .ideals import _module_sum, closed_sets, sum_closure
 from .localize import _powers_mask, localize, map_classes
 from .spectra import pullback, sp_enumerate, spec_enumerate
-from . import corpus
-
-
-# ---------------------------------------------------------------------------
-# valuations
-
-
-class GValuation(NamedTuple):
-    source: FiniteSemiring
-    target: FiniteSemiring
-    images: Tuple[int, ...]
-
-    def __call__(self, a: int) -> int:
-        return self.images[a]
-
-
-def g_valuation_violation(v: GValuation) -> Optional[str]:
-    """None if the map preserves 0 and 1, is multiplicative, and is
-    subadditive for the target's natural order."""
-    A, B, f = v.source, v.target, v.images
-    if not is_idempotent(B):
-        raise PreconditionError(f"{B.label}: valuation target must be idempotent")
-    if len(f) != A.size:
-        raise PreconditionError("image list does not match the source")
-    if f[A.zero] != B.zero:
-        return "zero"
-    if f[A.one] != B.one:
-        return "one"
-    for a in A.elements:
-        for b in A.elements:
-            if f[A.mul[a][b]] != B.mul[f[a]][f[b]]:
-                return f"mul@({a},{b})"
-            lhs = f[A.add[a][b]]
-            bound = B.add[f[a]][f[b]]
-            if B.add[lhs][bound] != bound:  # lhs below bound in the order
-                return f"subadd@({a},{b})"
-    return None
-
-
-def bool_valuations(A: FiniteSemiring) -> List[GValuation]:
-    """Every valuation into the two-element semiring, found by the search
-    behind `kernel.enumerate_homs` with sums bounded instead of equal;
-    each is re-checked by `g_valuation_violation`."""
-    b2 = corpus.get("bool2")
-    out = [GValuation(A, b2, images) for images in _maps(A, b2, True)]
-    if any(g_valuation_violation(v) is not None for v in out):
-        raise InternalCheckError(f"{A.label}: valuation search produced a non-valuation")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -181,21 +133,21 @@ def build_mra(A: FiniteSemiring) -> SubmoduleLattice:
     return SubmoduleLattice(A, table, tuple(modules), tuple(index[m] for m in cyclic_masks))
 
 
-def factor_through_universal(
-    lat: SubmoduleLattice, v: GValuation
-) -> Homomorphism:
+def factor_through_universal(lat: SubmoduleLattice, v: Homomorphism) -> Homomorphism:
     """The unique semiring map f on the lattice with v = f after the
     universal valuation; f(M) = sum of the values of M's elements.
-    Certified by exhausting all homs to the target: exactly one of them
-    must reproduce v, and it must be f. The search yields only checked
-    homs, so an f that is no hom, or does not reproduce v, fails there."""
+    v must keep its laws with sums bounded, as every valuation and every
+    hom does. Certified by exhausting all homs to the target: exactly one
+    of them must reproduce v, and it must be f. The search yields only
+    checked homs, so an f that is no hom, or does not reproduce v, fails
+    there."""
     A = lat.base
-    if v.source is not A and v.source != A:
-        raise PreconditionError("valuation source differs from the lattice base")
-    bad = g_valuation_violation(v)
+    if v.dom is not A and v.dom != A:
+        raise PreconditionError("valuation domain differs from the lattice base")
+    bad = v._replace(bounded=True).violation()
     if bad is not None:
         raise PreconditionError(f"not a valuation ({bad})")
-    S = v.target
+    S = v.cod
     images = tuple(
         S.sum_of(v.images[a] for a in bits(m)) for m in lat.modules
     )

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import isomorphic
 from semispec import corpus, kernel
-from semispec.errors import FormatError, InternalCheckError, ResourceError
+from semispec.errors import FormatError, InternalCheckError, PreconditionError, ResourceError
 from semispec.kernel import (
     FiniteSemiring,
     Homomorphism,
@@ -304,6 +304,16 @@ def test_identity_hom_and_violation():
     assert swapped.violation() is not None
 
 
+def test_violation_bounds_the_sums_of_a_valuation_from_above():
+    # boolx -> bool2 sending only 1 to 1 keeps products, and f(1 + x) = 0
+    # lies below f(1) + f(x) = 1: a valuation that is no hom
+    A, B = corpus.get("boolx"), corpus.get("bool2")
+    assert Homomorphism(A, B, (0, 1, 0, 0), True).violation() is None
+    assert Homomorphism(A, B, (0, 1, 0, 0)).violation() == "add@(1,2)"
+    with pytest.raises(PreconditionError, match="image list does not match the domain"):
+        Homomorphism(A, B, (0, 1, 0)).violation()
+
+
 def test_hom_compose_and_kernel():
     A = corpus.get("boolx")
     B = corpus.get("bool2")
@@ -342,7 +352,7 @@ def test_enumerate_homs_vs_brute(src, dst):
 def test_enumerate_homs_rechecks_what_the_search_returns(monkeypatch):
     # planted defect: the search hands back the constant map to 1
     monkeypatch.setattr(kernel, "_maps", lambda A, B, *rest: [(B.one,) * A.size])
-    with pytest.raises(InternalCheckError, match="produced a non-hom"):
+    with pytest.raises(InternalCheckError, match="produced a map that breaks its laws"):
         enumerate_homs(corpus.get("bool2"), corpus.get("bool2"))
 
 

@@ -228,8 +228,9 @@ def one_rewrite_apart(t, rels, nvars, bound):
                     yield tuple(sorted((k, c) for k, c in d.items() if c))
 
 
-# ZERO_PRODUCT's completion skips the critical term x^2*y, of degree 3, at
-# (2, 1); at (4, 2) it skips none and decides every pair, so it runs there
+# ZERO_PRODUCT's completion skips the critical term x^2*y^2, whose
+# rewrites leave the bound, at (2, 1); at (4, 2) it skips none and decides
+# every pair, so it runs there
 @pytest.mark.parametrize("data, bound, closure_bound", [
     ({"gens": ["x"], "rels": [["x*x", "x"]], "idempotent": True},
      Bound(degree=3, coeff=3), Bound(degree=3, coeff=3)),
@@ -293,15 +294,17 @@ def test_localized_images_unknown_generator():
 
 
 def test_a_completion_cut_by_the_bound_proves_nothing():
-    # at (3, 3) completion skips the critical term x^2*y^2, so the
-    # distinct normal forms of 1 + x*y and x + y are no proof; from (4, 4)
-    # on nothing is skipped
+    # at (2, 2) completion skips the critical term x^2*y^2, whose rewrites
+    # x*y^2 and x^2*y leave degree 2, so the distinct normal forms of
+    # 1 + x*y and x + y are no proof; at (3, 3) both rewrites fit and reach
+    # x*y, so the term outside the bound is joined and no cut
     pres = counterexample_presentation()
     g = pres.gens
     s, t = parse_term("1+x*y", g), parse_term("x+y", g)
     with pytest.raises(ResourceError, match=r"skipped the critical term x\^2\*y\^2"):
-        _Closure(pres, Bound(degree=3, coeff=3)).congruent(s, t)
-    assert _Closure(pres, Bound(degree=4, coeff=4)).congruent(s, t).verdict == "no-at-bound"
+        _Closure(pres, Bound(degree=2, coeff=2)).congruent(s, t)
+    for n in (3, 4):
+        assert _Closure(pres, Bound(degree=n, coeff=n)).congruent(s, t).verdict == "no-at-bound"
 
 
 def test_a_rewrite_outside_the_bound_proves_nothing():

@@ -13,7 +13,7 @@ from conftest import (
 from semispec import corpus, ideals, kernel, spectra
 from semispec.errors import InternalCheckError, PreconditionError
 from semispec.ideals import nat_point_not_subtractive, nat_point_prime_check
-from semispec.kernel import Homomorphism, make_semiring, mask_of
+from semispec.kernel import Homomorphism, enumerate_homs, make_semiring, mask_of
 from semispec.localize import harden, localize, saturate
 from semispec.sheaf import SheafContext
 from semispec.spectra import (
@@ -30,7 +30,6 @@ from semispec.spectra import (
     space_to_dot,
     space_to_json,
 )
-from semispec.valuation import bool_valuations
 
 FROZEN_SPEC = {
     "bool2": [1], "boolnil": [5, 13], "boolpair": [3, 5],
@@ -178,7 +177,7 @@ def test_valuation_search_needs_its_bottom_forcing_rule(monkeypatch):
     with pytest.raises(InternalCheckError):
         spec_enumerate(A)
     with pytest.raises(InternalCheckError):
-        bool_valuations(A)
+        enumerate_homs(A, corpus.get("bool2"), True)
 
 
 def chain_times_bool2():

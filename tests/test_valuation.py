@@ -6,16 +6,13 @@ import pytest
 from semispec import cli, corpus, kernel, valuation
 from semispec.errors import InternalCheckError, PreconditionError, ResourceError
 from semispec.ideals import sum_closure
-from semispec.kernel import bits, is_idempotent, leq, mask_of
+from semispec.kernel import Homomorphism, bits, enumerate_homs, is_idempotent, leq, mask_of
 from semispec.localize import _powers_mask, localize, natural_map
 from semispec.sheaf import SheafContext
 from semispec.spectra import sp_enumerate, spec_enumerate
 from semispec.valuation import (
-    GValuation,
-    bool_valuations,
     build_mra,
     factor_through_universal,
-    g_valuation_violation,
     mra_localization_iso_check,
     vstar_homeo_check,
 )
@@ -25,23 +22,23 @@ BOOL2 = corpus.get("bool2")
 
 def universal(lat):
     """The universal valuation a -> cyclic module of a."""
-    return GValuation(lat.base, lat.table, lat.cyclic)
+    return Homomorphism(lat.base, lat.table, lat.cyclic, True)
 
 
 def test_identity_on_bool2_is_valuation():
-    v = GValuation(BOOL2, BOOL2, (0, 1))
-    assert g_valuation_violation(v) is None
+    v = Homomorphism(BOOL2, BOOL2, (0, 1), True)
+    assert v.violation() is None
 
 
 def test_constant_one_is_not():
-    v = GValuation(BOOL2, BOOL2, (1, 1))
-    assert g_valuation_violation(v) == "zero"
+    v = Homomorphism(BOOL2, BOOL2, (1, 1), True)
+    assert v.violation() == "zero"
 
 
 def test_valuation_requires_idempotent_target():
     f2 = corpus.get("f2")
     with pytest.raises(PreconditionError):
-        g_valuation_violation(GValuation(f2, f2, (0, 1)))
+        Homomorphism(f2, f2, (0, 1), True).violation()
 
 
 def test_subadditivity_vs_additivity():
@@ -49,8 +46,8 @@ def test_subadditivity_vs_additivity():
     # underlying addition saturates, so it is not an additive map refused
     # by the plain homomorphism check
     A = corpus.get("satnat4")
-    v = GValuation(A, BOOL2, tuple(0 if a == A.zero else 1 for a in A.elements))
-    assert g_valuation_violation(v) is None
+    v = Homomorphism(A, BOOL2, tuple(0 if a == A.zero else 1 for a in A.elements), True)
+    assert v.violation() is None
 
 
 def test_chi_of_prime_everywhere(corpus_tables):
@@ -60,7 +57,7 @@ def test_chi_of_prime_everywhere(corpus_tables):
             continue
         for pmask in spec_enumerate(A).point_masks:
             chi = tuple(0 if (pmask >> a) & 1 else 1 for a in A.elements)
-            assert g_valuation_violation(GValuation(A, BOOL2, chi)) is None, name
+            assert Homomorphism(A, BOOL2, chi, True).violation() is None, name
 
 
 FROZEN_VAL_COUNTS = {
@@ -75,21 +72,22 @@ def test_bool_valuation_counts_frozen(corpus_tables):
         A = corpus_tables[name]
         if A.size > 16:
             continue
-        assert len(bool_valuations(A)) == want, name
+        assert len(enumerate_homs(A, BOOL2, True)) == want, name
 
 
 def test_valuations_biject_with_primes(corpus_tables):
     for name, A in corpus_tables.items():
         if A.size > 8:
             continue
-        kernels = [mask_of(a for a in A.elements if v(a) == 0) for v in bool_valuations(A)]
+        vals = enumerate_homs(A, BOOL2, True)
+        kernels = [mask_of(a for a in A.elements if v(a) == 0) for v in vals]
         assert sorted(kernels) == sorted(spec_enumerate(A).point_masks), name
 
 
 def test_bool_valuations_of_a_32_element_product():
     # past the reach of a scan over all 2^32 maps
     A = corpus.product_semiring(corpus.get("boolxy"), BOOL2, "boolxy*bool2")
-    vals = bool_valuations(A)
+    vals = enumerate_homs(A, BOOL2, True)
     assert len(vals) == 13
     kernels = sorted(mask_of(a for a in A.elements if v(a) == 0) for v in vals)
     assert kernels == sorted(spec_enumerate(A).point_masks)
@@ -101,9 +99,9 @@ def test_integral_part_is_subsemiring(idempotent_tables):
     # integral part {a : v(a) <= 1} holds 0 and 1 and is closed under + and *
     for name, A in idempotent_tables.items():
         u = universal(build_mra(A))
-        assert g_valuation_violation(u) is None, name
-        for v in bool_valuations(A) + [u]:
-            part = mask_of(a for a in A.elements if leq(v.target, v(a), v.target.one))
+        assert u.violation() is None, name
+        for v in enumerate_homs(A, BOOL2, True) + [u]:
+            part = mask_of(a for a in A.elements if leq(v.cod, v(a), v.cod.one))
             assert (part >> A.zero) & 1 and (part >> A.one) & 1, name
             for a in bits(part):
                 for b in bits(part):
@@ -153,7 +151,7 @@ def test_build_mra_rejects_non_bool_algebra():
         A = corpus.get(name)
         lat = build_mra(A)
         assert lat.table.size == size and vstar_homeo_check(lat).ok, name
-        for v in bool_valuations(A):
+        for v in enumerate_homs(A, BOOL2, True):
             factor_through_universal(lat, v)
         assert all(mra_localization_iso_check(lat, a) for a in A.elements), name
 
@@ -188,7 +186,7 @@ def test_universal_valuation_boolx_frozen():
     assert lat.table.size == 7
     names = [lat.table.name_of(v.images[a]) for a in range(4)]
     assert names == ["{0}", "{0,1}", "{0,x}", "{0,1+x}"]
-    assert g_valuation_violation(v) is None
+    assert v.violation() is None
 
 
 def test_factoring_reproduces_valuations():
@@ -196,7 +194,7 @@ def test_factoring_reproduces_valuations():
         A = corpus.get(name)
         lat = build_mra(A)
         v = universal(lat)
-        for w in bool_valuations(A):
+        for w in enumerate_homs(A, BOOL2, True):
             f = factor_through_universal(lat, w)
             assert all(
                 f.images[v.images[a]] == w.images[a] for a in A.elements
@@ -208,7 +206,7 @@ def test_factoring_detects_a_wrong_element_sum(monkeypatch):
     # f({0, 1}) reads v(0) = 0 where v(1) = 1 is wanted
     A = corpus.get("chain3")
     lat = build_mra(A)
-    w = bool_valuations(A)[0]
+    w = enumerate_homs(A, BOOL2, True)[0]
     real = kernel.FiniteSemiring.sum_of
     monkeypatch.setattr(kernel.FiniteSemiring, "sum_of", lambda S, xs: real(S, list(xs)[:-1]))
     with pytest.raises(InternalCheckError):
@@ -219,7 +217,7 @@ def test_factoring_detects_a_second_match(monkeypatch):
     # planted defect: the hom search yields every hom twice, so the right
     # factoring is found twice and only the uniqueness half fires
     A = corpus.get("chain3")
-    lat, w = build_mra(A), bool_valuations(A)[0]
+    lat, w = build_mra(A), enumerate_homs(A, BOOL2, True)[0]
     real = valuation.enumerate_homs
     monkeypatch.setattr(valuation, "enumerate_homs", lambda A, B: 2 * real(A, B))
     with pytest.raises(InternalCheckError, match=r"\(2 matches\)"):
@@ -233,7 +231,7 @@ def test_generator_sum_invariance():
         A = corpus.get(name)
         lat = build_mra(A)
         v = universal(lat)
-        S = v.target
+        S = v.cod
         for idx, m in enumerate(lat.modules):
             elems = list(bits(m))
             want = S.sum_of(v.images[a] for a in elems)
@@ -251,8 +249,8 @@ def test_valuation_pullback():
     # preimage of the basic open of v(a) is the basic open of a
     A = corpus.get("chain4")
     spec_a = spec_enumerate(A)
-    for v in bool_valuations(A):
-        sp_s = sp_enumerate(v.target)
+    for v in enumerate_homs(A, BOOL2, True):
+        sp_s = sp_enumerate(v.cod)
         pulled = [
             mask_of(a for a in A.elements if (p >> v.images[a]) & 1)
             for p in sp_s.point_masks
